@@ -23,7 +23,6 @@ from .gate import ProfileError, load_profile, run_gate
 from .group import (
     CertificationError,
     SuzukiParams,
-    candidate_generators,
     make_params,
     params_for_q,
     w_generators,
@@ -36,7 +35,6 @@ from .oracle import (
     enumerate_group,
     find_cyclic_subgroup,
     normalizer,
-    streaming_order_census,
     verify_partition,
 )
 from .orderstats import (
@@ -180,13 +178,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 def _oracle_stats(params: SuzukiParams, args: argparse.Namespace) -> OrderStats:
     _check_scale(params, args)
     field = _resolve_field(args, params)
-    gens = candidate_generators(params, field)
-    stats = streaming_order_census(gens, limit=params.group_order,
-                                   spec_hint=spectrum_closed_form(params))
-    if stats.total != params.group_order:
-        raise CertificationError(
-            f"census covered {stats.total} elements, expected {params.group_order}")
-    return stats
+    _, table = build_suzuki_table(params, field)  # CertificationError -> exit 4
+    return empirical_order_stats(table, spectrum_closed_form(params))
 
 
 def cmd_nse(args: argparse.Namespace) -> int:

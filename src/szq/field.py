@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from .orderstats import factorize
+
 # Degrees above this skip table construction and fall back to the raw
 # shift-and-xor routines (tables are O(2^degree) memory).
 _TABLE_DEGREE_LIMIT = 20
@@ -71,20 +73,6 @@ def _pow2_frobenius(mod: int, k: int) -> int:
     return h
 
 
-def _factor(n: int) -> dict[int, int]:
-    """Trial-division factorization; only ever called on small integers."""
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
 def is_irreducible(poly: int) -> bool:
     """Irreducibility over GF(2): x^(2^d) == x mod poly, plus the gcd
     condition gcd(x^(2^(d/p)) - x, poly) == 1 for every prime p dividing d."""
@@ -97,7 +85,7 @@ def is_irreducible(poly: int) -> bool:
         return False
     if _pow2_frobenius(poly, d) != 0b10:
         return False
-    for p in _factor(d):
+    for p in factorize(d):
         h = _pow2_frobenius(poly, d // p)
         if _poly_gcd(h ^ 0b10, poly) != 1:
             return False
@@ -185,7 +173,7 @@ class Field:
 
     def _find_generator(self) -> int:
         """Smallest element (as a bit pattern) of multiplicative order q-1."""
-        cofactors = [(self.q - 1) // p for p in _factor(self.q - 1)]
+        cofactors = [(self.q - 1) // p for p in factorize(self.q - 1)]
         for g in range(2, self.q):
             if all(self._raw_pow(g, c) != 1 for c in cofactors):
                 return g

@@ -161,13 +161,13 @@ class Mat4:
     def is_identity(self) -> bool:
         return self.entries == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
 
-    # -- canonical byte encoding --
+    # -- serialization --
 
     def encode(self) -> bytes:
         """Row-major, each entry as little-endian fixed-width bytes.
 
-        The encoding is injective and stable; it is the canonical key for
-        closure enumeration and for snapshot tests.
+        The encoding is injective and stable; it is the serialization format
+        (``decode`` inverts it).  In-memory tables key matrices by ``entries``.
         """
         w = self.field.element_bytes
         return b"".join(v.to_bytes(w, "little") for v in self.entries)
@@ -200,29 +200,24 @@ def element_order(mat: Mat4, hint_orders: Iterable[int] = (), bound: int | None 
     """Least k >= 1 with mat**k equal to the identity.
 
     With ``hint_orders`` the true order must divide one of the hints; powers
-    are walked once and compared against the identity only at divisors of the
-    hints, in increasing order.  Without hints the search runs up to ``bound``
-    by iterated multiplication.  Exhausting either search raises
-    OrderNotFoundError, which for hinted searches signals an element outside
-    the expected spectrum.
+    are walked up to the largest hint.  Without hints the search runs up to
+    ``bound`` by iterated multiplication.  Exhausting either search, or a
+    first identity power dividing no hint, raises OrderNotFoundError, which
+    for hinted searches signals an element outside the expected spectrum.
     """
     hints = [h for h in hint_orders if h > 0]
     if hints:
-        candidates = set()
-        for h in hints:
-            for d in range(1, h + 1):
-                if h % d == 0:
-                    candidates.add(d)
-        limit = max(candidates)
+        limit = max(hints)
+    elif bound is None:
+        raise ValueError("element_order needs hint_orders or a bound")
     else:
-        if bound is None:
-            raise ValueError("element_order needs hint_orders or a bound")
-        candidates = None
         limit = bound
     cur = mat
     for k in range(1, limit + 1):
-        if (candidates is None or k in candidates) and cur.is_identity():
-            return k
+        if cur.is_identity():
+            if not hints or any(h % k == 0 for h in hints):
+                return k
+            break
         if k < limit:
             cur = cur * mat
     raise OrderNotFoundError(

@@ -1,9 +1,10 @@
 """Brute-force ground truth for desk-scale Suzuki groups.
 
-Enumerates the group from generators by breadth-first closure over canonical
-byte encodings, takes empirical order censuses, digs out cyclic subgroups,
-normalizers and centralizers by direct scan, and verifies that the conjugates
-of the four reference subgroups cover every nontrivial element exactly once.
+Enumerates the group from generators by breadth-first closure over the
+matrices' entry tuples, takes empirical order censuses from one pass over the
+cyclic subgroups, digs out cyclic subgroups, normalizers and centralizers by
+direct scan, and verifies that the conjugates of the four reference subgroups
+cover every nontrivial element exactly once.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -12,7 +13,9 @@ closed forms are tested against, so it must not share their shortcuts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
+from math import gcd
+from operator import attrgetter, mul
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .field import Field
 from .group import (
@@ -23,8 +26,11 @@ from .group import (
     closed_form_subgroup_counts,
     w_elements,
 )
-from .mat4 import Mat4, element_order
+from .mat4 import Mat4, OrderNotFoundError
 from .orderstats import OrderStats, Spectrum
+
+Entries = tuple[int, ...]
+_entries = attrgetter("entries")
 
 
 class ClosureLimitError(RuntimeError):
@@ -35,41 +41,101 @@ class SubgroupNotFoundError(LookupError):
     """No element of the requested order exists in the table."""
 
 
+def _walk(seeds: Iterable, moves: Sequence, act: Callable, key: Callable[..., Hashable],
+          limit: int | None = None) -> dict:
+    """Breadth-first closure of ``seeds`` under ``act(x, move)``: {key(x): x}.
+
+    The one walker behind every closure in this module.  Raises
+    ClosureLimitError as soon as the element count would exceed ``limit``.
+    """
+    seen = {key(s): s for s in seeds}
+    frontier = list(seen.values())
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in moves:
+                b = act(a, g)
+                k = key(b)
+                if k not in seen:
+                    if limit is not None and len(seen) >= limit:
+                        raise ClosureLimitError(f"closure exceeds limit {limit}")
+                    seen[k] = b
+                    new.append(b)
+        frontier = new
+    return seen
+
+
 @dataclass
 class ElementTable:
-    """A fully enumerated matrix group, keyed by canonical encodings."""
+    """A fully enumerated matrix group, keyed by the matrices' entry tuples."""
 
     field: Field
-    by_key: dict[bytes, Mat4]
+    by_key: dict[Entries, Mat4]
     generators: list[Mat4]
-    _sorted_keys: list[bytes] | None = dc_field(default=None, repr=False)
-    _inverses: dict[bytes, Mat4] | None = dc_field(default=None, repr=False)
+    _sorted_keys: list[Entries] | None = dc_field(default=None, repr=False)
+    _orders: dict[Entries, int] | None = dc_field(default=None, repr=False)
+    _inverses: dict[Entries, Mat4] | None = dc_field(default=None, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.by_key)
 
-    def sorted_keys(self) -> list[bytes]:
-        """Canonical iteration order: encodings ascending."""
+    def sorted_keys(self) -> list[Entries]:
+        """Canonical iteration order: entry tuples ascending."""
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self.by_key)
         return self._sorted_keys
 
-    def inverses(self) -> dict[bytes, Mat4]:
-        """Inverse of every element, computed once and cached."""
+    def orders(self) -> dict[Entries, int]:
+        """Order of every element, from the power pass (computed once)."""
+        if self._orders is None:
+            self._power_pass()
+        return self._orders
+
+    def inverses(self) -> dict[Entries, Mat4]:
+        """Inverse of every element, from the power pass (computed once)."""
         if self._inverses is None:
-            self._inverses = {k: g.inv() for k, g in self.by_key.items()}
+            self._power_pass()
         return self._inverses
 
+    def _power_pass(self) -> None:
+        """For each element x not yet met as a power, in sorted order, walk
+        x, x^2, ..., x^k = 1 once and record ord(x^i) = k / gcd(i, k) and
+        inv(x^i) = x^(k-i) for all k powers.
+
+        Only group multiplication is used, so the census stays independent
+        of the closed forms.  Keys are the table's own entry tuples, never
+        the fresh powers', so the caches add no tuples of their own.
+        """
+        by_key = self.by_key
+        orders: dict[Entries, int] = {}
+        inverses: dict[Entries, Mat4] = {}
+        for key in self.sorted_keys():
+            if key in orders:
+                continue
+            x = by_key[key]
+            powers = [key]  # powers[i - 1] is the key of x^i
+            p = x
+            while not p.is_identity():
+                if len(powers) >= self.size:
+                    raise OrderNotFoundError(f"no power of {x!r} within the table size")
+                p = p * x
+                powers.append(by_key[p.entries].entries)
+            k = len(powers)
+            for i, pk in enumerate(powers, 1):
+                orders[pk] = k // gcd(i, k)
+                inverses[pk] = by_key[powers[k - i - 1]]  # x^(k-i); i = k wraps to x^k = 1
+        self._orders, self._inverses = orders, inverses
+
     def __contains__(self, mat: Mat4) -> bool:
-        return mat.encode() in self.by_key
+        return mat.entries in self.by_key
 
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its member encodings inside some ElementTable."""
+    """A subgroup given by its members' entry tuples inside some ElementTable."""
 
-    members: frozenset[bytes]
+    members: frozenset[Entries]
     order: int
     cyclic_generator: Mat4 | None = None
 
@@ -86,21 +152,7 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     for g in generators[1:]:
         if g.field != f:
             raise ValueError("generators live in different fields")
-    ident = Mat4.identity(f)
-    by_key: dict[bytes, Mat4] = {ident.encode(): ident}
-    frontier = [ident]
-    while frontier:
-        new: list[Mat4] = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                k = b.encode()
-                if k not in by_key:
-                    if len(by_key) >= limit:
-                        raise ClosureLimitError(f"closure exceeds limit {limit}")
-                    by_key[k] = b
-                    new.append(b)
-        frontier = new
+    by_key = _walk([Mat4.identity(f)], generators, mul, _entries, limit)
     return ElementTable(field=f, by_key=by_key, generators=list(generators))
 
 
@@ -127,56 +179,19 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
 def empirical_order_stats(table: ElementTable, spec_hint: Spectrum | None = None) -> OrderStats:
     """Census of element orders over the whole table.
 
-    ``spec_hint`` narrows the order search; an element whose order falls
-    outside the hinted divisors raises OrderNotFoundError, which is a finding
-    (the table is not the group the spectrum belongs to), not a crash to
-    swallow.
+    An element whose order divides none of ``spec_hint``'s orders raises
+    OrderNotFoundError, which is a finding (the table is not the group the
+    spectrum belongs to), not a crash to swallow.
     """
     hints = tuple(spec_hint.orders) if spec_hint is not None else ()
     counts: dict[int, int] = {}
-    for key in table.sorted_keys():
-        if hints:
-            o = element_order(table.by_key[key], hints)
-        else:
-            o = element_order(table.by_key[key], bound=table.size)
+    for o in table.orders().values():
         counts[o] = counts.get(o, 0) + 1
+    outside = [o for o in counts if hints and all(h % o for h in hints)]
+    if outside:
+        raise OrderNotFoundError(
+            f"element orders {sorted(outside)} lie outside the hints {sorted(hints)}")
     return OrderStats(counts=counts, total=table.size)
-
-
-def streaming_order_census(generators: Sequence[Mat4], limit: int,
-                           spec_hint: Spectrum | None = None) -> OrderStats:
-    """Order census fused into the closure walk, keeping only encodings.
-
-    Memory stays proportional to the key set plus one frontier layer, which
-    is what makes opt-in censuses of Sz(32) feasible; results are identical
-    to enumerate + empirical_order_stats (tested at desk scale).
-    """
-    if not generators:
-        raise ValueError("need at least one generator")
-    f = generators[0].field
-    hints = tuple(spec_hint.orders) if spec_hint is not None else ()
-    ident = Mat4.identity(f)
-    seen = {ident.encode()}
-    counts: dict[int, int] = {1: 1}
-    frontier = [ident]
-    while frontier:
-        new: list[Mat4] = []
-        for a in frontier:
-            for g in generators:
-                b = a * g
-                k = b.encode()
-                if k not in seen:
-                    if len(seen) >= limit:
-                        raise ClosureLimitError(f"closure exceeds limit {limit}")
-                    seen.add(k)
-                    if hints:
-                        o = element_order(b, hints)
-                    else:
-                        o = element_order(b, bound=limit)
-                    counts[o] = counts.get(o, 0) + 1
-                    new.append(b)
-        frontier = new
-    return OrderStats(counts=counts, total=len(seen))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +202,7 @@ def cyclic_subgroup(table: ElementTable, generator: Mat4, order: int) -> Subgrou
     members = []
     cur = Mat4.identity(table.field)
     for _ in range(order):
-        members.append(cur.encode())
+        members.append(cur.entries)
         cur = cur * generator
     assert cur.is_identity()
     return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
@@ -195,45 +210,25 @@ def cyclic_subgroup(table: ElementTable, generator: Mat4, order: int) -> Subgrou
 
 def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
     """Cyclic subgroup generated by the first element of order k, scanning
-    in sorted-encoding order for determinism."""
-    if k == 1:
-        ident = Mat4.identity(table.field)
-        return SubgroupHandle(frozenset([ident.encode()]), 1, cyclic_generator=ident)
+    in sorted-key order for determinism."""
+    orders = table.orders()
     for key in table.sorted_keys():
-        g = table.by_key[key]
-        cur = g
-        order = 1
-        while not cur.is_identity():
-            cur = cur * g
-            order += 1
-            if order > k:
-                break
-        if order == k:
-            return cyclic_subgroup(table, g, k)
+        if orders[key] == k:
+            return cyclic_subgroup(table, table.by_key[key], k)
     raise SubgroupNotFoundError(f"no element of order {k} in the table")
 
 
-def _generating_set(table: ElementTable, members: frozenset[bytes]) -> list[Mat4]:
-    """Small generating set of a subgroup given by its member encodings."""
-    ident_key = Mat4.identity(table.field).encode()
+def _generating_set(table: ElementTable, members: frozenset[Entries]) -> list[Mat4]:
+    """Small generating set of a subgroup given by its members' entry tuples."""
+    ident = Mat4.identity(table.field)
     gens: list[Mat4] = []
-    closed = {ident_key}
+    closed = {ident.entries: ident}
     for key in sorted(members):
-        if key in closed:
-            continue
-        gens.append(table.by_key[key])
-        frontier = list(closed)
-        while frontier:
-            new = []
-            for k0 in frontier:
-                for g in gens:
-                    nk = (table.by_key[k0] * g).encode()
-                    if nk not in closed:
-                        closed.add(nk)
-                        new.append(nk)
-            frontier = new
         if len(closed) == len(members):
             break
+        if key not in closed:
+            gens.append(table.by_key[key])
+            closed = _walk(closed.values(), gens, mul, _entries)
     return gens
 
 
@@ -253,7 +248,7 @@ def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
     for key in table.sorted_keys():
         g = table.by_key[key]
         gi = inv[key]
-        if all(((g * h) * gi).encode() in members for h in gens):
+        if all(((g * h) * gi).entries in members for h in gens):
             found.append(key)
     return SubgroupHandle(frozenset(found), len(found))
 
@@ -308,25 +303,22 @@ class PartitionReport:
         }
 
 
-def conjugate_orbit(table: ElementTable, members: frozenset[bytes]) -> list[frozenset[bytes]]:
+def conjugate_orbit(table: ElementTable,
+                    members: frozenset[Entries]) -> list[frozenset[Entries]]:
     """Orbit of a subgroup (as a member set) under conjugation by the group.
 
     Walking the table's generators suffices: conjugation is a group action,
-    so generator moves alone reach the full orbit.
+    so generator moves alone reach the full orbit.  Conjugates are stored as
+    the table's own key tuples, so the orbit holds no tuples of its own.
     """
-    inv = [g.inv() for g in table.generators]
-    orbit = {members}
-    frontier = [members]
-    while frontier:
-        new = []
-        for sub in frontier:
-            mats = [table.by_key[k] for k in sub]
-            for g, gi in zip(table.generators, inv):
-                conj = frozenset(((g * h) * gi).encode() for h in mats)
-                if conj not in orbit:
-                    orbit.add(conj)
-                    new.append(conj)
-        frontier = new
+    by_key = table.by_key
+
+    def conjugate(sub: frozenset[Entries], move: tuple[Mat4, Mat4]) -> frozenset[Entries]:
+        g, gi = move
+        return frozenset(by_key[(g * by_key[k] * gi).entries].entries for k in sub)
+
+    moves = [(g, g.inv()) for g in table.generators]
+    orbit = _walk([members], moves, conjugate, lambda sub: sub)
     return sorted(orbit, key=sorted)
 
 
@@ -336,8 +328,8 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
     Representatives: the unitriangular subgroup {w(a, b)} of order q^2, and
     cyclic subgroups of orders q+s+1, q-s+1 and q-1 dug out of the table.
     """
-    w_keys = frozenset(w.encode() for w in w_elements(table.field))
-    if not w_keys <= set(table.by_key):
+    w_keys = frozenset(w.entries for w in w_elements(table.field))
+    if not w_keys <= table.by_key.keys():
         raise ValueError("table does not contain the unitriangular subgroup")
     reps = {
         "w": w_keys,
@@ -345,8 +337,8 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,
     }
-    ident_key = Mat4.identity(table.field).encode()
-    hits: dict[bytes, int] = {}
+    ident_key = Mat4.identity(table.field).entries
+    hits: dict[Entries, int] = {}
     orbit_sizes: dict[str, int] = {}
     for name, members in reps.items():
         orbit = conjugate_orbit(table, members)

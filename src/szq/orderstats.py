@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from math import gcd
+from typing import TYPE_CHECKING
 
-from .group import SuzukiParams
+if TYPE_CHECKING:  # group imports field, which imports factorize from here
+    from .group import SuzukiParams
 
 
 # ---------------------------------------------------------------------------

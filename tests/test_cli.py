@@ -100,6 +100,19 @@ def test_nse_oracle_beyond_q8_needs_allow_big(capsys):
     assert "--allow-big" in err
 
 
+def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
+    import szq.oracle
+
+    # Without tau the generators close to the Borel subgroup, not Sz(8).
+    real = szq.oracle.candidate_generators
+    monkeypatch.setattr(szq.oracle, "candidate_generators",
+                        lambda params, field: real(params, field)[:3])
+    rc, out, err = run_cli(capsys, "nse", "--q", "8", "--source", "oracle")
+    assert rc == 4
+    assert out == ""
+    assert "certification failure" in err
+
+
 def test_nse_modulus_override_does_not_change_closed_form(capsys):
     rc1, out1, _ = run_cli(capsys, "nse", "--q", "32", "--output", "json",
                            "--no-timestamp")

@@ -183,4 +183,4 @@ def test_w_generators_generate_all_of_w(f8):
 
     table = enumerate_group(w_generators(f8), limit=64)
     assert table.size == 64
-    assert set(table.by_key) == {w.encode() for w in w_elements(f8)}
+    assert set(table.by_key) == {w.entries for w in w_elements(f8)}

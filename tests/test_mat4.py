@@ -115,7 +115,7 @@ def test_decode_validates(f8):
 
 
 def test_encode_injective_on_full_group(sz8):
-    assert len(set(sz8.table.by_key)) == 29120
+    assert len({g.encode() for g in sz8.table.by_key.values()}) == 29120
 
 
 # -- element order ----------------------------------------------------------
@@ -142,6 +142,12 @@ def test_order_bound_exhausted_raises(f8):
         element_order(w, bound=3)
     with pytest.raises(OrderNotFoundError):
         element_order(w, (3,))  # hints that miss the true order
+
+
+def test_order_dividing_no_hint_raises(f8):
+    w = make_w(f8.one, f8.zero)  # order 4, reached before the largest hint
+    with pytest.raises(OrderNotFoundError):
+        element_order(w, (5, 6))
 
 
 def test_order_requires_hints_or_bound(f8):

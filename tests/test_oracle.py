@@ -1,10 +1,14 @@
 """Brute-force oracle: closure, census, subgroups, and the partition cover."""
 
+import json
+import random
+
 import pytest
 
+from szq.cli import main
 from szq.field import Field
 from szq.group import make_w, w_generators
-from szq.mat4 import Mat4
+from szq.mat4 import Mat4, element_order
 from szq.oracle import (
     ClosureLimitError,
     SubgroupHandle,
@@ -14,7 +18,6 @@ from szq.oracle import (
     enumerate_group,
     find_cyclic_subgroup,
     normalizer,
-    streaming_order_census,
 )
 from szq.orderstats import Spectrum, euler_phi, spectrum_closed_form
 
@@ -46,7 +49,7 @@ def test_two_unitriangular_generators_close_to_a_4_cycle(f8):
     table = enumerate_group([w10, w01], limit=64)
     assert table.size == 4
     assert set(table.by_key) == {
-        m.encode() for m in (Mat4.identity(f8), w10, w01, w10 * w01)}
+        m.entries for m in (Mat4.identity(f8), w10, w01, w10 * w01)}
 
 
 def test_limit_exceeded_raises(f8):
@@ -87,23 +90,43 @@ def test_w_census(f8):
     assert max(stats.counts) == 4  # exponent of the 2-subgroup
 
 
-def test_streaming_census_matches_table_census(f8, sz8):
-    streamed = streaming_order_census(
-        sz8.generators, limit=29120, spec_hint=spectrum_closed_form(sz8.params))
-    assert streamed.counts == sz8.stats.counts
-    assert streamed.total == sz8.stats.total
+def test_nse_oracle_census_matches_table_census(sz8, capsys):
+    rc = main(["nse", "--q", "8", "--source", "oracle", "--output", "json",
+               "--no-timestamp"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["oracle"] == sz8.stats.to_json_dict()
 
 
-def test_streaming_census_of_w(f8):
-    stats = streaming_order_census(w_generators(f8), limit=64,
-                                   spec_hint=Spectrum.from_values((4,)))
-    assert stats.counts == {1: 1, 2: 7, 4: 56}
+def test_w_census_without_hint(f8):
+    table = enumerate_group(w_generators(f8), limit=64)
+    assert empirical_order_stats(table).counts == {1: 1, 2: 7, 4: 56}
 
 
-def test_streaming_census_respects_limit(f8):
+def test_limit_is_the_exact_closure_size(f8):
+    assert enumerate_group(w_generators(f8), limit=64).size == 64
     with pytest.raises(ClosureLimitError):
-        streaming_order_census(w_generators(f8), limit=10,
-                               spec_hint=Spectrum.from_values((4,)))
+        enumerate_group(w_generators(f8), limit=63)
+
+
+def test_power_pass_matches_element_order_and_inv(sz8):
+    # The power pass derives orders and inverses of all k powers from one
+    # walk; element_order and Gauss-Jordan inv recompute each from scratch.
+    table = sz8.table
+    hints = tuple(spectrum_closed_form(sz8.params).orders)
+    orders, inverses = table.orders(), table.inverses()
+    for key in random.Random(2024).sample(table.sorted_keys(), 500):
+        x = table.by_key[key]
+        assert orders[key] == element_order(x, hints)
+        assert inverses[key] == x.inv()
+
+
+def test_power_pass_on_w_at_q32():
+    wt = enumerate_group(w_generators(Field(2)), limit=1024)
+    assert wt.size == 1024
+    orders, inverses = wt.orders(), wt.inverses()
+    for key, x in wt.by_key.items():
+        assert orders[key] == element_order(x, (4,))
+        assert inverses[key] == x.inv()
 
 
 def test_spectrum_found_is_exact(sz8):
@@ -116,6 +139,8 @@ def test_census_surfaces_spectrum_violations(f8):
     table = enumerate_group(w_generators(f8), limit=64)
     with pytest.raises(OrderNotFoundError):
         empirical_order_stats(table, Spectrum.from_values((2,)))  # misses order 4
+    with pytest.raises(OrderNotFoundError):
+        empirical_order_stats(table, Spectrum.from_values((5,)))  # 2, 4 < 5 but divide no hint
 
 
 def test_nse_value_set(sz8):
