@@ -247,9 +247,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    f"coverage {partition.coverage}, "
                    f"multiply covered {partition.multiply_covered}"))
 
+    cyclic = {k: find_cyclic_subgroup(table, k) for k in (p.u1, p.u2, p.v)}
     for name, k, index_over in (("u1", p.u1, 4), ("u2", p.u2, 4), ("v", p.v, 2)):
-        h = find_cyclic_subgroup(table, k)
-        n = normalizer(table, h)
+        n = normalizer(table, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
     w_handle = SubgroupHandle(frozenset(wt.by_key), wt.size)
@@ -258,8 +258,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))
 
     for name, k in (("u1", p.u1), ("u2", p.u2)):
-        h = find_cyclic_subgroup(table, k)
-        c = centralizer(table, h.cyclic_generator)
+        c = centralizer(table, cyclic[k].cyclic_generator)
         checks.append((f"centralizer_{name}", c.order == k,
                        f"|C| = {c.order} for an element of order {k}"))
 

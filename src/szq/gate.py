@@ -17,8 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
-from .group import make_params
-from .orderstats import factorize, multiplicative_order, nse_closed_form
+from .group import SuzukiParams, make_params
+from .orderstats import OrderStats, factorize, multiplicative_order, nse_closed_form
 
 GATE_NOTE = ("ACCEPT means the profile is consistent with Sz(q) and passes every "
              "arithmetic certificate; it is not an independent isomorphism proof.")
@@ -30,6 +30,16 @@ class ProfileError(ValueError):
 
 class InvolutionCountError(ValueError):
     """The nse set does not contain exactly one odd value above 1."""
+
+
+def _as_int(value, what: str) -> int:
+    """A JSON integer or a string of ASCII digits; a bool, a float or any
+    other string is a ProfileError, never a truncated or coerced number."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and value.isascii() and value.isdigit():
+        return int(value)
+    raise ProfileError(f"{what} must be an integer or a digit string, got {value!r:.40}")
 
 
 @dataclass(frozen=True)
@@ -58,21 +68,23 @@ class CandidateProfile:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CandidateProfile":
-        try:
-            order = int(data["order"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ProfileError(f"bad or missing 'order' field: {e}") from e
+        if "order" not in data:
+            raise ProfileError("missing 'order' field")
+        order = _as_int(data["order"], "'order'")
         has_set = "nse_set" in data
         has_map = "nse_map" in data
         if has_set == has_map:
             raise ProfileError("profile needs exactly one of 'nse_set' or 'nse_map'")
-        try:
-            if has_map:
-                nse_map = {int(i): int(c) for i, c in data["nse_map"].items()}
-                return cls(order=order, nse_set=frozenset(nse_map.values()), nse_map=nse_map)
-            return cls(order=order, nse_set=frozenset(int(v) for v in data["nse_set"]))
-        except (TypeError, ValueError, AttributeError) as e:
-            raise ProfileError(f"bad nse payload: {e}") from e
+        if has_map:
+            if not isinstance(data["nse_map"], dict):
+                raise ProfileError("'nse_map' must be an object")
+            nse_map = {_as_int(i, "an nse_map order"): _as_int(c, "an nse_map count")
+                       for i, c in data["nse_map"].items()}
+            return cls(order=order, nse_set=frozenset(nse_map.values()), nse_map=nse_map)
+        if not isinstance(data["nse_set"], list):
+            raise ProfileError("'nse_set' must be a list")
+        return cls(order=order,
+                   nse_set=frozenset(_as_int(v, "an nse_set value") for v in data["nse_set"]))
 
     def to_json_dict(self) -> dict:
         out: dict = {"order": str(self.order)}
@@ -138,9 +150,8 @@ def identify_m2(nse_set: frozenset[int] | set[int]) -> int:
     return odd[0]
 
 
-def nse_match_check(profile: CandidateProfile, m: int) -> GateCheck:
+def nse_match_check(profile: CandidateProfile, closed: OrderStats) -> GateCheck:
     """Set equality with the closed forms; map profiles must match key-by-key."""
-    closed = nse_closed_form(make_params(m))
     want_set = frozenset(closed.counts.values())
     if profile.nse_map is not None:
         ok = profile.nse_map == closed.counts
@@ -157,12 +168,10 @@ def nse_match_check(profile: CandidateProfile, m: int) -> GateCheck:
     return GateCheck("nse_match", ok, detail)
 
 
-def isolation_certificate(m: int) -> GateCheck:
+def isolation_certificate(p: SuzukiParams, stats: OrderStats) -> GateCheck:
     """2 is isolated: q^2 divides every count outside orders {1, 2, 4}, the
     odd part of the group order is (q^2+1)(q-1), and the even-order element
     count is that odd part times an odd multiplier."""
-    p = make_params(m)
-    stats = nse_closed_form(p)
     q2 = p.q * p.q
     bad = [i for i in stats.counts if i not in (1, 2, 4) and stats.counts[i] % q2]
     odd_part = p.group_order
@@ -241,17 +250,18 @@ def run_gate(profile: CandidateProfile) -> GateReport:
     if m is None:
         return GateReport("REJECT", None, checks)
 
-    closed_m2 = nse_closed_form(make_params(m)).counts[2]
+    p = make_params(m)
+    closed = nse_closed_form(p)
     try:
         m2 = identify_m2(profile.nse_set)
-        ok = m2 == closed_m2
-        detail = f"involution count {m2} == (q-1)(q^2+1) = {closed_m2}: {ok}"
+        ok = m2 == closed.counts[2]
+        detail = f"involution count {m2} == (q-1)(q^2+1) = {closed.counts[2]}: {ok}"
     except InvolutionCountError as e:
         ok, detail = False, str(e)
     checks.append(GateCheck("involution_count", ok, detail))
 
-    checks.append(nse_match_check(profile, m))
-    checks.append(isolation_certificate(m))
+    checks.append(nse_match_check(profile, closed))
+    checks.append(isolation_certificate(p, closed))
     checks.append(frobenius_exclusion(m))
     checks.append(two_frobenius_exclusion(m))
     checks.append(simple_section_check(m))

@@ -44,12 +44,19 @@ def euler_phi(n: int) -> int:
     return phi
 
 
+def _divisor_phis(fac: dict[int, int]) -> dict[int, int]:
+    """Every divisor d of the number with prime factorization ``fac``,
+    mapped to phi(d); phi is multiplicative, so no divisor is re-factored."""
+    phis = {1: 1}
+    for p, k in fac.items():
+        phis = {d * p ** e: phi * ((p - 1) * p ** (e - 1) if e else 1)
+                for d, phi in phis.items() for e in range(k + 1)}
+    return phis
+
+
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
-    divs = [1]
-    for p, k in factorize(n).items():
-        divs = [d * p ** e for d in divs for e in range(k + 1)]
-    return sorted(divs)
+    return sorted(_divisor_phis(factorize(n)))
 
 
 def coprime_part(n: int, t: int) -> int:
@@ -124,12 +131,8 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values) -> "Spectrum":
-        closed = set()
-        for v in values:
-            for d in range(1, v + 1):
-                if v % d == 0:
-                    closed.add(d)
-        return cls(frozenset(closed))
+        """The divisor closure of ``values``; a value below 1 is a ValueError."""
+        return cls(frozenset(d for v in values for d in divisors(v)))
 
     def __contains__(self, n: int) -> bool:
         return n in self.orders
@@ -150,7 +153,8 @@ def nse_closed_form(params: SuzukiParams) -> OrderStats:
     four.  Odd orders i > 1 live in the cyclic partition classes: divisors of
     q+s+1 count phi(i) q^2 (q-s+1)(q-1)/4, divisors of q-s+1 count
     phi(i) q^2 (q+s+1)(q-1)/4 (note the crossed cofactor), and divisors of
-    q-1 count phi(i) q^2 (q^2+1)/2.
+    q-1 count phi(i) q^2 (q^2+1)/2.  Each of q+s+1, q-s+1 and q-1 is factored
+    once; its divisors and their phi values all derive from that factorization.
     """
     q, s = params.q, params.s
     q2 = q * q
@@ -159,21 +163,14 @@ def nse_closed_form(params: SuzukiParams) -> OrderStats:
         2: (q - 1) * (q2 + 1),
         4: q * (q - 1) * (q2 + 1),
     }
-    for i in divisors(params.u1):
-        if i > 1:
-            num = euler_phi(i) * q2 * (q - s + 1) * (q - 1)
-            assert num % 4 == 0
-            counts[i] = num // 4
-    for i in divisors(params.u2):
-        if i > 1:
-            num = euler_phi(i) * q2 * (q + s + 1) * (q - 1)
-            assert num % 4 == 0
-            counts[i] = num // 4
-    for i in divisors(params.v):
-        if i > 1:
-            num = euler_phi(i) * q2 * (q2 + 1)
-            assert num % 2 == 0
-            counts[i] = num // 2
+    for n, num, den in ((params.u1, q2 * (q - s + 1) * (q - 1), 4),
+                        (params.u2, q2 * (q + s + 1) * (q - 1), 4),
+                        (params.v, q2 * (q2 + 1), 2)):
+        cofactor, rem = divmod(num, den)
+        assert rem == 0
+        for i, phi in _divisor_phis(factorize(n)).items():
+            if i > 1:
+                counts[i] = phi * cofactor
     total = sum(counts.values())
     if total != params.group_order:
         raise AssertionError(

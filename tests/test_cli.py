@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from szq.cli import main
 
 SZ8_PROFILE = {
@@ -227,3 +229,23 @@ def test_gate_map_sum_mismatch_is_input_error(tmp_path, capsys):
     rc, _, err = run_cli(capsys, "gate", str(path))
     assert rc == 2
     assert "sums to" in err
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": 1e400, "nse_set": ["1"]}',
+    '{"order": "29120", "nse_set": [1e400]}',
+    '{"order": 29120.9, "nse_set": ["1", "455", "3640", "5824", "6720", "12480"]}',
+    '{"order": "29_120", "nse_set": ["1", "455", "3640", "5824", "6720", "12480"]}',
+    '{"order": "29120", "nse_map": {"1": 1, "2": 455.9, "4": 3640, "5": 5824,'
+    ' "7": 12480, "13": 6720}}',
+    '{"order": "29120", "nse_set": "1455"}',
+    '{"order": true, "nse_set": ["1"]}',
+], ids=["order-1e400", "set-1e400", "order-float", "order-underscore", "map-float",
+        "set-string", "order-bool"])
+def test_gate_non_integer_numbers_are_input_errors(tmp_path, capsys, text):
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    rc, out, err = run_cli(capsys, "gate", str(path), "--output", "json")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -68,31 +68,32 @@ def test_identify_m2_rejects_two_odd_values():
 # -- individual certificates ------------------------------------------------------
 
 def test_nse_match_passes_and_fails():
-    assert nse_match_check(_profile(1), 1).passed
+    assert nse_match_check(_profile(1), nse_closed_form(make_params(1))).passed
     perturbed = CandidateProfile(order=29120,
                                  nse_set=frozenset({1, 455, 3640, 5824, 6721, 12480}))
-    assert not nse_match_check(perturbed, 1).passed
+    assert not nse_match_check(perturbed, nse_closed_form(make_params(1))).passed
 
 
 def test_nse_match_strict_map_mode():
     counts = nse_closed_form(make_params(1)).counts
     good = CandidateProfile(order=29120, nse_set=frozenset(counts.values()),
                             nse_map=dict(counts))
-    assert nse_match_check(good, 1).passed
+    assert nse_match_check(good, nse_closed_form(make_params(1))).passed
     swapped = dict(counts)
     swapped[5], swapped[7] = swapped[7], swapped[5]
     bad = CandidateProfile(order=29120, nse_set=frozenset(swapped.values()),
                            nse_map=swapped)
-    assert not nse_match_check(bad, 1).passed
+    assert not nse_match_check(bad, nse_closed_form(make_params(1))).passed
 
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_isolation_certificate(m):
-    assert isolation_certificate(m).passed
+    p = make_params(m)
+    assert isolation_certificate(p, nse_closed_form(p)).passed
 
 
 def test_isolation_details_q8():
-    check = isolation_certificate(1)
+    check = isolation_certificate(make_params(1), nse_closed_form(make_params(1)))
     assert "4095 = 455 * 9" in check.detail
 
 
@@ -124,6 +125,19 @@ def test_gate_accepts_suzuki_profiles(m):
     assert report.verdict == "ACCEPT"
     assert report.inferred_m == m
     assert all(c.passed for c in report.checks)
+
+
+def test_run_gate_computes_the_closed_forms_once(monkeypatch):
+    profile = _profile(3)
+    calls = []
+
+    def counted(params):
+        calls.append(params.m)
+        return nse_closed_form(params)
+
+    monkeypatch.setattr("szq.gate.nse_closed_form", counted)
+    assert run_gate(profile).verdict == "ACCEPT"
+    assert calls == [3]
 
 
 def test_gate_accepts_full_map_profile():

@@ -1,12 +1,14 @@
 """Number-theoretic layer: exact counts, divisibility checks, prime graph."""
 
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
+from hypothesis import given, strategies as st
 
 from szq.group import make_params
 from szq.orderstats import (
     OrderStats,
+    _divisor_phis,
     Spectrum,
     coprime_part,
     divisors,
@@ -43,6 +45,15 @@ def test_divisors_against_brute_scan():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     # 29120 = 2^6 * 5 * 7 * 13 -> 7 * 2 * 2 * 2 divisors
     assert len(divisors(29120)) == 56
+
+
+@given(st.integers(min_value=1, max_value=10 ** 6))
+def test_divisor_phis_from_the_factorization(n):
+    phis = _divisor_phis(factorize(n))
+    brute = {d for k in range(1, isqrt(n) + 1) if n % k == 0 for d in (k, n // k)}
+    assert set(phis) == brute
+    assert all(phi == euler_phi(d) for d, phi in phis.items())
+    assert sum(phis.values()) == n
 
 
 def test_factorize_roundtrip():
@@ -126,6 +137,29 @@ def test_nse_sum_identity(m):
     assert stats.counts[1] == 1
 
 
+def _divisor_scan_closed_form(params):
+    """The closed forms transcribed with one divisor scan per class order and
+    one euler_phi call per divisor, as a differential reference."""
+    q, s = params.q, params.s
+    q2 = q * q
+    counts = {1: 1, 2: (q - 1) * (q2 + 1), 4: q * (q - 1) * (q2 + 1)}
+    for n, num, den in ((params.u1, q2 * (q - s + 1) * (q - 1), 4),
+                        (params.u2, q2 * (q + s + 1) * (q - 1), 4),
+                        (params.v, q2 * (q2 + 1), 2)):
+        for i in divisors(n):
+            if i > 1:
+                counts[i] = euler_phi(i) * num // den
+    return counts
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_nse_closed_form_matches_divisor_scan(m):
+    p = make_params(m)
+    stats = nse_closed_form(p)
+    assert stats.counts == _divisor_scan_closed_form(p)
+    assert stats.total == p.group_order
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_involution_count_is_the_unique_odd_value(m):
     stats = nse_closed_form(make_params(m))
@@ -133,7 +167,7 @@ def test_involution_count_is_the_unique_odd_value(m):
     assert odd == [stats.counts[2]]
 
 
-@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("m", [*range(1, 9), 14, 20])
 def test_counts_keys_match_spectrum(m):
     p = make_params(m)
     assert set(nse_closed_form(p).counts) == set(spectrum_closed_form(p).orders)
