@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from datetime import datetime, timezone
+from functools import cache
 
 from .field import Field
 from .gate import ProfileError, load_profile, run_gate
@@ -55,7 +56,11 @@ class ScaleRefusal(RuntimeError):
     """The requested enumeration is beyond the configured desk scale."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls:
+    parsing leaves it unchanged, while a rebuild per call costs time and
+    leaves a reference cycle for the garbage collector."""
     ap = argparse.ArgumentParser(
         prog="szq",
         description="Suzuki groups Sz(q): exact construction, order statistics, "
@@ -300,9 +305,8 @@ def cmd_gate(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:  # argparse uses exit code 2 for usage errors
         return int(e.code or 0)
     try:

@@ -32,13 +32,19 @@ class InvolutionCountError(ValueError):
     """The nse set does not contain exactly one odd value above 1."""
 
 
+_TOO_MANY_DIGITS = "more digits than the interpreter's integer conversion limit"
+
+
 def _as_int(value, what: str) -> int:
     """A JSON integer or a string of ASCII digits; a bool, a float or any
     other string is a ProfileError, never a truncated or coerced number."""
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str) and value.isascii() and value.isdigit():
-        return int(value)
+        try:
+            return int(value)
+        except ValueError:  # the only cause for a digit string: the digit limit
+            raise ProfileError(f"{what} has {len(value)} digits, {_TOO_MANY_DIGITS}") from None
     raise ProfileError(f"{what} must be an integer or a digit string, got {value!r:.40}")
 
 
@@ -274,8 +280,10 @@ def load_profile(path: str) -> CandidateProfile:
     try:
         with open(path, "rb") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ProfileError(f"cannot read profile {path!r}: {e}") from e
+    except ValueError as e:  # a JSON integer literal beyond the digit limit
+        raise ProfileError(f"profile {path!r} holds an integer with {_TOO_MANY_DIGITS}") from e
     if not isinstance(data, dict):
         raise ProfileError("profile JSON must be an object")
     profile = CandidateProfile.from_json_dict(data)

@@ -4,7 +4,9 @@ Enumerates the group from generators by breadth-first closure over the
 matrices' entry tuples, takes empirical order censuses from one pass over the
 cyclic subgroups, digs out cyclic subgroups, normalizers and centralizers by
 direct scan, and verifies that the conjugates of the four reference subgroups
-cover every nontrivial element exactly once.
+cover every nontrivial element exactly once.  The scans and the conjugate
+walks run on an integer index of the table (``_GroupIndex``) whose
+permutations are built once from real matrix products.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -12,6 +14,7 @@ closed forms are tested against, so it must not share their shortcuts.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from operator import attrgetter, mul
@@ -65,6 +68,104 @@ def _walk(seeds: Iterable, moves: Sequence, act: Callable, key: Callable[..., Ha
     return seen
 
 
+class _GroupIndex:
+    """Integer index of a whole ElementTable, built once from real products.
+
+    * ``pos[key]`` is the position of an entry tuple in ``sorted_keys()``.
+    * ``generators`` are the table generators s_j that do not already lie in
+      the group generated by the earlier ones (w(0, 1) = w(1, 0)^2, for one,
+      adds nothing).
+    * ``conj[j][i]`` is the position of s_j x_i s_j^-1.
+    * ``tree`` lists every non-identity position once, breadth-first, as
+      (position, parent, j) with x_position = s_j x_parent: a spanning tree
+      of left moves from the identity.
+
+    Along the tree, phi(g) = g h g^-1 follows from phi(s_j g) =
+    conj[j][phi(g)] without a product, so normalizer and centralizer scans
+    are lookups.  A product outside the table, a permutation that is not a
+    bijection or a tree that misses an element raises CertificationError:
+    the table is then not the group its generators generate.
+    """
+
+    def __init__(self, table: "ElementTable") -> None:
+        keys = table.sorted_keys()
+        by_key = table.by_key
+        n = len(keys)
+        self.pos = pos = {k: i for i, k in enumerate(keys)}
+        self.root = pos.get(Mat4.identity(table.field).entries)
+        if self.root is None:
+            raise CertificationError("table has no identity")
+        self.generators: list[Mat4] = []
+        self.conj: list[array] = []
+        left: list[array] = []  # left[j][i]: position of s_j x_i
+        seen, self.tree = self._left_tree(left)
+        for s in table.generators:
+            if s.entries not in pos:
+                raise CertificationError(f"generator {s!r} is not in the table")
+            if seen[pos[s.entries]]:
+                continue  # s lies in the group generated by the earlier ones
+            si = s.inv()
+            c, lm = array("i", bytes(4 * n)), array("i", bytes(4 * n))
+            hit = bytearray(n)
+            try:
+                for i, k in enumerate(keys):
+                    sx = s * by_key[k]
+                    lm[i] = pos[sx.entries]
+                    c[i] = x = pos[(sx * si).entries]
+                    hit[x] = 1
+            except KeyError:
+                raise CertificationError(
+                    "table is not closed under its generators' products") from None
+            if hit.count(0):
+                raise CertificationError("a conjugation permutation is not a bijection")
+            self.generators.append(s)
+            self.conj.append(c)
+            left.append(lm)
+            seen, self.tree = self._left_tree(left)
+        if seen.count(0):
+            raise CertificationError(
+                f"left moves by the generators reach {n - seen.count(0)} of {n} elements")
+
+    def _left_tree(self, left: list[array]) -> tuple[bytearray, tuple[array, array, array]]:
+        """Breadth-first tree of left moves from the identity: the positions
+        reached, and (nodes, parents, moves) in breadth-first order."""
+        seen = bytearray(len(self.pos))
+        seen[self.root] = 1
+        nodes, parents, moves = array("i"), array("i"), array("i")
+        frontier = [self.root]
+        while frontier:
+            new = []
+            for p in frontier:
+                for j, lm in enumerate(left):
+                    x = lm[p]
+                    if not seen[x]:
+                        seen[x] = 1
+                        nodes.append(x)
+                        parents.append(p)
+                        moves.append(j)
+                        new.append(x)
+            frontier = new
+        return seen, (nodes, parents, moves)
+
+    def position(self, key: Entries) -> int:
+        try:
+            return self.pos[key]
+        except KeyError:
+            raise ValueError("element is not in the table") from None
+
+    def positions(self, keys: Iterable[Entries]) -> frozenset[int]:
+        return frozenset(map(self.position, keys))
+
+    def conjugates(self, h: int) -> array:
+        """phi[i] = position of x_i h x_i^-1, for every position i."""
+        phi = array("i", bytes(4 * len(self.pos)))
+        phi[self.root] = h
+        conj = self.conj
+        for x, p, j in zip(*self.tree):
+            phi[x] = conj[j][phi[p]]
+        return phi
+
+
 @dataclass
 class ElementTable:
     """A fully enumerated matrix group, keyed by the matrices' entry tuples."""
@@ -75,6 +176,7 @@ class ElementTable:
     _sorted_keys: list[Entries] | None = dc_field(default=None, repr=False)
     _orders: dict[Entries, int] | None = dc_field(default=None, repr=False)
     _inverses: dict[Entries, Mat4] | None = dc_field(default=None, repr=False)
+    _index: _GroupIndex | None = dc_field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -89,19 +191,19 @@ class ElementTable:
     def orders(self) -> dict[Entries, int]:
         """Order of every element, from the power pass (computed once)."""
         if self._orders is None:
-            self._power_pass()
+            self._power_pass(with_inverses=False)
         return self._orders
 
     def inverses(self) -> dict[Entries, Mat4]:
         """Inverse of every element, from the power pass (computed once)."""
         if self._inverses is None:
-            self._power_pass()
+            self._power_pass(with_inverses=True)
         return self._inverses
 
-    def _power_pass(self) -> None:
+    def _power_pass(self, with_inverses: bool) -> None:
         """For each element x not yet met as a power, in sorted order, walk
-        x, x^2, ..., x^k = 1 once and record ord(x^i) = k / gcd(i, k) and
-        inv(x^i) = x^(k-i) for all k powers.
+        x, x^2, ..., x^k = 1 once and record ord(x^i) = k / gcd(i, k) and,
+        when asked, inv(x^i) = x^(k-i) for all k powers.
 
         Only group multiplication is used, so the census stays independent
         of the closed forms.  Keys are the table's own entry tuples, never
@@ -124,8 +226,16 @@ class ElementTable:
             k = len(powers)
             for i, pk in enumerate(powers, 1):
                 orders[pk] = k // gcd(i, k)
-                inverses[pk] = by_key[powers[k - i - 1]]  # x^(k-i); i = k wraps to x^k = 1
-        self._orders, self._inverses = orders, inverses
+                if with_inverses:
+                    inverses[pk] = by_key[powers[k - i - 1]]  # x^(k-i); i = k wraps to 1
+        self._orders = orders
+        if with_inverses:
+            self._inverses = inverses
+
+    def _group_index(self) -> _GroupIndex:
+        if self._index is None:
+            self._index = _GroupIndex(self)
+        return self._index
 
     def __contains__(self, mat: Mat4) -> bool:
         return mat.entries in self.by_key
@@ -236,31 +346,31 @@ def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
     """All g with g H g^-1 = H, by scanning the whole table.
 
     Conjugating a generating set of H into H suffices: the conjugate is a
-    subgroup of the same order.
+    subgroup of the same order.  H must lie inside the table (ValueError).
     """
     gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
         _generating_set(table, sub.members)
     if not gens:  # trivial subgroup
         return SubgroupHandle(frozenset(table.by_key), table.size)
-    members = sub.members
-    inv = table.inverses()
-    found = []
-    for key in table.sorted_keys():
-        g = table.by_key[key]
-        gi = inv[key]
-        if all(((g * h) * gi).entries in members for h in gens):
-            found.append(key)
-    return SubgroupHandle(frozenset(found), len(found))
+    index = table._group_index()
+    inside = bytearray(table.size)
+    for i in index.positions(sub.members):
+        inside[i] = 1
+    keys = table.sorted_keys()
+    members = frozenset.intersection(*(
+        frozenset(keys[i] for i, c in enumerate(index.conjugates(h)) if inside[c])
+        for h in index.positions(g.entries for g in gens)))
+    return SubgroupHandle(members, len(members))
 
 
 def centralizer(table: ElementTable, x: Mat4) -> SubgroupHandle:
-    """All g commuting with x."""
-    found = []
-    for key in table.sorted_keys():
-        g = table.by_key[key]
-        if g * x == x * g:
-            found.append(key)
-    return SubgroupHandle(frozenset(found), len(found))
+    """All g commuting with x, i.e. with g x g^-1 = x; x must lie in the
+    table (ValueError)."""
+    index = table._group_index()
+    xi = index.position(x.entries)
+    keys = table.sorted_keys()
+    members = frozenset(keys[i] for i, c in enumerate(index.conjugates(xi)) if c == xi)
+    return SubgroupHandle(members, len(members))
 
 
 # ---------------------------------------------------------------------------
@@ -303,23 +413,30 @@ class PartitionReport:
         }
 
 
+def _index_orbit(index: _GroupIndex, sub: frozenset[int]) -> Iterable[frozenset[int]]:
+    """Orbit of a position set under conjugation by the group.
+
+    Walking the generators' permutations suffices: conjugation is a group
+    action, so generator moves alone reach the full orbit.
+    """
+    def conjugate(s: frozenset[int], c: array) -> frozenset[int]:
+        return frozenset(map(c.__getitem__, s))
+
+    return _walk([sub], index.conj, conjugate, lambda s: s).keys()
+
+
 def conjugate_orbit(table: ElementTable,
                     members: frozenset[Entries]) -> list[frozenset[Entries]]:
     """Orbit of a subgroup (as a member set) under conjugation by the group.
 
-    Walking the table's generators suffices: conjugation is a group action,
-    so generator moves alone reach the full orbit.  Conjugates are stored as
-    the table's own key tuples, so the orbit holds no tuples of its own.
+    Conjugates are stored as the table's own key tuples, so the orbit holds
+    no tuples of its own.  Positions follow ``sorted_keys()``, so sorting
+    the position sets sorts the orbit as its key sets would.
     """
-    by_key = table.by_key
-
-    def conjugate(sub: frozenset[Entries], move: tuple[Mat4, Mat4]) -> frozenset[Entries]:
-        g, gi = move
-        return frozenset(by_key[(g * by_key[k] * gi).entries].entries for k in sub)
-
-    moves = [(g, g.inv()) for g in table.generators]
-    orbit = _walk([members], moves, conjugate, lambda sub: sub)
-    return sorted(orbit, key=sorted)
+    index = table._group_index()
+    keys = table.sorted_keys()
+    orbit = sorted(_index_orbit(index, index.positions(members)), key=sorted)
+    return [frozenset(keys[i] for i in conj) for conj in orbit]
 
 
 def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionReport:
@@ -337,25 +454,25 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,
     }
-    ident_key = Mat4.identity(table.field).entries
-    hits: dict[Entries, int] = {}
+    index = table._group_index()
+    hits = array("i", bytes(4 * table.size))
     orbit_sizes: dict[str, int] = {}
     for name, members in reps.items():
-        orbit = conjugate_orbit(table, members)
+        orbit = _index_orbit(index, index.positions(members))
         orbit_sizes[name] = len(orbit)
         for conj in orbit:
-            for k in conj:
-                if k != ident_key:
-                    hits[k] = hits.get(k, 0) + 1
+            for i in conj:
+                hits[i] += 1
+    hits[index.root] = 0  # the identity lies in every conjugate and is not counted
     measured = PartitionClassCounts(
         n_w=orbit_sizes["w"], n_u1=orbit_sizes["u1"],
         n_u2=orbit_sizes["u2"], n_v=orbit_sizes["v"])
-    multiply = sum(1 for c in hits.values() if c > 1)
-    missing = table.size - 1 - len(hits)
+    multiply = sum(1 for c in hits if c > 1)
+    missing = hits.count(0) - 1
     return PartitionReport(
         measured=measured,
         expected=closed_form_subgroup_counts(params),
-        coverage=sum(hits.values()),
+        coverage=sum(hits),
         expected_coverage=params.group_order - 1,
         multiply_covered=multiply,
         missing=missing,

@@ -1,10 +1,16 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+from szq import cli
 from szq.cli import main
+from szq.gate import ProfileError, load_profile
+
+GOLDEN = Path(__file__).parent / "data"
 
 SZ8_PROFILE = {
     "order": "29120",
@@ -139,6 +145,17 @@ def test_nse_output_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_consecutive_calls_share_the_parser_and_give_identical_output(capsys):
+    # The parser is built once per process; no call may leave a default or an
+    # option value behind for the next one.
+    argv = ("params", "--q", "8", "--output", "json", "--no-timestamp")
+    first = run_cli(capsys, *argv)
+    assert run_cli(capsys, "params", "--q", "8")[1].startswith("m ")
+    assert run_cli(capsys, "params")[0] == 2  # a usage error inside argparse
+    assert run_cli(capsys, *argv) == first
+    assert cli._parser() is cli._parser()
+
+
 def test_nse_timestamp_present_by_default(capsys):
     _, out, _ = run_cli(capsys, "nse", "--q", "8", "--output", "json")
     assert "generated_at" in json.loads(out)
@@ -173,6 +190,18 @@ def test_verify_modulus_override_gives_identical_counts(capsys):
     assert rc1 == rc2 == 0
     assert json.loads(out1)["census"] == json.loads(out2)["census"]
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (("verify", "--q", "8", "--modulus", "0xd"), "verify_q8_0xd.json"),
+    (("nse", "--q", "8", "--source", "both"), "nse_q8_both.json"),
+], ids=["verify", "nse"])
+def test_oracle_json_matches_the_golden_file(capsys, argv, golden):
+    # The golden files hold the product-based oracle's output, byte for byte,
+    # so a refactor of the oracle cannot change a count or a detail unnoticed.
+    rc, out, _ = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
+    assert rc == 0
+    assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
 # -- gate -------------------------------------------------------------------------
@@ -249,3 +278,18 @@ def test_gate_non_integer_numbers_are_input_errors(tmp_path, capsys, text):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("order", ['"' + "1" * 5000 + '"', "1" * 5000],
+                         ids=["digit-string", "json-int"])
+def test_gate_numbers_beyond_the_digit_limit_are_profile_errors(tmp_path, capsys, order):
+    path = tmp_path / "profile.json"
+    path.write_text('{"order": %s, "nse_set": ["1"]}' % order)
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ProfileError, match="digit"):
+        load_profile(str(path))
+    rc, out, err = run_cli(capsys, "gate", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "set_int_max_str_digits" not in err
+    assert sys.get_int_max_str_digits() == limit
