@@ -15,10 +15,11 @@ so in its ``note`` field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field as dc_field
 
 from .group import SuzukiParams, make_params
-from .orderstats import OrderStats, factorize, multiplicative_order, nse_closed_form
+from .orderstats import OrderStats, _order_dividing, nse_closed_form
 
 GATE_NOTE = ("ACCEPT means the profile is consistent with Sz(q) and passes every "
              "arithmetic certificate; it is not an independent isomorphism proof.")
@@ -57,6 +58,11 @@ class CandidateProfile:
     nse_map: dict[int, int] | None = None
 
     def validate(self) -> None:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+        nse_map = self.nse_map or {}
+        top = max(map(abs, (self.order, *self.nse_set, *nse_map, *nse_map.values())))
+        if limit and top.bit_length() > 3 * limit and top >= 10 ** limit:  # 8^L < 10^L
+            raise ProfileError(f"a profile number has {_TOO_MANY_DIGITS}")
         if self.order < 1:
             raise ProfileError(f"group order must be positive, got {self.order}")
         if not self.nse_set:
@@ -207,14 +213,17 @@ def frobenius_exclusion(m: int) -> GateCheck:
 
 def two_frobenius_exclusion(m: int) -> GateCheck:
     """No 2-group of order at most q^2 has (q^2+1)(q-1) dividing 2^alpha - 1:
-    the multiplicative order of 2 modulo that odd part exceeds 4m+2."""
+    the multiplicative order of 2 modulo that odd part exceeds 4m+2.
+
+    That order divides 8m+4: 2^(4m+2) = q^2 = -1 (mod q^2+1) and
+    2^(2m+1) = q = 1 (mod q-1).
+    """
     p = make_params(m)
     mod = (p.q * p.q + 1) * (p.q - 1)
-    fac: dict[int, int] = {}
-    for part in (p.u1, p.u2, p.v):
-        for prime, k in factorize(part).items():
-            fac[prime] = fac.get(prime, 0) + k
-    d = multiplicative_order(2, mod, fac)
+    multiple = 8 * m + 4
+    if pow(2, multiple, mod) != 1:
+        raise AssertionError(f"2^{multiple} is not 1 modulo {mod}")
+    d = _order_dividing(2, mod, multiple)
     ok = d > 4 * m + 2
     detail = f"ord(2 mod {mod}) = {d} > {4 * m + 2}: {ok}"
     return GateCheck("two_frobenius_excluded", ok, detail)

@@ -4,9 +4,10 @@ Enumerates the group from generators by breadth-first closure over the
 matrices' entry tuples, takes empirical order censuses from one pass over the
 cyclic subgroups, digs out cyclic subgroups, normalizers and centralizers by
 direct scan, and verifies that the conjugates of the four reference subgroups
-cover every nontrivial element exactly once.  The scans and the conjugate
-walks run on an integer index of the table (``_GroupIndex``) whose
-permutations are built once from real matrix products.
+cover every nontrivial element exactly once.  Elements are addressed by one
+number, their ``ElementTable.position``; the scans and the conjugate walks
+run on an integer index of the table (``_GroupIndex``) whose permutations
+are built once from real matrix products.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -71,11 +72,10 @@ def _walk(seeds: Iterable, moves: Sequence, act: Callable, key: Callable[..., Ha
 class _GroupIndex:
     """Integer index of a whole ElementTable, built once from real products.
 
-    * ``pos[key]`` is the position of an entry tuple in ``sorted_keys()``.
     * ``generators`` are the table generators s_j that do not already lie in
       the group generated by the earlier ones (w(0, 1) = w(1, 0)^2, for one,
       adds nothing).
-    * ``conj[j][i]`` is the position of s_j x_i s_j^-1.
+    * ``conj[j][i]`` is the ``table.position`` of s_j x_i s_j^-1.
     * ``tree`` lists every non-identity position once, breadth-first, as
       (position, parent, j) with x_position = s_j x_parent: a spanning tree
       of left moves from the identity.
@@ -88,21 +88,19 @@ class _GroupIndex:
     """
 
     def __init__(self, table: "ElementTable") -> None:
-        keys = table.sorted_keys()
-        by_key = table.by_key
-        n = len(keys)
-        self.pos = pos = {k: i for i, k in enumerate(keys)}
-        self.root = pos.get(Mat4.identity(table.field).entries)
-        if self.root is None:
-            raise CertificationError("table has no identity")
+        keys, by_key, position = table.sorted_keys(), table.by_key, table.position
+        self.size = n = len(keys)
         self.generators: list[Mat4] = []
         self.conj: list[array] = []
         left: list[array] = []  # left[j][i]: position of s_j x_i
+        try:
+            self.root = position(Mat4.identity(table.field).entries)
+            at = [position(s.entries) for s in table.generators]
+        except ValueError:
+            raise CertificationError("table lacks the identity or a generator") from None
         seen, self.tree = self._left_tree(left)
-        for s in table.generators:
-            if s.entries not in pos:
-                raise CertificationError(f"generator {s!r} is not in the table")
-            if seen[pos[s.entries]]:
+        for s, p in zip(table.generators, at):
+            if seen[p]:
                 continue  # s lies in the group generated by the earlier ones
             si = s.inv()
             c, lm = array("i", bytes(4 * n)), array("i", bytes(4 * n))
@@ -110,10 +108,10 @@ class _GroupIndex:
             try:
                 for i, k in enumerate(keys):
                     sx = s * by_key[k]
-                    lm[i] = pos[sx.entries]
-                    c[i] = x = pos[(sx * si).entries]
+                    lm[i] = position(sx.entries)
+                    c[i] = x = position((sx * si).entries)
                     hit[x] = 1
-            except KeyError:
+            except ValueError:
                 raise CertificationError(
                     "table is not closed under its generators' products") from None
             if hit.count(0):
@@ -128,8 +126,13 @@ class _GroupIndex:
 
     def _left_tree(self, left: list[array]) -> tuple[bytearray, tuple[array, array, array]]:
         """Breadth-first tree of left moves from the identity: the positions
-        reached, and (nodes, parents, moves) in breadth-first order."""
-        seen = bytearray(len(self.pos))
+        reached, and (nodes, parents, moves) in breadth-first order.
+
+        Not routed through ``_walk``: its dict of tuples would hold one entry
+        per element on top of these flat arrays, which raised the peak RSS of
+        an Sz(8) verify by about 8 %.
+        """
+        seen = bytearray(self.size)
         seen[self.root] = 1
         nodes, parents, moves = array("i"), array("i"), array("i")
         frontier = [self.root]
@@ -147,18 +150,9 @@ class _GroupIndex:
             frontier = new
         return seen, (nodes, parents, moves)
 
-    def position(self, key: Entries) -> int:
-        try:
-            return self.pos[key]
-        except KeyError:
-            raise ValueError("element is not in the table") from None
-
-    def positions(self, keys: Iterable[Entries]) -> frozenset[int]:
-        return frozenset(map(self.position, keys))
-
     def conjugates(self, h: int) -> array:
         """phi[i] = position of x_i h x_i^-1, for every position i."""
-        phi = array("i", bytes(4 * len(self.pos)))
+        phi = array("i", bytes(4 * self.size))
         phi[self.root] = h
         conj = self.conj
         for x, p, j in zip(*self.tree):
@@ -168,14 +162,16 @@ class _GroupIndex:
 
 @dataclass
 class ElementTable:
-    """A fully enumerated matrix group, keyed by the matrices' entry tuples."""
+    """A fully enumerated matrix group, keyed by the matrices' entry tuples
+    and addressed by ``position(key)``, the key's place in ``sorted_keys()``:
+    the order census and the scan index are arrays over positions."""
 
     field: Field
     by_key: dict[Entries, Mat4]
     generators: list[Mat4]
     _sorted_keys: list[Entries] | None = dc_field(default=None, repr=False)
-    _orders: dict[Entries, int] | None = dc_field(default=None, repr=False)
-    _inverses: dict[Entries, Mat4] | None = dc_field(default=None, repr=False)
+    _positions: dict[Entries, int] | None = dc_field(default=None, repr=False)
+    _orders: array | None = dc_field(default=None, repr=False)
     _index: _GroupIndex | None = dc_field(default=None, repr=False, compare=False)
 
     @property
@@ -188,57 +184,49 @@ class ElementTable:
             self._sorted_keys = sorted(self.by_key)
         return self._sorted_keys
 
-    def orders(self) -> dict[Entries, int]:
-        """Order of every element, from the power pass (computed once)."""
-        if self._orders is None:
-            self._power_pass(with_inverses=False)
-        return self._orders
+    def position(self, key: Entries) -> int:
+        """Place of an entry tuple in ``sorted_keys()``; ValueError for a key
+        outside the table."""
+        if self._positions is None:
+            self._positions = {k: i for i, k in enumerate(self.sorted_keys())}
+        try:
+            return self._positions[key]
+        except KeyError:
+            raise ValueError("element is not in the table") from None
 
-    def inverses(self) -> dict[Entries, Mat4]:
-        """Inverse of every element, from the power pass (computed once)."""
-        if self._inverses is None:
-            self._power_pass(with_inverses=True)
-        return self._inverses
+    def orders(self) -> array:
+        """orders()[i] is the order of the element at position i (computed once).
 
-    def _power_pass(self, with_inverses: bool) -> None:
-        """For each element x not yet met as a power, in sorted order, walk
-        x, x^2, ..., x^k = 1 once and record ord(x^i) = k / gcd(i, k) and,
-        when asked, inv(x^i) = x^(k-i) for all k powers.
-
-        Only group multiplication is used, so the census stays independent
-        of the closed forms.  Keys are the table's own entry tuples, never
-        the fresh powers', so the caches add no tuples of their own.
+        The power pass: for each element x not yet met as a power, in sorted
+        order, walk x, x^2, ..., x^k = 1 once and record ord(x^i) =
+        k / gcd(i, k) for all k powers.  Only group multiplication is used, so
+        the census stays independent of the closed forms.
         """
-        by_key = self.by_key
-        orders: dict[Entries, int] = {}
-        inverses: dict[Entries, Mat4] = {}
-        for key in self.sorted_keys():
-            if key in orders:
+        if self._orders is not None:
+            return self._orders
+        by_key, position = self.by_key, self.position
+        orders = array("i", bytes(4 * self.size))  # 0: not yet met
+        for start, key in enumerate(self.sorted_keys()):
+            if orders[start]:
                 continue
             x = by_key[key]
-            powers = [key]  # powers[i - 1] is the key of x^i
+            powers = [start]  # powers[i - 1] is the position of x^i
             p = x
             while not p.is_identity():
                 if len(powers) >= self.size:
                     raise OrderNotFoundError(f"no power of {x!r} within the table size")
                 p = p * x
-                powers.append(by_key[p.entries].entries)
+                powers.append(position(p.entries))
             k = len(powers)
-            for i, pk in enumerate(powers, 1):
-                orders[pk] = k // gcd(i, k)
-                if with_inverses:
-                    inverses[pk] = by_key[powers[k - i - 1]]  # x^(k-i); i = k wraps to 1
+            for i, pi in enumerate(powers, 1):
+                orders[pi] = k // gcd(i, k)
         self._orders = orders
-        if with_inverses:
-            self._inverses = inverses
+        return orders
 
     def _group_index(self) -> _GroupIndex:
         if self._index is None:
             self._index = _GroupIndex(self)
         return self._index
-
-    def __contains__(self, mat: Mat4) -> bool:
-        return mat.entries in self.by_key
 
 
 @dataclass(frozen=True)
@@ -295,7 +283,7 @@ def empirical_order_stats(table: ElementTable, spec_hint: Spectrum | None = None
     """
     hints = tuple(spec_hint.orders) if spec_hint is not None else ()
     counts: dict[int, int] = {}
-    for o in table.orders().values():
+    for o in table.orders():
         counts[o] = counts.get(o, 0) + 1
     outside = [o for o in counts if hints and all(h % o for h in hints)]
     if outside:
@@ -319,13 +307,13 @@ def cyclic_subgroup(table: ElementTable, generator: Mat4, order: int) -> Subgrou
 
 
 def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
-    """Cyclic subgroup generated by the first element of order k, scanning
-    in sorted-key order for determinism."""
-    orders = table.orders()
-    for key in table.sorted_keys():
-        if orders[key] == k:
-            return cyclic_subgroup(table, table.by_key[key], k)
-    raise SubgroupNotFoundError(f"no element of order {k} in the table")
+    """Cyclic subgroup generated by the first element of order k in
+    sorted-key order, for determinism."""
+    try:
+        i = table.orders().index(k)
+    except ValueError:
+        raise SubgroupNotFoundError(f"no element of order {k} in the table") from None
+    return cyclic_subgroup(table, table.by_key[table.sorted_keys()[i]], k)
 
 
 def _generating_set(table: ElementTable, members: frozenset[Entries]) -> list[Mat4]:
@@ -354,12 +342,12 @@ def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
         return SubgroupHandle(frozenset(table.by_key), table.size)
     index = table._group_index()
     inside = bytearray(table.size)
-    for i in index.positions(sub.members):
+    for i in map(table.position, sub.members):
         inside[i] = 1
     keys = table.sorted_keys()
     members = frozenset.intersection(*(
         frozenset(keys[i] for i, c in enumerate(index.conjugates(h)) if inside[c])
-        for h in index.positions(g.entries for g in gens)))
+        for h in (table.position(g.entries) for g in gens)))
     return SubgroupHandle(members, len(members))
 
 
@@ -367,7 +355,7 @@ def centralizer(table: ElementTable, x: Mat4) -> SubgroupHandle:
     """All g commuting with x, i.e. with g x g^-1 = x; x must lie in the
     table (ValueError)."""
     index = table._group_index()
-    xi = index.position(x.entries)
+    xi = table.position(x.entries)
     keys = table.sorted_keys()
     members = frozenset(keys[i] for i, c in enumerate(index.conjugates(xi)) if c == xi)
     return SubgroupHandle(members, len(members))
@@ -413,8 +401,8 @@ class PartitionReport:
         }
 
 
-def _index_orbit(index: _GroupIndex, sub: frozenset[int]) -> Iterable[frozenset[int]]:
-    """Orbit of a position set under conjugation by the group.
+def _index_orbit(table: ElementTable, members: frozenset[Entries]) -> Iterable[frozenset[int]]:
+    """Orbit of a member set under conjugation by the group, as position sets.
 
     Walking the generators' permutations suffices: conjugation is a group
     action, so generator moves alone reach the full orbit.
@@ -422,6 +410,8 @@ def _index_orbit(index: _GroupIndex, sub: frozenset[int]) -> Iterable[frozenset[
     def conjugate(s: frozenset[int], c: array) -> frozenset[int]:
         return frozenset(map(c.__getitem__, s))
 
+    index = table._group_index()
+    sub = frozenset(map(table.position, members))
     return _walk([sub], index.conj, conjugate, lambda s: s).keys()
 
 
@@ -433,9 +423,8 @@ def conjugate_orbit(table: ElementTable,
     no tuples of its own.  Positions follow ``sorted_keys()``, so sorting
     the position sets sorts the orbit as its key sets would.
     """
-    index = table._group_index()
     keys = table.sorted_keys()
-    orbit = sorted(_index_orbit(index, index.positions(members)), key=sorted)
+    orbit = sorted(_index_orbit(table, members), key=sorted)
     return [frozenset(keys[i] for i in conj) for conj in orbit]
 
 
@@ -454,16 +443,15 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,
     }
-    index = table._group_index()
     hits = array("i", bytes(4 * table.size))
     orbit_sizes: dict[str, int] = {}
     for name, members in reps.items():
-        orbit = _index_orbit(index, index.positions(members))
+        orbit = _index_orbit(table, members)
         orbit_sizes[name] = len(orbit)
         for conj in orbit:
             for i in conj:
                 hits[i] += 1
-    hits[index.root] = 0  # the identity lies in every conjugate and is not counted
+    hits[table._group_index().root] = 0  # the identity lies in every conjugate: not counted
     measured = PartitionClassCounts(
         n_w=orbit_sizes["w"], n_u1=orbit_sizes["u1"],
         n_u2=orbit_sizes["u2"], n_v=orbit_sizes["v"])

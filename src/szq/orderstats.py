@@ -68,26 +68,26 @@ def coprime_part(n: int, t: int) -> int:
     return n
 
 
-def multiplicative_order(a: int, n: int, factorization: dict[int, int] | None = None) -> int:
-    """Least d >= 1 with a^d = 1 (mod n); requires gcd(a, n) = 1.
+def _order_dividing(a: int, n: int, d: int) -> int:
+    """Least e >= 1 with a^e = 1 (mod n), given that a^d = 1 (mod n): the
+    order divides d, so strip each prime r of d while a^(d/r) = 1 holds."""
+    for r in factorize(d):
+        while d % r == 0 and pow(a, d // r, n) == 1:
+            d //= r
+    return d
 
-    ``factorization`` may supply the prime factorization of n when the caller
-    already knows it (n can be large while its prime factors stay small).
-    """
+
+def multiplicative_order(a: int, n: int) -> int:
+    """Least d >= 1 with a^d = 1 (mod n); requires gcd(a, n) = 1."""
     if n < 1:
         raise ValueError("modulus must be positive")
     if n == 1:
         return 1
     if gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit modulo {n}")
-    fac = factorization if factorization is not None else factorize(n)
     order = 1
-    for p, k in fac.items():
-        pk = p ** k
-        d = (p - 1) * p ** (k - 1)  # phi(p^k), a multiple of the local order
-        for r in factorize(d):
-            while d % r == 0 and pow(a, d // r, pk) == 1:
-                d //= r
+    for p, k in factorize(n).items():
+        d = _order_dividing(a, p ** k, (p - 1) * p ** (k - 1))  # phi(p^k)
         order = order * d // gcd(order, d)
     return order
 

@@ -5,10 +5,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from szq import cli
 from szq.cli import main
 from szq.gate import ProfileError, load_profile
+from szq.mat4 import Mat4
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -181,15 +183,38 @@ def test_verify_q32_refused_without_allow_big(capsys):
 
 
 def test_verify_modulus_override_gives_identical_counts(capsys):
-    # degree 3 has a single irreducible polynomial, so the override must
-    # reproduce the default run byte for byte
+    # degree 3 has two irreducible polynomials, 0xb (the default) and 0xd; the
+    # override builds a different field, and every count must stay the same
     rc1, out1, _ = run_cli(capsys, "verify", "--q", "8", "--output", "json",
                            "--no-timestamp")
-    rc2, out2, _ = run_cli(capsys, "verify", "--q", "8", "--modulus", "0xb",
+    rc2, out2, _ = run_cli(capsys, "verify", "--q", "8", "--modulus", "0xd",
                            "--output", "json", "--no-timestamp")
     assert rc1 == rc2 == 0
-    assert json.loads(out1)["census"] == json.loads(out2)["census"]
-    assert out1 == out2
+    default, override = json.loads(out1), json.loads(out2)
+    assert (default.pop("modulus"), override.pop("modulus")) == ("0xb", "0xd")
+    assert default["census"] == override["census"]
+    assert default == override
+
+
+# Mat4 products made by `szq verify --q 8`, measured at commit 94cdfe5 (closure,
+# power pass, the index's conjugation permutations and the cyclic subgroups).
+VERIFY_Q8_PRODUCTS = 323_030
+
+
+def test_verify_q8_stays_within_its_product_budget(capsys, monkeypatch):
+    # A scan that goes back to matrix products fails here, not only in the bench.
+    calls = 0
+    product = Mat4.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Mat4, "__mul__", counted)
+    rc, _, _ = run_cli(capsys, "verify", "--q", "8", "--output", "json", "--no-timestamp")
+    assert rc == 0
+    assert 0 < calls <= VERIFY_Q8_PRODUCTS
 
 
 @pytest.mark.parametrize("argv, golden", [
@@ -293,3 +318,40 @@ def test_gate_numbers_beyond_the_digit_limit_are_profile_errors(tmp_path, capsys
     assert out == ""
     assert err.startswith("error: ") and "set_int_max_str_digits" not in err
     assert sys.get_int_max_str_digits() == limit
+
+
+# Profile numbers near the real ones (orders and counts of Sz(8) and of its W,
+# the order of Sz(32)), so fuzzed profiles also get past validation into the
+# certificates.
+_NUMBERS = st.one_of(
+    st.integers(), st.integers(min_value=1),
+    st.sampled_from([0, 1, 7, 56, 64, 455, 3640, 5824, 6720, 12480, 29120, 32537600]))
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
+              _NUMBERS, _NUMBERS.map(str)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=8),
+        st.dictionaries(st.one_of(st.text(max_size=4), _NUMBERS.map(str)), inner,
+                        max_size=8)),
+    max_leaves=8)
+_ORDER = st.one_of(_NUMBERS, _NUMBERS.map(str), _JSON)
+_PROFILES = st.one_of(
+    st.fixed_dictionaries({"order": _ORDER, "nse_set": st.one_of(
+        st.lists(_NUMBERS, max_size=8), st.sets(st.sampled_from(SZ8_PROFILE["nse_set"])).map(list),
+        _JSON)}),
+    st.fixed_dictionaries({"order": _ORDER, "nse_map": st.one_of(
+        st.dictionaries(_NUMBERS.map(str), _NUMBERS, max_size=8), _JSON)}),
+    st.fixed_dictionaries({}, optional={"order": _JSON, "nse_set": _JSON, "nse_map": _JSON}),
+    _JSON)
+
+
+@settings(max_examples=100, deadline=1000,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_PROFILES)
+def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(data))
+    rc, out, _ = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == ""

@@ -1,5 +1,7 @@
 """Profile gate: inference, certificates, and the end-to-end pipeline."""
 
+import sys
+
 import pytest
 
 from szq.gate import (
@@ -16,7 +18,7 @@ from szq.gate import (
     two_frobenius_exclusion,
 )
 from szq.group import make_params
-from szq.orderstats import nse_closed_form
+from szq.orderstats import multiplicative_order, nse_closed_form
 
 SZ8_SET = frozenset({1, 455, 3640, 5824, 6720, 12480})
 
@@ -112,6 +114,16 @@ def test_two_frobenius_orders():
     assert "ord(2 mod 31775) = 20 > 10" in two_frobenius_exclusion(2).detail
 
 
+@pytest.mark.parametrize("m", range(1, 13))
+def test_two_frobenius_order_is_the_multiplicative_order(m):
+    # The certificate reduces the multiple 8m+4; multiplicative_order factors
+    # the whole modulus and combines the orders of its prime powers.
+    p = make_params(m)
+    mod = (p.q * p.q + 1) * (p.q - 1)
+    d = multiplicative_order(2, mod)
+    assert two_frobenius_exclusion(m).detail.startswith(f"ord(2 mod {mod}) = {d} > ")
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_simple_section_check(m):
     assert simple_section_check(m).passed
@@ -184,6 +196,26 @@ def test_profile_rejects_nonpositive_values():
         run_gate(CandidateProfile(order=0, nse_set=frozenset({1})))
     with pytest.raises(ProfileError):
         run_gate(CandidateProfile(order=10, nse_set=frozenset({0, 1})))
+
+
+TOO_LONG = 10 ** sys.get_int_max_str_digits()  # one digit more than str() converts
+
+
+@pytest.mark.parametrize("profile", [
+    CandidateProfile(order=TOO_LONG, nse_set=frozenset({1})),
+    CandidateProfile(order=29120, nse_set=SZ8_SET | {TOO_LONG}),
+    CandidateProfile(order=29120, nse_set=frozenset({1, 29119}), nse_map={1: 1, TOO_LONG: 29119}),
+    CandidateProfile(order=29120, nse_set=frozenset({1, TOO_LONG}), nse_map={1: 1, 2: TOO_LONG}),
+], ids=["order", "nse_set", "nse_map-order", "nse_map-count"])
+def test_profile_numbers_beyond_the_digit_limit_are_profile_errors(profile):
+    with pytest.raises(ProfileError, match="digits"):
+        run_gate(profile)
+
+
+def test_profile_numbers_at_the_digit_limit_are_gated():
+    report = run_gate(CandidateProfile(order=TOO_LONG - 1, nse_set=frozenset({1})))
+    assert report.verdict == "REJECT"
+    assert str(TOO_LONG - 1) in report.checks[0].detail
 
 
 def test_profile_rejects_map_sum_mismatch():

@@ -109,24 +109,45 @@ def test_limit_is_the_exact_closure_size(f8):
 
 
 def test_power_pass_matches_element_order_and_inv(sz8):
-    # The power pass derives orders and inverses of all k powers from one
-    # walk; element_order and Gauss-Jordan inv recompute each from scratch.
+    # The power pass derives the orders of all k powers from one walk;
+    # element_order recomputes each on its own, and x^(ord - 1) must be the
+    # Gauss-Jordan inverse.
     table = sz8.table
     hints = tuple(spectrum_closed_form(sz8.params).orders)
-    orders, inverses = table.orders(), table.inverses()
-    for key in random.Random(2024).sample(table.sorted_keys(), 500):
-        x = table.by_key[key]
-        assert orders[key] == element_order(x, hints)
-        assert inverses[key] == x.inv()
+    orders, keys = table.orders(), table.sorted_keys()
+    assert len(orders) == table.size
+    for i in random.Random(2024).sample(range(table.size), 500):
+        x = table.by_key[keys[i]]
+        assert orders[i] == element_order(x, hints)
+        assert x ** (orders[i] - 1) == x.inv()
 
 
 def test_power_pass_on_w_at_q32():
     wt = enumerate_group(w_generators(Field(2)), limit=1024)
     assert wt.size == 1024
-    orders, inverses = wt.orders(), wt.inverses()
-    for key, x in wt.by_key.items():
-        assert orders[key] == element_order(x, (4,))
-        assert inverses[key] == x.inv()
+    orders = wt.orders()
+    assert len(orders) == wt.size
+    for i, key in enumerate(wt.sorted_keys()):
+        x = wt.by_key[key]
+        assert orders[i] == element_order(x, (4,))
+        assert x ** (orders[i] - 1) == x.inv()
+
+
+def test_position_is_the_place_in_sorted_keys(sz8, f8):
+    keys = sz8.table.sorted_keys()
+    assert [sz8.table.position(k) for k in keys] == list(range(sz8.table.size))
+    wt = enumerate_group(w_generators(f8), limit=64)
+    with pytest.raises(ValueError):
+        wt.position(sz8.generators[3].entries)  # the Weyl element is not in W
+
+
+def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
+    table = sz8.table
+    hints = tuple(spectrum_closed_form(sz8.params).orders)
+    for k in (2, 4, 5, 7, 13):
+        first = next(key for key in table.sorted_keys()
+                     if element_order(table.by_key[key], hints) == k)
+        assert find_cyclic_subgroup(table, k).cyclic_generator.entries == first
 
 
 def test_spectrum_found_is_exact(sz8):
