@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from functools import cache
@@ -29,6 +30,7 @@ from .group import (
     w_generators,
 )
 from .oracle import (
+    ScaleRefusal,
     SubgroupHandle,
     build_suzuki_table,
     centralizer,
@@ -50,10 +52,6 @@ from .orderstats import (
 )
 
 DEFAULT_ORACLE_LIMIT = 1 << 25
-
-
-class ScaleRefusal(RuntimeError):
-    """The requested enumeration is beyond the configured desk scale."""
 
 
 @cache
@@ -110,9 +108,16 @@ def _parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
-    if args.q is not None:
-        return params_for_q(args.q)
-    return make_params(args.m)
+    m = args.m if args.q is None else params_for_q(args.q).m
+    # |Sz(q)| < 2^(10m+5) must print within the interpreter's digit limit;
+    # refuse a larger m before make_params builds 2^(2m+1).
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300  # the default
+    largest = (math.floor((digits - 1) / math.log10(2)) - 5) // 10
+    if m > largest:
+        raise ScaleRefusal(
+            f"m = {m}: |Sz(q)| would print with more than {digits} decimal digits, "
+            f"the interpreter's limit; the largest m is {largest}")
+    return make_params(m)
 
 
 def _resolve_field(args: argparse.Namespace, params: SuzukiParams) -> Field:
@@ -183,7 +188,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 def _oracle_stats(params: SuzukiParams, args: argparse.Namespace) -> OrderStats:
     _check_scale(params, args)
     field = _resolve_field(args, params)
-    _, table = build_suzuki_table(params, field)  # CertificationError -> exit 4
+    _, table = build_suzuki_table(params, field)  # ScaleRefusal -> 3, CertificationError -> 4
     return empirical_order_stats(table, spectrum_closed_form(params))
 
 
@@ -223,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     field = _resolve_field(args, p)
     checks: list[tuple[str, bool, str]] = []
 
-    gens, table = build_suzuki_table(p, field)  # CertificationError -> exit 4
+    gens, table = build_suzuki_table(p, field)  # ScaleRefusal -> 3, CertificationError -> 4
     checks.append(("generator_certification", True,
                    f"closure of 4 candidate generators has {table.size} elements"))
 
@@ -257,7 +262,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = normalizer(table, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    w_handle = SubgroupHandle(frozenset(wt.by_key), wt.size)
+    w_handle = SubgroupHandle(frozenset(map(table.key, wt.by_key.values())), wt.size)
     nw = normalizer(table, w_handle)
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))

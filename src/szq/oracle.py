@@ -1,13 +1,23 @@
 """Brute-force ground truth for desk-scale Suzuki groups.
 
-Enumerates the group from generators by breadth-first closure over the
-matrices' entry tuples, takes empirical order censuses from one pass over the
-cyclic subgroups, digs out cyclic subgroups, normalizers and centralizers by
-direct scan, and verifies that the conjugates of the four reference subgroups
-cover every nontrivial element exactly once.  Elements are addressed by one
-number, their ``ElementTable.position``; the scans and the conjugate walks
-run on an integer index of the table (``_GroupIndex``) whose permutations
-are built once from real matrix products.
+Enumerates a group from generators by breadth-first closure, takes empirical
+order censuses from one pass over the cyclic subgroups, digs out cyclic
+subgroups, normalizers and centralizers by direct scan, and verifies that the
+conjugates of the four reference subgroups cover every nontrivial element
+exactly once.
+
+Every table keys its elements by a hashable key and addresses them by one
+number, their ``position`` in ``sorted_keys()``.  Two carriers share that
+interface:
+
+* ``enumerate_group`` closes any set of matrices and keys each element by its
+  entry tuple;
+* ``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid and
+  keys each element by the ``bytes`` permutation it induces there
+  (``OvoidTable``), so a product is one ``bytes.translate``.
+
+Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
+matrix becomes a table key.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -18,8 +28,9 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
-from operator import attrgetter, mul
-from typing import Callable, Hashable, Iterable, Sequence
+from functools import reduce
+from operator import attrgetter, mul, xor
+from typing import Callable, Hashable, Iterable, Iterator, KeysView, Sequence
 
 from .field import Field
 from .group import (
@@ -33,12 +44,20 @@ from .group import (
 from .mat4 import Mat4, OrderNotFoundError
 from .orderstats import OrderStats, Spectrum
 
-Entries = tuple[int, ...]
+Key = Hashable  # an entry tuple, or a bytes permutation in an OvoidTable
+Point = tuple[int, int, int, int]
 _entries = attrgetter("entries")
+
+# A bytes permutation numbers its points with single bytes.
+MAX_POINTS = 256
 
 
 class ClosureLimitError(RuntimeError):
     """Breadth-first closure outgrew the caller's limit."""
+
+
+class ScaleRefusal(RuntimeError):
+    """The requested enumeration is beyond the configured desk scale."""
 
 
 class SubgroupNotFoundError(LookupError):
@@ -69,130 +88,73 @@ def _walk(seeds: Iterable, moves: Sequence, act: Callable, key: Callable[..., Ha
     return seen
 
 
-class _GroupIndex:
-    """Integer index of a whole ElementTable, built once from real products.
-
-    * ``generators`` are the table generators s_j that do not already lie in
-      the group generated by the earlier ones (w(0, 1) = w(1, 0)^2, for one,
-      adds nothing).
-    * ``conj[j][i]`` is the ``table.position`` of s_j x_i s_j^-1.
-    * ``tree`` lists every non-identity position once, breadth-first, as
-      (position, parent, j) with x_position = s_j x_parent: a spanning tree
-      of left moves from the identity.
-
-    Along the tree, phi(g) = g h g^-1 follows from phi(s_j g) =
-    conj[j][phi(g)] without a product, so normalizer and centralizer scans
-    are lookups.  A product outside the table, a permutation that is not a
-    bijection or a tree that misses an element raises CertificationError:
-    the table is then not the group its generators generate.
-    """
-
-    def __init__(self, table: "ElementTable") -> None:
-        keys, by_key, position = table.sorted_keys(), table.by_key, table.position
-        self.size = n = len(keys)
-        self.generators: list[Mat4] = []
-        self.conj: list[array] = []
-        left: list[array] = []  # left[j][i]: position of s_j x_i
-        try:
-            self.root = position(Mat4.identity(table.field).entries)
-            at = [position(s.entries) for s in table.generators]
-        except ValueError:
-            raise CertificationError("table lacks the identity or a generator") from None
-        seen, self.tree = self._left_tree(left)
-        for s, p in zip(table.generators, at):
-            if seen[p]:
-                continue  # s lies in the group generated by the earlier ones
-            si = s.inv()
-            c, lm = array("i", bytes(4 * n)), array("i", bytes(4 * n))
-            hit = bytearray(n)
-            try:
-                for i, k in enumerate(keys):
-                    sx = s * by_key[k]
-                    lm[i] = position(sx.entries)
-                    c[i] = x = position((sx * si).entries)
-                    hit[x] = 1
-            except ValueError:
-                raise CertificationError(
-                    "table is not closed under its generators' products") from None
-            if hit.count(0):
-                raise CertificationError("a conjugation permutation is not a bijection")
-            self.generators.append(s)
-            self.conj.append(c)
-            left.append(lm)
-            seen, self.tree = self._left_tree(left)
-        if seen.count(0):
-            raise CertificationError(
-                f"left moves by the generators reach {n - seen.count(0)} of {n} elements")
-
-    def _left_tree(self, left: list[array]) -> tuple[bytearray, tuple[array, array, array]]:
-        """Breadth-first tree of left moves from the identity: the positions
-        reached, and (nodes, parents, moves) in breadth-first order.
-
-        Not routed through ``_walk``: its dict of tuples would hold one entry
-        per element on top of these flat arrays, which raised the peak RSS of
-        an Sz(8) verify by about 8 %.
-        """
-        seen = bytearray(self.size)
-        seen[self.root] = 1
-        nodes, parents, moves = array("i"), array("i"), array("i")
-        frontier = [self.root]
-        while frontier:
-            new = []
-            for p in frontier:
-                for j, lm in enumerate(left):
-                    x = lm[p]
-                    if not seen[x]:
-                        seen[x] = 1
-                        nodes.append(x)
-                        parents.append(p)
-                        moves.append(j)
-                        new.append(x)
-            frontier = new
-        return seen, (nodes, parents, moves)
-
-    def conjugates(self, h: int) -> array:
-        """phi[i] = position of x_i h x_i^-1, for every position i."""
-        phi = array("i", bytes(4 * self.size))
-        phi[self.root] = h
-        conj = self.conj
-        for x, p, j in zip(*self.tree):
-            phi[x] = conj[j][phi[p]]
-        return phi
+def _itself(x: Key) -> Key:
+    return x
 
 
 @dataclass
 class ElementTable:
-    """A fully enumerated matrix group, keyed by the matrices' entry tuples
-    and addressed by ``position(key)``, the key's place in ``sorted_keys()``:
-    the order census and the scan index are arrays over positions."""
+    """A fully enumerated group: ``by_key`` maps each element's key to the
+    element, and ``position(key)`` is the key's place in ``sorted_keys()``, so
+    the order census and the inverses are arrays over positions.
+
+    The keys are the matrices' entry tuples; ``OvoidTable`` changes the
+    carrier by overriding ``key``, ``mul`` and ``identity``.  The lazily
+    filled caches take no part in ``==``.
+    """
 
     field: Field
-    by_key: dict[Entries, Mat4]
+    by_key: dict[Key, object]
     generators: list[Mat4]
-    _sorted_keys: list[Entries] | None = dc_field(default=None, repr=False)
-    _positions: dict[Entries, int] | None = dc_field(default=None, repr=False)
-    _orders: array | None = dc_field(default=None, repr=False)
-    _index: _GroupIndex | None = dc_field(default=None, repr=False, compare=False)
+    _sorted_keys: list[Key] | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    _positions: dict[Key, int] | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
+    _orders: array | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _inverses: array | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.by_key)
 
-    def sorted_keys(self) -> list[Entries]:
-        """Canonical iteration order: entry tuples ascending."""
+    def sorted_keys(self) -> list[Key]:
+        """Canonical iteration order: keys ascending."""
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self.by_key)
         return self._sorted_keys
 
-    def position(self, key: Entries) -> int:
-        """Place of an entry tuple in ``sorted_keys()``; ValueError for a key
-        outside the table."""
+    def key(self, mat: Mat4) -> Key:
+        """The key of a matrix of the group."""
+        return mat.entries
+
+    def mul(self, a: Key, b: Key) -> Key:
+        """The key of the product of the elements keyed a and b."""
+        return (Mat4._make(self.field, a) * Mat4._make(self.field, b)).entries
+
+    @property
+    def identity(self) -> Key:
+        return Mat4.identity(self.field).entries
+
+    def _position_map(self) -> dict[Key, int]:
         if self._positions is None:
             self._positions = {k: i for i, k in enumerate(self.sorted_keys())}
+        return self._positions
+
+    def position(self, key: Key) -> int:
+        """Place of a key in ``sorted_keys()``; ValueError for a key outside
+        the table."""
         try:
-            return self._positions[key]
+            return self._position_map()[key]
         except KeyError:
             raise ValueError("element is not in the table") from None
+
+    def _product_positions(self, products: Iterable[Key]) -> array:
+        """Positions of computed products.  One outside the table means the
+        table is not the group its products generate: CertificationError."""
+        try:
+            return array("i", map(self._position_map().__getitem__, products))
+        except KeyError:
+            raise CertificationError("table is not closed under products") from None
 
     def orders(self) -> array:
         """orders()[i] is the order of the element at position i (computed once).
@@ -202,40 +164,133 @@ class ElementTable:
         k / gcd(i, k) for all k powers.  Only group multiplication is used, so
         the census stays independent of the closed forms.
         """
-        if self._orders is not None:
-            return self._orders
-        by_key, position = self.by_key, self.position
-        orders = array("i", bytes(4 * self.size))  # 0: not yet met
-        for start, key in enumerate(self.sorted_keys()):
+        if self._orders is None:
+            self._power_pass()
+        return self._orders
+
+    def inverses(self) -> array:
+        """inverses()[i] is the position of the inverse of the element at
+        position i: the same power pass gives x^i and x^(k - i) together."""
+        if self._inverses is None:
+            self._power_pass()
+        return self._inverses
+
+    def _power_pass(self) -> None:
+        keys, product, one, at = self.sorted_keys(), self.mul, self.identity, self._position_map()
+        n = len(keys)
+        orders = array("i", bytes(4 * n))  # 0: not yet met
+        inverses = array("i", bytes(4 * n))
+        for start, x in enumerate(keys):
             if orders[start]:
                 continue
-            x = by_key[key]
-            powers = [start]  # powers[i - 1] is the position of x^i
-            p = x
-            while not p.is_identity():
-                if len(powers) >= self.size:
+            powers, p = [start], x  # powers[i - 1] is the position of x^i
+            while p != one:
+                if len(powers) >= n:
                     raise OrderNotFoundError(f"no power of {x!r} within the table size")
-                p = p * x
-                powers.append(position(p.entries))
+                p = product(p, x)
+                if p not in at:
+                    raise CertificationError("table is not closed under products")
+                powers.append(at[p])
             k = len(powers)
             for i, pi in enumerate(powers, 1):
                 orders[pi] = k // gcd(i, k)
-        self._orders = orders
-        return orders
+                inverses[pi] = powers[k - i - 1]  # x^(k - i); powers[-1] is the identity
+        self._orders, self._inverses = orders, inverses
 
-    def _group_index(self) -> _GroupIndex:
-        if self._index is None:
-            self._index = _GroupIndex(self)
-        return self._index
+    def conjugates(self, h: Key, positions: Iterable[int]) -> Iterator[Key]:
+        """g h g^-1 for the element g at each of ``positions``."""
+        keys, inverses, product = self.sorted_keys(), self.inverses(), self.mul
+        return (product(product(keys[i], h), keys[inverses[i]]) for i in positions)
+
+    def conjugation(self, s: Key) -> array:
+        """conjugation(s)[i] is the position of s x s^-1 for the element x at
+        position i."""
+        keys, product = self.sorted_keys(), self.mul
+        si = keys[self.inverses()[self.position(s)]]
+        return self._product_positions([product(product(s, x), si) for x in keys])
+
+
+def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
+    """The projective point <point * mat> (a row vector times the matrix),
+    scaled so that its first nonzero coordinate is 1."""
+    fmul, e = field._mul, mat.entries
+    image = [reduce(xor, [fmul(c, e[4 * i + j]) for i, c in enumerate(point)])
+             for j in range(4)]
+    scale = field._inv(next((c for c in image if c), 0))
+    return tuple(fmul(scale, c) for c in image)
+
+
+@dataclass
+class OvoidTable(ElementTable):
+    """Sz(q) as permutations of the points of its ovoid.
+
+    ``points`` lists the ovoid ascending; the key of an element g is the
+    ``bytes`` whose byte k is the number of the image of point k under the
+    row-vector action p -> p g, and ``by_key`` maps each key to itself.  So
+    the key of g h is ``key(g).translate(key(h) + pad)``: first g, then h.
+    """
+
+    points: list[Point] = dc_field(repr=False)
+    _pad: bytes = dc_field(init=False, repr=False, compare=False)
+    _columns: list[bytes] = dc_field(init=False, repr=False, compare=False)
+    _scaled: list[bytes] = dc_field(init=False, repr=False, compare=False)
+    _number: dict[Point, int] = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        f, points = self.field, self.points
+        self._pad = bytes(256 - len(points))  # translate tables have 256 bytes
+        # _columns[i][k] is coordinate i of point k; _scaled[c] translates a
+        # column x to c x; _number numbers every nonzero multiple of a point.
+        self._columns = [bytes(p[i] for p in points) for i in range(4)]
+        self._scaled = [bytes(f._mul(c, x) for x in range(f.q)) + bytes(256 - f.q)
+                        for c in range(f.q)]
+        self._number = {tuple(f._mul(c, x) for x in p): k
+                        for k, p in enumerate(points) for c in range(1, f.q)}
+
+    def key(self, mat: Mat4) -> bytes:
+        """The permutation a matrix of Sz(q) induces on the ovoid; ValueError
+        for a matrix that does not map the ovoid to itself.
+
+        Column j of the images is the sum over i of column i of the points
+        times entry (i, j): one translate scales a whole column, and the sum
+        is the XOR of the columns read as integers.
+        """
+        e, n, scaled = mat.entries, len(self.points), self._scaled
+        images = [reduce(xor, [int.from_bytes(c.translate(scaled[e[4 * i + j]]), "big")
+                               for i, c in enumerate(self._columns)]).to_bytes(n, "big")
+                  for j in range(4)]
+        try:
+            return bytes(map(self._number.__getitem__, zip(*images)))
+        except KeyError:
+            raise ValueError("matrix does not map the ovoid to itself") from None
+
+    def mul(self, a: bytes, b: bytes) -> bytes:
+        return a.translate(b + self._pad)
+
+    @property
+    def identity(self) -> bytes:
+        return bytes(range(len(self.points)))
+
+    # The scans pad one key per conjugation and cost two translates.
+
+    def conjugates(self, h: bytes, positions: Iterable[int]) -> Iterator[bytes]:
+        keys, inverses, pad = self.sorted_keys(), self.inverses(), self._pad
+        hp = h + pad
+        return (keys[i].translate(hp).translate(keys[inverses[i]] + pad) for i in positions)
+
+    def conjugation(self, s: bytes) -> array:
+        keys, pad = self.sorted_keys(), self._pad
+        si = keys[self.inverses()[self.position(s)]] + pad
+        return self._product_positions([s.translate(x + pad).translate(si) for x in keys])
 
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its members' entry tuples inside some ElementTable."""
+    """A subgroup given by its members' keys inside some ElementTable."""
 
-    members: frozenset[Entries]
+    members: frozenset[Key]
     order: int
-    cyclic_generator: Mat4 | None = None
+    cyclic_generator: Key | None = None
 
 
 def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
@@ -254,16 +309,38 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     return ElementTable(field=f, by_key=by_key, generators=list(generators))
 
 
-def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], ElementTable]:
-    """Enumerate Sz(q) from the candidate generators and certify the size.
+def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], OvoidTable]:
+    """Enumerate Sz(q) as permutations of its ovoid and certify the size.
 
-    Returns (generators, table).  Any deviation from
-    |Sz(q)| = q^2 (q^2 + 1)(q - 1) raises CertificationError: with this exact
-    cardinality the candidate set provably generates the group.
+    The ovoid is the orbit of the point <e1> under the candidate generators,
+    found with field arithmetic alone; it must have q^2 + 1 points, at most
+    MAX_POINTS (ScaleRefusal beyond, before any work).  Each generator becomes a
+    byte permutation of those points and the closure is walked with
+    ``bytes.translate``.
+
+    Returns (generators, table).  The candidates lie in Sz(q), so the group G
+    they generate has at most |Sz(q)| elements, and at least as many as its
+    image in the permutations.  A closure of exactly
+    |Sz(q)| = q^2 (q^2 + 1)(q - 1) permutations therefore proves both that G
+    is Sz(q) and that the action is faithful; any other orbit or closure size
+    raises CertificationError.
     """
+    n_points = params.q * params.q + 1
+    if n_points > MAX_POINTS:
+        raise ScaleRefusal(
+            f"Sz({params.q}) acts on {n_points} ovoid points, but the oracle's byte "
+            f"permutations hold at most {MAX_POINTS}; an oracle for q >= 32 needs "
+            "the stabilizer chain of ROADMAP item 3")
     gens = candidate_generators(params, field)
+    orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g), _itself)
+    if len(orbit) != n_points:
+        raise CertificationError(
+            f"the orbit of <e1> has {len(orbit)} points, expected q^2 + 1 = {n_points}")
+    table = OvoidTable(field, {}, gens, sorted(orbit))
+    moves = [table.key(g) + table._pad for g in gens]
     try:
-        table = enumerate_group(gens, limit=params.group_order)
+        table.by_key = _walk([table.identity], moves, bytes.translate, _itself,
+                             limit=params.group_order)
     except ClosureLimitError as e:
         raise CertificationError(
             f"generator closure exceeds |Sz({params.q})| = {params.group_order}") from e
@@ -296,13 +373,13 @@ def empirical_order_stats(table: ElementTable, spec_hint: Spectrum | None = None
 # Subgroup digging
 # ---------------------------------------------------------------------------
 
-def cyclic_subgroup(table: ElementTable, generator: Mat4, order: int) -> SubgroupHandle:
+def cyclic_subgroup(table: ElementTable, generator: Key, order: int) -> SubgroupHandle:
     members = []
-    cur = Mat4.identity(table.field)
+    cur = table.identity
     for _ in range(order):
-        members.append(cur.entries)
-        cur = cur * generator
-    assert cur.is_identity()
+        members.append(cur)
+        cur = table.mul(cur, generator)
+    assert cur == table.identity
     return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
 
 
@@ -313,51 +390,35 @@ def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
         i = table.orders().index(k)
     except ValueError:
         raise SubgroupNotFoundError(f"no element of order {k} in the table") from None
-    return cyclic_subgroup(table, table.by_key[table.sorted_keys()[i]], k)
-
-
-def _generating_set(table: ElementTable, members: frozenset[Entries]) -> list[Mat4]:
-    """Small generating set of a subgroup given by its members' entry tuples."""
-    ident = Mat4.identity(table.field)
-    gens: list[Mat4] = []
-    closed = {ident.entries: ident}
-    for key in sorted(members):
-        if len(closed) == len(members):
-            break
-        if key not in closed:
-            gens.append(table.by_key[key])
-            closed = _walk(closed.values(), gens, mul, _entries)
-    return gens
+    return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
 def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
     """All g with g H g^-1 = H, by scanning the whole table.
 
-    Conjugating a generating set of H into H suffices: the conjugate is a
-    subgroup of the same order.  H must lie inside the table (ValueError).
+    Conjugating the generator of a cyclic H, or else every member, into H
+    suffices: the conjugate is a subgroup of the same order.  Each scan after
+    the first visits only the elements that passed the ones before.  H must
+    lie inside the table (ValueError).
     """
+    if not sub.members <= table.by_key.keys():
+        raise ValueError("subgroup is not in the table")
     gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
-        _generating_set(table, sub.members)
-    if not gens:  # trivial subgroup
-        return SubgroupHandle(frozenset(table.by_key), table.size)
-    index = table._group_index()
-    inside = bytearray(table.size)
-    for i in map(table.position, sub.members):
-        inside[i] = 1
+        sorted(sub.members - {table.identity})
+    found: Sequence[int] = range(table.size)
+    for h in gens:
+        found = [i for i, c in zip(found, table.conjugates(h, found)) if c in sub.members]
     keys = table.sorted_keys()
-    members = frozenset.intersection(*(
-        frozenset(keys[i] for i, c in enumerate(index.conjugates(h)) if inside[c])
-        for h in (table.position(g.entries) for g in gens)))
-    return SubgroupHandle(members, len(members))
+    return SubgroupHandle(frozenset(keys[i] for i in found), len(found))
 
 
-def centralizer(table: ElementTable, x: Mat4) -> SubgroupHandle:
-    """All g commuting with x, i.e. with g x g^-1 = x; x must lie in the
-    table (ValueError)."""
-    index = table._group_index()
-    xi = table.position(x.entries)
-    keys = table.sorted_keys()
-    members = frozenset(keys[i] for i, c in enumerate(index.conjugates(xi)) if c == xi)
+def centralizer(table: ElementTable, x: Key) -> SubgroupHandle:
+    """All g commuting with the element keyed x, i.e. with g x g^-1 = x; x
+    must lie in the table (ValueError)."""
+    table.position(x)
+    keys, everything = table.sorted_keys(), range(table.size)
+    members = frozenset(keys[i] for i, c in zip(everything, table.conjugates(x, everything))
+                        if c == x)
     return SubgroupHandle(members, len(members))
 
 
@@ -401,31 +462,17 @@ class PartitionReport:
         }
 
 
-def _index_orbit(table: ElementTable, members: frozenset[Entries]) -> Iterable[frozenset[int]]:
+def _orbit(table: ElementTable, members: frozenset[Key],
+           moves: list[array]) -> KeysView[frozenset[int]]:
     """Orbit of a member set under conjugation by the group, as position sets.
 
-    Walking the generators' permutations suffices: conjugation is a group
-    action, so generator moves alone reach the full orbit.
+    ``moves`` are the generators' ``conjugation`` permutations: conjugation is
+    a group action, so generator moves alone reach the full orbit.
     """
-    def conjugate(s: frozenset[int], c: array) -> frozenset[int]:
-        return frozenset(map(c.__getitem__, s))
+    def conjugate(sub: frozenset[int], c: array) -> frozenset[int]:
+        return frozenset(map(c.__getitem__, sub))
 
-    index = table._group_index()
-    sub = frozenset(map(table.position, members))
-    return _walk([sub], index.conj, conjugate, lambda s: s).keys()
-
-
-def conjugate_orbit(table: ElementTable,
-                    members: frozenset[Entries]) -> list[frozenset[Entries]]:
-    """Orbit of a subgroup (as a member set) under conjugation by the group.
-
-    Conjugates are stored as the table's own key tuples, so the orbit holds
-    no tuples of its own.  Positions follow ``sorted_keys()``, so sorting
-    the position sets sorts the orbit as its key sets would.
-    """
-    keys = table.sorted_keys()
-    orbit = sorted(_index_orbit(table, members), key=sorted)
-    return [frozenset(keys[i] for i in conj) for conj in orbit]
+    return _walk([frozenset(map(table.position, members))], moves, conjugate, _itself).keys()
 
 
 def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionReport:
@@ -434,7 +481,7 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
     Representatives: the unitriangular subgroup {w(a, b)} of order q^2, and
     cyclic subgroups of orders q+s+1, q-s+1 and q-1 dug out of the table.
     """
-    w_keys = frozenset(w.entries for w in w_elements(table.field))
+    w_keys = frozenset(map(table.key, w_elements(table.field)))
     if not w_keys <= table.by_key.keys():
         raise ValueError("table does not contain the unitriangular subgroup")
     reps = {
@@ -443,15 +490,16 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,
     }
+    moves = [table.conjugation(table.key(s)) for s in table.generators]
     hits = array("i", bytes(4 * table.size))
     orbit_sizes: dict[str, int] = {}
     for name, members in reps.items():
-        orbit = _index_orbit(table, members)
+        orbit = _orbit(table, members, moves)
         orbit_sizes[name] = len(orbit)
         for conj in orbit:
             for i in conj:
                 hits[i] += 1
-    hits[table._group_index().root] = 0  # the identity lies in every conjugate: not counted
+    hits[table.position(table.identity)] = 0  # in every conjugate: not counted
     measured = PartitionClassCounts(
         n_w=orbit_sizes["w"], n_u1=orbit_sizes["u1"],
         n_u2=orbit_sizes["u2"], n_v=orbit_sizes["v"])

@@ -11,8 +11,13 @@ from types import SimpleNamespace
 import pytest
 
 from szq.field import Field
-from szq.group import make_params
-from szq.oracle import build_suzuki_table, empirical_order_stats, verify_partition
+from szq.group import candidate_generators, make_params
+from szq.oracle import (
+    build_suzuki_table,
+    empirical_order_stats,
+    enumerate_group,
+    verify_partition,
+)
 from szq.orderstats import spectrum_closed_form
 
 
@@ -44,6 +49,14 @@ def sz8(field8, params8):
         closure_seconds=closure_seconds,
         census_seconds=census_seconds,
     )
+
+
+@pytest.fixture(scope="session")
+def sz8_matrices(field8, params8):
+    """Sz(8) as 4x4 matrices: the Mat4 closure of the candidate generators,
+    keyed by entry tuples.  The oracle's own table is a permutation table;
+    this one is the matrix reference tests compare it with."""
+    return enumerate_group(candidate_generators(params8, field8), limit=params8.group_order)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import re
 import sys
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from szq import cli
 from szq.cli import main
 from szq.gate import ProfileError, load_profile
+from szq.group import make_params
 from szq.mat4 import Mat4
 
 GOLDEN = Path(__file__).parent / "data"
@@ -47,6 +50,29 @@ def test_params_rejects_bad_q(capsys):
     rc, _, err = run_cli(capsys, "params", "--q", "6")
     assert rc == 2
     assert "2^(2m+1)" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--m", "100000"), ("--m", "1000000000"), ("--q", str(2 ** 14001)),
+], ids=["m=1e5", "m=1e9", "q=2^14001"])
+def test_params_beyond_the_printable_range_are_refused(capsys, argv):
+    # |Sz(q)| would print with more digits than the interpreter converts; the
+    # refusal comes before 2^(2m+1) is built, with the limit in the reason.
+    t0 = perf_counter()
+    rc, out, err = run_cli(capsys, "params", *argv)
+    assert perf_counter() - t0 < 1.0
+    assert (rc, out) == (3, "")
+    assert f"more than {sys.get_int_max_str_digits()} decimal digits" in err
+    assert "set_int_max_str_digits" not in err
+
+
+def test_the_largest_printable_m_is_answered(capsys):
+    err = run_cli(capsys, "params", "--m", "100000")[2]
+    largest = int(re.search(r"the largest m is (\d+)", err).group(1))
+    rc, out, _ = run_cli(capsys, "params", "--m", str(largest), "--output", "json")
+    assert rc == 0
+    assert json.loads(out)["group_order"] == str(make_params(largest).group_order)
+    assert run_cli(capsys, "params", "--m", str(largest + 1))[0] == 3
 
 
 def test_params_requires_m_or_q(capsys):
@@ -121,6 +147,21 @@ def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
     assert rc == 4
     assert out == ""
     assert "certification failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--q", "32", "--allow-big"),
+    ("nse", "--q", "32", "--source", "oracle", "--allow-big"),
+], ids=["verify", "nse"])
+def test_oracle_beyond_the_point_limit_is_refused(capsys, argv):
+    # Sz(32) acts on 1025 ovoid points and a byte permutation holds 256: the
+    # refusal comes before any closure starts.
+    t0 = perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert perf_counter() - t0 < 1.0
+    assert (rc, out) == (3, "")
+    assert "1025 ovoid points" in err and "at most 256" in err
+    assert "ROADMAP item 3" in err
 
 
 def test_nse_modulus_override_does_not_change_closed_form(capsys):

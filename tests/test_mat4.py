@@ -114,8 +114,8 @@ def test_decode_validates(f8):
         Mat4.decode(f8, b"\x09" + b"\x00" * 15)  # 9 >= q
 
 
-def test_encode_injective_on_full_group(sz8):
-    assert len({g.encode() for g in sz8.table.by_key.values()}) == 29120
+def test_encode_injective_on_full_group(sz8_matrices):
+    assert len({g.encode() for g in sz8_matrices.by_key.values()}) == 29120
 
 
 # -- element order ----------------------------------------------------------
@@ -186,12 +186,12 @@ def test_fallback_kernel_without_tables():
     assert m * m.inv() == ident
 
 
-def test_order_is_conjugation_invariant(sz8):
-    keys = sz8.table.sorted_keys()
+def test_order_is_conjugation_invariant(sz8_matrices):
+    keys = sz8_matrices.sorted_keys()
     rng = random.Random(1234)
     hints = (4, 7, 5, 13)
     for _ in range(1000):
-        x = sz8.table.by_key[rng.choice(keys)]
-        g = sz8.table.by_key[rng.choice(keys)]
+        x = sz8_matrices.by_key[rng.choice(keys)]
+        g = sz8_matrices.by_key[rng.choice(keys)]
         conj = (g * x) * g.inv()
         assert element_order(conj, hints) == element_order(x, hints)

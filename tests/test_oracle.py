@@ -2,17 +2,22 @@
 
 import json
 import random
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szq.cli import main
 from szq.field import Field
 from szq.group import make_w, w_generators
 from szq.mat4 import Mat4, element_order
 from szq.oracle import (
+    MAX_POINTS,
     ClosureLimitError,
     SubgroupHandle,
     SubgroupNotFoundError,
+    build_suzuki_table,
     centralizer,
     empirical_order_stats,
     enumerate_group,
@@ -108,12 +113,12 @@ def test_limit_is_the_exact_closure_size(f8):
         enumerate_group(w_generators(f8), limit=63)
 
 
-def test_power_pass_matches_element_order_and_inv(sz8):
+def test_power_pass_matches_element_order_and_inv(sz8_matrices, params8):
     # The power pass derives the orders of all k powers from one walk;
     # element_order recomputes each on its own, and x^(ord - 1) must be the
     # Gauss-Jordan inverse.
-    table = sz8.table
-    hints = tuple(spectrum_closed_form(sz8.params).orders)
+    table = sz8_matrices
+    hints = tuple(spectrum_closed_form(params8).orders)
     orders, keys = table.orders(), table.sorted_keys()
     assert len(orders) == table.size
     for i in random.Random(2024).sample(range(table.size), 500):
@@ -133,6 +138,55 @@ def test_power_pass_on_w_at_q32():
         assert x ** (orders[i] - 1) == x.inv()
 
 
+def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matrices):
+    # The permutation table's orders and inverses, looked up through the
+    # boundary conversion, against element_order and Gauss-Jordan on matrices.
+    table = sz8.table
+    hints = tuple(spectrum_closed_form(sz8.params).orders)
+    orders, inverses, keys = table.orders(), table.inverses(), table.sorted_keys()
+    mats = sz8_matrices.sorted_keys()
+    for entries in random.Random(2025).sample(mats, 300):
+        x = sz8_matrices.by_key[entries]
+        i = table.position(table.key(x))
+        assert orders[i] == element_order(x, hints)
+        assert keys[inverses[i]] == table.key(x.inv())
+
+
+def test_the_ovoid_is_the_orbit_of_e1(sz8):
+    points = sz8.table.points
+    assert len(points) == 8 * 8 + 1 <= MAX_POINTS
+    assert (1, 0, 0, 0) in points and points == sorted(points)
+    assert sz8.table.identity == bytes(range(65))
+
+
+_words = st.lists(st.integers(0, 3), min_size=1, max_size=10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(words=st.lists(_words, min_size=2, max_size=12))
+def test_the_ovoid_action_is_a_faithful_homomorphism(sz8, words):
+    # On random words in the four generators: key(a b) = key(a) key(b), every
+    # key lies in the table, and equal keys come from equal matrices.
+    table = sz8.table
+    mats = [reduce(mul, (sz8.generators[i] for i in w)) for w in words]
+    keys = [table.key(a) for a in mats]
+    for a, b, ka, kb in zip(mats, mats[1:], keys, keys[1:]):
+        assert table.key(a * b) == table.mul(ka, kb)
+    for k in keys:
+        table.position(k)
+    assert len(set(mats)) == len(set(keys))
+
+
+def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
+    a, b = (enumerate_group(w_generators(f8), limit=64) for _ in range(2))
+    assert a == b
+    a.orders()
+    assert a == b and b == a
+    assert a != enumerate_group([make_w(f8.one, f8.zero)], limit=64)
+    sz8.table.orders()
+    assert sz8.table == build_suzuki_table(sz8.params, sz8.field)[1]
+
+
 def test_position_is_the_place_in_sorted_keys(sz8, f8):
     keys = sz8.table.sorted_keys()
     assert [sz8.table.position(k) for k in keys] == list(range(sz8.table.size))
@@ -142,12 +196,18 @@ def test_position_is_the_place_in_sorted_keys(sz8, f8):
 
 
 def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
+    # Orders recounted by repeated products of the permutation keys.
     table = sz8.table
-    hints = tuple(spectrum_closed_form(sz8.params).orders)
+
+    def order(key):
+        k, p = 1, key
+        while p != table.identity:
+            k, p = k + 1, table.mul(p, key)
+        return k
+
     for k in (2, 4, 5, 7, 13):
-        first = next(key for key in table.sorted_keys()
-                     if element_order(table.by_key[key], hints) == k)
-        assert find_cyclic_subgroup(table, k).cyclic_generator.entries == first
+        first = next(key for key in table.sorted_keys() if order(key) == k)
+        assert find_cyclic_subgroup(table, k).cyclic_generator == first
 
 
 def test_spectrum_found_is_exact(sz8):
@@ -192,14 +252,14 @@ def test_normalizer_indices(sz8):
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
-    handle = SubgroupHandle(frozenset(wt.by_key), wt.size)
+    handle = SubgroupHandle(frozenset(map(sz8.table.key, wt.by_key.values())), wt.size)
     n = normalizer(sz8.table, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65
 
 
 def test_centralizer_of_identity_is_whole_group(sz8, f8):
-    c = centralizer(sz8.table, Mat4.identity(f8))
+    c = centralizer(sz8.table, sz8.table.key(Mat4.identity(f8)))
     assert c.order == sz8.table.size
 
 

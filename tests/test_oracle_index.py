@@ -1,27 +1,42 @@
-"""The oracle's integer index against the product-based scans it replaced.
+"""The oracle's scans against the matrix-product scans they replaced.
 
-``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` are the
-direct matrix-product versions of ``normalizer``, ``centralizer`` and
-``conjugate_orbit``: every (element, generator) pair costs real products.
-The index path must return exactly what they return, and a table whose
-index cannot be built must raise, never yield a wrong set.
+``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
+table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses.  At
+q = 8, under both moduli of GF(8), the scans of the ovoid table
+(``build_suzuki_table``) must find the same subgroups once the reference's
+matrices are mapped through ``table.key``, the one boundary conversion, and
+the same census and orbit sizes.  On a matrix table the scans must return
+exactly what the reference returns.  A table that is not closed must raise,
+never yield a wrong set.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
 from szq.field import Field
-from szq.group import CertificationError, make_w, w_elements, w_generators
+from szq.group import (
+    CertificationError,
+    candidate_generators,
+    make_params,
+    make_w,
+    w_elements,
+    w_generators,
+)
 from szq.mat4 import Mat4, element_order
 from szq.oracle import (
-    ElementTable,
+    OvoidTable,
     SubgroupHandle,
-    _generating_set,
+    _orbit,
     _walk,
+    build_suzuki_table,
     centralizer,
-    conjugate_orbit,
+    cyclic_subgroup,
+    empirical_order_stats,
     enumerate_group,
     find_cyclic_subgroup,
     normalizer,
+    verify_partition,
 )
 
 
@@ -31,28 +46,17 @@ def gauss_jordan_inverses(table):
     return {key: x.inv() for key, x in table.by_key.items()}
 
 
-@pytest.fixture(scope="module")
-def sz8_inverses(sz8):
-    return gauss_jordan_inverses(sz8.table)
-
-
-def ref_normalizer(table, sub, inv):
-    gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
-        _generating_set(table, sub.members)
-    if not gens:
-        return SubgroupHandle(frozenset(table.by_key), table.size)
-    found = []
-    for key in table.sorted_keys():
-        g, gi = table.by_key[key], inv[key]
-        if all(((g * h) * gi).entries in sub.members for h in gens):
-            found.append(key)
-    return SubgroupHandle(frozenset(found), len(found))
+def ref_normalizer(table, gens, members, inv):
+    """Entry tuples of all g in a matrix table with g h g^-1 in ``members``
+    for every Mat4 h in ``gens``."""
+    return frozenset(key for key in table.sorted_keys()
+                     if all(((table.by_key[key] * h) * inv[key]).entries in members
+                            for h in gens))
 
 
 def ref_centralizer(table, x):
-    found = [key for key in table.sorted_keys()
-             if table.by_key[key] * x == x * table.by_key[key]]
-    return SubgroupHandle(frozenset(found), len(found))
+    return frozenset(key for key in table.sorted_keys()
+                     if table.by_key[key] * x == x * table.by_key[key])
 
 
 def ref_conjugate_orbit(table, members):
@@ -66,33 +70,95 @@ def ref_conjugate_orbit(table, members):
     return sorted(_walk([members], moves, conjugate, lambda sub: sub), key=sorted)
 
 
-def assert_index_agrees(table, sub, inv):
-    assert normalizer(table, sub) == ref_normalizer(table, sub, inv)
-    assert conjugate_orbit(table, sub.members) == ref_conjugate_orbit(table, sub.members)
-    if sub.cyclic_generator is not None:
-        x = sub.cyclic_generator
-        assert centralizer(table, x) == ref_centralizer(table, x)
+# -- the ovoid table against the matrix reference at q = 8 ---------------------------
+
+def _world(ovoid, matrices):
+    return SimpleNamespace(ovoid=ovoid, matrices=matrices,
+                           inverses=gauss_jordan_inverses(matrices))
 
 
-# -- differential: Sz(8) and W at q = 32 ----------------------------------------
+@pytest.fixture(scope="module")
+def world_0xb(sz8, sz8_matrices):
+    return _world(sz8.table, sz8_matrices)
+
+
+@pytest.fixture(scope="module")
+def world_0xd(params8):
+    f = Field(1, modulus=0xd)
+    _, ovoid = build_suzuki_table(params8, f)
+    return _world(ovoid, enumerate_group(candidate_generators(params8, f),
+                                         limit=params8.group_order))
+
+
+def _class(world, name):
+    """A representative of a partition class as (Mat4 generators, member
+    entry tuples), dug out of the matrix table."""
+    p, m = make_params(1), world.matrices
+    if name == "w":
+        # w(a, 0) over a basis of GF(8) generates W modulo its Frattini
+        # subgroup {w(0, b)}, hence all of W.
+        f = m.field
+        gens = [make_w(f.element(1 << i), f.zero) for i in range(f.degree)]
+        assert enumerate_group(gens, limit=64).size == 64
+        return gens, frozenset(w.entries for w in w_elements(f))
+    h = find_cyclic_subgroup(m, getattr(p, name))
+    return [m.by_key[h.cyclic_generator]], h.members
+
+
+def assert_scans_agree(world, name):
+    ovoid, matrices = world.ovoid, world.matrices
+    gens, members = _class(world, name)
+    to_key = lambda entries: ovoid.key(matrices.by_key[entries])  # noqa: E731
+    sub = SubgroupHandle(frozenset(map(to_key, members)), len(members),
+                         ovoid.key(gens[0]) if len(gens) == 1 else None)
+    want = ref_normalizer(matrices, gens, members, world.inverses)
+    assert normalizer(ovoid, sub).members == frozenset(map(to_key, want))
+    got = centralizer(ovoid, ovoid.key(gens[0])).members
+    assert got == frozenset(map(to_key, ref_centralizer(matrices, gens[0])))
+
+
+@pytest.mark.parametrize("name", ["u1", "u2", "v"])
+def test_cyclic_classes_of_sz8(world_0xb, name):
+    assert_scans_agree(world_0xb, name)
+
+
+def test_w_class_of_sz8(world_0xb):
+    assert_scans_agree(world_0xb, "w")
+
+
+@pytest.mark.parametrize("name", ["u1", "u2", "v", "w"])
+def test_scans_agree_under_the_other_modulus(world_0xd, name):
+    assert_scans_agree(world_0xd, name)
+
+
+@pytest.mark.parametrize("modulus", ["0xb", "0xd"])
+def test_census_and_orbit_sizes_match_the_reference(request, modulus):
+    world = request.getfixturevalue(f"world_{modulus}")
+    assert (empirical_order_stats(world.ovoid).counts
+            == empirical_order_stats(world.matrices).counts)
+    report = verify_partition(world.ovoid, make_params(1))
+    want = [len(ref_conjugate_orbit(world.matrices, _class(world, name)[1]))
+            for name in ("w", "u1", "u2", "v")]
+    m = report.measured
+    assert [m.n_w, m.n_u1, m.n_u2, m.n_v] == want == [65, 560, 1456, 2080]
+
+
+# -- the generic scans on a matrix table: W at q = 32 ------------------------------
 
 @pytest.fixture(scope="module")
 def w32():
     return enumerate_group(w_generators(Field(2)), limit=1024)
 
 
-@pytest.mark.parametrize("name", ["u1", "u2", "v"])
-def test_cyclic_classes_of_sz8(sz8, sz8_inverses, name):
-    sub = find_cyclic_subgroup(sz8.table, getattr(sz8.params, name))
-    assert_index_agrees(sz8.table, sub, sz8_inverses)
-
-
-def test_w_class_of_sz8(sz8, sz8_inverses):
-    members = frozenset(w.entries for w in w_elements(sz8.field))
-    sub = SubgroupHandle(members, len(members))
-    assert_index_agrees(sz8.table, sub, sz8_inverses)
-    for x in (make_w(sz8.field.one, sz8.field.zero), make_w(sz8.field.zero, sz8.field.one)):
-        assert centralizer(sz8.table, x) == ref_centralizer(sz8.table, x)
+def assert_matrix_scans_agree(table, sub, gens, inv):
+    assert normalizer(table, sub).members == ref_normalizer(table, gens, sub.members, inv)
+    moves = [table.conjugation(table.key(s)) for s in table.generators]
+    keys = table.sorted_keys()
+    orbit = sorted((frozenset(keys[i] for i in conj)
+                    for conj in _orbit(table, sub.members, moves)), key=sorted)
+    assert orbit == ref_conjugate_orbit(table, sub.members)
+    for x in gens:
+        assert centralizer(table, x.entries).members == ref_centralizer(table, x)
 
 
 def test_w_at_q32(w32):
@@ -101,62 +167,38 @@ def test_w_at_q32(w32):
     for x in (make_w(f.one, f.zero), make_w(f.zero, f.one),
               make_w(f.primitive_element(), f.one)):
         k = element_order(x, (4,))
-        assert_index_agrees(w32, SubgroupHandle(
-            frozenset((x ** i).entries for i in range(k)), k, cyclic_generator=x), inverses)
+        sub = SubgroupHandle(frozenset((x ** i).entries for i in range(k)), k,
+                             cyclic_generator=x.entries)
+        assert_matrix_scans_agree(w32, sub, [x], inverses)
     center = frozenset(make_w(f.zero, b).entries for b in f.elements())
-    assert_index_agrees(w32, SubgroupHandle(center, len(center)), inverses)
+    gens = [make_w(f.zero, f.element(1 << i)) for i in range(f.degree)]
+    assert_matrix_scans_agree(w32, SubgroupHandle(center, len(center)), gens, inverses)
     trivial = SubgroupHandle(frozenset([Mat4.identity(f).entries]), 1)
     assert normalizer(w32, trivial).order == w32.size
 
 
-# -- the index itself ---------------------------------------------------------------
+# -- tables that are not the group --------------------------------------------------
 
-@pytest.mark.parametrize("which", ["sz8", "w32"])
-def test_permutations_are_bijections_and_the_tree_spans(request, which):
-    table = request.getfixturevalue(which)
-    if which == "sz8":
-        table = table.table
-    index = table._group_index()
-    keys, n = table.sorted_keys(), table.size
-    assert index.generators and len(index.conj) == len(index.generators)
-    for s, c in zip(index.generators, index.conj):
-        assert sorted(c) == list(range(n))
-        si = s.inv()
-        for i in range(0, n, max(1, n // 300)):
-            assert keys[c[i]] == (s * table.by_key[keys[i]] * si).entries
-    nodes, parents, moves = index.tree
-    assert sorted([index.root, *nodes]) == list(range(n))
-    for x, p, j in zip(nodes, parents, moves):
-        assert keys[x] == (index.generators[j] * table.by_key[keys[p]]).entries
+def _corrupt(table, kind):
+    keys = list(table.sorted_keys())
+    # An element of order 13: the power pass reaches it from the other
+    # generators of its cyclic subgroup.
+    i = table.orders().index(13)
+    if kind == "not-closed":
+        del keys[i]
+    elif kind == "not-a-bijection":
+        x = keys[i]
+        keys[i] = x[:1] + x[:1] + x[2:]  # two points with one image
+    return OvoidTable(table.field, {k: k for k in keys}, table.generators, table.points)
 
 
-def test_redundant_generators_are_skipped(sz8):
-    # w(0, 1) = w(1, 0)^2 lies in the group the first generator generates.
-    assert sz8.table._group_index().generators == [
-        g for g in sz8.table.generators if g != make_w(sz8.field.zero, sz8.field.one)]
-
-
-def _corrupt(kind):
-    f = Field(1)
-    table = enumerate_group(w_generators(f), limit=64)
-    by_key = dict(table.by_key)
-    keys = sorted(by_key)
-    if kind == "not-spanned":
-        return ElementTable(f, by_key, [make_w(f.zero, f.one)])
-    if kind == "not-a-bijection":
-        by_key[keys[5]] = by_key[keys[6]]
-    elif kind == "not-closed":
-        del by_key[keys[5]]
-    return ElementTable(f, by_key, table.generators)
-
-
-@pytest.mark.parametrize("kind", ["not-spanned", "not-a-bijection", "not-closed"])
-def test_a_broken_index_raises(kind):
-    table = _corrupt(kind)
-    x = make_w(table.field.one, table.field.zero)
-    sub = SubgroupHandle(frozenset((x ** i).entries for i in range(4)), 4, x)
+@pytest.mark.parametrize("kind", ["not-a-bijection", "not-closed"])
+def test_a_broken_index_raises(sz8, kind):
+    table = _corrupt(sz8.table, kind)
+    x = table.key(make_w(table.field.one, table.field.zero))
+    sub = cyclic_subgroup(table, x, 4)
     for scan in (lambda: normalizer(table, sub), lambda: centralizer(table, x),
-                 lambda: conjugate_orbit(table, sub.members)):
+                 lambda: verify_partition(table, sz8.params)):
         with pytest.raises(CertificationError):
             scan()
 
@@ -165,6 +207,10 @@ def test_scans_refuse_elements_outside_the_table(sz8):
     wt = enumerate_group(w_generators(sz8.field), limit=64)
     outside = sz8.generators[3]  # the Weyl element is not in W
     with pytest.raises(ValueError):
-        centralizer(wt, outside)
+        centralizer(wt, wt.key(outside))
     with pytest.raises(ValueError):
-        conjugate_orbit(wt, frozenset([outside.entries]))
+        normalizer(wt, SubgroupHandle(frozenset([outside.entries]), 2, outside.entries))
+    f = sz8.field
+    off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        sz8.table.key(off_ovoid)
