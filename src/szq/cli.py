@@ -54,6 +54,18 @@ from .orderstats import (
 DEFAULT_ORACLE_LIMIT = 1 << 25
 
 
+def _hex_modulus(text: str) -> int:
+    """The ``--modulus`` value: a hex bit-string such as 0xb.  Its degree and
+    irreducibility are checked where the field is built."""
+    try:
+        modulus = int(text, 16)
+        if modulus >= 0:
+            return modulus
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a hex bit-string: {text!r}")
+
+
 @cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls:
@@ -82,7 +94,8 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_nse)
     p_nse.add_argument("--source", choices=("closed-form", "oracle", "both"),
                        default="closed-form")
-    p_nse.add_argument("--modulus", help="field modulus override, hex bit-string (e.g. 0xb)")
+    p_nse.add_argument("--modulus", type=_hex_modulus,
+                       help="field modulus override, hex bit-string (e.g. 0xb)")
     p_nse.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p_nse.add_argument("--allow-big", action="store_true",
                        help="permit oracle runs beyond q=8")
@@ -90,7 +103,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the full brute-force suite")
     add_common(p_verify)
-    p_verify.add_argument("--modulus", help="field modulus override, hex bit-string")
+    p_verify.add_argument("--modulus", type=_hex_modulus,
+                          help="field modulus override, hex bit-string")
     p_verify.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
     p_verify.add_argument("--allow-big", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
@@ -118,16 +132,6 @@ def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
             f"m = {m}: |Sz(q)| would print with more than {digits} decimal digits, "
             f"the interpreter's limit; the largest m is {largest}")
     return make_params(m)
-
-
-def _resolve_field(args: argparse.Namespace, params: SuzukiParams) -> Field:
-    modulus = None
-    if getattr(args, "modulus", None):
-        try:
-            modulus = int(args.modulus, 16)
-        except ValueError as e:
-            raise ValueError(f"--modulus must be a hex bit-string: {e}") from e
-    return Field(params.m, modulus=modulus)
 
 
 def _check_scale(params: SuzukiParams, args: argparse.Namespace) -> None:
@@ -187,7 +191,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 def _oracle_stats(params: SuzukiParams, args: argparse.Namespace) -> OrderStats:
     _check_scale(params, args)
-    field = _resolve_field(args, params)
+    field = Field(params.m, modulus=args.modulus)
     _, table = build_suzuki_table(params, field)  # ScaleRefusal -> 3, CertificationError -> 4
     return empirical_order_stats(table, spectrum_closed_form(params))
 
@@ -225,7 +229,7 @@ def cmd_nse(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     _check_scale(p, args)
-    field = _resolve_field(args, p)
+    field = Field(p.m, modulus=args.modulus)
     checks: list[tuple[str, bool, str]] = []
 
     gens, table = build_suzuki_table(p, field)  # ScaleRefusal -> 3, CertificationError -> 4

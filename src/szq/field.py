@@ -150,17 +150,7 @@ class Field:
     # -- raw reference arithmetic (no tables) --
 
     def _raw_mul(self, a: int, b: int) -> int:
-        top = 1 << self.degree
-        mod = self.modulus
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            a <<= 1
-            if a & top:
-                a ^= mod
-            b >>= 1
-        return r
+        return _poly_mod(_poly_mul(a, b), self.modulus)
 
     def _raw_pow(self, a: int, k: int) -> int:
         r = 1

@@ -11,10 +11,12 @@ number, their ``position`` in ``sorted_keys()``.  Two carriers share that
 interface:
 
 * ``enumerate_group`` closes any set of matrices and keys each element by its
-  entry tuple;
+  entry tuple; such a table closes and counts (``orders()``);
 * ``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid and
   keys each element by the ``bytes`` permutation it induces there
-  (``OvoidTable``), so a product is one ``bytes.translate``.
+  (``OvoidTable``), so a product is one ``bytes.translate``.  Only this table
+  conjugates, so ``normalizer``, ``centralizer`` and ``verify_partition`` scan
+  it alone.
 
 Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
 matrix becomes a table key.
@@ -99,8 +101,9 @@ class ElementTable:
     the order census and the inverses are arrays over positions.
 
     The keys are the matrices' entry tuples; ``OvoidTable`` changes the
-    carrier by overriding ``key``, ``mul`` and ``identity``.  The lazily
-    filled caches take no part in ``==``.
+    carrier by overriding ``key``, ``mul`` and ``identity`` and adds the
+    conjugations the scans use.  The lazily filled caches take no part in
+    ``==``.
     """
 
     field: Field
@@ -148,14 +151,6 @@ class ElementTable:
         except KeyError:
             raise ValueError("element is not in the table") from None
 
-    def _product_positions(self, products: Iterable[Key]) -> array:
-        """Positions of computed products.  One outside the table means the
-        table is not the group its products generate: CertificationError."""
-        try:
-            return array("i", map(self._position_map().__getitem__, products))
-        except KeyError:
-            raise CertificationError("table is not closed under products") from None
-
     def orders(self) -> array:
         """orders()[i] is the order of the element at position i (computed once).
 
@@ -196,18 +191,6 @@ class ElementTable:
                 orders[pi] = k // gcd(i, k)
                 inverses[pi] = powers[k - i - 1]  # x^(k - i); powers[-1] is the identity
         self._orders, self._inverses = orders, inverses
-
-    def conjugates(self, h: Key, positions: Iterable[int]) -> Iterator[Key]:
-        """g h g^-1 for the element g at each of ``positions``."""
-        keys, inverses, product = self.sorted_keys(), self.inverses(), self.mul
-        return (product(product(keys[i], h), keys[inverses[i]]) for i in positions)
-
-    def conjugation(self, s: Key) -> array:
-        """conjugation(s)[i] is the position of s x s^-1 for the element x at
-        position i."""
-        keys, product = self.sorted_keys(), self.mul
-        si = keys[self.inverses()[self.position(s)]]
-        return self._product_positions([product(product(s, x), si) for x in keys])
 
 
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
@@ -271,17 +254,22 @@ class OvoidTable(ElementTable):
     def identity(self) -> bytes:
         return bytes(range(len(self.points)))
 
-    # The scans pad one key per conjugation and cost two translates.
-
     def conjugates(self, h: bytes, positions: Iterable[int]) -> Iterator[bytes]:
+        """g h g^-1 for the element g at each of ``positions``."""
         keys, inverses, pad = self.sorted_keys(), self.inverses(), self._pad
         hp = h + pad
         return (keys[i].translate(hp).translate(keys[inverses[i]] + pad) for i in positions)
 
     def conjugation(self, s: bytes) -> array:
-        keys, pad = self.sorted_keys(), self._pad
+        """conjugation(s)[i] is the position of s x s^-1 for the element x at
+        position i.  A product outside the table means the table is not the
+        group its products generate: CertificationError."""
+        keys, pad, at = self.sorted_keys(), self._pad, self._position_map()
         si = keys[self.inverses()[self.position(s)]] + pad
-        return self._product_positions([s.translate(x + pad).translate(si) for x in keys])
+        try:
+            return array("i", [at[s.translate(x + pad).translate(si)] for x in keys])
+        except KeyError:
+            raise CertificationError("table is not closed under products") from None
 
 
 @dataclass(frozen=True)
@@ -393,8 +381,8 @@ def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
     return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
-def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
-    """All g with g H g^-1 = H, by scanning the whole table.
+def normalizer(table: OvoidTable, sub: SubgroupHandle) -> SubgroupHandle:
+    """All g with g H g^-1 = H, by scanning the whole ovoid table.
 
     Conjugating the generator of a cyclic H, or else every member, into H
     suffices: the conjugate is a subgroup of the same order.  Each scan after
@@ -412,9 +400,9 @@ def normalizer(table: ElementTable, sub: SubgroupHandle) -> SubgroupHandle:
     return SubgroupHandle(frozenset(keys[i] for i in found), len(found))
 
 
-def centralizer(table: ElementTable, x: Key) -> SubgroupHandle:
-    """All g commuting with the element keyed x, i.e. with g x g^-1 = x; x
-    must lie in the table (ValueError)."""
+def centralizer(table: OvoidTable, x: bytes) -> SubgroupHandle:
+    """All g in the ovoid table commuting with the element keyed x, i.e. with
+    g x g^-1 = x; x must lie in the table (ValueError)."""
     table.position(x)
     keys, everything = table.sorted_keys(), range(table.size)
     members = frozenset(keys[i] for i, c in zip(everything, table.conjugates(x, everything))
@@ -462,7 +450,7 @@ class PartitionReport:
         }
 
 
-def _orbit(table: ElementTable, members: frozenset[Key],
+def _orbit(table: OvoidTable, members: frozenset[bytes],
            moves: list[array]) -> KeysView[frozenset[int]]:
     """Orbit of a member set under conjugation by the group, as position sets.
 
@@ -475,11 +463,14 @@ def _orbit(table: ElementTable, members: frozenset[Key],
     return _walk([frozenset(map(table.position, members))], moves, conjugate, _itself).keys()
 
 
-def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionReport:
+def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport:
     """Conjugate one representative of each class and check the cover.
 
     Representatives: the unitriangular subgroup {w(a, b)} of order q^2, and
     cyclic subgroups of orders q+s+1, q-s+1 and q-1 dug out of the table.
+    The orbits are walked with one ``conjugation`` array per generator, except
+    that a generator in the cyclic group of one kept before adds no move and
+    is skipped (w(0, 1) = w(1, 0)^2 among the candidates).
     """
     w_keys = frozenset(map(table.key, w_elements(table.field)))
     if not w_keys <= table.by_key.keys():
@@ -490,7 +481,11 @@ def verify_partition(table: ElementTable, params: SuzukiParams) -> PartitionRepo
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,
     }
-    moves = [table.conjugation(table.key(s)) for s in table.generators]
+    moves, powers = [], set()
+    for s in map(table.key, table.generators):
+        if s not in powers:
+            moves.append(table.conjugation(s))
+            powers |= cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
     hits = array("i", bytes(4 * table.size))
     orbit_sizes: dict[str, int] = {}
     for name, members in reps.items():

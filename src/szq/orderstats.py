@@ -9,7 +9,7 @@ leave 64-bit range around m = 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd
+from math import gcd, prod
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # group imports field, which imports factorize from here
@@ -288,17 +288,10 @@ def prime_graph(spectrum: Spectrum, order: int) -> PrimeGraph:
         seen |= comp
         components.append(frozenset(comp))
     order_comps = tuple(
-        _prod(p ** fac[p] for p in sorted(comp)) for comp in components)
+        prod(p ** fac[p] for p in sorted(comp)) for comp in components)
     return PrimeGraph(
         vertices=frozenset(vertices),
         edges=frozenset(edges),
         components=tuple(components),
         order_components=order_comps,
     )
-
-
-def _prod(values) -> int:
-    out = 1
-    for v in values:
-        out *= v
-    return out

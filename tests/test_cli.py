@@ -180,6 +180,19 @@ def test_nse_rejects_reducible_modulus(capsys):
     assert "reducible" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("nse", "--q", "8", "--modulus", "0x"),
+    ("nse", "--q", "8", "--modulus", ""),
+    ("nse", "--q", "8", "--modulus=-0xb"),
+    ("verify", "--q", "8", "--modulus", "0xg"),
+], ids=["0x", "empty", "negative", "verify-0xg"])
+def test_a_modulus_that_is_not_a_hex_bit_string_is_a_usage_error(capsys, argv):
+    # The parser reads --modulus even where no field gets built.
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert "not a hex bit-string" in err
+
+
 def test_nse_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "nse", "--q", "8", "--output", "json",
                          "--no-timestamp")
@@ -394,5 +407,67 @@ def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     rc, out, _ = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
     assert rc in (0, 1, 2)
+    if rc == 2:
+        assert out == ""
+
+
+# -- fuzzed argv --------------------------------------------------------------
+
+# Valid and malformed values for every option of the four subcommands, as
+# (valid, malformed).  Any m whose closed forms get factored stays at or below
+# 20 (2^41 is q for m = 20): trial division hangs from m = 26 on, ROADMAP
+# item 4.
+_VALUES = {
+    "--m": (("1", "2", "20", "100000"), ("0", "-1", "1.5", "x", "")),
+    "--q": (("8", "32", "2199023255552"), ("2", "16", "7", "0", "-8", "0x8")),
+    "--output": (("json", "table"), ("xml", "")),
+    "--source": (("closed-form", "oracle", "both"), ("none",)),
+    "--modulus": (("0xb", "0xd", "0x29", "0x2b", "0x0"), ("0x", "", "-0xb", "zz")),
+    "--oracle-limit": (("29120", "29119", "0"), ("-1", "1e9", "x")),
+}
+_OPTIONS = {
+    "params": ("--output",),
+    "nse": ("--output", "--source", "--modulus", "--oracle-limit"),
+    "verify": ("--output", "--modulus", "--oracle-limit"),
+    "gate": ("--output",),
+}
+_FLAGS = {"params": ("--no-timestamp",), "nse": ("--no-timestamp", "--allow-big"),
+          "verify": ("--no-timestamp", "--allow-big"), "gate": ("--no-timestamp", "PROFILE")}
+# Tokens out of place: foreign options and flags, options without a value.
+_STRAYS = ("missing.json", "PROFILE", "extra", "--bogus", "--", "-h", "--m", "--modulus",
+           "--source", "--allow-big", "--oracle-limit")
+
+
+@st.composite
+def _argvs(draw):
+    def pick(valid, malformed):
+        return draw(st.sampled_from(malformed if draw(st.integers(0, 5)) == 0 else valid))
+
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    groups = [(command,)]
+    if command != "gate" and draw(st.integers(0, 5)):
+        size = draw(st.sampled_from(["--m", "--q"]))
+        groups.append((size, pick(*_VALUES[size])))
+    groups += [(option, pick(*_VALUES[option]))
+               for option in _OPTIONS[command] if draw(st.booleans())]
+    groups += [(flag,) for flag in _FLAGS[command] if draw(st.integers(0, 3))]
+    if not draw(st.integers(0, 3)):
+        groups += draw(st.lists(st.sampled_from(_STRAYS).map(lambda t: (t,)),
+                                min_size=1, max_size=2))
+    # The subcommand usually leads; the rest comes in any order.
+    head = groups[:1] if draw(st.integers(0, 9)) else []
+    rest = draw(st.permutations(groups[len(head):]))
+    return [token for group in head + rest for token in group]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_argvs())
+def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, argv):
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps(SZ8_PROFILE))
+    argv = [str(profile) if token == "PROFILE" else token for token in argv]
+    rc, out, _ = run_cli(capsys, *argv)
+    assert rc in range(5)
     if rc == 2:
         assert out == ""
