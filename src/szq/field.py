@@ -10,11 +10,12 @@ Because the degree is odd, the map x -> x**(2**(m+1)) is a field automorphism
 whose square is the ordinary squaring map; it is the "twist" the whole 4x4
 matrix construction hinges on.
 
-For the sizes this package targets the field eagerly builds discrete
-log/antilog tables over the smallest primitive element, so mul/inv/pow are a
-couple of list lookups.  The schoolbook shift-and-xor routines used to build
-the tables are kept as the reference path and the test suite checks the two
-against each other exhaustively on small fields.
+Fields of order q <= 512 (the ones whose elements the matrix kernels and
+the oracle actually walk) build one q*q multiplication table, row by row
+by doubling; larger fields multiply with the schoolbook shift-and-xor
+routine, which stays the reference the tests check the table against.
+Powers, inverses (a**(q-2)) and the twist all go through one
+square-and-multiply routine over that multiply.
 """
 
 from __future__ import annotations
@@ -23,12 +24,8 @@ from typing import Iterator
 
 from .orderstats import factorize
 
-# Degrees above this skip table construction and fall back to the raw
-# shift-and-xor routines (tables are O(2^degree) memory).
-_TABLE_DEGREE_LIMIT = 20
-
-# Full q*q multiplication tables (the matrix kernels' fast path) are built
-# only for small fields.
+# The q*q multiplication table (the matrix kernels' fast path) is built only
+# for small fields; larger ones multiply with the schoolbook routine.
 _MUL_TABLE_ORDER_LIMIT = 512
 
 
@@ -77,7 +74,7 @@ def is_irreducible(poly: int) -> bool:
     """Irreducibility over GF(2): x^(2^d) == x mod poly, plus the gcd
     condition gcd(x^(2^(d/p)) - x, poly) == 1 for every prime p dividing d."""
     d = poly.bit_length() - 1
-    if d < 1:
+    if poly < 0 or d < 1:
         return False
     if d == 1:
         return True
@@ -129,6 +126,8 @@ class Field:
         if modulus is None:
             modulus = find_modulus(m)
         else:
+            if modulus < 0:
+                raise ValueError(f"modulus {modulus} is negative")
             if modulus.bit_length() - 1 != self.degree:
                 raise ValueError(
                     f"modulus degree {modulus.bit_length() - 1} != {self.degree}")
@@ -137,86 +136,61 @@ class Field:
         self.modulus = modulus
         self.element_bytes = (self.degree + 7) // 8
 
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
         self._mul_table: list[list[int]] | None = None
         self._generator: int | None = None
-        if self.degree <= _TABLE_DEGREE_LIMIT:
-            self._build_tables()
+        if self.q <= _MUL_TABLE_ORDER_LIMIT:
+            self._mul_table = [self._mul_row(a) for a in range(self.q)]
 
         self.zero = FieldElement(0, self)
         self.one = FieldElement(1, self)
 
-    # -- raw reference arithmetic (no tables) --
+    # -- arithmetic on raw ints --
 
     def _raw_mul(self, a: int, b: int) -> int:
+        """Schoolbook multiply: the reference, and the path above the table."""
         return _poly_mod(_poly_mul(a, b), self.modulus)
 
-    def _raw_pow(self, a: int, k: int) -> int:
+    def _mul_row(self, a: int) -> list[int]:
+        """a*b for every b, by doubling: the products with b < 2^i, each
+        XORed with a*x^i, are those with bit i of b set."""
+        row, t = [0], a
+        for _ in range(self.degree):
+            row += [r ^ t for r in row]
+            t = self._raw_mul(t, 0b10)
+        return row
+
+    def _mul(self, a: int, b: int) -> int:
+        if self._mul_table is None:
+            return self._raw_mul(a, b)
+        return self._mul_table[a][b]
+
+    def _pow(self, a: int, k: int) -> int:
+        """Square-and-multiply; a negative exponent goes through the inverse."""
+        if k < 0:
+            a, k = self._inv(a), -k
         r = 1
         while k:
             if k & 1:
-                r = self._raw_mul(r, a)
-            a = self._raw_mul(a, a)
+                r = self._mul(r, a)
+            a = self._mul(a, a)
             k >>= 1
         return r
+
+    def _inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("zero has no multiplicative inverse")
+        return self._pow(a, self.q - 2)
+
+    def _twist(self, a: int) -> int:
+        return self._pow(a, self.twist_exponent)
 
     def _find_generator(self) -> int:
         """Smallest element (as a bit pattern) of multiplicative order q-1."""
         cofactors = [(self.q - 1) // p for p in factorize(self.q - 1)]
         for g in range(2, self.q):
-            if all(self._raw_pow(g, c) != 1 for c in cofactors):
+            if all(self._pow(g, c) != 1 for c in cofactors):
                 return g
         raise AssertionError("unreachable: the multiplicative group is cyclic")
-
-    def _build_tables(self) -> None:
-        g = self._find_generator()
-        self._generator = g
-        q1 = self.q - 1
-        exp = [1] * q1
-        log = [0] * self.q
-        v = 1
-        for i in range(q1):
-            exp[i] = v
-            log[v] = i
-            v = self._raw_mul(v, g)
-        self._exp = exp
-        self._log = log
-        if self.q <= _MUL_TABLE_ORDER_LIMIT:
-            mul = self._mul
-            self._mul_table = [[mul(a, b) for b in range(self.q)] for a in range(self.q)]
-
-    # -- table-backed arithmetic on raw ints --
-
-    def _mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._exp is None:
-            return self._raw_mul(a, b)
-        return self._exp[(self._log[a] + self._log[b]) % (self.q - 1)]
-
-    def _inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        if self._exp is None:
-            return self._raw_pow(a, self.q - 2)
-        return self._exp[(-self._log[a]) % (self.q - 1)]
-
-    def _pow(self, a: int, k: int) -> int:
-        if a == 0:
-            if k == 0:
-                return 1
-            if k < 0:
-                raise ZeroDivisionError("zero has no multiplicative inverse")
-            return 0
-        if self._exp is None:
-            if k < 0:
-                return self._raw_pow(self._raw_pow(a, self.q - 2), -k)
-            return self._raw_pow(a, k)
-        return self._exp[(self._log[a] * k) % (self.q - 1)]
-
-    def _twist(self, a: int) -> int:
-        return self._pow(a, self.twist_exponent)
 
     # -- public surface --
 

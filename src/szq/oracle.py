@@ -362,12 +362,14 @@ def empirical_order_stats(table: ElementTable, spec_hint: Spectrum | None = None
 # ---------------------------------------------------------------------------
 
 def cyclic_subgroup(table: ElementTable, generator: Key, order: int) -> SubgroupHandle:
-    members = []
-    cur = table.identity
-    for _ in range(order):
+    """The subgroup generated by an element of the given order; ValueError
+    unless generator^order is the identity and no smaller power is."""
+    members, cur = [table.identity], generator
+    while cur != table.identity and len(members) < order:
         members.append(cur)
         cur = table.mul(cur, generator)
-    assert cur == table.identity
+    if cur != table.identity or len(members) != order:
+        raise ValueError(f"the generator does not have order {order}")
     return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
 
 

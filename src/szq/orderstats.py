@@ -193,9 +193,6 @@ class CheckReport:
     passed: bool
     violations: list[str] = dc_field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "violations": list(self.violations)}
-
 
 def frobenius_check(stats: OrderStats) -> CheckReport:
     """Every divisor n of the group order must divide |{x : x^n = 1}|."""
@@ -246,14 +243,6 @@ class PrimeGraph:
     edges: frozenset[tuple[int, int]]
     components: tuple[frozenset[int], ...]
     order_components: tuple[int, ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": sorted(self.vertices),
-            "edges": [list(e) for e in sorted(self.edges)],
-            "components": [sorted(c) for c in self.components],
-            "order_components": list(self.order_components),
-        }
 
 
 def prime_graph(spectrum: Spectrum, order: int) -> PrimeGraph:

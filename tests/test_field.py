@@ -1,6 +1,15 @@
-"""Field arithmetic, exhaustively at GF(8) and GF(32)."""
+"""Field arithmetic, exhaustively at GF(8) and GF(32), and by property on
+random moduli of every odd degree from 3 to 21."""
+
+import os
+import subprocess
+import sys
+from functools import reduce
+from operator import mul
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szq.field import (
     Field,
@@ -11,6 +20,8 @@ from szq.field import (
     find_modulus,
     is_irreducible,
 )
+from szq.group import make_w, torus_element, weyl_element
+from szq.mat4 import Mat4
 
 
 # -- independent oracles ----------------------------------------------------
@@ -88,7 +99,7 @@ def test_mul_known_values(f8):
     assert y * y == f8.element(0b010)
 
 
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [1, 2, 3])
 def test_mul_matches_schoolbook_everywhere(m):
     f = Field(m)
     for a in range(f.q):
@@ -246,8 +257,73 @@ def test_primitive_element_is_smallest_generator(f8, f32):
             assert o < f.q - 1
 
 
+def test_a_negative_modulus_is_refused_without_hanging():
+    # In a child process with a timeout: a sign-blind degree check once let
+    # both calls loop forever reducing a negative bit-polynomial.
+    code = ("from szq.field import Field, is_irreducible\n"
+            "assert is_irreducible(-11) is False\n"
+            "try:\n"
+            "    Field(1, modulus=-11)\n"
+            "except ValueError:\n"
+            "    pass\n"
+            "else:\n"
+            "    raise SystemExit('negative modulus accepted')\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=10,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_element_range_validation(f8):
     with pytest.raises(ValueError):
         f8.element(8)
     with pytest.raises(ValueError):
         f8.element(-1)
+
+
+# -- properties on random moduli ----------------------------------------------
+
+@st.composite
+def _fields(draw):
+    """A field of odd degree 3..21 (both sides of the 512-element table
+    limit) under the first irreducible modulus at or after a random one."""
+    m = draw(st.integers(1, 10))
+    d = 2 * m + 1
+    cand = (1 << d) | (draw(st.integers(0, (1 << (d - 1)) - 1)) << 1) | 1
+    while not is_irreducible(cand):
+        cand = cand + 2 if cand + 2 < 1 << (d + 1) else (1 << d) | 1
+    return Field(m, modulus=cand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_field_axioms_on_a_random_modulus(data):
+    f = data.draw(_fields())
+    a, b, c = (f.element(data.draw(st.integers(0, f.q - 1))) for _ in range(3))
+    k = data.draw(st.integers(1, 3 * f.q))
+    assert (a * b).bits == _schoolbook_mul(a.bits, b.bits, f.modulus, f.degree)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a.twist().twist() == a * a
+    assert (a * b).twist() == a.twist() * b.twist()
+    if a:
+        assert a * a.inv() == f.one
+        assert a ** (f.q - 1) == f.one
+        assert a ** -1 == a.inv()
+        assert a ** k * a ** -k == f.one
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mat4_inverse_and_encoding_on_a_random_modulus(data):
+    f = data.draw(_fields())
+    el = st.integers(0, f.q - 1).map(f.element)
+    factor = st.one_of(
+        st.tuples(el, el).map(lambda ab: make_w(*ab)),
+        st.integers(1, f.q - 1).map(lambda bits: torus_element(f, f.element(bits))),
+        st.just(weyl_element(f)))
+    x = reduce(mul, data.draw(st.lists(factor, min_size=1, max_size=6)))
+    assert x * x.inv() == Mat4.identity(f)
+    assert Mat4.decode(f, x.encode()) == x

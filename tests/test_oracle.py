@@ -19,6 +19,7 @@ from szq.oracle import (
     SubgroupNotFoundError,
     build_suzuki_table,
     centralizer,
+    cyclic_subgroup,
     empirical_order_stats,
     enumerate_group,
     find_cyclic_subgroup,
@@ -241,6 +242,17 @@ def test_find_cyclic_subgroups(sz8):
 def test_find_cyclic_subgroup_missing_order(sz8):
     with pytest.raises(SubgroupNotFoundError):
         find_cyclic_subgroup(sz8.table, 3)
+
+
+@pytest.mark.parametrize("wrong", [26, 5])
+def test_cyclic_subgroup_refuses_a_wrong_order(sz8, wrong):
+    # A multiple of the true order would give a handle with too few members;
+    # a proper divisor would give a set that is no subgroup.
+    table = sz8.table
+    x = table.sorted_keys()[table.orders().index(13)]
+    assert len(cyclic_subgroup(table, x, 13).members) == 13
+    with pytest.raises(ValueError, match="order"):
+        cyclic_subgroup(table, x, wrong)
 
 
 def test_normalizer_indices(sz8):
