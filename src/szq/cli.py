@@ -141,8 +141,8 @@ def _check_scale(params: SuzukiParams, args: argparse.Namespace) -> None:
             f"{args.oracle_limit}; raise --oracle-limit to opt in")
     if params.m > 1 and not args.allow_big:
         raise ScaleRefusal(
-            f"oracle runs beyond q=8 enumerate {params.group_order} matrices; "
-            "pass --allow-big to opt in")
+            f"oracle runs beyond q=8 enumerate {params.group_order} permutations of "
+            f"the {params.q * params.q + 1} ovoid points; pass --allow-big to opt in")
 
 
 def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
@@ -266,7 +266,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = normalizer(table, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    w_handle = SubgroupHandle(frozenset(map(table.key, wt.by_key.values())), wt.size)
+    w_handle = SubgroupHandle(frozenset(map(table.key, map(wt.element, wt.by_key))), wt.size)
     nw = normalizer(table, w_handle)
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))

@@ -104,6 +104,12 @@ def find_modulus(m: int) -> int:
 # Field and elements
 # ---------------------------------------------------------------------------
 
+def _require_int(name: str, value: object) -> None:
+    # bool is an int subclass, but Field(True) is a typo, not GF(8).
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
 class Field:
     """GF(2^(2m+1)) under a fixed irreducible modulus.
 
@@ -117,6 +123,9 @@ class Field:
     """
 
     def __init__(self, m: int, modulus: int | None = None) -> None:
+        _require_int("m", m)
+        if modulus is not None:
+            _require_int("modulus", modulus)
         if m < 1:
             raise ValueError("m must be >= 1 (field order 2^(2m+1) >= 8)")
         self.m = m

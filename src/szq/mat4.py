@@ -2,9 +2,12 @@
 
 Entries are stored row-major as a flat tuple of 16 raw bit-polynomials, which
 makes matrices hashable and comparison cheap; wrapped ``FieldElement`` views
-are produced on demand.  The multiply kernel is unrolled and reads straight
-from the field's multiplication table when one exists, because closure
-enumeration and order censuses push millions of products through it.
+are produced on demand.  That tuple is also the key under which the oracle's
+closure tables store an element: a table keeps the tuples alone, and
+``Mat4._make(field, entries)`` puts a matrix back around one without copying
+it.  The product is unrolled inside ``__mul__`` and reads straight from the
+field's multiplication table when one exists, because closure enumeration and
+order censuses push millions of products through it.
 """
 
 from __future__ import annotations
@@ -20,34 +23,6 @@ class SingularMatrixError(ValueError):
 
 class OrderNotFoundError(LookupError):
     """No power within the hinted divisors (or the bound) equals the identity."""
-
-
-def _mul_table_kernel(x: Sequence[int], y: Sequence[int], mul: list[list[int]]) -> tuple[int, ...]:
-    # Unrolled 4x4 product; mul is the q*q field multiplication table.
-    x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = x
-    y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = y
-    r0, r1, r2, r3 = mul[x0], mul[x1], mul[x2], mul[x3]
-    r4, r5, r6, r7 = mul[x4], mul[x5], mul[x6], mul[x7]
-    r8, r9, r10, r11 = mul[x8], mul[x9], mul[x10], mul[x11]
-    r12, r13, r14, r15 = mul[x12], mul[x13], mul[x14], mul[x15]
-    return (
-        r0[y0] ^ r1[y4] ^ r2[y8] ^ r3[y12],
-        r0[y1] ^ r1[y5] ^ r2[y9] ^ r3[y13],
-        r0[y2] ^ r1[y6] ^ r2[y10] ^ r3[y14],
-        r0[y3] ^ r1[y7] ^ r2[y11] ^ r3[y15],
-        r4[y0] ^ r5[y4] ^ r6[y8] ^ r7[y12],
-        r4[y1] ^ r5[y5] ^ r6[y9] ^ r7[y13],
-        r4[y2] ^ r5[y6] ^ r6[y10] ^ r7[y14],
-        r4[y3] ^ r5[y7] ^ r6[y11] ^ r7[y15],
-        r8[y0] ^ r9[y4] ^ r10[y8] ^ r11[y12],
-        r8[y1] ^ r9[y5] ^ r10[y9] ^ r11[y13],
-        r8[y2] ^ r9[y6] ^ r10[y10] ^ r11[y14],
-        r8[y3] ^ r9[y7] ^ r10[y11] ^ r11[y15],
-        r12[y0] ^ r13[y4] ^ r14[y8] ^ r15[y12],
-        r12[y1] ^ r13[y5] ^ r14[y9] ^ r15[y13],
-        r12[y2] ^ r13[y6] ^ r14[y10] ^ r15[y14],
-        r12[y3] ^ r13[y7] ^ r14[y11] ^ r15[y15],
-    )
 
 
 def _mul_fn_kernel(x: Sequence[int], y: Sequence[int], mul) -> tuple[int, ...]:
@@ -78,17 +53,18 @@ class Mat4:
                 vals.append(e)
         if len(vals) != 16:
             raise ValueError(f"need 16 entries, got {len(vals)}")
-        object.__setattr__(self, "entries", tuple(vals))
-        object.__setattr__(self, "field", field)
+        _set_entries(self, tuple(vals))
+        _set_field(self, field)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mat4 is immutable")
 
     @classmethod
     def _make(cls, field: Field, entries: tuple[int, ...]) -> "Mat4":
-        m = object.__new__(cls)
-        object.__setattr__(m, "entries", entries)
-        object.__setattr__(m, "field", field)
+        """A matrix on an entry tuple taken as it is: no copy, no range check."""
+        m = _new(cls)
+        _set_entries(m, entries)
+        _set_field(m, field)
         return m
 
     @classmethod
@@ -112,10 +88,39 @@ class Mat4:
         f = self.field
         if other.field is not f and other.field != f:
             raise FieldMismatchError("matrices over different fields")
-        table = f._mul_table
-        if table is not None:
-            return Mat4._make(f, _mul_table_kernel(self.entries, other.entries, table))
-        return Mat4._make(f, _mul_fn_kernel(self.entries, other.entries, f._mul))
+        mul = f._mul_table
+        if mul is None:
+            entries = _mul_fn_kernel(self.entries, other.entries, f._mul)
+        else:
+            # Unrolled 4x4 product over the q x q multiplication table.
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = self.entries
+            y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = other.entries
+            r0, r1, r2, r3 = mul[x0], mul[x1], mul[x2], mul[x3]
+            r4, r5, r6, r7 = mul[x4], mul[x5], mul[x6], mul[x7]
+            r8, r9, r10, r11 = mul[x8], mul[x9], mul[x10], mul[x11]
+            r12, r13, r14, r15 = mul[x12], mul[x13], mul[x14], mul[x15]
+            entries = (
+                r0[y0] ^ r1[y4] ^ r2[y8] ^ r3[y12],
+                r0[y1] ^ r1[y5] ^ r2[y9] ^ r3[y13],
+                r0[y2] ^ r1[y6] ^ r2[y10] ^ r3[y14],
+                r0[y3] ^ r1[y7] ^ r2[y11] ^ r3[y15],
+                r4[y0] ^ r5[y4] ^ r6[y8] ^ r7[y12],
+                r4[y1] ^ r5[y5] ^ r6[y9] ^ r7[y13],
+                r4[y2] ^ r5[y6] ^ r6[y10] ^ r7[y14],
+                r4[y3] ^ r5[y7] ^ r6[y11] ^ r7[y15],
+                r8[y0] ^ r9[y4] ^ r10[y8] ^ r11[y12],
+                r8[y1] ^ r9[y5] ^ r10[y9] ^ r11[y13],
+                r8[y2] ^ r9[y6] ^ r10[y10] ^ r11[y14],
+                r8[y3] ^ r9[y7] ^ r10[y11] ^ r11[y15],
+                r12[y0] ^ r13[y4] ^ r14[y8] ^ r15[y12],
+                r12[y1] ^ r13[y5] ^ r14[y9] ^ r15[y13],
+                r12[y2] ^ r13[y6] ^ r14[y10] ^ r15[y14],
+                r12[y3] ^ r13[y7] ^ r14[y11] ^ r15[y15],
+            )
+        m = _new(Mat4)
+        _set_entries(m, entries)
+        _set_field(m, f)
+        return m
 
     def __pow__(self, k: int) -> "Mat4":
         if k < 0:
@@ -194,6 +199,13 @@ class Mat4:
     def __repr__(self) -> str:
         rows = [" ".join(f"{v:x}" for v in self.entries[4 * r:4 * r + 4]) for r in range(4)]
         return "Mat4[" + " | ".join(rows) + "]"
+
+
+# The slots' own setters bypass the immutability guard in ``__setattr__``;
+# only constructors use them.
+_new = object.__new__
+_set_entries = Mat4.entries.__set__
+_set_field = Mat4.field.__set__
 
 
 def element_order(mat: Mat4, hint_orders: Iterable[int] = (), bound: int | None = None) -> int:

@@ -6,12 +6,13 @@ subgroups, normalizers and centralizers by direct scan, and verifies that the
 conjugates of the four reference subgroups cover every nontrivial element
 exactly once.
 
-Every table keys its elements by a hashable key and addresses them by one
-number, their ``position`` in ``sorted_keys()``.  Two carriers share that
-interface:
+Every table keys its elements by a hashable key, stores nothing but those
+keys (``by_key`` maps each to itself), and addresses them by one number, their
+``position`` in ``sorted_keys()``.  Two carriers share that interface:
 
 * ``enumerate_group`` closes any set of matrices and keys each element by its
-  entry tuple; such a table closes and counts (``orders()``);
+  entry tuple; such a table closes and counts (``orders()``), and
+  ``element(key)`` rebuilds a matrix from its key on demand;
 * ``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid and
   keys each element by the ``bytes`` permutation it induces there
   (``OvoidTable``), so a product is one ``bytes.translate``.  Only this table
@@ -19,7 +20,8 @@ interface:
   it alone.
 
 Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
-matrix becomes a table key.
+matrix becomes a table key, and ``table.element(key)`` the one place where a
+key of a matrix table becomes a matrix again.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -30,7 +32,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
-from functools import reduce
+from functools import partial, reduce
 from operator import attrgetter, mul, xor
 from typing import Callable, Hashable, Iterable, Iterator, KeysView, Sequence
 
@@ -66,48 +68,56 @@ class SubgroupNotFoundError(LookupError):
     """No element of the requested order exists in the table."""
 
 
-def _walk(seeds: Iterable, moves: Sequence, act: Callable, key: Callable[..., Hashable],
-          limit: int | None = None) -> dict:
-    """Breadth-first closure of ``seeds`` under ``act(x, move)``: {key(x): x}.
-
-    The one walker behind every closure in this module.  Raises
-    ClosureLimitError as soon as the element count would exceed ``limit``.
-    """
-    seen = {key(s): s for s in seeds}
-    frontier = list(seen.values())
-    while frontier:
-        new = []
-        for a in frontier:
-            for g in moves:
-                b = act(a, g)
-                k = key(b)
-                if k not in seen:
-                    if limit is not None and len(seen) >= limit:
-                        raise ClosureLimitError(f"closure exceeds limit {limit}")
-                    seen[k] = b
-                    new.append(b)
-        frontier = new
-    return seen
-
-
 def _itself(x: Key) -> Key:
     return x
 
 
+def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
+          key: Callable[..., Hashable] = _itself, limit: int | None = None,
+          lift: Callable[[Hashable], object] | None = None) -> dict:
+    """Breadth-first closure of the keys ``seeds``: {key: key} for every key
+    reached.
+
+    The one walker behind every closure in this module.  It stores keys only,
+    in the result and in the frontier: each frontier key becomes an element
+    once, ``lift(k)`` (the key itself without ``lift``), whose images
+    ``act(x, move)`` are keyed by ``key``.  Raises ClosureLimitError as soon
+    as the element count would exceed ``limit``.
+    """
+    # Keys, not elements, wait in the frontier: as Mat4s, a whole level would
+    # stay alive, and the cyclic collector would traverse it at each of its
+    # full passes.
+    seen = {s: s for s in seeds}
+    frontier = list(seen)
+    while frontier:
+        new = []
+        for a in frontier if lift is None else map(lift, frontier):
+            for g in moves:
+                kb = key(act(a, g))
+                if kb not in seen:
+                    if limit is not None and len(seen) >= limit:
+                        raise ClosureLimitError(f"closure exceeds limit {limit}")
+                    seen[kb] = kb
+                    new.append(kb)
+        frontier = new
+    return seen
+
+
 @dataclass
 class ElementTable:
-    """A fully enumerated group: ``by_key`` maps each element's key to the
-    element, and ``position(key)`` is the key's place in ``sorted_keys()``, so
-    the order census and the inverses are arrays over positions.
+    """A fully enumerated group: ``by_key`` holds each element's key, mapped
+    to itself, and ``position(key)`` is the key's place in ``sorted_keys()``,
+    so the order census and the inverses are arrays over positions.
 
-    The keys are the matrices' entry tuples; ``OvoidTable`` changes the
-    carrier by overriding ``key``, ``mul`` and ``identity`` and adds the
-    conjugations the scans use.  The lazily filled caches take no part in
-    ``==``.
+    The keys are the matrices' entry tuples, and no matrix is kept:
+    ``element(key)`` rebuilds one on demand.  ``OvoidTable`` changes the
+    carrier by overriding ``key``, ``element``, ``mul`` and ``identity`` and
+    adds the conjugations the scans use.  The lazily filled caches take no
+    part in ``==``.
     """
 
     field: Field
-    by_key: dict[Key, object]
+    by_key: dict[Key, Key]
     generators: list[Mat4]
     _sorted_keys: list[Key] | None = dc_field(
         default=None, init=False, repr=False, compare=False)
@@ -129,6 +139,13 @@ class ElementTable:
     def key(self, mat: Mat4) -> Key:
         """The key of a matrix of the group."""
         return mat.entries
+
+    def element(self, key: Key) -> Mat4:
+        """The matrix keyed ``key``, rebuilt around its entry tuple;
+        ValueError for a key outside the table."""
+        if key not in self.by_key:
+            raise ValueError("element is not in the table")
+        return Mat4._make(self.field, key)
 
     def mul(self, a: Key, b: Key) -> Key:
         """The key of the product of the elements keyed a and b."""
@@ -247,6 +264,13 @@ class OvoidTable(ElementTable):
         except KeyError:
             raise ValueError("matrix does not map the ovoid to itself") from None
 
+    def element(self, key: bytes) -> bytes:
+        """The permutation keyed ``key``, which is the key itself; ValueError
+        for a key outside the table."""
+        if key not in self.by_key:
+            raise ValueError("element is not in the table")
+        return key
+
     def mul(self, a: bytes, b: bytes) -> bytes:
         return a.translate(b + self._pad)
 
@@ -284,8 +308,11 @@ class SubgroupHandle:
 def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     """Breadth-first closure of the generators, starting from the identity.
 
-    Raises ClosureLimitError as soon as the element count would exceed
-    ``limit`` (wrong generators or wrong limit).
+    The table keeps entry tuples only.  Each new element is lifted to a
+    ``Mat4`` once and multiplied by every generator, so a closure of n
+    elements makes n * len(generators) products.  Raises ClosureLimitError
+    as soon as the element count would exceed ``limit`` (wrong generators or
+    wrong limit).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -293,7 +320,8 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     for g in generators[1:]:
         if g.field != f:
             raise ValueError("generators live in different fields")
-    by_key = _walk([Mat4.identity(f)], generators, mul, _entries, limit)
+    by_key = _walk([Mat4.identity(f).entries], generators, mul, _entries, limit,
+                   partial(Mat4._make, f))
     return ElementTable(field=f, by_key=by_key, generators=list(generators))
 
 
@@ -320,14 +348,14 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
             f"permutations hold at most {MAX_POINTS}; an oracle for q >= 32 needs "
             "the stabilizer chain of ROADMAP item 3")
     gens = candidate_generators(params, field)
-    orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g), _itself)
+    orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
     if len(orbit) != n_points:
         raise CertificationError(
             f"the orbit of <e1> has {len(orbit)} points, expected q^2 + 1 = {n_points}")
     table = OvoidTable(field, {}, gens, sorted(orbit))
     moves = [table.key(g) + table._pad for g in gens]
     try:
-        table.by_key = _walk([table.identity], moves, bytes.translate, _itself,
+        table.by_key = _walk([table.identity], moves, bytes.translate,
                              limit=params.group_order)
     except ClosureLimitError as e:
         raise CertificationError(
@@ -462,7 +490,7 @@ def _orbit(table: OvoidTable, members: frozenset[bytes],
     def conjugate(sub: frozenset[int], c: array) -> frozenset[int]:
         return frozenset(map(c.__getitem__, sub))
 
-    return _walk([frozenset(map(table.position, members))], moves, conjugate, _itself).keys()
+    return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
 
 
 def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport:

@@ -241,6 +241,19 @@ def test_field_rejects_bad_moduli():
         Field(0)
 
 
+@pytest.mark.parametrize("args", [
+    (True,), (False,), (1.0,), ("1",), (None,),
+    (1, 11.0), (1, True), (1, "0xb"),
+], ids=["m=True", "m=False", "m=1.0", "m='1'", "m=None",
+        "modulus=11.0", "modulus=True", "modulus='0xb'"])
+def test_field_refuses_a_non_int_argument(args):
+    # Refused by type before any arithmetic: a bool is not coerced to 0 or 1,
+    # and a float or a string fails with this message, not inside << or
+    # bit_length.
+    with pytest.raises(TypeError, match="must be an int"):
+        Field(*args)
+
+
 def test_primitive_element_is_smallest_generator(f8, f32):
     for f in (f8, f32):
         g = f.primitive_element()

@@ -115,7 +115,7 @@ def test_decode_validates(f8):
 
 
 def test_encode_injective_on_full_group(sz8_matrices):
-    assert len({g.encode() for g in sz8_matrices.by_key.values()}) == 29120
+    assert len({sz8_matrices.element(k).encode() for k in sz8_matrices.by_key}) == 29120
 
 
 # -- element order ----------------------------------------------------------
@@ -191,7 +191,7 @@ def test_order_is_conjugation_invariant(sz8_matrices):
     rng = random.Random(1234)
     hints = (4, 7, 5, 13)
     for _ in range(1000):
-        x = sz8_matrices.by_key[rng.choice(keys)]
-        g = sz8_matrices.by_key[rng.choice(keys)]
+        x = sz8_matrices.element(rng.choice(keys))
+        g = sz8_matrices.element(rng.choice(keys))
         conj = (g * x) * g.inv()
         assert element_order(conj, hints) == element_order(x, hints)

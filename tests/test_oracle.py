@@ -3,14 +3,14 @@
 import json
 import random
 from functools import reduce
-from operator import mul
+from operator import attrgetter, mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from szq.cli import main
 from szq.field import Field
-from szq.group import make_w, w_generators
+from szq.group import candidate_generators, make_params, make_w, w_generators
 from szq.mat4 import Mat4, element_order
 from szq.oracle import (
     MAX_POINTS,
@@ -76,6 +76,73 @@ def test_closure_size_certified(sz8):
     assert sz8.table.size == 29120
 
 
+@pytest.mark.parametrize("m", [1, 2], ids=["q=8", "q=32"])
+def test_borel_closure_makes_one_product_per_element_and_generator(monkeypatch, m):
+    # Each element of B = W T, |B| = q^2 (q - 1), is lifted to a Mat4 once
+    # and multiplied by each of the three generators: 3 |B| products.
+    params = make_params(m)
+    gens = candidate_generators(params, Field(m))[:3]
+    order = params.q ** 2 * (params.q - 1)
+    calls = 0
+    product = Mat4.__mul__
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Mat4, "__mul__", counted)
+    table = enumerate_group(gens, limit=order)
+    assert table.size == len(table.sorted_keys()) == order
+    assert calls == 3 * order
+
+
+def mat4_closure(gens):
+    """Breadth-first closure over Mat4 objects: the reference the key-only
+    walk is compared with."""
+    one = Mat4.identity(gens[0].field)
+    seen, frontier = {one}, [one]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in gens:
+                b = a * g
+                if b not in seen:
+                    seen.add(b)
+                    new.append(b)
+        frontier = new
+    return seen
+
+
+@pytest.mark.parametrize("group", ["w-q32", "sz8"])
+def test_key_only_table_matches_a_walk_over_matrices(request, group):
+    if group == "sz8":
+        table, hints = request.getfixturevalue("sz8_matrices"), (2, 4, 5, 7, 13)
+    else:
+        table, hints = enumerate_group(w_generators(Field(2)), limit=1024), (2, 4)
+    ref = sorted(mat4_closure(table.generators), key=attrgetter("entries"))
+    keys = table.sorted_keys()
+    assert keys == [x.entries for x in ref]
+    assert table.by_key.keys() == set(keys)
+    assert all(v is k for k, v in table.by_key.items())  # no Mat4 is kept
+    orders, inverses = table.orders(), table.inverses()
+    for i, x in enumerate(ref):
+        assert table.element(keys[i]).entries == keys[i]
+        assert orders[i] == element_order(x, hints)
+        assert keys[inverses[i]] == x.inv().entries
+    with pytest.raises(ValueError):
+        table.element(Mat4.diagonal(table.field, [1, 1, 1, 0]).entries)
+
+
+def test_an_ovoid_element_is_its_permutation(sz8):
+    table = sz8.table
+    assert all(v is k for k, v in table.by_key.items())
+    key = table.key(sz8.generators[3])
+    assert table.element(key) is key
+    with pytest.raises(ValueError):
+        table.element(bytes(65))  # not a permutation
+
+
 # -- census -------------------------------------------------------------------
 
 def test_census_is_the_closed_form(sz8):
@@ -123,7 +190,7 @@ def test_power_pass_matches_element_order_and_inv(sz8_matrices, params8):
     orders, keys = table.orders(), table.sorted_keys()
     assert len(orders) == table.size
     for i in random.Random(2024).sample(range(table.size), 500):
-        x = table.by_key[keys[i]]
+        x = table.element(keys[i])
         assert orders[i] == element_order(x, hints)
         assert x ** (orders[i] - 1) == x.inv()
 
@@ -134,7 +201,7 @@ def test_power_pass_on_w_at_q32():
     orders = wt.orders()
     assert len(orders) == wt.size
     for i, key in enumerate(wt.sorted_keys()):
-        x = wt.by_key[key]
+        x = wt.element(key)
         assert orders[i] == element_order(x, (4,))
         assert x ** (orders[i] - 1) == x.inv()
 
@@ -147,7 +214,7 @@ def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matric
     orders, inverses, keys = table.orders(), table.inverses(), table.sorted_keys()
     mats = sz8_matrices.sorted_keys()
     for entries in random.Random(2025).sample(mats, 300):
-        x = sz8_matrices.by_key[entries]
+        x = sz8_matrices.element(entries)
         i = table.position(table.key(x))
         assert orders[i] == element_order(x, hints)
         assert keys[inverses[i]] == table.key(x.inv())
@@ -264,7 +331,7 @@ def test_normalizer_indices(sz8):
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
-    handle = SubgroupHandle(frozenset(map(sz8.table.key, wt.by_key.values())), wt.size)
+    handle = SubgroupHandle(frozenset(map(sz8.table.key, map(wt.element, wt.by_key))), wt.size)
     n = normalizer(sz8.table, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65

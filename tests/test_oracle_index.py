@@ -41,28 +41,26 @@ from szq.oracle import (
 # -- the product-based reference ---------------------------------------------------
 
 def gauss_jordan_inverses(table):
-    return {key: x.inv() for key, x in table.by_key.items()}
+    return {key: table.element(key).inv() for key in table.by_key}
 
 
 def ref_normalizer(table, gens, members, inv):
     """Entry tuples of all g in a matrix table with g h g^-1 in ``members``
     for every Mat4 h in ``gens``."""
     return frozenset(key for key in table.sorted_keys()
-                     if all(((table.by_key[key] * h) * inv[key]).entries in members
+                     if all(((table.element(key) * h) * inv[key]).entries in members
                             for h in gens))
 
 
 def ref_centralizer(table, x):
     return frozenset(key for key in table.sorted_keys()
-                     if table.by_key[key] * x == x * table.by_key[key])
+                     if table.element(key) * x == x * table.element(key))
 
 
 def ref_conjugate_orbit(table, members):
-    by_key = table.by_key
-
     def conjugate(sub, move):
         g, gi = move
-        return frozenset(by_key[(g * by_key[k] * gi).entries].entries for k in sub)
+        return frozenset(table.by_key[(g * table.element(k) * gi).entries] for k in sub)
 
     moves = [(g, g.inv()) for g in table.generators]
     return sorted(_walk([members], moves, conjugate, lambda sub: sub), key=sorted)
@@ -100,13 +98,13 @@ def _class(world, name):
         assert enumerate_group(gens, limit=64).size == 64
         return gens, frozenset(w.entries for w in w_elements(f))
     h = find_cyclic_subgroup(m, getattr(p, name))
-    return [m.by_key[h.cyclic_generator]], h.members
+    return [m.element(h.cyclic_generator)], h.members
 
 
 def assert_scans_agree(world, name):
     ovoid, matrices = world.ovoid, world.matrices
     gens, members = _class(world, name)
-    to_key = lambda entries: ovoid.key(matrices.by_key[entries])  # noqa: E731
+    to_key = lambda entries: ovoid.key(matrices.element(entries))  # noqa: E731
     sub = SubgroupHandle(frozenset(map(to_key, members)), len(members),
                          ovoid.key(gens[0]) if len(gens) == 1 else None)
     want = ref_normalizer(matrices, gens, members, world.inverses)
