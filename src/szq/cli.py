@@ -17,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Callable
 from datetime import datetime, timezone
 from functools import cache
 
@@ -31,18 +32,16 @@ from .group import (
 )
 from .oracle import (
     ScaleRefusal,
-    SubgroupHandle,
     build_suzuki_table,
     centralizer,
     empirical_order_stats,
-    enumerate_group,
     find_cyclic_subgroup,
     normalizer,
+    subgroup,
     verify_partition,
 )
 from .orderstats import (
     OrderStats,
-    Spectrum,
     factorize,
     frobenius_check,
     nse_closed_form,
@@ -54,16 +53,22 @@ from .orderstats import (
 DEFAULT_ORACLE_LIMIT = 1 << 25
 
 
-def _hex_modulus(text: str) -> int:
-    """The ``--modulus`` value: a hex bit-string such as 0xb.  Its degree and
-    irreducibility are checked where the field is built."""
-    try:
-        modulus = int(text, 16)
-        if modulus >= 0:
-            return modulus
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"not a hex bit-string: {text!r}")
+def _nonnegative(base: int, what: str) -> Callable[[str], int]:
+    """An argparse type for an integer >= 0 written in ``base``; a modulus's
+    degree and irreducibility are checked where the field is built."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text, base)
+            if value >= 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
+    return parse
+
+
+_hex_modulus = _nonnegative(16, "a hex bit-string")
+_oracle_limit = _nonnegative(10, "a nonnegative integer")
 
 
 @cache
@@ -96,7 +101,7 @@ def _parser() -> argparse.ArgumentParser:
                        default="closed-form")
     p_nse.add_argument("--modulus", type=_hex_modulus,
                        help="field modulus override, hex bit-string (e.g. 0xb)")
-    p_nse.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p_nse.add_argument("--oracle-limit", type=_oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     p_nse.add_argument("--allow-big", action="store_true",
                        help="permit oracle runs beyond q=8")
     p_nse.set_defaults(func=cmd_nse)
@@ -105,7 +110,7 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--modulus", type=_hex_modulus,
                           help="field modulus override, hex bit-string")
-    p_verify.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT)
+    p_verify.add_argument("--oracle-limit", type=_oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     p_verify.add_argument("--allow-big", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -189,15 +194,10 @@ def cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
-def _oracle_stats(params: SuzukiParams, args: argparse.Namespace) -> OrderStats:
-    _check_scale(params, args)
-    field = Field(params.m, modulus=args.modulus)
-    _, table = build_suzuki_table(params, field)  # ScaleRefusal -> 3, CertificationError -> 4
-    return empirical_order_stats(table, spectrum_closed_form(params))
-
-
 def cmd_nse(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
+    # A bad modulus is a usage error whatever the source, found before any work.
+    field = None if args.modulus is None else Field(p.m, modulus=args.modulus)
     payload: dict = {"m": p.m, "q": str(p.q), "source": args.source}
     lines: list[str] = []
     rc = 0
@@ -206,7 +206,10 @@ def cmd_nse(args: argparse.Namespace) -> int:
         payload["closed_form"] = closed.to_json_dict()
         lines += _stats_lines(closed, f"closed-form order counts for Sz({p.q})")
     if args.source in ("oracle", "both"):
-        oracle_stats = _oracle_stats(p, args)
+        _check_scale(p, args)
+        # ScaleRefusal -> 3, CertificationError -> 4
+        _, table = build_suzuki_table(p, Field(p.m) if field is None else field)
+        oracle_stats = empirical_order_stats(table, spectrum_closed_form(p))
         payload["oracle"] = oracle_stats.to_json_dict()
         lines += _stats_lines(oracle_stats, f"oracle census for Sz({p.q})")
     if args.source == "both":
@@ -246,13 +249,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    wt = enumerate_group(w_generators(field), limit=p.w_order)
-    wstats = empirical_order_stats(wt, Spectrum.from_values((4,)))
+    w = subgroup(table, map(table.key, w_generators(field)), limit=p.w_order)
+    w_orders = [table.orders()[table.position(k)] for k in w.members]
+    involutions = w_orders.count(2)
     checks.append(("w_subgroup",
-                   wt.size == p.w_order and max(wstats.counts) == 4
-                   and wstats.counts.get(2, 0) == p.q - 1,
-                   f"|W| = {wt.size}, exponent {max(wstats.counts)}, "
-                   f"{wstats.counts.get(2, 0)} involutions"))
+                   w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
+                   f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
 
     partition = verify_partition(table, p)
     checks.append(("partition", partition.passed,
@@ -266,8 +268,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = normalizer(table, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    w_handle = SubgroupHandle(frozenset(map(table.key, map(wt.element, wt.by_key))), wt.size)
-    nw = normalizer(table, w_handle)
+    nw = normalizer(table, w)
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))
 

@@ -17,11 +17,13 @@ keys (``by_key`` maps each to itself), and addresses them by one number, their
   keys each element by the ``bytes`` permutation it induces there
   (``OvoidTable``), so a product is one ``bytes.translate``.  Only this table
   conjugates, so ``normalizer``, ``centralizer`` and ``verify_partition`` scan
-  it alone.
+  it alone, and ``subgroup`` closes W inside it: ``verify`` needs no matrix
+  table.
 
 Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
-matrix becomes a table key, and ``table.element(key)`` the one place where a
-key of a matrix table becomes a matrix again.
+matrix becomes a table key (for the ovoid table, the matrix's point action),
+and ``table.element(key)`` the one place where a key of a matrix table becomes
+a matrix again.
 
 Everything here is deliberately dumb and exact: this module is the oracle the
 closed forms are tested against, so it must not share their shortcuts.
@@ -32,8 +34,8 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
-from functools import partial, reduce
-from operator import attrgetter, mul, xor
+from functools import partial
+from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, KeysView, Sequence
 
 from .field import Field
@@ -43,7 +45,7 @@ from .group import (
     SuzukiParams,
     candidate_generators,
     closed_form_subgroup_counts,
-    w_elements,
+    w_generators,
 )
 from .mat4 import Mat4, OrderNotFoundError
 from .orderstats import OrderStats, Spectrum
@@ -212,12 +214,15 @@ class ElementTable:
 
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     """The projective point <point * mat> (a row vector times the matrix),
-    scaled so that its first nonzero coordinate is 1."""
-    fmul, e = field._mul, mat.entries
-    image = [reduce(xor, [fmul(c, e[4 * i + j]) for i, c in enumerate(point)])
-             for j in range(4)]
-    scale = field._inv(next((c for c in image if c), 0))
-    return tuple(fmul(scale, c) for c in image)
+    scaled so that its first nonzero coordinate is 1; a zero image comes back
+    as it is, and names no point."""
+    m, (x0, x1, x2, x3), e = field._mul, point, mat.entries
+    image = (m(x0, e[0]) ^ m(x1, e[4]) ^ m(x2, e[8]) ^ m(x3, e[12]),
+             m(x0, e[1]) ^ m(x1, e[5]) ^ m(x2, e[9]) ^ m(x3, e[13]),
+             m(x0, e[2]) ^ m(x1, e[6]) ^ m(x2, e[10]) ^ m(x3, e[14]),
+             m(x0, e[3]) ^ m(x1, e[7]) ^ m(x2, e[11]) ^ m(x3, e[15]))
+    scale = field._inv(next((c for c in image if c), 1))
+    return tuple(m(scale, c) for c in image)
 
 
 @dataclass
@@ -232,35 +237,19 @@ class OvoidTable(ElementTable):
 
     points: list[Point] = dc_field(repr=False)
     _pad: bytes = dc_field(init=False, repr=False, compare=False)
-    _columns: list[bytes] = dc_field(init=False, repr=False, compare=False)
-    _scaled: list[bytes] = dc_field(init=False, repr=False, compare=False)
     _number: dict[Point, int] = dc_field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        f, points = self.field, self.points
-        self._pad = bytes(256 - len(points))  # translate tables have 256 bytes
-        # _columns[i][k] is coordinate i of point k; _scaled[c] translates a
-        # column x to c x; _number numbers every nonzero multiple of a point.
-        self._columns = [bytes(p[i] for p in points) for i in range(4)]
-        self._scaled = [bytes(f._mul(c, x) for x in range(f.q)) + bytes(256 - f.q)
-                        for c in range(f.q)]
-        self._number = {tuple(f._mul(c, x) for x in p): k
-                        for k, p in enumerate(points) for c in range(1, f.q)}
+        self._pad = bytes(256 - len(self.points))  # translate tables have 256 bytes
+        self._number = {p: k for k, p in enumerate(self.points)}
 
     def key(self, mat: Mat4) -> bytes:
-        """The permutation a matrix of Sz(q) induces on the ovoid; ValueError
-        for a matrix that does not map the ovoid to itself.
-
-        Column j of the images is the sum over i of column i of the points
-        times entry (i, j): one translate scales a whole column, and the sum
-        is the XOR of the columns read as integers.
-        """
-        e, n, scaled = mat.entries, len(self.points), self._scaled
-        images = [reduce(xor, [int.from_bytes(c.translate(scaled[e[4 * i + j]]), "big")
-                               for i, c in enumerate(self._columns)]).to_bytes(n, "big")
-                  for j in range(4)]
+        """The permutation a matrix of Sz(q) induces on the ovoid: byte k is
+        the number of the image of point k.  ValueError for a matrix that does
+        not map the ovoid to itself."""
+        f = self.field
         try:
-            return bytes(map(self._number.__getitem__, zip(*images)))
+            return bytes([self._number[_point_image(f, p, mat)] for p in self.points])
         except KeyError:
             raise ValueError("matrix does not map the ovoid to itself") from None
 
@@ -346,7 +335,7 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
         raise ScaleRefusal(
             f"Sz({params.q}) acts on {n_points} ovoid points, but the oracle's byte "
             f"permutations hold at most {MAX_POINTS}; an oracle for q >= 32 needs "
-            "the stabilizer chain of ROADMAP item 3")
+            "a stabilizer chain")
     gens = candidate_generators(params, field)
     orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
     if len(orbit) != n_points:
@@ -399,6 +388,13 @@ def cyclic_subgroup(table: ElementTable, generator: Key, order: int) -> Subgroup
     if cur != table.identity or len(members) != order:
         raise ValueError(f"the generator does not have order {order}")
     return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
+
+
+def subgroup(table: ElementTable, generators: Iterable[Key], limit: int) -> SubgroupHandle:
+    """The subgroup generated by the elements keyed ``generators``, closed
+    with the table's own product; ClosureLimitError past ``limit`` elements."""
+    members = _walk([table.identity], list(generators), table.mul, limit=limit)
+    return SubgroupHandle(frozenset(members), len(members))
 
 
 def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
@@ -496,17 +492,18 @@ def _orbit(table: OvoidTable, members: frozenset[bytes],
 def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport:
     """Conjugate one representative of each class and check the cover.
 
-    Representatives: the unitriangular subgroup {w(a, b)} of order q^2, and
-    cyclic subgroups of orders q+s+1, q-s+1 and q-1 dug out of the table.
+    Representatives: the unitriangular subgroup {w(a, b)} of order q^2,
+    closed inside the table, and cyclic subgroups of orders q+s+1, q-s+1
+    and q-1 dug out of it.
     The orbits are walked with one ``conjugation`` array per generator, except
     that a generator in the cyclic group of one kept before adds no move and
     is skipped (w(0, 1) = w(1, 0)^2 among the candidates).
     """
-    w_keys = frozenset(map(table.key, w_elements(table.field)))
-    if not w_keys <= table.by_key.keys():
+    w = subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
+    if not w.members <= table.by_key.keys():
         raise ValueError("table does not contain the unitriangular subgroup")
     reps = {
-        "w": w_keys,
+        "w": w.members,
         "u1": find_cyclic_subgroup(table, params.u1).members,
         "u2": find_cyclic_subgroup(table, params.u2).members,
         "v": find_cyclic_subgroup(table, params.v).members,

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from szq import cli
 from szq.cli import main
+from szq.field import Field
 from szq.gate import ProfileError, load_profile
 from szq.group import make_params
 from szq.mat4 import Mat4
@@ -161,7 +162,7 @@ def test_oracle_beyond_the_point_limit_is_refused(capsys, argv):
     assert perf_counter() - t0 < 1.0
     assert (rc, out) == (3, "")
     assert "1025 ovoid points" in err and "at most 256" in err
-    assert "ROADMAP item 3" in err
+    assert "stabilizer chain" in err
 
 
 def test_nse_modulus_override_does_not_change_closed_form(capsys):
@@ -171,6 +172,27 @@ def test_nse_modulus_override_does_not_change_closed_form(capsys):
                            "--output", "json", "--no-timestamp")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("nse", "--q", "8", "--modulus", "0x3"), "degree"),
+    (("nse", "--q", "8", "--modulus", "0x0"), "degree"),
+    (("nse", "--q", "32", "--modulus", "0x2b"), "reducible"),
+], ids=["wrong-degree", "zero", "reducible"])
+def test_nse_checks_the_modulus_whatever_the_source(capsys, argv, reason):
+    # The closed forms need no field, but a bad modulus is still a usage error.
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (2, "")
+    assert reason in err
+
+
+@pytest.mark.parametrize("command", ["nse", "verify"])
+def test_a_negative_oracle_limit_is_a_usage_error(capsys, command):
+    rc, out, err = run_cli(capsys, command, "--q", "8", "--oracle-limit", "-1")
+    assert (rc, out) == (2, "")
+    assert "not a nonnegative integer" in err
+    rc, out, _ = run_cli(capsys, command, "--q", "8", "--oracle-limit", "0")
+    assert rc == (0 if command == "nse" else 3)
 
 
 def test_nse_rejects_reducible_modulus(capsys):
@@ -250,13 +272,9 @@ def test_verify_modulus_override_gives_identical_counts(capsys):
     assert default == override
 
 
-# Mat4 products made by `szq verify --q 8`, measured at commit 94cdfe5 (closure,
-# power pass, the index's conjugation permutations and the cyclic subgroups).
-VERIFY_Q8_PRODUCTS = 323_030
-
-
 def test_verify_q8_stays_within_its_product_budget(capsys, monkeypatch):
-    # A scan that goes back to matrix products fails here, not only in the bench.
+    # verify works on ovoid permutations only: a scan or a closure that goes
+    # back to matrix products fails here, not only in the bench.
     calls = 0
     product = Mat4.__mul__
 
@@ -268,17 +286,27 @@ def test_verify_q8_stays_within_its_product_budget(capsys, monkeypatch):
     monkeypatch.setattr(Mat4, "__mul__", counted)
     rc, _, _ = run_cli(capsys, "verify", "--q", "8", "--output", "json", "--no-timestamp")
     assert rc == 0
-    assert 0 < calls <= VERIFY_Q8_PRODUCTS
+    assert calls == 0
+    one = Mat4.identity(Field(1))
+    assert one * one == one and calls == 1  # the counter counts
+
+
+_JSON = ("--output", "json", "--no-timestamp")
+_TABLE = ("--output", "table")
 
 
 @pytest.mark.parametrize("argv, golden", [
-    (("verify", "--q", "8", "--modulus", "0xd"), "verify_q8_0xd.json"),
-    (("nse", "--q", "8", "--source", "both"), "nse_q8_both.json"),
-], ids=["verify", "nse"])
+    (("verify", "--q", "8", "--modulus", "0xd", *_JSON), "verify_q8_0xd.json"),
+    (("nse", "--q", "8", "--source", "both", *_JSON), "nse_q8_both.json"),
+    (("verify", "--q", "8", *_JSON), "verify_q8.json"),
+    (("verify", "--q", "8", "--modulus", "0xd", *_TABLE), "verify_q8_0xd.txt"),
+    (("nse", "--q", "8", "--source", "both", *_TABLE), "nse_q8_both.txt"),
+], ids=["verify", "nse", "verify-default-modulus", "verify-table", "nse-table"])
 def test_oracle_json_matches_the_golden_file(capsys, argv, golden):
     # The golden files hold the product-based oracle's output, byte for byte,
-    # so a refactor of the oracle cannot change a count or a detail unnoticed.
-    rc, out, _ = run_cli(capsys, *argv, "--output", "json", "--no-timestamp")
+    # as JSON and as tables, so a refactor of the oracle cannot change a
+    # count or a detail unnoticed.
+    rc, out, _ = run_cli(capsys, *argv)
     assert rc == 0
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
@@ -415,8 +443,7 @@ def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
 
 # Valid and malformed values for every option of the four subcommands, as
 # (valid, malformed).  Any m whose closed forms get factored stays at or below
-# 20 (2^41 is q for m = 20): trial division hangs from m = 26 on, ROADMAP
-# item 4.
+# 20 (2^41 is q for m = 20): trial division hangs from m = 26 on.
 _VALUES = {
     "--m": (("1", "2", "20", "100000"), ("0", "-1", "1.5", "x", "")),
     "--q": (("8", "32", "2199023255552"), ("2", "16", "7", "0", "-8", "0x8")),

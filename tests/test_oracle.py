@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from szq.cli import main
 from szq.field import Field
-from szq.group import candidate_generators, make_params, make_w, w_generators
+from szq.group import candidate_generators, make_params, make_w, w_elements, w_generators
 from szq.mat4 import Mat4, element_order
 from szq.oracle import (
     MAX_POINTS,
@@ -24,6 +24,7 @@ from szq.oracle import (
     enumerate_group,
     find_cyclic_subgroup,
     normalizer,
+    subgroup,
 )
 from szq.orderstats import Spectrum, euler_phi, spectrum_closed_form
 
@@ -141,6 +142,26 @@ def test_an_ovoid_element_is_its_permutation(sz8):
     assert table.element(key) is key
     with pytest.raises(ValueError):
         table.element(bytes(65))  # not a permutation
+
+
+def test_a_singular_matrix_has_no_ovoid_key(sz8):
+    # diag(1, 1, 1, 0) sends the ovoid point <e4> to the zero vector, which
+    # names no point: a ValueError, not a division by zero while scaling.
+    table = sz8.table
+    assert len(table._number) == len(table.points) == 65
+    with pytest.raises(ValueError, match="ovoid"):
+        table.key(Mat4.diagonal(table.field, [1, 1, 1, 0]))
+
+
+@pytest.mark.parametrize("modulus", [0xb, 0xd], ids=["0xb", "0xd"])
+def test_w_closes_inside_the_ovoid_table(params8, modulus):
+    f = Field(1, modulus=modulus)
+    _, table = build_suzuki_table(params8, f)
+    w = subgroup(table, map(table.key, w_generators(f)), limit=64)
+    assert w.members == {table.key(x) for x in w_elements(f)}
+    assert w.order == 64 and w.cyclic_generator is None
+    with pytest.raises(ClosureLimitError):
+        subgroup(table, map(table.key, w_generators(f)), limit=63)
 
 
 # -- census -------------------------------------------------------------------
