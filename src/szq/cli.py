@@ -31,9 +31,11 @@ from .group import (
     w_generators,
 )
 from .oracle import (
+    MAX_POINTS,
     ScaleRefusal,
     build_suzuki_table,
     centralizer,
+    check_census_scale,
     empirical_order_stats,
     find_cyclic_subgroup,
     normalizer,
@@ -139,15 +141,24 @@ def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
     return make_params(m)
 
 
-def _check_scale(params: SuzukiParams, args: argparse.Namespace) -> None:
+def _check_scale(params: SuzukiParams, args: argparse.Namespace, *, scans: bool) -> None:
+    """Refuse an oracle run from the parameters alone, before any field is
+    built.  ``scans`` (verify) needs byte keys, so at most MAX_POINTS points."""
     if params.group_order > args.oracle_limit:
         raise ScaleRefusal(
             f"|Sz({params.q})| = {params.group_order} exceeds the oracle limit "
             f"{args.oracle_limit}; raise --oracle-limit to opt in")
+    n_points = params.q * params.q + 1
     if params.m > 1 and not args.allow_big:
         raise ScaleRefusal(
             f"oracle runs beyond q=8 enumerate {params.group_order} permutations of "
-            f"the {params.q * params.q + 1} ovoid points; pass --allow-big to opt in")
+            f"the {n_points} ovoid points; pass --allow-big to opt in")
+    check_census_scale(params)
+    if scans and n_points > MAX_POINTS:
+        raise ScaleRefusal(
+            f"Sz({params.q}) acts on {n_points} ovoid points, but the scans' byte "
+            f"permutations hold at most {MAX_POINTS}; the census alone "
+            "(nse --source oracle) runs on the stabilizer chain")
 
 
 def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
@@ -196,6 +207,8 @@ def cmd_params(args: argparse.Namespace) -> int:
 
 def cmd_nse(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
+    if args.source != "closed-form":
+        _check_scale(p, args, scans=False)
     # A bad modulus is a usage error whatever the source, found before any work.
     field = None if args.modulus is None else Field(p.m, modulus=args.modulus)
     payload: dict = {"m": p.m, "q": str(p.q), "source": args.source}
@@ -206,8 +219,7 @@ def cmd_nse(args: argparse.Namespace) -> int:
         payload["closed_form"] = closed.to_json_dict()
         lines += _stats_lines(closed, f"closed-form order counts for Sz({p.q})")
     if args.source in ("oracle", "both"):
-        _check_scale(p, args)
-        # ScaleRefusal -> 3, CertificationError -> 4
+        # CertificationError -> 4
         _, table = build_suzuki_table(p, Field(p.m) if field is None else field)
         oracle_stats = empirical_order_stats(table, spectrum_closed_form(p))
         payload["oracle"] = oracle_stats.to_json_dict()
@@ -231,11 +243,11 @@ def cmd_nse(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _check_scale(p, args)
+    _check_scale(p, args, scans=True)
     field = Field(p.m, modulus=args.modulus)
     checks: list[tuple[str, bool, str]] = []
 
-    gens, table = build_suzuki_table(p, field)  # ScaleRefusal -> 3, CertificationError -> 4
+    gens, table = build_suzuki_table(p, field)  # CertificationError -> 4
     checks.append(("generator_certification", True,
                    f"closure of 4 candidate generators has {table.size} elements"))
 

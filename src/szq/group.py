@@ -6,9 +6,9 @@ w(a, b), a candidate generating set for the whole group, and the closed-form
 conjugate counts of the partition classes.
 
 The generating set {w(1,0), w(0,1), d(lambda), tau} is a literature-informed
-candidate, not an axiom: ``standard_generators`` certifies it by enumerating
-the closure and comparing against |Sz(q)| = q^2 (q^2 + 1)(q - 1), and fails
-loudly on any mismatch.
+candidate, not an axiom: ``standard_generators`` certifies it by a
+stabilizer chain on the ovoid whose orbit lengths must multiply to
+|Sz(q)| = q^2 (q^2 + 1)(q - 1), and fails loudly on any mismatch.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ from .mat4 import Mat4
 
 
 class CertificationError(RuntimeError):
-    """A candidate generating set failed its closure-size certification."""
+    """A candidate generating set failed its size certification, or a table
+    built from it is not the group its products generate."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +141,8 @@ def candidate_generators(params: SuzukiParams, field: Field) -> list[Mat4]:
 
 def standard_generators(params: SuzukiParams, field: Field) -> list[Mat4]:
     """Certified generators of Sz(q): the candidate set, accepted only after
-    its closure enumerates to exactly q^2 (q^2 + 1)(q - 1) elements."""
+    its stabilizer chain on the ovoid has exactly q^2 (q^2 + 1)(q - 1)
+    elements."""
     from . import oracle  # late import; oracle builds on this module
 
     gens, _table = oracle.build_suzuki_table(params, field)

@@ -1,0 +1,99 @@
+"""The ovoid table as it was built before the stabilizer chain: the reference
+the chain is tested against.
+
+``reference_ovoid_table`` closes the four candidate generators' ``bytes``
+permutations with ``bytes.translate`` into a dict, sorts the keys, and gets
+orders and inverses from the dict-keyed power pass that ``ElementTable``
+still runs for matrix tables.  ``ref_normalizer`` and ``ref_centralizer`` scan
+every element with two ``translate`` calls each, as the oracle did before its
+base-image prefilters.  Only the tests import this module.
+"""
+
+from __future__ import annotations
+
+from array import array
+from dataclasses import dataclass, field as dc_field
+from typing import Iterable, Iterator
+
+from szq.group import CertificationError, SuzukiParams, candidate_generators
+from szq.oracle import (
+    ClosureLimitError,
+    ElementTable,
+    SubgroupHandle,
+    _point_image,
+    _walk,
+)
+
+
+@dataclass
+class ReferenceOvoidTable(ElementTable):
+    """Sz(q) as a dict of ``bytes`` permutations of its ovoid, keys ascending."""
+
+    points: list = dc_field(default_factory=list, repr=False)
+    _pad: bytes = dc_field(init=False, repr=False, compare=False)
+    _number: dict = dc_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._pad = bytes(256 - len(self.points))
+        self._number = {p: k for k, p in enumerate(self.points)}
+
+    def key(self, mat) -> bytes:
+        return bytes([self._number[_point_image(self.field, p, mat)] for p in self.points])
+
+    def element(self, key: bytes) -> bytes:
+        if key not in self.by_key:
+            raise ValueError("element is not in the table")
+        return key
+
+    def mul(self, a: bytes, b: bytes) -> bytes:
+        return a.translate(b + self._pad)
+
+    @property
+    def identity(self) -> bytes:
+        return bytes(range(len(self.points)))
+
+    def conjugates(self, h: bytes, positions: Iterable[int]) -> Iterator[bytes]:
+        keys, inverses, pad = self.sorted_keys(), self.inverses(), self._pad
+        hp = h + pad
+        return (keys[i].translate(hp).translate(keys[inverses[i]] + pad) for i in positions)
+
+    def conjugation(self, s: bytes) -> array:
+        keys, pad, at = self.sorted_keys(), self._pad, self._position_map()
+        si = keys[self.inverses()[self.position(s)]] + pad
+        try:
+            return array("i", [at[s.translate(x + pad).translate(si)] for x in keys])
+        except KeyError:
+            raise CertificationError("table is not closed under products") from None
+
+
+def reference_ovoid_table(params: SuzukiParams, field) -> ReferenceOvoidTable:
+    """The bytes closure of the candidate generators, certified by its size."""
+    gens = candidate_generators(params, field)
+    orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
+    assert len(orbit) == params.q * params.q + 1
+    table = ReferenceOvoidTable(field, {}, gens, sorted(orbit))
+    moves = [table.key(g) + table._pad for g in gens]
+    try:
+        table.by_key = _walk([table.identity], moves, bytes.translate,
+                             limit=params.group_order)
+    except ClosureLimitError as e:
+        raise CertificationError("closure exceeds |Sz(q)|") from e
+    if table.size != params.group_order:
+        raise CertificationError(f"closure has {table.size} elements")
+    return table
+
+
+def ref_normalizer(table: ReferenceOvoidTable, sub: SubgroupHandle) -> frozenset:
+    gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
+        sorted(sub.members - {table.identity})
+    found = range(table.size)
+    for h in gens:
+        found = [i for i, c in zip(found, table.conjugates(h, found)) if c in sub.members]
+    keys = table.sorted_keys()
+    return frozenset(keys[i] for i in found)
+
+
+def ref_centralizer(table: ReferenceOvoidTable, x: bytes) -> frozenset:
+    keys, everything = table.sorted_keys(), range(table.size)
+    return frozenset(keys[i] for i, c in zip(everything, table.conjugates(x, everything))
+                     if c == x)

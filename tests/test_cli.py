@@ -148,21 +148,55 @@ def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
     assert rc == 4
     assert out == ""
     assert "certification failure" in err
+    assert "N0 = 1 points" in err  # <e1> is the Borel subgroup's fixed point
 
 
-@pytest.mark.parametrize("argv", [
-    ("verify", "--q", "32", "--allow-big"),
-    ("nse", "--q", "32", "--source", "oracle", "--allow-big"),
+_SZ128_BYTES = f"{make_params(3).group_order} bytes"
+
+
+@pytest.mark.parametrize("argv, reasons", [
+    (("verify", "--q", "32", "--allow-big"),
+     ("1025 ovoid points", "at most 256", "stabilizer chain")),
+    (("nse", "--q", "128", "--source", "oracle", "--allow-big", "--oracle-limit", str(10 ** 12)),
+     (_SZ128_BYTES, "memory limit of 1073741824 bytes")),
 ], ids=["verify", "nse"])
-def test_oracle_beyond_the_point_limit_is_refused(capsys, argv):
-    # Sz(32) acts on 1025 ovoid points and a byte permutation holds 256: the
+def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
+    # Sz(32) acts on 1025 ovoid points and a byte permutation holds 256, so
+    # verify's scans stop there; the census runs on the stabilizer chain up to
+    # its memory limit, one order byte per element, which Sz(128) passes.  The
     # refusal comes before any closure starts.
     t0 = perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert perf_counter() - t0 < 1.0
     assert (rc, out) == (3, "")
-    assert "1025 ovoid points" in err and "at most 256" in err
-    assert "stabilizer chain" in err
+    assert all(reason in err for reason in reasons)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("verify", "--q", "32", "--allow-big"), "at most 256"),
+    (("verify", "--q", "32", "--allow-big", "--modulus", "0x25"), "at most 256"),
+    (("nse", "--q", "128", "--source", "both", "--allow-big", "--oracle-limit", str(10 ** 12)),
+     _SZ128_BYTES),
+    (("nse", "--m", "400", "--source", "oracle", "--allow-big",
+      "--oracle-limit", "1" + "0" * 2500), "memory limit"),
+    (("nse", "--m", "400", "--source", "both", "--allow-big", "--modulus", "0x3",
+      "--oracle-limit", "1" + "0" * 2500), "memory limit"),
+], ids=["verify", "verify-modulus", "nse-q128", "nse-m400", "nse-m400-modulus"])
+def test_scale_refusals_come_before_any_field_is_built(capsys, monkeypatch, argv, reason):
+    # The refusal is decided from the parameters alone: a field of degree 801
+    # would take find_modulus far longer than the answer may.
+    import szq.field
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(szq.field.Field, "__init__", no_field)
+    monkeypatch.setattr(szq.field, "find_modulus", no_field)
+    t0 = perf_counter()
+    rc, out, err = run_cli(capsys, *argv)
+    assert perf_counter() - t0 < 1.0
+    assert (rc, out) == (3, "")
+    assert reason in err
 
 
 def test_nse_modulus_override_does_not_change_closed_form(capsys):

@@ -6,8 +6,8 @@ q = 8, under both moduli of GF(8), the scans of the ovoid table
 (``build_suzuki_table``) must find the same subgroups once the reference's
 matrices are mapped through ``table.key``, the one boundary conversion, and
 the same census and orbit sizes.  Only the ovoid table conjugates: a matrix
-table closes and counts, nothing more.  A table that is not closed must raise,
-never yield a wrong set.
+table closes and counts, nothing more.  A table whose stabilizer chain is
+broken must raise, never yield a wrong set.
 """
 
 from types import SimpleNamespace
@@ -25,6 +25,7 @@ from szq.group import (
 from szq.mat4 import Mat4
 from szq.oracle import (
     OvoidTable,
+    StabilizerChain,
     SubgroupHandle,
     _walk,
     build_suzuki_table,
@@ -165,16 +166,22 @@ def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
 # -- tables that are not the group --------------------------------------------------
 
 def _corrupt(table, kind):
-    keys = list(table.sorted_keys())
-    # An element of order 13: the power pass reaches it from the other
-    # generators of its cyclic subgroup.
-    i = table.orders().index(13)
+    """A copy of the table whose chain is broken after its certification."""
+    chain = table.chain
+    orbits = [list(orbit) for orbit in chain.orbits]
+    transversals = [list(level) for level in chain.transversals]
     if kind == "not-closed":
-        del keys[i]
+        # The last coset of the stabilizer of <e1> goes: powers of the
+        # elements left still reach it, and then sift to nothing.
+        orbits[0].pop()
+        transversals[0].pop()
     elif kind == "not-a-bijection":
-        x = keys[i]
-        keys[i] = x[:1] + x[:1] + x[2:]  # two points with one image
-    return OvoidTable(table.field, {k: k for k in keys}, table.generators, table.points)
+        u = list(transversals[0][-1])
+        k1, k2 = [k for k in range(len(u)) if k not in chain.base][:2]
+        u[k1] = u[k2]  # two points with one image; the base points map as before
+        transversals[0][-1] = u
+    return OvoidTable(table.field, table.generators, table.points,
+                      StabilizerChain(chain.base, orbits, transversals))
 
 
 @pytest.mark.parametrize("kind", ["not-a-bijection", "not-closed"])
@@ -201,3 +208,19 @@ def test_scans_refuse_elements_outside_the_table(sz8):
     off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         sz8.table.key(off_ovoid)
+
+
+def test_a_stabilizer_generator_that_moves_its_base_point_raises(params8, monkeypatch):
+    # With tau in the place of d(lam), the stabilizer of <e1> gets a
+    # generator that moves <e1>: the chain is refused, whatever its size.
+    import szq.oracle
+
+    real = szq.oracle.candidate_generators
+
+    def swapped(params, field):
+        w10, w01, torus, weyl = real(params, field)
+        return [w10, w01, weyl, torus]
+
+    monkeypatch.setattr(szq.oracle, "candidate_generators", swapped)
+    with pytest.raises(CertificationError, match="moves a base point"):
+        build_suzuki_table(params8, Field(1))
