@@ -26,6 +26,14 @@ to itself.  Two carriers share that interface:
   ``centralizer`` and ``verify_partition`` scan it alone, and ``subgroup``
   closes W inside it: ``verify`` needs no matrix table.
 
+The scans start from generators.  A subgroup H is known by a small
+generating set (its cyclic generator, or ``_generating_set``: 3 elements for
+W at q = 8), and a conjugation g is an automorphism, so g H g^-1 is generated
+by the images of H's generators and has |H| elements.  Hence ``normalizer``
+confirms g once g maps each generator into H, and the partition walk
+(``_conjugates``) knows that a move gives a known conjugate K once it maps
+every generator into K; it maps all members only for a new conjugate.
+
 Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
 matrix becomes a table key (for the ovoid table, the matrix's point action),
 and ``table.element(key)`` the one place where a key of a matrix table becomes
@@ -43,7 +51,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 from functools import partial
 from operator import attrgetter, mul
-from typing import Callable, Hashable, Iterable, Iterator, KeysView, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from .field import Field
 from .group import (
@@ -55,7 +63,7 @@ from .group import (
     w_generators,
 )
 from .mat4 import Mat4, OrderNotFoundError
-from .orderstats import OrderStats, Spectrum
+from .orderstats import OrderStats, ScaleRefusal, Spectrum
 
 Key = Hashable  # an entry tuple, or a bytes permutation in an OvoidTable
 Point = tuple[int, int, int, int]
@@ -70,10 +78,6 @@ MEMORY_LIMIT = 1 << 30
 
 class ClosureLimitError(RuntimeError):
     """Breadth-first closure outgrew the caller's limit."""
-
-
-class ScaleRefusal(RuntimeError):
-    """The requested enumeration is beyond the configured desk scale."""
 
 
 class SubgroupNotFoundError(LookupError):
@@ -711,20 +715,37 @@ def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
     return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
+def _generating_set(table: OvoidTable, members: frozenset[Key]) -> list[Key]:
+    """A generating set of the subgroup with these members: walk them in
+    sorted order and keep each one the kept ones do not generate yet.
+    ValueError when the members are not a subgroup."""
+    one = table.identity
+    gens: list[Key] = []
+    span = {one: one}
+    for x in sorted(members):
+        if x not in span:
+            gens.append(x)
+            span = _walk([one], gens, table.mul)
+    if len(span) != len(members):
+        raise ValueError("the members do not form a subgroup")
+    return gens
+
+
 def normalizer(table: OvoidTable, sub: SubgroupHandle) -> SubgroupHandle:
     """All g with g H g^-1 = H, on the ovoid table's chain.
 
-    Conjugating the generator of a cyclic H, or else every member, into H
-    suffices: the conjugate is a subgroup of the same order.  The first of
-    these generators, h, sifts the candidates by one base image:
-    (g h g^-1)(b0) must be m(b0) for some m in H.  The full permutations then
-    confirm each survivor, generator by generator.  H must lie inside the
-    table (ValueError).
+    Conjugating a generating set of H into H suffices: then g H g^-1, which
+    those conjugates generate, lies in H and has |H| elements, so it is H.
+    A cyclic H brings its generator; any other gets a small generating set
+    (``_generating_set``: 3 elements for W at q = 8).  The first generator,
+    h, sifts the candidates by one base image: (g h g^-1)(b0) must be m(b0)
+    for some m in H.  The full permutations then confirm each survivor,
+    generator by generator.  H must lie inside the table (ValueError).
     """
     if not sub.members <= table.by_key.keys():
         raise ValueError("subgroup is not in the table")
     gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
-        sorted(sub.members - {table.identity})
+        _generating_set(table, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(table.sorted_keys()), table.size)
     chain, h = table.chain, gens[0]
@@ -820,17 +841,53 @@ class PartitionReport:
         }
 
 
-def _orbit(table: OvoidTable, members: frozenset[bytes],
-           moves: list[array]) -> KeysView[frozenset[int]]:
-    """Orbit of a member set under conjugation by the group, as position sets.
+def _conjugates(gens: list[int], members: list[int], moves: list[array],
+                hits: array) -> int:
+    """The number of conjugates of the subgroup H with these generators and
+    members (positions), each of whose members gets one more ``hits``.
 
-    ``moves`` are the generators' ``conjugation`` permutations: conjugation is
-    a group action, so generator moves alone reach the full orbit.
+    ``moves`` are the generators' ``conjugation`` arrays: conjugation is a
+    group action, so generator moves alone reach every conjugate.  Each
+    conjugate K is kept as (its generators, its members), and ``owner[i]``
+    names a conjugate that holds position i.  A move c maps K's generators
+    only: c(K) is the subgroup their images generate, with |H| elements, so
+    when every image lies in one known conjugate, c(K) is that conjugate.
+    Otherwise its members are mapped.  For a cyclic H, c(K) is then new: the
+    one image x generates every conjugate that holds it.  For any other H,
+    whose conjugates may share more than the identity, c(K) is new unless
+    its member set is one met before.
     """
-    def conjugate(sub: frozenset[int], c: array) -> frozenset[int]:
-        return frozenset(map(c.__getitem__, sub))
+    owner = array("i", [-1]) * len(hits)
+    known: list[tuple[list[int], list[int]]] = []
 
-    return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
+    def add(k_gens: list[int], k_members: list[int]) -> None:
+        k = len(known)
+        known.append((k_gens, k_members))
+        for i in k_members:
+            hits[i] += 1
+            owner[i] = k
+
+    add(gens, members)
+    if len(gens) == 1:
+        for (g,), k_members in known:  # grows while it is read
+            for c in moves:
+                x = c[g]
+                if owner[x] < 0:
+                    add([x], list(map(c.__getitem__, k_members)))
+        return len(known)
+    seen = {frozenset(members)}
+    for k_gens, k_members in known:
+        for c in moves:
+            images = [c[g] for g in k_gens]
+            k = owner[images[0]]
+            if k >= 0 and all(owner[i] == k for i in images):
+                continue
+            image = list(map(c.__getitem__, k_members))
+            member_set = frozenset(image)
+            if member_set not in seen:
+                seen.add(member_set)
+                add(images, image)
+    return len(known)
 
 
 def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport:
@@ -838,41 +895,35 @@ def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport
 
     Representatives: the unitriangular subgroup {w(a, b)} of order q^2,
     closed inside the table, and cyclic subgroups of orders q+s+1, q-s+1
-    and q-1 dug out of it.
-    The orbits are walked with one ``conjugation`` array per generator, except
-    that a generator in the cyclic group of one kept before adds no move and
-    is skipped (w(0, 1) = w(1, 0)^2 among the candidates).
+    and q-1 dug out of it.  Each class is walked by ``_conjugates``, which
+    maps the generators of a known conjugate (3 for W at q = 8, 1 for a
+    cyclic class) and the members of each new conjugate only.  The moves are
+    one ``conjugation`` array per generator of the table, except that a
+    generator in the cyclic group of one kept before adds no move and is
+    skipped (w(0, 1) = w(1, 0)^2 among the candidates).
     """
     w = subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
     if not w.members <= table.by_key.keys():
         raise ValueError("table does not contain the unitriangular subgroup")
-    reps = {
-        "w": w.members,
-        "u1": find_cyclic_subgroup(table, params.u1).members,
-        "u2": find_cyclic_subgroup(table, params.u2).members,
-        "v": find_cyclic_subgroup(table, params.v).members,
-    }
+    reps = {"w": (_generating_set(table, w.members), w.members)}
+    for name in ("u1", "u2", "v"):
+        h = find_cyclic_subgroup(table, getattr(params, name))
+        reps[name] = ([h.cyclic_generator], h.members)
     moves, powers = [], set()
     for s in map(table.key, table.generators):
         if s not in powers:
             moves.append(table.conjugation(s))
             powers |= cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
     hits = array("i", bytes(4 * table.size))
-    orbit_sizes: dict[str, int] = {}
-    for name, members in reps.items():
-        orbit = _orbit(table, members, moves)
-        orbit_sizes[name] = len(orbit)
-        for conj in orbit:
-            for i in conj:
-                hits[i] += 1
+    counts = {name: _conjugates([table.position(g) for g in gens],
+                                [table.position(x) for x in members], moves, hits)
+              for name, (gens, members) in reps.items()}
     hits[table.position(table.identity)] = 0  # in every conjugate: not counted
-    measured = PartitionClassCounts(
-        n_w=orbit_sizes["w"], n_u1=orbit_sizes["u1"],
-        n_u2=orbit_sizes["u2"], n_v=orbit_sizes["v"])
     multiply = sum(1 for c in hits if c > 1)
     missing = hits.count(0) - 1
     return PartitionReport(
-        measured=measured,
+        measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],
+                                      n_u2=counts["u2"], n_v=counts["v"]),
         expected=closed_form_subgroup_counts(params),
         coverage=sum(hits),
         expected_coverage=params.group_order - 1,

@@ -3,34 +3,58 @@ closed-form spectrum and order counts of Sz(q), the type function, the three
 classical divisibility checks, and the prime graph.
 
 Everything runs in arbitrary-precision integers; the counts grow like q^5 and
-leave 64-bit range around m = 6.
+leave 64-bit range around m = 6.  Factoring is trial division up to
+FACTOR_BOUND = 2^26, so it answers within seconds or raises ScaleRefusal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from math import gcd, prod
+from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # group imports field, which imports factorize from here
     from .group import SuzukiParams
 
 
+class ScaleRefusal(RuntimeError):
+    """The requested work is beyond the configured desk scale."""
+
+
 # ---------------------------------------------------------------------------
 # Elementary number theory
 # ---------------------------------------------------------------------------
 
+# Trial division tries no divisor above this: the divisors below it take at
+# most about 3.4e7 steps, a few seconds.
+FACTOR_BOUND = 1 << 26
+
+
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division, {prime: exponent}."""
+    """Prime factorization by trial division, {prime: exponent}.
+
+    ScaleRefusal when a cofactor has no divisor up to FACTOR_BOUND and is at
+    least (FACTOR_BOUND + 1)^2: proving it prime would take trial division
+    past the bound.
+    """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
+    while n % 2 == 0:
+        out[2] = out.get(2, 0) + 1
+        n //= 2
+    d, limit = 3, min(isqrt(n), FACTOR_BOUND)  # recomputed only when n shrinks
+    while d <= limit:
+        if n % d == 0:
+            while n % d == 0:
+                out[d] = out.get(d, 0) + 1
+                n //= d
+            limit = min(isqrt(n), FACTOR_BOUND)
+        d += 2
+    if d * d <= n:
+        raise ScaleRefusal(
+            f"factoring needs trial division past its bound of {FACTOR_BOUND}: a "
+            f"cofactor of {n.bit_length()} bits has no prime factor up to the bound")
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out

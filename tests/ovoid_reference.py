@@ -6,7 +6,9 @@ permutations with ``bytes.translate`` into a dict, sorts the keys, and gets
 orders and inverses from the dict-keyed power pass that ``ElementTable``
 still runs for matrix tables.  ``ref_normalizer`` and ``ref_centralizer`` scan
 every element with two ``translate`` calls each, as the oracle did before its
-base-image prefilters.  Only the tests import this module.
+base-image prefilters.  ``ref_verify_partition`` walks each class's
+conjugates as frozensets of positions, every move mapping every member, as
+the oracle did before its generator walk.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -15,10 +17,19 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from typing import Iterable, Iterator
 
-from szq.group import CertificationError, SuzukiParams, candidate_generators
+import szq.oracle as oracle
+from szq.group import (
+    CertificationError,
+    PartitionClassCounts,
+    SuzukiParams,
+    candidate_generators,
+    closed_form_subgroup_counts,
+    w_generators,
+)
 from szq.oracle import (
     ClosureLimitError,
     ElementTable,
+    PartitionReport,
     SubgroupHandle,
     _point_image,
     _walk,
@@ -97,3 +108,44 @@ def ref_centralizer(table: ReferenceOvoidTable, x: bytes) -> frozenset:
     keys, everything = table.sorted_keys(), range(table.size)
     return frozenset(keys[i] for i, c in zip(everything, table.conjugates(x, everything))
                      if c == x)
+
+
+def _orbit(table, members: frozenset, moves: list[array]):
+    """Orbit of a member set under conjugation by the group, as position sets."""
+    def conjugate(sub: frozenset[int], c: array) -> frozenset[int]:
+        return frozenset(map(c.__getitem__, sub))
+
+    return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
+
+
+def ref_verify_partition(table, params: SuzukiParams) -> PartitionReport:
+    """The partition report from frozenset orbits.  The representatives and
+    moves come from ``szq.oracle``'s own functions, looked up at call time,
+    so a test that replaces one of them changes both walks alike."""
+    w = oracle.subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
+    reps = {"w": w.members}
+    for name in ("u1", "u2", "v"):
+        reps[name] = oracle.find_cyclic_subgroup(table, getattr(params, name)).members
+    moves, powers = [], set()
+    for s in map(table.key, table.generators):
+        if s not in powers:
+            moves.append(table.conjugation(s))
+            powers |= oracle.cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
+    hits = array("i", bytes(4 * table.size))
+    sizes = {}
+    for name, members in reps.items():
+        orbit = _orbit(table, members, moves)
+        sizes[name] = len(orbit)
+        for conj in orbit:
+            for i in conj:
+                hits[i] += 1
+    hits[table.position(table.identity)] = 0
+    return PartitionReport(
+        measured=PartitionClassCounts(n_w=sizes["w"], n_u1=sizes["u1"],
+                                      n_u2=sizes["u2"], n_v=sizes["v"]),
+        expected=closed_form_subgroup_counts(params),
+        coverage=sum(hits),
+        expected_coverage=params.group_order - 1,
+        multiply_covered=sum(1 for c in hits if c > 1),
+        missing=hits.count(0) - 1,
+    )

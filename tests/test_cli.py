@@ -9,7 +9,7 @@ from time import perf_counter
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from szq import cli
+from szq import cli, oracle
 from szq.cli import main
 from szq.field import Field
 from szq.gate import ProfileError, load_profile
@@ -135,6 +135,14 @@ def test_nse_oracle_beyond_q8_needs_allow_big(capsys):
     rc, _, err = run_cli(capsys, "nse", "--q", "32", "--source", "oracle")
     assert rc == 3
     assert "--allow-big" in err
+
+
+def test_nse_past_the_factorization_bound_exits_3(capsys):
+    # q - 1 = 2^61 - 1 for m = 30 is a prime past 2^52; trial division gives
+    # up at its bound of 2^26 instead of running for minutes.
+    rc, out, err = run_cli(capsys, "nse", "--m", "30")
+    assert (rc, out) == (3, "")
+    assert err.startswith("refused: ") and f"bound of {2 ** 26}" in err
 
 
 def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
@@ -477,7 +485,8 @@ def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
 
 # Valid and malformed values for every option of the four subcommands, as
 # (valid, malformed).  Any m whose closed forms get factored stays at or below
-# 20 (2^41 is q for m = 20): trial division hangs from m = 26 on.
+# 20 (2^41 is q for m = 20): from m = 26 on, trial division takes seconds
+# before it answers or reaches its bound (exit 3).
 _VALUES = {
     "--m": (("1", "2", "20", "100000"), ("0", "-1", "1.5", "x", "")),
     "--q": (("8", "32", "2199023255552"), ("2", "16", "7", "0", "-8", "0x8")),
@@ -524,7 +533,10 @@ def _argvs(draw):
 @settings(max_examples=100, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argvs())
-def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, argv):
+def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch, argv):
+    # The census of Sz(32) (--m 2 or --q 32 with --allow-big) takes 17-42 s;
+    # here any census past Sz(8) meets the memory refusal (exit 3) instead.
+    monkeypatch.setattr(oracle, "MEMORY_LIMIT", make_params(1).group_order)
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(SZ8_PROFILE))
     argv = [str(profile) if token == "PROFILE" else token for token in argv]

@@ -6,20 +6,31 @@ moduli of GF(8), the chain must give the same keys, the same order and
 inverse for every key, the same normalizers and centralizers and the same
 partition report; only the order of the keys (rank order) may differ.  The
 chain's sift round-trips every rank, at q = 8 through the byte keys and at
-q = 32 through the base images alone.
+q = 32 through the base images alone.  The partition's generator walk must
+give the frozenset walk's report also on inputs that break the partition.
 """
 
+from array import array
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ovoid_reference import ref_centralizer, ref_normalizer, reference_ovoid_table
+import szq.oracle
+from ovoid_reference import (
+    ref_centralizer,
+    ref_normalizer,
+    ref_verify_partition,
+    reference_ovoid_table,
+)
 from szq.field import Field
 from szq.group import make_params, make_w, w_generators
 from szq.oracle import (
     MAX_POINTS,
+    OvoidTable,
     ScaleRefusal,
+    SubgroupHandle,
     _point_image,
     build_suzuki_table,
     centralizer,
@@ -89,6 +100,33 @@ def test_normalizers_and_centralizers_agree(pair, name):
 def test_the_partition_reports_agree(pair):
     assert verify_partition(pair.chain, pair.params) == \
         verify_partition(pair.reference, pair.params)
+
+
+@pytest.mark.parametrize("change", ["none", "identity-move", "dropped-move",
+                                    "v-of-order-4", "w-as-a-four-group"])
+def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch):
+    table, params = pair.chain, pair.params
+    w10, w01, torus, weyl = table.generators
+    f = table.field
+    if change == "identity-move":  # the torus's move conjugates by the identity
+        conjugation, d = OvoidTable.conjugation, table.key(torus)
+        monkeypatch.setattr(OvoidTable, "conjugation", lambda t, s: array(
+            "i", range(t.size)) if s == d else conjugation(t, s))
+    elif change == "dropped-move":  # the moves generate the Borel subgroup only
+        table = replace(table, generators=[w10, w01, torus])
+    elif change == "v-of-order-4":  # cyclic conjugates that share their squares
+        find = szq.oracle.find_cyclic_subgroup
+        monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
+                            lambda t, k: find(t, 4 if k == params.v else k))
+    elif change == "w-as-a-four-group":
+        # Four-groups in the centre of W meet in involutions, so a move's two
+        # generator images can lie in two different known conjugates.
+        z1, z2 = (table.key(make_w(f.zero, f.element(b))) for b in (1, 2))
+        four = SubgroupHandle(frozenset([table.identity, z1, z2, table.mul(z1, z2)]), 4)
+        monkeypatch.setattr(szq.oracle, "subgroup", lambda *args, **kwargs: four)
+    report = verify_partition(table, params)
+    assert report == ref_verify_partition(table, params)
+    assert report.passed == (change == "none")
 
 
 def test_the_chain_s_levels_at_q8(sz8):

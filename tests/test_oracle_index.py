@@ -21,6 +21,7 @@ from szq.group import (
     make_params,
     make_w,
     w_elements,
+    w_generators,
 )
 from szq.mat4 import Mat4
 from szq.oracle import (
@@ -35,6 +36,7 @@ from szq.oracle import (
     enumerate_group,
     find_cyclic_subgroup,
     normalizer,
+    subgroup,
     verify_partition,
 )
 
@@ -161,6 +163,31 @@ def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
     assert [m.n_w, m.n_u1, m.n_u2, m.n_v] == [65, 560, 1456, 2080]
     assert (report.coverage, report.multiply_covered, report.missing) == (29119, 0, 0)
     assert report.passed
+
+
+def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
+    # 448 candidates survive the base-image prefilter, and each is confirmed
+    # by W's 3 generators, not by its 63 nontrivial members.
+    table, made = sz8.table, []
+    conjugates = OvoidTable.conjugates
+
+    def counted(t, h, positions):
+        for c in conjugates(t, h, positions):
+            made.append(c)
+            yield c
+
+    monkeypatch.setattr(OvoidTable, "conjugates", counted)
+    w = subgroup(table, map(table.key, w_generators(table.field)), limit=64)
+    n = normalizer(table, w)
+    assert n.order * 65 == table.size
+    assert len(made) <= 4 * 448
+
+
+def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
+    table = sz8.table
+    x = table.key(make_w(table.field.one, table.field.zero))  # of order 4
+    with pytest.raises(ValueError, match="subgroup"):
+        normalizer(table, SubgroupHandle(frozenset([table.identity, x]), 2))
 
 
 # -- tables that are not the group --------------------------------------------------

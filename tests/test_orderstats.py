@@ -1,13 +1,15 @@
 """Number-theoretic layer: exact counts, divisibility checks, prime graph."""
 
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import given, strategies as st
 
+import szq.orderstats
 from szq.group import make_params
 from szq.orderstats import (
     OrderStats,
+    ScaleRefusal,
     _divisor_phis,
     Spectrum,
     coprime_part,
@@ -62,6 +64,26 @@ def test_factorize_roundtrip():
         for p, k in factorize(n).items():
             prod *= p ** k
         assert prod == n
+
+
+@given(st.integers(min_value=1, max_value=10 ** 7))
+def test_factorize_stops_at_its_bound(n):
+    # With the bound at 100, a cofactor free of primes up to 100 is proven
+    # prime below 101^2 and refused from there on.
+    bound = 100
+    cofactor = n
+    for d in range(2, bound + 1):
+        while cofactor % d == 0:
+            cofactor //= d
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(szq.orderstats, "FACTOR_BOUND", bound)
+        if cofactor >= (bound + 1) ** 2:
+            with pytest.raises(ScaleRefusal, match=f"bound of {bound}"):
+                factorize(n)
+            return
+        fac = factorize(n)
+    assert all(factorize(p) == {p: 1} for p in fac)
+    assert prod(p ** k for p, k in fac.items()) == n
 
 
 def test_coprime_part():
