@@ -28,18 +28,18 @@ from .group import (
     SuzukiParams,
     make_params,
     params_for_q,
-    w_generators,
 )
 from .oracle import (
     MAX_POINTS,
     ScaleRefusal,
+    SubgroupHandle,
     build_suzuki_table,
     centralizer,
     check_census_scale,
     empirical_order_stats,
     find_cyclic_subgroup,
     normalizer,
-    subgroup,
+    unitriangular,
     verify_partition,
 )
 from .orderstats import (
@@ -261,14 +261,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    w = subgroup(table, map(table.key, w_generators(field)), limit=p.w_order)
-    w_orders = [table.orders()[table.position(k)] for k in w.members]
+    w = unitriangular(table)  # ranks, shared by the partition and N(W)
+    w_orders = [table.orders()[r] for r in w.members]
     involutions = w_orders.count(2)
     checks.append(("w_subgroup",
                    w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
                    f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
 
-    partition = verify_partition(table, p)
+    partition = verify_partition(table, p, w)
     checks.append(("partition", partition.passed,
                    f"conjugates ({partition.measured.n_w}, {partition.measured.n_u1}, "
                    f"{partition.measured.n_u2}, {partition.measured.n_v}), "
@@ -280,7 +280,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         n = normalizer(table, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    nw = normalizer(table, w)
+    keys = table.sorted_keys()
+    nw = normalizer(table, SubgroupHandle(frozenset(keys[r] for r in w.members), w.order))
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))
 

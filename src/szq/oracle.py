@@ -2,45 +2,36 @@
 
 Enumerates a group from generators, takes empirical order censuses from one
 pass over the cyclic subgroups, digs out cyclic subgroups, normalizers and
-centralizers by direct scan, and verifies that the conjugates of the four
-reference subgroups cover every nontrivial element exactly once.
+centralizers, and verifies that the conjugates of the four reference
+subgroups cover every nontrivial element exactly once.
 
 Every table addresses its elements by one number, their ``position``, and
 lists their keys in that order in ``sorted_keys()``; ``by_key`` maps each key
-to itself.  Two carriers share that interface:
+to itself.  ``enumerate_group`` closes any set of matrices by breadth-first
+search, keyed by entry tuples in ascending order; such a table closes and
+counts, and ``element(key)`` rebuilds a matrix on demand.
+``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid on
+a stabilizer chain (``StabilizerChain``), certified when its orbit lengths
+multiply to |Sz(q)|.  Each element is "U2[c], then U1[b], then U0[a]" in
+exactly one way, and its position in the ``OvoidTable`` is its rank
+(a N1 + b) N2 + c.  The chain is a table of ranks in its own right: a
+product, a power walk or a conjugate steps three base images and sifts them
+back to a rank, with no keys, so the census, ``subgroup`` and the partition
+walk all run on Sz(32).  ``normalizer`` and ``centralizer`` still compare
+``bytes`` permutations of the points (a product is one ``translate``), built
+on demand up to MAX_POINTS = 256 points, so ``verify`` stops at Sz(8).
 
-* ``enumerate_group`` closes any set of matrices by breadth-first search and
-  keys each element by its entry tuple, positions ascending; such a table
-  closes and counts (``orders()``), and ``element(key)`` rebuilds a matrix
-  from its key on demand;
-* ``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid and
-  builds a stabilizer chain there (``StabilizerChain``), certified when its
-  orbit lengths multiply to |Sz(q)|.  The chain writes each element as
-  "U2[c], then U1[b], then U0[a]" in exactly one way, and the element's
-  position in the ``OvoidTable`` is its rank (a N1 + b) N2 + c.  The census
-  steps three base images per power and sifts them back to a rank: no keys,
-  no dict and no sort, which is why it also counts Sz(32).  The scans need
-  each element's ``bytes`` permutation of the points (a product is one
-  ``bytes.translate``), built on demand up to MAX_POINTS = 256 points, so
-  ``verify`` stops at Sz(8).  Only this table conjugates, so ``normalizer``,
-  ``centralizer`` and ``verify_partition`` scan it alone, and ``subgroup``
-  closes W inside it: ``verify`` needs no matrix table.
+The scans start from generators.  A conjugation g is an automorphism, so
+g H g^-1 is generated by the images of H's generators and has |H| elements:
+``normalizer`` confirms g once g maps each generator of H into H, and the
+partition walk (``_conjugates``) meets a known conjugate K again once a move
+maps every generator into K.
 
-The scans start from generators.  A subgroup H is known by a small
-generating set (its cyclic generator, or ``_generating_set``: 3 elements for
-W at q = 8), and a conjugation g is an automorphism, so g H g^-1 is generated
-by the images of H's generators and has |H| elements.  Hence ``normalizer``
-confirms g once g maps each generator into H, and the partition walk
-(``_conjugates``) knows that a move gives a known conjugate K once it maps
-every generator into K; it maps all members only for a new conjugate.
-
-Matrices stay at the boundary: ``table.key(mat)`` is the one place where a
-matrix becomes a table key (for the ovoid table, the matrix's point action),
-and ``table.element(key)`` the one place where a key of a matrix table becomes
-a matrix again.
-
-Everything here is deliberately dumb and exact: this module is the oracle the
-closed forms are tested against, so it must not share their shortcuts.
+Matrices stay at the boundary: ``table.key(mat)`` and ``OvoidTable.rank(mat)``
+(from the matrix's point action) turn a matrix into a key or a rank, and
+``table.element(key)`` rebuilds the matrix of a key.  Everything here is
+deliberately dumb and exact: this module is the oracle the closed forms are
+tested against, so it must not share their shortcuts.
 """
 
 from __future__ import annotations
@@ -126,9 +117,8 @@ class ElementTable:
     so the order census and the inverses are arrays over positions.
 
     The keys are the matrices' entry tuples, and no matrix is kept:
-    ``element(key)`` rebuilds one on demand.  ``OvoidTable`` offers the same
-    interface on a stabilizer chain and adds the conjugations the scans use.
-    The lazily filled caches take no part in ``==``.
+    ``element(key)`` rebuilds one on demand.  The lazily filled caches take
+    no part in ``==``.
     """
 
     field: Field
@@ -228,14 +218,21 @@ class ElementTable:
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     """The projective point <point * mat> (a row vector times the matrix),
     scaled so that its first nonzero coordinate is 1; a zero image comes back
-    as it is, and names no point."""
-    m, (x0, x1, x2, x3), e = field._mul, point, mat.entries
-    image = (m(x0, e[0]) ^ m(x1, e[4]) ^ m(x2, e[8]) ^ m(x3, e[12]),
-             m(x0, e[1]) ^ m(x1, e[5]) ^ m(x2, e[9]) ^ m(x3, e[13]),
-             m(x0, e[2]) ^ m(x1, e[6]) ^ m(x2, e[10]) ^ m(x3, e[14]),
-             m(x0, e[3]) ^ m(x1, e[7]) ^ m(x2, e[11]) ^ m(x3, e[15]))
-    scale = field._inv(next((c for c in image if c), 1))
-    return tuple(m(scale, c) for c in image)
+    as it is, and names no point.  Each coordinate's products are read from
+    its row of the field's multiplication table (past the table limit, from
+    a row of the 16 products the matrix needs)."""
+    t, e = field._mul_table, mat.entries
+    r0, r1, r2, r3 = ([t[x] for x in point] if t is not None else
+                      [{c: field._mul(x, c) for c in e} for x in point])
+    image = (r0[e[0]] ^ r1[e[4]] ^ r2[e[8]] ^ r3[e[12]],
+             r0[e[1]] ^ r1[e[5]] ^ r2[e[9]] ^ r3[e[13]],
+             r0[e[2]] ^ r1[e[6]] ^ r2[e[10]] ^ r3[e[14]],
+             r0[e[3]] ^ r1[e[7]] ^ r2[e[11]] ^ r3[e[15]])
+    lead = next((c for c in image if c), 1)
+    if lead == 1:
+        return image
+    scale = field._inv(lead)
+    return tuple(field._mul(scale, c) for c in image)
 
 
 def _schreier(point: int, gens: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
@@ -284,6 +281,7 @@ class StabilizerChain:
     orbits: list[list[int]]
     transversals: list[list[list[int]]]
     _lookups: _Sifter | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _orders: bytearray | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -355,52 +353,102 @@ class StabilizerChain:
         b, c = divmod(r12, len(o2))
         return t0[a], t1[b], t2[c]
 
-    def power_pass(self, inverses: bool) -> tuple[bytearray, array | None]:
-        """The order of every element, by rank, and with ``inverses`` the rank
-        of every element's inverse.
+    # The chain is also a table whose keys are the ranks themselves, so
+    # ``subgroup`` and ``find_cyclic_subgroup`` run on it without byte keys.
 
-        For each element x not yet met as a power, in rank order, step the
-        base images of x, x^2, ..., x^k = 1 by x and sift each power back to
-        its rank; then ord(x^i) = k / gcd(i, k) and (x^i)^-1 = x^(k - i).
-        Orders are kept one byte each, so a walk past 255 powers raises
-        CertificationError, and so does a power that sifts to no element.
-        """
+    @property
+    def identity(self) -> int:
+        return self._sifter().one
+
+    def sorted_keys(self) -> range:
+        return range(self.size)
+
+    def mul(self, r: int, s: int) -> int:
+        """The rank of "first the element of rank r, then that of rank s":
+        s's images of r's base images, sifted."""
+        u0, u1, u2 = self.element(r)
+        v0, v1, v2 = self.element(s)
+        product = self.rank(*(v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base))
+        if product < 0:
+            raise CertificationError("the chain is not closed under products")
+        return product
+
+    def cycle(self, r: int) -> list[int]:
+        """The ranks of x, x^2, ..., x^(k-1) for the element x != 1 of rank r,
+        k = ord(x): x's base images stepped by x, each power sifted back to its
+        rank.  CertificationError past 255 powers or for a power that sifts
+        to no element."""
         s = self._sifter()
-        n = len(s.inverse_at)
-        inverse_at, offset_at, level12, one = s.inverse_at, s.offset_at, s.level12, s.one
+        n, inverse_at, offset_at, level12, one = (
+            len(s.inverse_at), s.inverse_at, s.offset_at, s.level12, s.one)
+        u0, u1, u2 = self.element(r)
         b0, b1, b2 = self.base
+        p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
+        powers = [r]
+        for _ in range(254):
+            p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
+            inverse = inverse_at[p0]
+            r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
+            if r == one:
+                return powers
+            if r < 0:
+                raise CertificationError("the chain is not closed under products")
+            powers.append(r)
+        raise CertificationError("an element has order above 255, the census's limit")
+
+    def power_pass(self) -> bytearray:
+        """The order of every element, by rank: for each element x not yet
+        met as a power, in rank order, ``cycle`` gives x, x^2, ..., x^(k-1),
+        and ord(x^i) = k / gcd(i, k).  Orders are kept one byte each."""
         orders = bytearray(self.size)
-        invs = array("i", bytes(4 * self.size)) if inverses else None
-        orders[one] = 1
-        if invs is not None:
-            invs[one] = one
+        orders[self.identity] = 1
         ratios: dict[int, list[int]] = {}
         start = orders.find(0)
         while start >= 0:
-            u0, u1, u2 = self.element(start)
-            p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
-            powers = [start]
-            for _ in range(254):
-                p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
-                inverse = inverse_at[p0]
-                r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
-                if r == one:
-                    break
-                if r < 0:
-                    raise CertificationError("the chain is not closed under products")
-                powers.append(r)
-            else:
-                raise CertificationError("an element has order above 255, the census's limit")
+            powers = self.cycle(start)
             k = len(powers) + 1
             if k not in ratios:
                 ratios[k] = [k // gcd(i, k) for i in range(1, k)]
             for r, o in zip(powers, ratios[k]):
                 orders[r] = o
-            if invs is not None:
-                for r, ri in zip(powers, reversed(powers)):
-                    invs[r] = ri
             start = orders.find(0, start)
-        return orders, invs
+        return orders
+
+    def orders(self) -> bytearray:
+        """``power_pass``, computed once."""
+        if self._orders is None:
+            self._orders = self.power_pass()
+        return self._orders
+
+    def conjugator(self, s: int) -> Callable[[int], int]:
+        """x -> s x s^-1 ("first s, then x, then s^-1") for the element s of
+        rank s, as a map of ranks: the conjugate's base images
+        s^-1(U0[a](U1[b] U2[c](s(b)))) are sifted on each call, from s^-1 and
+        the N1 N2 precomputed triples U1[b] U2[c](s(b)).  CertificationError
+        for a conjugate that sifts to no element."""
+        sift = self._sifter()
+        n, inverse_at, offset_at, level12 = (
+            len(sift.inverse_at), sift.inverse_at, sift.offset_at, sift.level12)
+        u0, u1, u2 = self.element(s)
+        s_inv = [0] * n
+        for p in range(n):
+            s_inv[u0[u1[u2[p]]]] = p
+        c0, c1, c2 = (u0[u1[u2[b]]] for b in self.base)
+        tails = [(u1[u2[c0]], u1[u2[c1]], u1[u2[c2]])
+                 for u1 in self.transversals[1] for u2 in self.transversals[2]]
+        t0, n12 = self.transversals[0], len(tails)
+
+        def image(r: int) -> int:
+            a, r12 = divmod(r, n12)
+            u, (p0, p1, p2) = t0[a], tails[r12]
+            y0 = s_inv[u[p0]]
+            inverse = inverse_at[y0]
+            r = offset_at[y0] + level12[inverse[s_inv[u[p1]]] * n + inverse[s_inv[u[p2]]]]
+            if r < 0:
+                raise CertificationError("the chain is not closed under products")
+            return r
+
+        return image
 
 
 class _ChainKeys(Mapping):
@@ -444,8 +492,8 @@ class OvoidTable:
     _pad: bytes = dc_field(init=False, repr=False, compare=False)
     _number: dict[Point, int] = dc_field(init=False, repr=False, compare=False)
     _keys: list[bytes] | None = dc_field(default=None, init=False, repr=False, compare=False)
-    _orders: bytearray | None = dc_field(default=None, init=False, repr=False, compare=False)
-    _inverses: array | None = dc_field(default=None, init=False, repr=False, compare=False)
+    _inverse_keys: tuple[list[bytes], list[bytes]] | None = dc_field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._pad = bytes(max(256 - len(self.points), 0))  # translate tables have 256 bytes
@@ -497,16 +545,32 @@ class OvoidTable:
             raise ValueError("element is not in the table")
         return r
 
+    def _action(self, mat: Mat4) -> list[int]:
+        """The number of the image of each point under a matrix; ValueError
+        for a matrix that does not map the ovoid to itself."""
+        f, number = self.field, self._number
+        try:
+            return [number[_point_image(f, p, mat)] for p in self.points]
+        except KeyError:
+            raise ValueError("matrix does not map the ovoid to itself") from None
+
     def key(self, mat: Mat4) -> bytes:
         """The permutation a matrix of Sz(q) induces on the ovoid: byte k is
         the number of the image of point k.  ValueError for a matrix that does
         not map the ovoid to itself; ScaleRefusal past MAX_POINTS points."""
         self._require_byte_keys()
-        f = self.field
-        try:
-            return bytes([self._number[_point_image(f, p, mat)] for p in self.points])
-        except KeyError:
-            raise ValueError("matrix does not map the ovoid to itself") from None
+        return bytes(self._action(mat))
+
+    def rank(self, mat: Mat4) -> int:
+        """The rank of a matrix of Sz(q), with no byte key: its images of the
+        three base points, sifted, and confirmed on every point.  ValueError
+        for a matrix that acts as no element of the chain."""
+        image, chain = self._action(mat), self.chain
+        r = chain.rank(*(image[b] for b in chain.base))
+        u0, u1, u2 = chain.element(max(r, 0))
+        if r < 0 or any(u0[u1[u2[k]]] != y for k, y in enumerate(image)):
+            raise ValueError("matrix acts as no element of the table")
+        return r
 
     def element(self, key: bytes) -> bytes:
         """The permutation keyed ``key``, which is the key itself; ValueError
@@ -523,49 +587,39 @@ class OvoidTable:
 
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, from the chain's
-        power pass (computed once).  A table small enough for byte keys gets
-        its inverses from the same pass."""
-        if self._orders is None:
-            self._orders, self._inverses = self.chain.power_pass(
-                inverses=len(self.points) <= MAX_POINTS)
-        return self._orders
+        power pass (computed once)."""
+        return self.chain.orders()
 
     def inverses(self) -> array:
-        """inverses()[r] is the rank of the inverse of the element of rank r."""
-        if self._inverses is None:
-            self._orders, self._inverses = self.chain.power_pass(inverses=True)
-        return self._inverses
+        """inverses()[r] is the rank of the inverse of the element of rank r,
+        computed on each call: "U0[a]^-1, then U1[b]^-1, then U2[c]^-1",
+        sifted from its base images."""
+        chain = self.chain
+        i0, i1, i2 = chain._sifter().inverses
+        return array("i", (chain.rank(*(u2[u1[u0[b]]] for b in chain.base))
+                           for u0 in i0 for u1 in i1 for u2 in i2))
 
     def conjugates(self, h: bytes, positions: Iterable[int]) -> Iterator[bytes]:
-        """g h g^-1 for the element g at each of ``positions``."""
-        keys, inverses, pad = self.sorted_keys(), self.inverses(), self._pad
-        hp = h + pad
-        return (keys[i].translate(hp).translate(keys[inverses[i]] + pad) for i in positions)
-
-    def conjugation(self, s: bytes) -> array:
-        """conjugation(s)[i] is the position of s x s^-1 for the element x at
-        position i, sifted from its three base images s^-1(x(s(b))): on a
-        certified chain they name the element.  A conjugate that sifts to
-        nothing, or an array that is not a permutation of the positions, means
-        the table is not the group its products generate: CertificationError."""
-        keys, n = self.sorted_keys(), len(self.points)
-        si = keys[self.inverses()[self.position(s)]]
-        sifter = self.chain._sifter()
-        inverse_at, offset_at, level12 = sifter.inverse_at, sifter.offset_at, sifter.level12
-        s0, s1, s2 = (s[b] for b in self.chain.base)
-        ranks = []
-        for x in keys:
-            p0 = si[x[s0]]
-            inverse = inverse_at[p0]
-            ranks.append(offset_at[p0] + level12[inverse[si[x[s1]]] * n + inverse[si[x[s2]]]])
-        if min(ranks) < 0 or len(set(ranks)) != len(ranks):
-            raise CertificationError("table is not closed under products")
-        return array("i", ranks)
+        """g h g^-1 for the element g at each of ``positions``; the key of g^-1
+        is that of U0[a]^-1 followed by the precomputed U1[b]^-1 U2[c]^-1.
+        The census runs first: it raises on a chain that is not closed."""
+        self.orders()
+        keys, pad = self.sorted_keys(), self._pad
+        if self._inverse_keys is None:
+            i0, i1, i2 = ([bytes(u) + pad for u in level]
+                          for level in self.chain._sifter().inverses)
+            self._inverse_keys = i0, [u1.translate(u2) for u1 in i1 for u2 in i2]
+        i0, tails = self._inverse_keys
+        n12, hp = len(tails), h + pad
+        for i in positions:
+            a, r12 = divmod(i, n12)
+            yield keys[i].translate(hp).translate(i0[a]).translate(tails[r12])
 
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its members' keys inside some ElementTable."""
+    """A subgroup given by its members' keys inside some table; on a
+    StabilizerChain the keys are ranks."""
 
     members: frozenset[Key]
     order: int
@@ -625,9 +679,10 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
     then U0[a]", and its position in the table is that rank.  Any other
     orbit or chain size raises CertificationError.
 
-    The census sifts base images and needs no keys, so it counts all of
-    Sz(32) too; the scans' byte keys stop at MAX_POINTS = 256 points, so
-    ``verify`` stops at Sz(8).
+    The census and the partition walk sift base images and need no keys, so
+    they run on all of Sz(32) too; the byte keys of the normalizer and
+    centralizer scans stop at MAX_POINTS = 256 points, so ``verify`` stops
+    at Sz(8).
     """
     check_census_scale(params)
     n_points = params.q * params.q + 1
@@ -841,86 +896,95 @@ class PartitionReport:
         }
 
 
-def _conjugates(gens: list[int], members: list[int], moves: list[array],
-                hits: array) -> int:
+def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int], int]],
+                hits: array, cycle: Callable[[int], list[int]]) -> int:
     """The number of conjugates of the subgroup H with these generators and
-    members (positions), each of whose members gets one more ``hits``.
+    members (ranks), each of whose members gets one more ``hits``.
 
-    ``moves`` are the generators' ``conjugation`` arrays: conjugation is a
-    group action, so generator moves alone reach every conjugate.  Each
-    conjugate K is kept as (its generators, its members), and ``owner[i]``
-    names a conjugate that holds position i.  A move c maps K's generators
-    only: c(K) is the subgroup their images generate, with |H| elements, so
-    when every image lies in one known conjugate, c(K) is that conjugate.
-    Otherwise its members are mapped.  For a cyclic H, c(K) is then new: the
-    one image x generates every conjugate that holds it.  For any other H,
-    whose conjugates may share more than the identity, c(K) is new unless
-    its member set is one met before.
+    ``moves`` map a rank to its conjugate by one generator of the group, so
+    they reach every conjugate.  ``owner[i]`` names a known conjugate that
+    holds rank i.  A move c maps a conjugate K's generators only: c(K) is the
+    subgroup their images generate, with |H| elements, so when they all lie
+    in one known conjugate, c(K) is that one.  For a cyclic H, an image x
+    with no owner gives the new conjugate <x>, whose members ``cycle(x)``
+    steps, so only generators are kept.  Any other H, whose conjugates may
+    share more than the identity, keeps the members of each conjugate, maps
+    them when the generators leave the known ones, and adds c(K) unless its
+    member set was met before.
     """
     owner = array("i", [-1]) * len(hits)
-    known: list[tuple[list[int], list[int]]] = []
 
-    def add(k_gens: list[int], k_members: list[int]) -> None:
+    def add(k_members: Iterable[int]) -> None:
         k = len(known)
-        known.append((k_gens, k_members))
         for i in k_members:
             hits[i] += 1
             owner[i] = k
 
-    add(gens, members)
+    known: list = []
+    add(members)
     if len(gens) == 1:
-        for (g,), k_members in known:  # grows while it is read
+        known.append(gens[0])
+        for g in known:  # grows while it is read
             for c in moves:
-                x = c[g]
+                x = c(g)
                 if owner[x] < 0:
-                    add([x], list(map(c.__getitem__, k_members)))
+                    add(cycle(x))
+                    known.append(x)
         return len(known)
-    seen = {frozenset(members)}
+    known.append((gens, array("i", members)))
+    seen = {array("i", sorted(members)).tobytes()}
     for k_gens, k_members in known:
         for c in moves:
-            images = [c[g] for g in k_gens]
+            images = [c(g) for g in k_gens]
             k = owner[images[0]]
             if k >= 0 and all(owner[i] == k for i in images):
                 continue
-            image = list(map(c.__getitem__, k_members))
-            member_set = frozenset(image)
+            image = array("i", map(c, k_members))
+            member_set = array("i", sorted(image)).tobytes()
             if member_set not in seen:
                 seen.add(member_set)
-                add(images, image)
+                add(image)
+                known.append((images, image))
     return len(known)
 
 
-def verify_partition(table: OvoidTable, params: SuzukiParams) -> PartitionReport:
+def unitriangular(table: OvoidTable) -> SubgroupHandle:
+    """W = {w(a, b)} as ranks, closed on the chain from the ranks of
+    ``w_generators``."""
+    return subgroup(table.chain, map(table.rank, w_generators(table.field)),
+                    table.field.q ** 2)
+
+
+def verify_partition(table: OvoidTable, params: SuzukiParams,
+                     w: SubgroupHandle | None = None) -> PartitionReport:
     """Conjugate one representative of each class and check the cover.
 
-    Representatives: the unitriangular subgroup {w(a, b)} of order q^2,
-    closed inside the table, and cyclic subgroups of orders q+s+1, q-s+1
-    and q-1 dug out of it.  Each class is walked by ``_conjugates``, which
-    maps the generators of a known conjugate (3 for W at q = 8, 1 for a
-    cyclic class) and the members of each new conjugate only.  The moves are
-    one ``conjugation`` array per generator of the table, except that a
-    generator in the cyclic group of one kept before adds no move and is
-    skipped (w(0, 1) = w(1, 0)^2 among the candidates).
+    The representatives are ranks on the chain: W = {w(a, b)} (``w``, closed
+    by ``unitriangular`` when not given) and cyclic subgroups of orders
+    q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
+    ``conjugator`` per generator of the table, skipping a generator in the
+    cyclic group of one kept before (w(0, 1) = w(1, 0)^2).  Nothing of size
+    |G| is allocated but the orders, ``hits`` and one ``owner`` array per
+    class, so this runs on Sz(32) too.
     """
-    w = subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
-    if not w.members <= table.by_key.keys():
-        raise ValueError("table does not contain the unitriangular subgroup")
-    reps = {"w": (_generating_set(table, w.members), w.members)}
+    chain = table.chain
+    if w is None:
+        w = unitriangular(table)
+    reps = {"w": (_generating_set(chain, w.members), w.members)}
     for name in ("u1", "u2", "v"):
-        h = find_cyclic_subgroup(table, getattr(params, name))
+        h = find_cyclic_subgroup(chain, getattr(params, name))
         reps[name] = ([h.cyclic_generator], h.members)
     moves, powers = [], set()
-    for s in map(table.key, table.generators):
+    for s in map(table.rank, table.generators):
         if s not in powers:
-            moves.append(table.conjugation(s))
-            powers |= cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
+            moves.append(chain.conjugator(s))
+            powers.update(chain.cycle(s))
     hits = array("i", bytes(4 * table.size))
-    counts = {name: _conjugates([table.position(g) for g in gens],
-                                [table.position(x) for x in members], moves, hits)
+    counts = {name: _conjugates(gens, list(members), moves, hits, chain.cycle)
               for name, (gens, members) in reps.items()}
-    hits[table.position(table.identity)] = 0  # in every conjugate: not counted
-    multiply = sum(1 for c in hits if c > 1)
+    hits[chain.identity] = 0  # in every conjugate: not counted
     missing = hits.count(0) - 1
+    multiply = len(hits) - hits.count(1) - missing - 1
     return PartitionReport(
         measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],
                                       n_u2=counts["u2"], n_v=counts["v"]),

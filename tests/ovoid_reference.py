@@ -6,9 +6,11 @@ permutations with ``bytes.translate`` into a dict, sorts the keys, and gets
 orders and inverses from the dict-keyed power pass that ``ElementTable``
 still runs for matrix tables.  ``ref_normalizer`` and ``ref_centralizer`` scan
 every element with two ``translate`` calls each, as the oracle did before its
-base-image prefilters.  ``ref_verify_partition`` walks each class's
-conjugates as frozensets of positions, every move mapping every member, as
-the oracle did before its generator walk.  Only the tests import this module.
+base-image prefilters.  ``conjugation`` is the full conjugation array per
+move that the partition walk used before it sifted conjugates on demand, and
+``ref_verify_partition`` walks each class's conjugates over those arrays as
+frozensets of positions, every move mapping every member, as the oracle did
+before its generator walk.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -118,18 +120,46 @@ def _orbit(table, members: frozenset, moves: list[array]):
     return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
 
 
-def ref_verify_partition(table, params: SuzukiParams) -> PartitionReport:
+def conjugation(table, s: bytes) -> array:
+    """conjugation(table, s)[i] is the position of s x s^-1 for the element x
+    at position i: the array ``OvoidTable.conjugation`` built for each move
+    before the moves were sifted on demand.  On an ``OvoidTable`` each
+    conjugate is sifted from its three base images s^-1(x(s(b))); a
+    conjugate that sifts to nothing, or an array that is not a permutation
+    of the positions, raises CertificationError."""
+    if isinstance(table, ReferenceOvoidTable):
+        return table.conjugation(s)
+    keys, n = table.sorted_keys(), len(table.points)
+    si = bytes(sorted(range(n), key=s.__getitem__))  # k at byte s[k]
+    sifter = table.chain._sifter()
+    inverse_at, offset_at, level12 = sifter.inverse_at, sifter.offset_at, sifter.level12
+    s0, s1, s2 = (s[b] for b in table.chain.base)
+    ranks = []
+    for x in keys:
+        p0 = si[x[s0]]
+        inverse = inverse_at[p0]
+        ranks.append(offset_at[p0] + level12[inverse[si[x[s1]]] * n + inverse[si[x[s2]]]])
+    if min(ranks) < 0 or len(set(ranks)) != len(ranks):
+        raise CertificationError("table is not closed under products")
+    return array("i", ranks)
+
+
+def ref_verify_partition(table, params: SuzukiParams, w: SubgroupHandle | None = None
+                         ) -> PartitionReport:
     """The partition report from frozenset orbits.  The representatives and
-    moves come from ``szq.oracle``'s own functions, looked up at call time,
-    so a test that replaces one of them changes both walks alike."""
-    w = oracle.subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
+    moves come from ``szq.oracle``'s own functions and this module's
+    ``conjugation``, looked up at call time, so a test that replaces one of
+    them changes both walks alike.  ``w``, when given, is W by the table's
+    keys."""
+    if w is None:
+        w = oracle.subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
     reps = {"w": w.members}
     for name in ("u1", "u2", "v"):
         reps[name] = oracle.find_cyclic_subgroup(table, getattr(params, name)).members
     moves, powers = [], set()
     for s in map(table.key, table.generators):
         if s not in powers:
-            moves.append(table.conjugation(s))
+            moves.append(conjugation(table, s))
             powers |= oracle.cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
     hits = array("i", bytes(4 * table.size))
     sizes = {}

@@ -7,16 +7,21 @@ inverse for every key, the same normalizers and centralizers and the same
 partition report; only the order of the keys (rank order) may differ.  The
 chain's sift round-trips every rank, at q = 8 through the byte keys and at
 q = 32 through the base images alone.  The partition's generator walk must
-give the frozenset walk's report also on inputs that break the partition.
+give the frozenset walk's report also on inputs that break the partition,
+and the rank operations it runs on (each move's on-demand conjugates, the
+stepped powers of a conjugate, rank products and the ranks of matrices)
+must agree with the byte keys.
 """
 
 from array import array
+from copy import copy
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ovoid_reference
 import szq.oracle
 from ovoid_reference import (
     ref_centralizer,
@@ -26,10 +31,11 @@ from ovoid_reference import (
 )
 from szq.field import Field
 from szq.group import make_params, make_w, w_generators
+from szq.mat4 import Mat4
 from szq.oracle import (
     MAX_POINTS,
-    OvoidTable,
     ScaleRefusal,
+    StabilizerChain,
     SubgroupHandle,
     _point_image,
     build_suzuki_table,
@@ -99,7 +105,7 @@ def test_normalizers_and_centralizers_agree(pair, name):
 
 def test_the_partition_reports_agree(pair):
     assert verify_partition(pair.chain, pair.params) == \
-        verify_partition(pair.reference, pair.params)
+        ref_verify_partition(pair.reference, pair.params)
 
 
 @pytest.mark.parametrize("change", ["none", "identity-move", "dropped-move",
@@ -107,11 +113,14 @@ def test_the_partition_reports_agree(pair):
 def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch):
     table, params = pair.chain, pair.params
     w10, w01, torus, weyl = table.generators
-    f = table.field
+    f, w, ref_w = table.field, None, None
     if change == "identity-move":  # the torus's move conjugates by the identity
-        conjugation, d = OvoidTable.conjugation, table.key(torus)
-        monkeypatch.setattr(OvoidTable, "conjugation", lambda t, s: array(
-            "i", range(t.size)) if s == d else conjugation(t, s))
+        conjugator, conjugation = StabilizerChain.conjugator, ovoid_reference.conjugation
+        d, key_d = table.rank(torus), table.key(torus)
+        monkeypatch.setattr(StabilizerChain, "conjugator", lambda chain, s: (
+            lambda r: r) if s == d else conjugator(chain, s))
+        monkeypatch.setattr(ovoid_reference, "conjugation", lambda t, s: array(
+            "i", range(t.size)) if s == key_d else conjugation(t, s))
     elif change == "dropped-move":  # the moves generate the Borel subgroup only
         table = replace(table, generators=[w10, w01, torus])
     elif change == "v-of-order-4":  # cyclic conjugates that share their squares
@@ -122,11 +131,67 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
         # Four-groups in the centre of W meet in involutions, so a move's two
         # generator images can lie in two different known conjugates.
         z1, z2 = (table.key(make_w(f.zero, f.element(b))) for b in (1, 2))
-        four = SubgroupHandle(frozenset([table.identity, z1, z2, table.mul(z1, z2)]), 4)
-        monkeypatch.setattr(szq.oracle, "subgroup", lambda *args, **kwargs: four)
-    report = verify_partition(table, params)
-    assert report == ref_verify_partition(table, params)
+        ref_w = SubgroupHandle(frozenset([table.identity, z1, z2, table.mul(z1, z2)]), 4)
+        w = SubgroupHandle(frozenset(map(table.position, ref_w.members)), 4)
+    report = verify_partition(table, params, w)
+    assert report == ref_verify_partition(table, params, ref_w)
     assert report.passed == (change == "none")
+
+
+def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
+    # Both the sifted array and the bytes closure's translate array.
+    table, ref = pair.chain, pair.reference
+    keys, ref_keys = table.sorted_keys(), ref.sorted_keys()
+    for g in table.generators:
+        move = table.chain.conjugator(table.rank(g))
+        images = array("i", map(move, range(table.size)))
+        assert images == ovoid_reference.conjugation(table, table.key(g))
+        ref_images = ref.conjugation(table.key(g))
+        assert all(keys[images[r]] == ref_keys[ref_images[ref.position(key)]]
+                   for r, key in enumerate(keys))
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(0, 29119))
+def test_a_conjugate_s_stepped_powers_are_its_mapped_members(pair_0xb, r):
+    # c(x)^i = c(x^i): the powers that ``cycle`` steps from a new conjugate's
+    # generator are the members a move maps, in the same order.
+    chain = pair_0xb.chain.chain
+    if r == chain.identity:
+        return
+    for g in pair_0xb.chain.generators:
+        move = chain.conjugator(pair_0xb.chain.rank(g))
+        assert chain.cycle(move(r)) == [move(x) for x in chain.cycle(r)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(0, 29119), s=st.integers(0, 29119))
+def test_rank_products_agree_with_byte_key_products(pair_0xb, pair_0xd, r, s):
+    for table in (pair_0xb.chain, pair_0xd.chain):
+        keys = table.sorted_keys()
+        assert keys[table.chain.mul(r, s)] == table.mul(keys[r], keys[s])
+
+
+def test_matrix_ranks_agree_with_their_byte_keys(sz8, sz8_matrices):
+    table = sz8.table
+    for entries in sz8_matrices.sorted_keys()[::97]:
+        mat = sz8_matrices.element(entries)
+        assert table.rank(mat) == table.position(table.key(mat))
+    f = sz8.field
+    off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
+    with pytest.raises(ValueError):
+        table.rank(off_ovoid)
+
+
+def test_the_point_action_is_the_same_past_the_table_limit(sz8):
+    # A field without its multiplication table multiplies by the schoolbook
+    # routine; every generator moves every point the same way.
+    table = sz8.table
+    schoolbook = copy(table.field)
+    schoolbook._mul_table = None
+    for g in table.generators:
+        for p in table.points:
+            assert _point_image(schoolbook, p, g) == _point_image(table.field, p, g)
 
 
 def test_the_chain_s_levels_at_q8(sz8):

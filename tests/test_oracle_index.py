@@ -152,13 +152,13 @@ def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
 def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
     # w(0, 1) = w(1, 0)^2 lies in the cyclic group of w(1, 0) and adds no move.
     calls = []
-    conjugation = OvoidTable.conjugation
-    monkeypatch.setattr(OvoidTable, "conjugation",
-                        lambda table, s: calls.append(s) or conjugation(table, s))
+    conjugator = StabilizerChain.conjugator
+    monkeypatch.setattr(StabilizerChain, "conjugator",
+                        lambda chain, s: calls.append(s) or conjugator(chain, s))
     report = verify_partition(sz8.table, sz8.params)
     assert len(calls) == 3
     w10, _w01, torus, weyl = sz8.generators
-    assert calls == [sz8.table.key(g) for g in (w10, torus, weyl)]
+    assert calls == [sz8.table.rank(g) for g in (w10, torus, weyl)]
     m = report.measured
     assert [m.n_w, m.n_u1, m.n_u2, m.n_v] == [65, 560, 1456, 2080]
     assert (report.coverage, report.multiply_covered, report.missing) == (29119, 0, 0)
