@@ -7,14 +7,25 @@ closure tables store an element: a table keeps the tuples alone, and
 ``Mat4._make(field, entries)`` puts a matrix back around one without copying
 it.  The product is unrolled inside ``__mul__`` and reads straight from the
 field's multiplication table when one exists, because closure enumeration and
-order censuses push millions of products through it.
+order censuses push millions of products through it.  Entries are ints (never
+``bool``) or field elements; anything else is a ``TypeError``.
+
+A right factor y that many products share, such as a generator of a closure,
+can carry its own kernel: ``y._as_right_factor()`` is a copy of y whose
+``_right`` slot holds x -> x * y compiled once from y's entries
+(``_right_kernel``).  Its terms are only those where y has a nonzero entry,
+an entry 1 costs no lookup, and any other reads one table row bound once, so
+a sparse or 0/1 factor costs a fraction of the 64 lookups of the generic
+product.  ``__mul__`` runs the right operand's kernel when it has one and
+the generic product otherwise; every other matrix, and every matrix over a
+field too large for a table (q > 512), carries none.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .field import Field, FieldElement, FieldMismatchError
+from .field import Field, FieldElement, FieldMismatchError, _require_int
 
 
 class SingularMatrixError(ValueError):
@@ -23,6 +34,39 @@ class SingularMatrixError(ValueError):
 
 class OrderNotFoundError(LookupError):
     """No power within the hinted divisors (or the bound) equals the identity."""
+
+
+def _right_kernel(y: Sequence[int],
+                  mul: list[list[int]]) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """The product x -> x * y for this one y, unrolled and compiled once.
+
+    Entry (i, j) of x * y is the XOR over k of x_ik y_kj.  A term with
+    y_kj = 0 is dropped, one with y_kj = 1 is x_ik itself, and any other
+    reads x_ik from the bound table row ``mul[y_kj]``.  The source names
+    only positions and row numbers, never an entry, so no value of y
+    reaches ``exec``.
+    """
+    rows: dict[int, int] = {}  # an entry of y past 1 -> its row's number
+    sums = []
+    for i in (0, 4, 8, 12):
+        for j in range(4):
+            terms = []
+            for k in range(4):
+                v = y[4 * k + j]
+                if v == 1:
+                    terms.append(f"x{i + k}")
+                elif v:
+                    terms.append(f"r{rows.setdefault(v, len(rows))}[x{i + k}]")
+            sums.append(" ^ ".join(terms) or "0")
+    names = ", ".join(f"r{n}" for n in range(len(rows)))
+    src = (f"def bind({names}):\n"
+           f"    def kernel(x):\n"
+           f"        {', '.join(f'x{n}' for n in range(16))} = x\n"
+           f"        return ({', '.join(sums)})\n"
+           f"    return kernel\n")
+    namespace: dict = {}
+    exec(src, namespace)
+    return namespace["bind"](*(mul[v] for v in rows))
 
 
 def _mul_fn_kernel(x: Sequence[int], y: Sequence[int], mul) -> tuple[int, ...]:
@@ -38,7 +82,7 @@ def _mul_fn_kernel(x: Sequence[int], y: Sequence[int], mul) -> tuple[int, ...]:
 class Mat4:
     """Immutable 4x4 matrix over a :class:`Field`."""
 
-    __slots__ = ("entries", "field")
+    __slots__ = ("entries", "field", "_right")
 
     def __init__(self, field: Field, entries: Iterable[int | FieldElement]) -> None:
         vals = []
@@ -48,6 +92,7 @@ class Mat4:
                     raise FieldMismatchError("entry from a different field")
                 vals.append(e.bits)
             else:
+                _require_int("entry", e)
                 if not 0 <= e < field.q:
                     raise ValueError(f"entry 0x{e:x} out of range for GF(2^{field.degree})")
                 vals.append(e)
@@ -55,6 +100,7 @@ class Mat4:
             raise ValueError(f"need 16 entries, got {len(vals)}")
         _set_entries(self, tuple(vals))
         _set_field(self, field)
+        _set_right(self, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Mat4 is immutable")
@@ -65,6 +111,18 @@ class Mat4:
         m = _new(cls)
         _set_entries(m, entries)
         _set_field(m, field)
+        _set_right(m, None)
+        return m
+
+    def _as_right_factor(self) -> "Mat4":
+        """A copy of this matrix that carries its own product kernel, for a
+        right factor that many products share: ``x * copy`` runs
+        ``_right_kernel``.  Over a field with no multiplication table the
+        copy carries none and products take the generic path."""
+        m = Mat4._make(self.field, self.entries)
+        mul = self.field._mul_table
+        if mul is not None:
+            _set_right(m, _right_kernel(self.entries, mul))
         return m
 
     @classmethod
@@ -88,8 +146,10 @@ class Mat4:
         f = self.field
         if other.field is not f and other.field != f:
             raise FieldMismatchError("matrices over different fields")
-        mul = f._mul_table
-        if mul is None:
+        kernel = other._right
+        if kernel is not None:
+            entries = kernel(self.entries)
+        elif (mul := f._mul_table) is None:
             entries = _mul_fn_kernel(self.entries, other.entries, f._mul)
         else:
             # Unrolled 4x4 product over the q x q multiplication table.
@@ -120,6 +180,7 @@ class Mat4:
         m = _new(Mat4)
         _set_entries(m, entries)
         _set_field(m, f)
+        _set_right(m, None)
         return m
 
     def __pow__(self, k: int) -> "Mat4":
@@ -206,6 +267,7 @@ class Mat4:
 _new = object.__new__
 _set_entries = Mat4.entries.__set__
 _set_field = Mat4.field.__set__
+_set_right = Mat4._right.__set__
 
 
 def element_order(mat: Mat4, hint_orders: Iterable[int] = (), bound: int | None = None) -> int:

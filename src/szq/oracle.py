@@ -631,9 +631,13 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
 
     The table keeps entry tuples only.  Each new element is lifted to a
     ``Mat4`` once and multiplied by every generator, so a closure of n
-    elements makes n * len(generators) products.  Raises ClosureLimitError
-    as soon as the element count would exceed ``limit`` (wrong generators or
-    wrong limit).
+    elements makes n * len(generators) products.  Each product goes through
+    ``Mat4.__mul__`` with a copy of its generator that carries the kernel of
+    that right factor (``Mat4._as_right_factor``): zero entries of the
+    generator drop their terms and unit entries their lookups.  The caller's
+    matrices are not touched, and the table's ``generators`` are those very
+    matrices.  Raises ClosureLimitError as soon as the element count would
+    exceed ``limit`` (wrong generators or wrong limit).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -641,7 +645,8 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     for g in generators[1:]:
         if g.field != f:
             raise ValueError("generators live in different fields")
-    by_key = _walk([Mat4.identity(f).entries], generators, mul, _entries, limit,
+    moves = [g._as_right_factor() for g in generators]
+    by_key = _walk([Mat4.identity(f).entries], moves, mul, _entries, limit,
                    partial(Mat4._make, f))
     return ElementTable(field=f, by_key=by_key, generators=list(generators))
 
@@ -896,56 +901,72 @@ class PartitionReport:
         }
 
 
+# A hit count plus one, stopping at 255: the cover check needs only 0, 1 and
+# "more", and the identity, in every conjugate, takes no hits.
+_BUMP = bytes(range(1, 256)) + b"\xff"
+# Conjugates of a non-cyclic class are numbered 1.. in an array('H').
+_MAX_OWNERS = 0xFFFF
+
+
 def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int], int]],
-                hits: array, cycle: Callable[[int], list[int]]) -> int:
+                hits: bytearray, cycle: Callable[[int], list[int]]) -> tuple[int, int]:
     """The number of conjugates of the subgroup H with these generators and
-    members (ranks), each of whose members gets one more ``hits``.
+    nontrivial members (ranks), and the membership slots they fill: each
+    conjugate's nontrivial members get one more ``hits``.
 
     ``moves`` map a rank to its conjugate by one generator of the group, so
-    they reach every conjugate.  ``owner[i]`` names a known conjugate that
-    holds rank i.  A move c maps a conjugate K's generators only: c(K) is the
-    subgroup their images generate, with |H| elements, so when they all lie
-    in one known conjugate, c(K) is that one.  For a cyclic H, an image x
-    with no owner gives the new conjugate <x>, whose members ``cycle(x)``
-    steps, so only generators are kept.  Any other H, whose conjugates may
-    share more than the identity, keeps the members of each conjugate, maps
-    them when the generators leave the known ones, and adds c(K) unless its
-    member set was met before.
+    they reach every conjugate.  ``owner[i]`` is nonzero once rank i lies in
+    a known conjugate.  A move c maps a conjugate K's generators only: c(K)
+    is the subgroup their images generate, with |H| elements, so when they
+    all lie in one known conjugate, c(K) is that one.  For a cyclic H, an
+    image x with no owner gives the new conjugate <x>, whose members
+    ``cycle(x)`` steps, so only generators are kept and ``owner`` is a byte
+    mark.  Any other H, whose conjugates may share more than the identity,
+    numbers its conjugates in ``owner`` (an OverflowError past
+    ``_MAX_OWNERS`` of them), keeps the members of each, maps them when the
+    generators leave the known ones, and adds c(K) unless its member set was
+    met before.
     """
-    owner = array("i", [-1]) * len(hits)
+    slots = 0
 
-    def add(k_members: Iterable[int]) -> None:
-        k = len(known)
+    def add(k_members: Sequence[int], k: int) -> None:
+        nonlocal slots
         for i in k_members:
-            hits[i] += 1
+            hits[i] = _BUMP[hits[i]]
             owner[i] = k
+        slots += len(k_members)
 
-    known: list = []
-    add(members)
     if len(gens) == 1:
-        known.append(gens[0])
+        owner = bytearray(len(hits))
+        known = [gens[0]]
+        add(members, 1)
         for g in known:  # grows while it is read
             for c in moves:
                 x = c(g)
-                if owner[x] < 0:
-                    add(cycle(x))
+                if not owner[x]:
+                    add(cycle(x), 1)
                     known.append(x)
-        return len(known)
-    known.append((gens, array("i", members)))
+        return len(known), slots
+    owner = array("H", bytes(2 * len(hits)))
+    known = [(gens, array("i", members))]
+    add(members, 1)
     seen = {array("i", sorted(members)).tobytes()}
     for k_gens, k_members in known:
         for c in moves:
             images = [c(g) for g in k_gens]
             k = owner[images[0]]
-            if k >= 0 and all(owner[i] == k for i in images):
+            if k and all(owner[i] == k for i in images):
                 continue
             image = array("i", map(c, k_members))
             member_set = array("i", sorted(image)).tobytes()
             if member_set not in seen:
+                if len(known) >= _MAX_OWNERS:
+                    raise OverflowError(f"more than {_MAX_OWNERS} conjugates of a "
+                                        f"non-cyclic subgroup")
                 seen.add(member_set)
-                add(image)
                 known.append((images, image))
-    return len(known)
+                add(image, len(known))
+    return len(known), slots
 
 
 def unitriangular(table: OvoidTable) -> SubgroupHandle:
@@ -964,10 +985,14 @@ def verify_partition(table: OvoidTable, params: SuzukiParams,
     q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
     ``conjugator`` per generator of the table, skipping a generator in the
     cyclic group of one kept before (w(0, 1) = w(1, 0)^2).  Nothing of size
-    |G| is allocated but the orders, ``hits`` and one ``owner`` array per
-    class, so this runs on Sz(32) too.
+    |G| is allocated but the orders, the byte ``hits`` and, one class at a
+    time, its ``owner`` array (a byte mark, or 16-bit conjugate numbers for
+    W), so this runs on Sz(32) too.  Hit counts stop at 255, which keeps
+    ``missing`` and ``multiply_covered`` exact; ``coverage`` is counted as
+    the slots are filled.
     """
     chain = table.chain
+    one = chain.identity
     if w is None:
         w = unitriangular(table)
     reps = {"w": (_generating_set(chain, w.members), w.members)}
@@ -979,17 +1004,19 @@ def verify_partition(table: OvoidTable, params: SuzukiParams,
         if s not in powers:
             moves.append(chain.conjugator(s))
             powers.update(chain.cycle(s))
-    hits = array("i", bytes(4 * table.size))
-    counts = {name: _conjugates(gens, list(members), moves, hits, chain.cycle)
-              for name, (gens, members) in reps.items()}
-    hits[chain.identity] = 0  # in every conjugate: not counted
-    missing = hits.count(0) - 1
+    hits = bytearray(table.size)
+    counts, coverage = {}, 0
+    for name, (gens, members) in reps.items():
+        counts[name], slots = _conjugates(gens, [i for i in members if i != one],
+                                          moves, hits, chain.cycle)
+        coverage += slots
+    missing = hits.count(0) - 1  # the identity is in no count
     multiply = len(hits) - hits.count(1) - missing - 1
     return PartitionReport(
         measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],
                                       n_u2=counts["u2"], n_v=counts["v"]),
         expected=closed_form_subgroup_counts(params),
-        coverage=sum(hits),
+        coverage=coverage,
         expected_coverage=params.group_order - 1,
         multiply_covered=multiply,
         missing=missing,

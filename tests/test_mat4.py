@@ -3,10 +3,17 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szq.field import Field, FieldMismatchError
 from szq.group import make_w
-from szq.mat4 import Mat4, OrderNotFoundError, SingularMatrixError, element_order
+from szq.mat4 import (
+    Mat4,
+    OrderNotFoundError,
+    SingularMatrixError,
+    _mul_fn_kernel,
+    element_order,
+)
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +54,17 @@ def test_constructor_validates_entries(f8):
         Mat4(f8, (8,) + (0,) * 15)  # entry outside the field
     with pytest.raises(FieldMismatchError):
         Mat4(f8, (Field(2).one,) + (0,) * 15)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, False, "1", None, 1j])
+def test_constructor_refuses_non_int_entries(f8, bad):
+    # A float passed the range check, then broke repr and products; a bool
+    # was stored as it came.
+    with pytest.raises(TypeError):
+        Mat4(f8, [bad] + [0] * 15)
+    with pytest.raises(TypeError):
+        Mat4.diagonal(f8, [bad, 1, 1, 1])
+    assert Mat4.diagonal(f8, [f8.one, 1, 1, 1]) == Mat4.identity(f8)
 
 
 def test_inverse_roundtrip(f8):
@@ -195,3 +213,43 @@ def test_order_is_conjugation_invariant(sz8_matrices):
         g = sz8_matrices.element(rng.choice(keys))
         conj = (g * x) * g.inv()
         assert element_order(conj, hints) == element_order(x, hints)
+
+
+# -- the kernel of a fixed right factor --------------------------------------
+
+# GF(8), GF(32) and GF(128), each under two irreducible moduli.
+KERNEL_FIELDS = [Field(m, modulus=mod) for m, mods in ((1, (0xB, 0xD)), (2, (0x25, 0x3D)),
+                                                       (3, (0x83, 0x89))) for mod in mods]
+SHAPES = {
+    "dense": lambda e: e,
+    "lower-triangular": lambda e: [v if i // 4 >= i % 4 else 0 for i, v in enumerate(e)],
+    "diagonal": lambda e: [v if i % 5 == 0 else 0 for i, v in enumerate(e)],
+    "0/1 only": lambda e: [v & 1 for v in e],
+    "identity": lambda e: [int(i % 5 == 0) for i in range(16)],
+    "zero": lambda e: [0] * 16,
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS), st.sampled_from(sorted(SHAPES)),
+       st.lists(st.integers(0, 127), min_size=16, max_size=16),
+       st.lists(st.integers(0, 127), min_size=16, max_size=16))
+def test_the_right_factor_kernel_is_the_product(field, shape, x_bits, y_bits):
+    x = Mat4(field, [v % field.q for v in x_bits])
+    y = Mat4(field, SHAPES[shape]([v % field.q for v in y_bits]))
+    right = y._as_right_factor()
+    assert right == y and hash(right) == hash(y) and right is not y
+    assert right._right is not None and y._right is None
+    product = (x * right).entries
+    assert product == (x * y).entries == _mul_fn_kernel(x.entries, y.entries, field._mul)
+    assert (x * right)._right is None
+
+
+def test_a_field_past_the_table_limit_takes_the_generic_path():
+    f = Field(5)  # q = 2048 > 512: no multiplication table
+    rng = random.Random(5)
+    x, y = (_random_mat(f, rng) for _ in range(2))
+    right = y._as_right_factor()
+    assert f._mul_table is None and right._right is None
+    assert (x * right).entries == (x * y).entries == _mul_fn_kernel(x.entries, y.entries,
+                                                                    f._mul)

@@ -115,6 +115,31 @@ def mat4_closure(gens):
     return seen
 
 
+def test_borel_closure_through_kernels_matches_a_walk_over_matrices():
+    # enumerate_group multiplies by kernel-carrying copies of its generators;
+    # the reference walk multiplies by the caller's plain matrices.
+    params = make_params(2)
+    gens = candidate_generators(params, Field(2))[:3]
+    before = [(g.entries, hash(g)) for g in gens]
+    copies = [Mat4._make(g.field, g.entries) for g in gens]
+    table = enumerate_group(gens, limit=params.q ** 2 * (params.q - 1))
+    assert table.sorted_keys() == sorted(x.entries for x in mat4_closure(gens))
+    assert all(t is g for t, g in zip(table.generators, gens))
+    assert len(table.generators) == len(gens)
+    assert [(g.entries, hash(g)) for g in gens] == before
+    assert all(g._right is None for g in gens)  # no kernel attached to the caller's
+    assert gens == copies
+
+
+def test_closure_over_a_field_with_no_table():
+    # q = 2048: the generators' copies carry no kernel and products take the
+    # generic path.
+    f = Field(5)
+    w10 = make_w(f.one, f.zero)
+    table = enumerate_group([w10], limit=4)
+    assert table.sorted_keys() == sorted(x.entries for x in mat4_closure([w10]))
+
+
 @pytest.mark.parametrize("group", ["w-q32", "sz8"])
 def test_key_only_table_matches_a_walk_over_matrices(request, group):
     if group == "sz8":

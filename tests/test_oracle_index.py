@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import szq.oracle
 from szq.field import Field
 from szq.group import (
     CertificationError,
@@ -28,6 +29,7 @@ from szq.oracle import (
     OvoidTable,
     StabilizerChain,
     SubgroupHandle,
+    _conjugates,
     _walk,
     build_suzuki_table,
     centralizer,
@@ -163,6 +165,31 @@ def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
     assert [m.n_w, m.n_u1, m.n_u2, m.n_v] == [65, 560, 1456, 2080]
     assert (report.coverage, report.multiply_covered, report.missing) == (29119, 0, 0)
     assert report.passed
+
+
+def test_hit_counts_stop_at_255_and_the_slots_stay_exact(sz8):
+    # Hits are bytes: a count at 255 stays there, and the slots the walk
+    # fills are counted apart from them.
+    chain = sz8.table.chain
+    v = find_cyclic_subgroup(chain, sz8.params.v)
+    members = [i for i in v.members if i != chain.identity]
+    moves = [chain.conjugator(sz8.table.rank(g)) for g in sz8.generators]
+    hits = bytearray(b"\xfe") * chain.size
+    for _ in range(2):
+        assert _conjugates([v.cyclic_generator], members, moves, hits,
+                           chain.cycle) == (2080, 2080 * 6)
+    assert hits.count(255) == 2080 * 6
+    assert hits.count(254) == chain.size - 2080 * 6
+
+
+def test_w_conjugates_are_numbered_within_16_bits(sz8, monkeypatch):
+    # W's owner array holds 16-bit conjugate numbers; a class with more
+    # conjugates than that bound is refused, never wrapped.
+    monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 65)
+    assert verify_partition(sz8.table, sz8.params).passed
+    monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 64)
+    with pytest.raises(OverflowError):
+        verify_partition(sz8.table, sz8.params)
 
 
 def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
