@@ -30,9 +30,7 @@ from .group import (
     params_for_q,
 )
 from .oracle import (
-    MAX_POINTS,
     ScaleRefusal,
-    SubgroupHandle,
     build_suzuki_table,
     centralizer,
     check_census_scale,
@@ -141,24 +139,18 @@ def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
     return make_params(m)
 
 
-def _check_scale(params: SuzukiParams, args: argparse.Namespace, *, scans: bool) -> None:
+def _check_scale(params: SuzukiParams, args: argparse.Namespace) -> None:
     """Refuse an oracle run from the parameters alone, before any field is
-    built.  ``scans`` (verify) needs byte keys, so at most MAX_POINTS points."""
+    built."""
     if params.group_order > args.oracle_limit:
         raise ScaleRefusal(
             f"|Sz({params.q})| = {params.group_order} exceeds the oracle limit "
             f"{args.oracle_limit}; raise --oracle-limit to opt in")
-    n_points = params.q * params.q + 1
     if params.m > 1 and not args.allow_big:
         raise ScaleRefusal(
             f"oracle runs beyond q=8 enumerate {params.group_order} permutations of "
-            f"the {n_points} ovoid points; pass --allow-big to opt in")
+            f"the {params.q * params.q + 1} ovoid points; pass --allow-big to opt in")
     check_census_scale(params)
-    if scans and n_points > MAX_POINTS:
-        raise ScaleRefusal(
-            f"Sz({params.q}) acts on {n_points} ovoid points, but the scans' byte "
-            f"permutations hold at most {MAX_POINTS}; the census alone "
-            "(nse --source oracle) runs on the stabilizer chain")
 
 
 def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
@@ -208,7 +200,7 @@ def cmd_params(args: argparse.Namespace) -> int:
 def cmd_nse(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     if args.source != "closed-form":
-        _check_scale(p, args, scans=False)
+        _check_scale(p, args)
     # A bad modulus is a usage error whatever the source, found before any work.
     field = None if args.modulus is None else Field(p.m, modulus=args.modulus)
     payload: dict = {"m": p.m, "q": str(p.q), "source": args.source}
@@ -243,7 +235,7 @@ def cmd_nse(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
-    _check_scale(p, args, scans=True)
+    _check_scale(p, args)
     field = Field(p.m, modulus=args.modulus)
     checks: list[tuple[str, bool, str]] = []
 
@@ -275,18 +267,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    f"coverage {partition.coverage}, "
                    f"multiply covered {partition.multiply_covered}"))
 
-    cyclic = {k: find_cyclic_subgroup(table, k) for k in (p.u1, p.u2, p.v)}
+    chain = table.chain
+    cyclic = {k: find_cyclic_subgroup(chain, k) for k in (p.u1, p.u2, p.v)}
     for name, k, index_over in (("u1", p.u1, 4), ("u2", p.u2, 4), ("v", p.v, 2)):
-        n = normalizer(table, cyclic[k])
+        n = normalizer(chain, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    keys = table.sorted_keys()
-    nw = normalizer(table, SubgroupHandle(frozenset(keys[r] for r in w.members), w.order))
+    nw = normalizer(chain, w)
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
                    f"|N(W)| = {nw.order}, index {table.size // nw.order}"))
 
     for name, k in (("u1", p.u1), ("u2", p.u2)):
-        c = centralizer(table, cyclic[k].cyclic_generator)
+        c = centralizer(chain, cyclic[k].cyclic_generator)
         checks.append((f"centralizer_{name}", c.order == k,
                        f"|C| = {c.order} for an element of order {k}"))
 

@@ -5,42 +5,27 @@ pass over the cyclic subgroups, digs out cyclic subgroups, normalizers and
 centralizers, and verifies that the conjugates of the four reference
 subgroups cover every nontrivial element exactly once.
 
-Every table addresses its elements by one number, their ``position``, and
-lists their keys in that order in ``sorted_keys()``; ``by_key`` maps each key
-to itself.  ``enumerate_group`` closes any set of matrices by breadth-first
-search, keyed by entry tuples in ascending order; such a table closes and
-counts, and ``element(key)`` rebuilds a matrix on demand.
-``build_suzuki_table`` lets Sz(q) act on the q^2 + 1 points of its ovoid on
-a stabilizer chain (``StabilizerChain``), certified when its orbit lengths
-multiply to |Sz(q)|.  Each element is "U2[c], then U1[b], then U0[a]" in
-exactly one way, and its position in the ``OvoidTable`` is its rank
-(a N1 + b) N2 + c.  The chain is a table of ranks in its own right: a
-product, a power walk or a conjugate steps three base images and sifts them
-back to a rank, with no keys, so the census, ``subgroup`` and the partition
-walk all run on Sz(32).  ``normalizer`` and ``centralizer`` still compare
-``bytes`` permutations of the points (a product is one ``translate``), built
-on demand up to MAX_POINTS = 256 points, so ``verify`` stops at Sz(8).
+``enumerate_group`` closes any set of matrices into an ``ElementTable`` keyed
+by entry tuples, which closes and counts.  ``build_suzuki_table`` lets Sz(q)
+act on the q^2 + 1 points of its ovoid on a certified stabilizer chain
+(``StabilizerChain``), where each element is "U2[c], then U1[b], then U0[a]"
+in exactly one way and is addressed by its rank (a N1 + b) N2 + c.  Three
+base images determine an element, so a product, a power walk or a conjugate
+steps three base images and sifts them back to a rank: the census,
+``subgroup``, the partition walk and the normalizer and centralizer scans
+all take and return ranks, and all run on Sz(32).  Matrices stay at the
+boundary (``OvoidTable.rank(mat)``, ``ElementTable.element(key)``).
 
-The scans start from generators.  A conjugation g is an automorphism, so
-g H g^-1 is generated by the images of H's generators and has |H| elements:
-``normalizer`` confirms g once g maps each generator of H into H, and the
-partition walk (``_conjugates``) meets a known conjugate K again once a move
-maps every generator into K.
-
-Matrices stay at the boundary: ``table.key(mat)`` and ``OvoidTable.rank(mat)``
-(from the matrix's point action) turn a matrix into a key or a rank, and
-``table.element(key)`` rebuilds the matrix of a key.  Everything here is
-deliberately dumb and exact: this module is the oracle the closed forms are
-tested against, so it must not share their shortcuts.
+Everything here is deliberately dumb and exact: this module is the oracle
+the closed forms are tested against, so it must not share their shortcuts.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass, field as dc_field
 from math import gcd
-from functools import partial
+from functools import cache, partial
 from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -56,13 +41,10 @@ from .group import (
 from .mat4 import Mat4, OrderNotFoundError
 from .orderstats import OrderStats, ScaleRefusal, Spectrum
 
-Key = Hashable  # an entry tuple, or a bytes permutation in an OvoidTable
+Key = Hashable  # an entry tuple in an ElementTable, a rank on a StabilizerChain
 Point = tuple[int, int, int, int]
 _entries = attrgetter("entries")
 
-# A bytes permutation numbers its points with single bytes: byte keys, and
-# so the scans, stop at 256 points.  The census needs no keys.
-MAX_POINTS = 256
 # The census keeps one order byte per element, |Sz(q)| bytes in all.
 MEMORY_LIMIT = 1 << 30
 
@@ -77,6 +59,16 @@ class SubgroupNotFoundError(LookupError):
 
 def _itself(x: Key) -> Key:
     return x
+
+
+@cache
+def _malloc_trim() -> Callable[[int], int]:
+    """glibc's ``malloc_trim``, a no-op where the C library has none."""
+    try:
+        import ctypes
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return lambda pad: 0
 
 
 def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
@@ -96,6 +88,11 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
     # full passes.
     seen = {s: s for s in seeds}
     frontier = list(seen)
+    # Outgrown dict tables are freed.  Once glibc has raised its mmap
+    # threshold (as on freeing an earlier closure's table), they come from the
+    # heap and stay resident, so the heap is trimmed each time the closure
+    # doubles: a second B(128) closure in one process peaked 39 MB higher.
+    trim_at = 2 * len(seen)
     while frontier:
         new = []
         for a in frontier if lift is None else map(lift, frontier):
@@ -107,6 +104,9 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
                     seen[kb] = kb
                     new.append(kb)
         frontier = new
+        if len(seen) >= trim_at:
+            _malloc_trim()(0)
+            trim_at = 2 * len(seen)
     return seen
 
 
@@ -140,10 +140,6 @@ class ElementTable:
         if self._sorted_keys is None:
             self._sorted_keys = sorted(self.by_key)
         return self._sorted_keys
-
-    def key(self, mat: Mat4) -> Key:
-        """The key of a matrix of the group."""
-        return mat.entries
 
     def element(self, key: Key) -> Mat4:
         """The matrix keyed ``key``, rebuilt around its entry tuple;
@@ -294,12 +290,14 @@ class StabilizerChain:
 
     def _check(self) -> _Sifter:
         """Build the sift lookups, checking on the way that each U_j[i] is a
-        permutation that maps b_j to orbits[j][i] and fixes the earlier base
-        points, and that no two elements of H1 share their images of b1 and
+        permutation that maps b_j to orbits[j][i], fixes the earlier base
+        points and maps the orbit of b0 onto itself (as every element of G
+        does), and that no two elements of H1 share their images of b1 and
         b2; CertificationError otherwise."""
         (o0, o1, o2), base = self.orbits, self.base
         n = len(self.transversals[0][0])
         points = list(range(n))
+        outside = set(points).difference(o0)
         inverses = []
         for j, (orbit, transversal) in enumerate(zip(self.orbits, self.transversals)):
             if len(orbit) != len(transversal) or len(set(orbit)) != len(orbit):
@@ -314,6 +312,10 @@ class StabilizerChain:
                 if u[base[j]] != image or any(u[b] != b for b in base[:j]):
                     raise CertificationError(
                         f"transversal element {i} of level {j} moves a base point wrongly")
+                if outside and not outside.isdisjoint(map(u.__getitem__, o0)):
+                    raise CertificationError(
+                        f"transversal element {i} of level {j} maps the orbit of b0 out of "
+                        "itself: the chain is not closed under products")
                 level.append([back[p] for p in points])
             inverses.append(level)
         n12, n2 = len(o1) * len(o2), len(o2)
@@ -353,8 +355,13 @@ class StabilizerChain:
         b, c = divmod(r12, len(o2))
         return t0[a], t1[b], t2[c]
 
+    def permutation(self, r: int) -> list[int]:
+        """The image of every point under the element of rank r."""
+        u0, u1, u2 = self.element(r)
+        return [u0[u1[p]] for p in u2]
+
     # The chain is also a table whose keys are the ranks themselves, so
-    # ``subgroup`` and ``find_cyclic_subgroup`` run on it without byte keys.
+    # ``subgroup``, ``find_cyclic_subgroup`` and the scans run on it.
 
     @property
     def identity(self) -> int:
@@ -429,11 +436,10 @@ class StabilizerChain:
         sift = self._sifter()
         n, inverse_at, offset_at, level12 = (
             len(sift.inverse_at), sift.inverse_at, sift.offset_at, sift.level12)
-        u0, u1, u2 = self.element(s)
-        s_inv = [0] * n
-        for p in range(n):
-            s_inv[u0[u1[u2[p]]]] = p
-        c0, c1, c2 = (u0[u1[u2[b]]] for b in self.base)
+        perm, s_inv = self.permutation(s), [0] * n
+        for p, image in enumerate(perm):
+            s_inv[image] = p
+        c0, c1, c2 = (perm[b] for b in self.base)
         tails = [(u1[u2[c0]], u1[u2[c1]], u1[u2[c2]])
                  for u1 in self.transversals[1] for u2 in self.transversals[2]]
         t0, n12 = self.transversals[0], len(tails)
@@ -451,169 +457,57 @@ class StabilizerChain:
         return image
 
 
-class _ChainKeys(Mapping):
-    """The keys of an OvoidTable as a read-only mapping of each key to itself:
-    membership is a sift and one comparison, iteration is rank order."""
-
-    def __init__(self, table: OvoidTable) -> None:
-        self._table = table
-
-    def __getitem__(self, key: bytes) -> bytes:
-        if self._table._rank(key) < 0:
-            raise KeyError(key)
-        return key
-
-    def __iter__(self) -> Iterator[bytes]:
-        return iter(self._table.sorted_keys())
-
-    def __len__(self) -> int:
-        return self._table.size
-
-
 @dataclass
 class OvoidTable:
     """Sz(q) as permutations of the points of its ovoid, on a certified
     stabilizer chain.
 
     ``points`` lists the ovoid ascending, and the chain's permutations number
-    the points by their place there.  The element of rank r is the one the
-    chain gives it, so ``position`` is the rank and ``sorted_keys()`` lists the
-    keys in rank order.  The key of an element g is the ``bytes`` whose byte k
-    is the number of the image of point k under the row-vector action
-    p -> p g, so the key of g h is ``key(g).translate(key(h) + pad)``: first g,
-    then h.  Keys are built only when asked for, at most MAX_POINTS points;
-    the census (``orders``) steps base images and needs none.
+    the points by their place there, under the row-vector action p -> p g.
+    Elements are the chain's ranks: the census (``orders``), the scans and
+    the partition walk step base images and sift them back to ranks, and
+    ``rank(mat)`` turns a matrix into one.
     """
 
     field: Field
     generators: list[Mat4]
     points: list[Point] = dc_field(repr=False)
     chain: StabilizerChain = dc_field(repr=False)
-    _pad: bytes = dc_field(init=False, repr=False, compare=False)
     _number: dict[Point, int] = dc_field(init=False, repr=False, compare=False)
-    _keys: list[bytes] | None = dc_field(default=None, init=False, repr=False, compare=False)
-    _inverse_keys: tuple[list[bytes], list[bytes]] | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._pad = bytes(max(256 - len(self.points), 0))  # translate tables have 256 bytes
         self._number = {p: k for k, p in enumerate(self.points)}
 
     @property
     def size(self) -> int:
         return self.chain.size
 
-    @property
-    def by_key(self) -> Mapping[bytes, bytes]:
-        return _ChainKeys(self)
-
-    def sorted_keys(self) -> list[bytes]:
-        """The keys in rank order, one ``translate`` each: the key of rank
-        (a N1 + b) N2 + c is the precomputed U2[c] U1[b] followed by U0[a].
-        ScaleRefusal past MAX_POINTS points."""
-        if self._keys is None:
-            self._require_byte_keys()
-            self.chain._sifter()  # the chain's permutations are checked first
-            t0, t1, t2 = self.chain.transversals
-            tails = [bytes([u1[p] for p in u2]) for u1 in t1 for u2 in t2]
-            pad, keys = self._pad, []
-            for u0 in t0:
-                head = bytes(u0) + pad
-                keys += [tail.translate(head) for tail in tails]
-            self._keys = keys
-        return self._keys
-
-    def _require_byte_keys(self) -> None:
-        if len(self.points) > MAX_POINTS:
-            raise ScaleRefusal(
-                f"{len(self.points)} ovoid points do not fit the byte keys, which "
-                f"hold at most {MAX_POINTS}")
-
-    def _rank(self, key: object) -> int:
-        """The rank of the element keyed ``key``, or -1 when it is not in the
-        table: a sift of its base images, confirmed by the whole key."""
-        if type(key) is not bytes or len(key) != len(self.points):
-            return -1
-        b0, b1, b2 = self.chain.base
-        r = self.chain.rank(key[b0], key[b1], key[b2])
-        return r if r >= 0 and self.sorted_keys()[r] == key else -1
-
-    def position(self, key: bytes) -> int:
-        """The rank of a key; ValueError for a key outside the table."""
-        r = self._rank(key)
-        if r < 0:
-            raise ValueError("element is not in the table")
-        return r
-
-    def _action(self, mat: Mat4) -> list[int]:
-        """The number of the image of each point under a matrix; ValueError
-        for a matrix that does not map the ovoid to itself."""
+    def rank(self, mat: Mat4) -> int:
+        """The rank of a matrix of Sz(q), from the number of the image of
+        each point; ValueError for a matrix that does not map the ovoid to
+        itself or acts as no element of the chain."""
         f, number = self.field, self._number
         try:
-            return [number[_point_image(f, p, mat)] for p in self.points]
+            image = [number[_point_image(f, p, mat)] for p in self.points]
         except KeyError:
             raise ValueError("matrix does not map the ovoid to itself") from None
+        return self._rank_of_images(image)
 
-    def key(self, mat: Mat4) -> bytes:
-        """The permutation a matrix of Sz(q) induces on the ovoid: byte k is
-        the number of the image of point k.  ValueError for a matrix that does
-        not map the ovoid to itself; ScaleRefusal past MAX_POINTS points."""
-        self._require_byte_keys()
-        return bytes(self._action(mat))
-
-    def rank(self, mat: Mat4) -> int:
-        """The rank of a matrix of Sz(q), with no byte key: its images of the
-        three base points, sifted, and confirmed on every point.  ValueError
-        for a matrix that acts as no element of the chain."""
-        image, chain = self._action(mat), self.chain
-        r = chain.rank(*(image[b] for b in chain.base))
-        u0, u1, u2 = chain.element(max(r, 0))
-        if r < 0 or any(u0[u1[u2[k]]] != y for k, y in enumerate(image)):
-            raise ValueError("matrix acts as no element of the table")
-        return r
-
-    def element(self, key: bytes) -> bytes:
-        """The permutation keyed ``key``, which is the key itself; ValueError
-        for a key outside the table."""
-        self.position(key)
-        return key
-
-    def mul(self, a: bytes, b: bytes) -> bytes:
-        return a.translate(b + self._pad)
-
-    @property
-    def identity(self) -> bytes:
-        return bytes(range(len(self.points)))
+    def _rank_of_images(self, image: Sequence[int]) -> int:
+        """The rank of the element with these point images: its images of
+        the three base points, sifted, and confirmed on every point.
+        ValueError when no element of the chain has them."""
+        chain = self.chain
+        if len(image) == len(self.points):
+            r = chain.rank(*(image[b] for b in chain.base))
+            if r >= 0 and chain.permutation(r) == list(image):
+                return r
+        raise ValueError("the point images are those of no element of the table")
 
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, from the chain's
         power pass (computed once)."""
         return self.chain.orders()
-
-    def inverses(self) -> array:
-        """inverses()[r] is the rank of the inverse of the element of rank r,
-        computed on each call: "U0[a]^-1, then U1[b]^-1, then U2[c]^-1",
-        sifted from its base images."""
-        chain = self.chain
-        i0, i1, i2 = chain._sifter().inverses
-        return array("i", (chain.rank(*(u2[u1[u0[b]]] for b in chain.base))
-                           for u0 in i0 for u1 in i1 for u2 in i2))
-
-    def conjugates(self, h: bytes, positions: Iterable[int]) -> Iterator[bytes]:
-        """g h g^-1 for the element g at each of ``positions``; the key of g^-1
-        is that of U0[a]^-1 followed by the precomputed U1[b]^-1 U2[c]^-1.
-        The census runs first: it raises on a chain that is not closed."""
-        self.orders()
-        keys, pad = self.sorted_keys(), self._pad
-        if self._inverse_keys is None:
-            i0, i1, i2 = ([bytes(u) + pad for u in level]
-                          for level in self.chain._sifter().inverses)
-            self._inverse_keys = i0, [u1.translate(u2) for u1 in i1 for u2 in i2]
-        i0, tails = self._inverse_keys
-        n12, hp = len(tails), h + pad
-        for i in positions:
-            a, r12 = divmod(i, n12)
-            yield keys[i].translate(hp).translate(i0[a]).translate(tails[r12])
 
 
 @dataclass(frozen=True)
@@ -681,13 +575,12 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
     N0 N1 N2 = |Sz(q)| = q^2 (q^2 + 1)(q - 1) therefore proves that G is
     Sz(q), that the action is faithful and that the base images fix each
     element: the element of rank (a N1 + b) N2 + c is "U2[c], then U1[b],
-    then U0[a]", and its position in the table is that rank.  Any other
-    orbit or chain size raises CertificationError.
+    then U0[a]", and it is addressed by that rank.  Any other orbit or chain
+    size raises CertificationError.
 
-    The census and the partition walk sift base images and need no keys, so
-    they run on all of Sz(32) too; the byte keys of the normalizer and
-    centralizer scans stop at MAX_POINTS = 256 points, so ``verify`` stops
-    at Sz(8).
+    The census, the partition walk and the normalizer and centralizer scans
+    sift base images and need no other view of an element, so ``verify``
+    runs on all of Sz(32) too.
     """
     check_census_scale(params)
     n_points = params.q * params.q + 1
@@ -775,7 +668,7 @@ def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
     return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
-def _generating_set(table: OvoidTable, members: frozenset[Key]) -> list[Key]:
+def _generating_set(table: StabilizerChain, members: frozenset[Key]) -> list[Key]:
     """A generating set of the subgroup with these members: walk them in
     sorted order and keep each one the kept ones do not generate yet.
     ValueError when the members are not a subgroup."""
@@ -791,57 +684,92 @@ def _generating_set(table: OvoidTable, members: frozenset[Key]) -> list[Key]:
     return gens
 
 
-def normalizer(table: OvoidTable, sub: SubgroupHandle) -> SubgroupHandle:
-    """All g with g H g^-1 = H, on the ovoid table's chain.
+def _is_rank(chain: StabilizerChain, r: object) -> bool:
+    return isinstance(r, int) and 0 <= r < chain.size
 
-    Conjugating a generating set of H into H suffices: then g H g^-1, which
+
+def _conjugate_triples(chain: StabilizerChain, h: list[int],
+                       ranks: Iterable[int]) -> Iterator[tuple[int, int, int]]:
+    """The images of b0, b1 and b2 under g^-1 h g ("first g, then h, then
+    g^-1") for the element g of each rank, h given by its point images; g^-1
+    is "U0[a]^-1, then U1[b]^-1, then U2[c]^-1"."""
+    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._sifter().inverses
+    n2 = len(t2)
+    for r in ranks:
+        ab, c = divmod(r, n2)
+        a, b = divmod(ab, len(t1))
+        u0, u1, u2, v0, v1, v2 = t0[a], t1[b], t2[c], i0[a], i1[b], i2[c]
+        yield tuple(v2[v1[v0[h[u0[u1[u2[p]]]]]]] for p in chain.base)
+
+
+def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
+    """All g with g^-1 H g = H, as ranks of a certified chain.
+
+    Conjugating a generating set of H into H suffices: then g^-1 H g, which
     those conjugates generate, lies in H and has |H| elements, so it is H.
     A cyclic H brings its generator; any other gets a small generating set
-    (``_generating_set``: 3 elements for W at q = 8).  The first generator,
-    h, sifts the candidates by one base image: (g h g^-1)(b0) must be m(b0)
-    for some m in H.  The full permutations then confirm each survivor,
-    generator by generator.  H must lie inside the table (ValueError).
+    (``_generating_set``: 3 elements for W at q = 8).  Three base images
+    determine an element, so g^-1 h g lies in H exactly when its images of
+    b0, b1 and b2 are those of some m in H.  For the first generator h and
+    g = (a, b, c), U2 fixes b0 and b1, so the partial images
+    z_j = U1[b]^-1 U0[a]^-1 h(g(b_j)), j = 0, 1, come from (a, b) alone.  A c
+    survives when U2[c]^-1 z0 is some m(b0), then when
+    (U2[c]^-1 z0, U2[c]^-1 z1) is some (m(b0), m(b1)), and is kept when the
+    whole triple is some m's.  The other generators confirm each survivor
+    by their triples alone (``_conjugate_triples``).  ValueError for members
+    that are no ranks of the chain or no subgroup.
     """
-    if not sub.members <= table.by_key.keys():
+    cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
+    if not all(_is_rank(chain, r) for r in [*sub.members, *cyclic]):
         raise ValueError("subgroup is not in the table")
-    gens = [sub.cyclic_generator] if sub.cyclic_generator is not None else \
-        _generating_set(table, sub.members)
+    gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
-        return SubgroupHandle(frozenset(table.sorted_keys()), table.size)
-    chain, h = table.chain, gens[0]
-    inverses, (o0, o1, o2), b0 = chain._sifter().inverses, chain.orbits, chain.base[0]
-    images = {m[b0] for m in sub.members}
-    n12, n2 = len(o1) * len(o2), len(o2)
-    # g = (a, b, c) maps b0 to o0[a], and g^-1 is U0[a]^-1, then U1[b]^-1,
-    # then U2[c]^-1: hits[p] lists the c with U2[c]^-1(p) in images.
-    hits = [[c for c, u in enumerate(inverses[2]) if u[p] in images]
-            for p in range(len(table.points))]
+        return SubgroupHandle(frozenset(range(chain.size)), chain.size)
+    (t0, t1, _), (i0, i1, i2) = chain.transversals, chain._sifter().inverses
+    o0, o1, o2 = chain.orbits
+    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
+               for u0, u1, u2 in map(chain.element, sub.members)}
+    pairs = {t[:2] for t in triples}
+    images = {t[0] for t in triples}
+    # hits[p] lists the c with U2[c]^-1(p) in images.
+    hits = [[c for c, v in enumerate(i2) if v[p] in images] for p in range(len(i2[0]))]
+    h, n1, n2 = chain.permutation(gens[0]), len(o1), len(o2)
     found: list[int] = []
     for a, p in enumerate(o0):
-        z = inverses[0][a][h[p]]
-        for b, u in enumerate(inverses[1]):
-            cs = hits[u[z]]
+        u0, v0 = t0[a], i0[a]
+        y = v0[h[p]]
+        for b, v1 in enumerate(i1):
+            z0 = v1[y]
+            cs = hits[z0]
             if cs:
-                found += [a * n12 + b * n2 + c for c in cs]
-    for g in gens:
-        found = [i for i, c in zip(found, table.conjugates(g, found)) if c in sub.members]
-    keys = table.sorted_keys()
-    return SubgroupHandle(frozenset(keys[i] for i in found), len(found))
+                u1, z1 = t1[b], v1[v0[h[u0[o1[b]]]]]  # U1[b](b1) = o1[b]
+                for c in cs:
+                    v2 = i2[c]
+                    x0, x1 = v2[z0], v2[z1]
+                    if (x0, x1) in pairs and \
+                            (x0, x1, v2[v1[v0[h[u0[u1[o2[c]]]]]]]) in triples:
+                        found.append((a * n1 + b) * n2 + c)
+    for g in gens[1:]:
+        found = [r for r, t in zip(found, _conjugate_triples(chain, chain.permutation(g), found))
+                 if t in triples]
+    return SubgroupHandle(frozenset(found), len(found))
 
 
-def centralizer(table: OvoidTable, x: bytes) -> SubgroupHandle:
-    """All g in the ovoid table commuting with the element keyed x, i.e. with
-    g x g^-1 = x; x must lie in the table (ValueError).
+def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
+    """All g commuting with the element of rank x, as ranks of a certified
+    chain; ValueError for an x that is no rank of it.
 
-    The candidates are the g with x(g(p)) = g(x(p)) for the three base points
-    p, found level by level: for p = b0 this reads
+    Three base images determine an element, so xg = gx exactly when
+    x(g(p)) = g(x(p)) for the three base points p.  The candidates are found
+    level by level: for p = b0 this reads
     U0[a]^-1(x(o0[a])) = U1[b](U2[c](x(b0))), one side from a alone, the
-    other from (b, c) alone.  The full permutations confirm each candidate.
+    other from (b, c) alone; b1 and b2 then decide.
     """
-    table.position(x)
-    chain = table.chain
+    if not _is_rank(chain, x):
+        raise ValueError("element is not in the table")
     inverses, (o0, o1, o2), base = chain._sifter().inverses, chain.orbits, chain.base
     t0, t1, t2 = chain.transversals
+    x = chain.permutation(x)
     n12, n2 = len(o1) * len(o2), len(o2)
     meet: dict[int, list[int]] = {}
     xb0 = x[base[0]]
@@ -856,9 +784,7 @@ def centralizer(table: OvoidTable, x: bytes) -> SubgroupHandle:
             u1, u2 = t1[b], t2[c]
             if all(x[u0[u1[u2[bp]]]] == u0[u1[u2[x[bp]]]] for bp in base[1:]):
                 found.append(a * n12 + r12)
-    keys = table.sorted_keys()
-    members = frozenset(keys[i] for i, c in zip(found, table.conjugates(x, found)) if c == x)
-    return SubgroupHandle(members, len(members))
+    return SubgroupHandle(frozenset(found), len(found))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,9 @@ base-image prefilters.  ``conjugation`` is the full conjugation array per
 move that the partition walk used before it sifted conjugates on demand, and
 ``ref_verify_partition`` walks each class's conjugates over those arrays as
 frozensets of positions, every move mapping every member, as the oracle did
-before its generator walk.  Only the tests import this module.
+before its generator walk.  ``rank_keys`` lists the ``bytes`` permutation of
+every rank of a chain, in rank order, which maps the chain's ranks into this
+table.  Only the tests import this module.
 """
 
 from __future__ import annotations
@@ -120,32 +122,29 @@ def _orbit(table, members: frozenset, moves: list[array]):
     return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
 
 
-def conjugation(table, s: bytes) -> array:
+def conjugation(table: ReferenceOvoidTable, s: bytes) -> array:
     """conjugation(table, s)[i] is the position of s x s^-1 for the element x
-    at position i: the array ``OvoidTable.conjugation`` built for each move
-    before the moves were sifted on demand.  On an ``OvoidTable`` each
-    conjugate is sifted from its three base images s^-1(x(s(b))); a
-    conjugate that sifts to nothing, or an array that is not a permutation
-    of the positions, raises CertificationError."""
-    if isinstance(table, ReferenceOvoidTable):
-        return table.conjugation(s)
-    keys, n = table.sorted_keys(), len(table.points)
-    si = bytes(sorted(range(n), key=s.__getitem__))  # k at byte s[k]
-    sifter = table.chain._sifter()
-    inverse_at, offset_at, level12 = sifter.inverse_at, sifter.offset_at, sifter.level12
-    s0, s1, s2 = (s[b] for b in table.chain.base)
-    ranks = []
-    for x in keys:
-        p0 = si[x[s0]]
-        inverse = inverse_at[p0]
-        ranks.append(offset_at[p0] + level12[inverse[si[x[s1]]] * n + inverse[si[x[s2]]]])
-    if min(ranks) < 0 or len(set(ranks)) != len(ranks):
-        raise CertificationError("table is not closed under products")
-    return array("i", ranks)
+    at position i; a table that is not closed raises CertificationError.
+    The partition walk looks this up at call time, so a test can replace it."""
+    return table.conjugation(s)
 
 
-def ref_verify_partition(table, params: SuzukiParams, w: SubgroupHandle | None = None
-                         ) -> PartitionReport:
+def rank_keys(table: oracle.OvoidTable) -> list[bytes]:
+    """The ``bytes`` permutation of each rank of the table's chain, in rank
+    order, one ``translate`` each: the key of rank (a N1 + b) N2 + c is the
+    precomputed U2[c] U1[b] followed by U0[a]."""
+    t0, t1, t2 = table.chain.transversals
+    pad = bytes(256 - len(table.points))
+    tails = [bytes([u1[p] for p in u2]) for u1 in t1 for u2 in t2]
+    keys = []
+    for u0 in t0:
+        head = bytes(u0) + pad
+        keys += [tail.translate(head) for tail in tails]
+    return keys
+
+
+def ref_verify_partition(table: ReferenceOvoidTable, params: SuzukiParams,
+                         w: SubgroupHandle | None = None) -> PartitionReport:
     """The partition report from frozenset orbits.  The representatives and
     moves come from ``szq.oracle``'s own functions and this module's
     ``conjugation``, looked up at call time, so a test that replaces one of

@@ -99,7 +99,7 @@ def test_criterion_05_partition_verification(sz8_partition):
 
 
 def test_criterion_06_normalizer_centralizer_indices(sz8):
-    p, table = sz8.params, sz8.table
+    p, table = sz8.params, sz8.table.chain
     ok = True
     for k in (p.u1, p.u2):
         h = find_cyclic_subgroup(table, k)
@@ -109,8 +109,8 @@ def test_criterion_06_normalizer_centralizer_indices(sz8):
     hv = find_cyclic_subgroup(table, p.v)
     ok = ok and normalizer(table, hv).order == 2 * p.v
     wt = enumerate_group(w_generators(sz8.field), limit=p.w_order)
-    w_keys = frozenset(map(table.key, map(wt.element, wt.by_key)))
-    nw = normalizer(table, SubgroupHandle(w_keys, wt.size))
+    w_ranks = frozenset(map(sz8.table.rank, map(wt.element, wt.by_key)))
+    nw = normalizer(table, SubgroupHandle(w_ranks, wt.size))
     ok = ok and table.size == 65 * nw.order
     _report(6, "normalizer indices 4/4/2, |S:N(W)|=65, torus centralizers", ok)
 

@@ -160,19 +160,18 @@ def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
 
 
 _SZ128_BYTES = f"{make_params(3).group_order} bytes"
+_PAST_THE_LIMIT = ("--q", "128", "--allow-big", "--oracle-limit", str(10 ** 12))
 
 
 @pytest.mark.parametrize("argv, reasons", [
-    (("verify", "--q", "32", "--allow-big"),
-     ("1025 ovoid points", "at most 256", "stabilizer chain")),
+    (("verify", *_PAST_THE_LIMIT), (_SZ128_BYTES, "memory limit of 1073741824 bytes")),
     (("nse", "--q", "128", "--source", "oracle", "--allow-big", "--oracle-limit", str(10 ** 12)),
      (_SZ128_BYTES, "memory limit of 1073741824 bytes")),
 ], ids=["verify", "nse"])
 def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
-    # Sz(32) acts on 1025 ovoid points and a byte permutation holds 256, so
-    # verify's scans stop there; the census runs on the stabilizer chain up to
-    # its memory limit, one order byte per element, which Sz(128) passes.  The
-    # refusal comes before any closure starts.
+    # verify and the census both run on the stabilizer chain up to its memory
+    # limit, one order byte per element, which Sz(128) passes.  The refusal
+    # comes before any closure starts.
     t0 = perf_counter()
     rc, out, err = run_cli(capsys, *argv)
     assert perf_counter() - t0 < 1.0
@@ -181,8 +180,8 @@ def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
 
 
 @pytest.mark.parametrize("argv, reason", [
-    (("verify", "--q", "32", "--allow-big"), "at most 256"),
-    (("verify", "--q", "32", "--allow-big", "--modulus", "0x25"), "at most 256"),
+    (("verify", *_PAST_THE_LIMIT), _SZ128_BYTES),
+    (("verify", *_PAST_THE_LIMIT, "--modulus", "0x83"), _SZ128_BYTES),
     (("nse", "--q", "128", "--source", "both", "--allow-big", "--oracle-limit", str(10 ** 12)),
      _SZ128_BYTES),
     (("nse", "--m", "400", "--source", "oracle", "--allow-big",

@@ -8,15 +8,17 @@ from operator import attrgetter, mul
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import szq.oracle
 from szq.cli import main
 from szq.field import Field
 from szq.group import candidate_generators, make_params, make_w, w_elements, w_generators
 from szq.mat4 import Mat4, element_order
 from szq.oracle import (
-    MAX_POINTS,
     ClosureLimitError,
     SubgroupHandle,
     SubgroupNotFoundError,
+    _malloc_trim,
+    _point_image,
     build_suzuki_table,
     centralizer,
     cyclic_subgroup,
@@ -98,6 +100,24 @@ def test_borel_closure_makes_one_product_per_element_and_generator(monkeypatch, 
     assert calls == 3 * order
 
 
+def test_closure_trims_the_heap_each_time_it_doubles(monkeypatch):
+    # The walk hands the dict tables it has outgrown back to the system once
+    # per doubling of its element count, so at most log2 |B| + 1 times, and
+    # the trim changes nothing in the closure.
+    params = make_params(2)
+    gens = candidate_generators(params, Field(2))[:3]
+    order = params.q ** 2 * (params.q - 1)
+    pads = []
+    monkeypatch.setattr(szq.oracle, "_malloc_trim", lambda: pads.append)
+    table = enumerate_group(gens, limit=order)
+    assert table.size == order
+    assert pads and set(pads) == {0} and len(pads) <= order.bit_length()
+
+
+def test_malloc_trim_is_callable_here():
+    assert isinstance(_malloc_trim()(0), int)
+
+
 def mat4_closure(gens):
     """Breadth-first closure over Mat4 objects: the reference the key-only
     walk is compared with."""
@@ -161,12 +181,13 @@ def test_key_only_table_matches_a_walk_over_matrices(request, group):
 
 
 def test_an_ovoid_element_is_its_permutation(sz8):
+    # The element of a matrix's rank moves every point as the matrix does.
     table = sz8.table
-    assert all(v is k for k, v in table.by_key.items())
-    key = table.key(sz8.generators[3])
-    assert table.element(key) is key
+    for g in sz8.generators:
+        action = [table.points.index(_point_image(table.field, p, g)) for p in table.points]
+        assert table.chain.permutation(table.rank(g)) == action
     with pytest.raises(ValueError):
-        table.element(bytes(65))  # not a permutation
+        table._rank_of_images(list(range(64)) + [0])  # not a permutation
 
 
 def test_a_singular_matrix_has_no_ovoid_key(sz8):
@@ -175,18 +196,18 @@ def test_a_singular_matrix_has_no_ovoid_key(sz8):
     table = sz8.table
     assert len(table._number) == len(table.points) == 65
     with pytest.raises(ValueError, match="ovoid"):
-        table.key(Mat4.diagonal(table.field, [1, 1, 1, 0]))
+        table.rank(Mat4.diagonal(table.field, [1, 1, 1, 0]))
 
 
 @pytest.mark.parametrize("modulus", [0xb, 0xd], ids=["0xb", "0xd"])
 def test_w_closes_inside_the_ovoid_table(params8, modulus):
     f = Field(1, modulus=modulus)
     _, table = build_suzuki_table(params8, f)
-    w = subgroup(table, map(table.key, w_generators(f)), limit=64)
-    assert w.members == {table.key(x) for x in w_elements(f)}
+    w = subgroup(table.chain, map(table.rank, w_generators(f)), limit=64)
+    assert w.members == {table.rank(x) for x in w_elements(f)}
     assert w.order == 64 and w.cyclic_generator is None
     with pytest.raises(ClosureLimitError):
-        subgroup(table, map(table.key, w_generators(f)), limit=63)
+        subgroup(table.chain, map(table.rank, w_generators(f)), limit=63)
 
 
 # -- census -------------------------------------------------------------------
@@ -257,20 +278,20 @@ def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matric
     # boundary conversion, against element_order and Gauss-Jordan on matrices.
     table = sz8.table
     hints = tuple(spectrum_closed_form(sz8.params).orders)
-    orders, inverses, keys = table.orders(), table.inverses(), table.sorted_keys()
+    chain, orders = table.chain, table.orders()
     mats = sz8_matrices.sorted_keys()
     for entries in random.Random(2025).sample(mats, 300):
         x = sz8_matrices.element(entries)
-        i = table.position(table.key(x))
-        assert orders[i] == element_order(x, hints)
-        assert keys[inverses[i]] == table.key(x.inv())
+        r = table.rank(x)
+        assert orders[r] == element_order(x, hints)
+        assert chain.mul(r, table.rank(x.inv())) == chain.identity
 
 
 def test_the_ovoid_is_the_orbit_of_e1(sz8):
     points = sz8.table.points
-    assert len(points) == 8 * 8 + 1 <= MAX_POINTS
+    assert len(points) == 8 * 8 + 1
     assert (1, 0, 0, 0) in points and points == sorted(points)
-    assert sz8.table.identity == bytes(range(65))
+    assert sz8.table.chain.permutation(sz8.table.chain.identity) == list(range(65))
 
 
 _words = st.lists(st.integers(0, 3), min_size=1, max_size=10)
@@ -279,16 +300,15 @@ _words = st.lists(st.integers(0, 3), min_size=1, max_size=10)
 @settings(max_examples=60, deadline=None)
 @given(words=st.lists(_words, min_size=2, max_size=12))
 def test_the_ovoid_action_is_a_faithful_homomorphism(sz8, words):
-    # On random words in the four generators: key(a b) = key(a) key(b), every
-    # key lies in the table, and equal keys come from equal matrices.
+    # On random words in the four generators: rank(a b) = rank(a) rank(b),
+    # every matrix acts as the element of its rank on every point, and equal
+    # ranks come from equal matrices.
     table = sz8.table
     mats = [reduce(mul, (sz8.generators[i] for i in w)) for w in words]
-    keys = [table.key(a) for a in mats]
-    for a, b, ka, kb in zip(mats, mats[1:], keys, keys[1:]):
-        assert table.key(a * b) == table.mul(ka, kb)
-    for k in keys:
-        table.position(k)
-    assert len(set(mats)) == len(set(keys))
+    ranks = [table.rank(a) for a in mats]
+    for a, b, ra, rb in zip(mats, mats[1:], ranks, ranks[1:]):
+        assert table.rank(a * b) == table.chain.mul(ra, rb)
+    assert len(set(mats)) == len(set(ranks))
 
 
 def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
@@ -301,17 +321,18 @@ def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
     assert sz8.table == build_suzuki_table(sz8.params, sz8.field)[1]
 
 
-def test_position_is_the_place_in_sorted_keys(sz8, f8):
-    keys = sz8.table.sorted_keys()
-    assert [sz8.table.position(k) for k in keys] == list(range(sz8.table.size))
+def test_position_is_the_place_in_sorted_keys(sz8, sz8_matrices, f8):
+    keys = sz8_matrices.sorted_keys()
+    assert [sz8_matrices.position(k) for k in keys] == list(range(sz8_matrices.size))
+    assert sz8.table.chain.sorted_keys() == range(sz8.table.size)
     wt = enumerate_group(w_generators(f8), limit=64)
     with pytest.raises(ValueError):
         wt.position(sz8.generators[3].entries)  # the Weyl element is not in W
 
 
 def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
-    # Orders recounted by repeated products of the permutation keys.
-    table = sz8.table
+    # Orders recounted by repeated products of the ranks.
+    table = sz8.table.chain
 
     def order(key):
         k, p = 1, key
@@ -346,23 +367,23 @@ def test_nse_value_set(sz8):
 
 def test_find_cyclic_subgroups(sz8):
     for k in (13, 7, 5):
-        h = find_cyclic_subgroup(sz8.table, k)
+        h = find_cyclic_subgroup(sz8.table.chain, k)
         assert h.order == k == len(h.members)
-    trivial = find_cyclic_subgroup(sz8.table, 1)
+    trivial = find_cyclic_subgroup(sz8.table.chain, 1)
     assert trivial.order == 1
 
 
 def test_find_cyclic_subgroup_missing_order(sz8):
     with pytest.raises(SubgroupNotFoundError):
-        find_cyclic_subgroup(sz8.table, 3)
+        find_cyclic_subgroup(sz8.table.chain, 3)
 
 
 @pytest.mark.parametrize("wrong", [26, 5])
 def test_cyclic_subgroup_refuses_a_wrong_order(sz8, wrong):
     # A multiple of the true order would give a handle with too few members;
     # a proper divisor would give a set that is no subgroup.
-    table = sz8.table
-    x = table.sorted_keys()[table.orders().index(13)]
+    table = sz8.table.chain
+    x = table.orders().index(13)
     assert len(cyclic_subgroup(table, x, 13).members) == 13
     with pytest.raises(ValueError, match="order"):
         cyclic_subgroup(table, x, wrong)
@@ -370,28 +391,28 @@ def test_cyclic_subgroup_refuses_a_wrong_order(sz8, wrong):
 
 def test_normalizer_indices(sz8):
     for k, want in ((13, 52), (5, 20), (7, 14)):
-        h = find_cyclic_subgroup(sz8.table, k)
-        n = normalizer(sz8.table, h)
+        h = find_cyclic_subgroup(sz8.table.chain, k)
+        n = normalizer(sz8.table.chain, h)
         assert n.order == want
 
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
-    handle = SubgroupHandle(frozenset(map(sz8.table.key, map(wt.element, wt.by_key))), wt.size)
-    n = normalizer(sz8.table, handle)
+    handle = SubgroupHandle(frozenset(map(sz8.table.rank, map(wt.element, wt.by_key))), wt.size)
+    n = normalizer(sz8.table.chain, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65
 
 
 def test_centralizer_of_identity_is_whole_group(sz8, f8):
-    c = centralizer(sz8.table, sz8.table.key(Mat4.identity(f8)))
+    c = centralizer(sz8.table.chain, sz8.table.rank(Mat4.identity(f8)))
     assert c.order == sz8.table.size
 
 
 def test_centralizers_of_torus_elements(sz8):
     for k in (13, 5):
-        h = find_cyclic_subgroup(sz8.table, k)
-        c = centralizer(sz8.table, h.cyclic_generator)
+        h = find_cyclic_subgroup(sz8.table.chain, k)
+        c = centralizer(sz8.table.chain, h.cyclic_generator)
         assert c.order == k
         assert c.members == h.members
 

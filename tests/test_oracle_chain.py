@@ -1,16 +1,19 @@
 """The stabilizer-chain table against the bytes closure it replaced.
 
 ``ovoid_reference`` keeps the closure of the generators' ``bytes``
-permutations, its ascending keys and its dict-keyed power pass.  Under both
-moduli of GF(8), the chain must give the same keys, the same order and
-inverse for every key, the same normalizers and centralizers and the same
-partition report; only the order of the keys (rank order) may differ.  The
+permutations, its ascending keys and its dict-keyed power pass, and
+``rank_keys`` maps each rank of a chain to its ``bytes`` permutation.  Under
+both moduli of GF(8), the chain's ranks must map to the same keys, with the
+same order and inverse for every key; the rank normalizers and centralizers
+must be the reference full scans, member for member, mapped through the
+reference's positions; and the partition reports must be equal.  The
 chain's sift round-trips every rank, at q = 8 through the byte keys and at
 q = 32 through the base images alone.  The partition's generator walk must
 give the frozenset walk's report also on inputs that break the partition,
 and the rank operations it runs on (each move's on-demand conjugates, the
 stepped powers of a conjugate, rank products and the ranks of matrices)
-must agree with the byte keys.
+must agree with the byte keys.  At q = 32 the torus T = <d(lam)> is its own
+centralizer and has a normalizer of order 2 |T|.
 """
 
 from array import array
@@ -24,33 +27,33 @@ from hypothesis import given, settings, strategies as st
 import ovoid_reference
 import szq.oracle
 from ovoid_reference import (
+    rank_keys,
     ref_centralizer,
     ref_normalizer,
     ref_verify_partition,
     reference_ovoid_table,
 )
 from szq.field import Field
-from szq.group import make_params, make_w, w_generators
+from szq.group import make_params, make_w
 from szq.mat4 import Mat4
 from szq.oracle import (
-    MAX_POINTS,
-    ScaleRefusal,
     StabilizerChain,
     SubgroupHandle,
     _point_image,
     build_suzuki_table,
     centralizer,
+    cyclic_subgroup,
     find_cyclic_subgroup,
     normalizer,
-    subgroup,
+    unitriangular,
     verify_partition,
 )
 
 
-def _pair(params, field, chain=None):
-    if chain is None:
-        chain = build_suzuki_table(params, field)[1]
-    return SimpleNamespace(params=params, chain=chain,
+def _pair(params, field, table=None):
+    if table is None:
+        table = build_suzuki_table(params, field)[1]
+    return SimpleNamespace(params=params, table=table, keys=rank_keys(table),
                            reference=reference_ovoid_table(params, field))
 
 
@@ -70,59 +73,86 @@ def pair(request):
 
 
 def test_the_chain_has_the_closure_s_keys(pair):
-    keys, ref = pair.chain.sorted_keys(), pair.reference
+    keys, ref = pair.keys, pair.reference
     assert len(keys) == len(set(keys)) == ref.size == 29120
     assert set(keys) == ref.by_key.keys()
-    assert pair.chain.identity == ref.identity
+    assert keys[pair.table.chain.identity] == ref.identity
 
 
 def test_every_key_has_the_same_order_and_inverse(pair):
-    chain, ref = pair.chain, pair.reference
-    keys, orders, inverses = chain.sorted_keys(), chain.orders(), chain.inverses()
+    table, keys, ref = pair.table, pair.keys, pair.reference
+    chain, orders, rank_of = table.chain, table.orders(), {k: r for r, k in enumerate(keys)}
     ref_keys, ref_orders, ref_inverses = ref.sorted_keys(), ref.orders(), ref.inverses()
     for r, key in enumerate(keys):
         i = ref.position(key)
         assert orders[r] == ref_orders[i]
-        assert keys[inverses[r]] == ref_keys[ref_inverses[i]]
+        assert chain.mul(r, rank_of[ref_keys[ref_inverses[i]]]) == chain.identity
 
 
 def _class(table, name):
-    """(subgroup handle, an element) for a partition class of Sz(8)."""
+    """(subgroup handle, an element) for a partition class of Sz(8), as ranks."""
     if name == "w":
-        w = subgroup(table, map(table.key, w_generators(table.field)), limit=64)
-        return w, table.key(make_w(table.field.one, table.field.zero))
-    h = find_cyclic_subgroup(table, getattr(make_params(1), name))
+        return unitriangular(table), table.rank(make_w(table.field.one, table.field.zero))
+    h = find_cyclic_subgroup(table.chain, getattr(make_params(1), name))
     return h, h.cyclic_generator
+
+
+def _keyed(pair, sub):
+    """A subgroup handle of ranks as one of the reference's keys."""
+    keys = pair.keys
+    x = sub.cyclic_generator
+    return SubgroupHandle(frozenset(keys[r] for r in sub.members), sub.order,
+                          None if x is None else keys[x])
+
+
+def _positions(pair, ranks):
+    """Ranks mapped to the reference's positions."""
+    return {pair.reference.position(pair.keys[r]) for r in ranks}
+
+
+def _assert_scans_agree(pair, sub, x):
+    chain, ref = pair.table.chain, pair.reference
+    assert _positions(pair, normalizer(chain, sub).members) == \
+        set(map(ref.position, ref_normalizer(ref, _keyed(pair, sub))))
+    assert _positions(pair, centralizer(chain, x).members) == \
+        set(map(ref.position, ref_centralizer(ref, pair.keys[x])))
 
 
 @pytest.mark.parametrize("name", ["u1", "u2", "v", "w"])
 def test_normalizers_and_centralizers_agree(pair, name):
-    chain, ref = pair.chain, pair.reference
-    sub, x = _class(chain, name)
-    assert normalizer(chain, sub).members == ref_normalizer(ref, sub)
-    assert centralizer(chain, x).members == ref_centralizer(ref, x)
+    _assert_scans_agree(pair, *_class(pair.table, name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(r=st.integers(0, 29119))
+def test_the_scans_of_a_random_element_agree_with_the_full_scans(pair_0xb, pair_0xd, r):
+    # C(x) and N(<x>) for any x, the identity and the involutions included.
+    for pair in (pair_0xb, pair_0xd):
+        chain = pair.table.chain
+        _assert_scans_agree(pair, cyclic_subgroup(chain, r, chain.orders()[r]), r)
 
 
 def test_the_partition_reports_agree(pair):
-    assert verify_partition(pair.chain, pair.params) == \
+    assert verify_partition(pair.table, pair.params) == \
         ref_verify_partition(pair.reference, pair.params)
 
 
 @pytest.mark.parametrize("change", ["none", "identity-move", "dropped-move",
                                     "v-of-order-4", "w-as-a-four-group"])
 def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch):
-    table, params = pair.chain, pair.params
+    table, ref, params = pair.table, copy(pair.reference), pair.params
     w10, w01, torus, weyl = table.generators
     f, w, ref_w = table.field, None, None
     if change == "identity-move":  # the torus's move conjugates by the identity
         conjugator, conjugation = StabilizerChain.conjugator, ovoid_reference.conjugation
-        d, key_d = table.rank(torus), table.key(torus)
+        d, key_d = table.rank(torus), ref.key(torus)
         monkeypatch.setattr(StabilizerChain, "conjugator", lambda chain, s: (
             lambda r: r) if s == d else conjugator(chain, s))
         monkeypatch.setattr(ovoid_reference, "conjugation", lambda t, s: array(
             "i", range(t.size)) if s == key_d else conjugation(t, s))
     elif change == "dropped-move":  # the moves generate the Borel subgroup only
         table = replace(table, generators=[w10, w01, torus])
+        ref.generators = [w10, w01, torus]
     elif change == "v-of-order-4":  # cyclic conjugates that share their squares
         find = szq.oracle.find_cyclic_subgroup
         monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
@@ -130,24 +160,23 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
     elif change == "w-as-a-four-group":
         # Four-groups in the centre of W meet in involutions, so a move's two
         # generator images can lie in two different known conjugates.
-        z1, z2 = (table.key(make_w(f.zero, f.element(b))) for b in (1, 2))
-        ref_w = SubgroupHandle(frozenset([table.identity, z1, z2, table.mul(z1, z2)]), 4)
-        w = SubgroupHandle(frozenset(map(table.position, ref_w.members)), 4)
+        z1, z2 = (make_w(f.zero, f.element(b)) for b in (1, 2))
+        r1, r2, k1, k2 = table.rank(z1), table.rank(z2), ref.key(z1), ref.key(z2)
+        w = SubgroupHandle(frozenset([table.chain.identity, r1, r2, table.chain.mul(r1, r2)]), 4)
+        ref_w = SubgroupHandle(frozenset([ref.identity, k1, k2, ref.mul(k1, k2)]), 4)
     report = verify_partition(table, params, w)
-    assert report == ref_verify_partition(table, params, ref_w)
+    assert report == ref_verify_partition(ref, params, ref_w)
     assert report.passed == (change == "none")
 
 
 def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
-    # Both the sifted array and the bytes closure's translate array.
-    table, ref = pair.chain, pair.reference
-    keys, ref_keys = table.sorted_keys(), ref.sorted_keys()
+    # The sifted conjugates against the bytes closure's translate array.
+    table, keys, ref = pair.table, pair.keys, pair.reference
+    ref_keys = ref.sorted_keys()
     for g in table.generators:
         move = table.chain.conjugator(table.rank(g))
-        images = array("i", map(move, range(table.size)))
-        assert images == ovoid_reference.conjugation(table, table.key(g))
-        ref_images = ref.conjugation(table.key(g))
-        assert all(keys[images[r]] == ref_keys[ref_images[ref.position(key)]]
+        ref_images = ovoid_reference.conjugation(ref, ref.key(g))
+        assert all(keys[move(r)] == ref_keys[ref_images[ref.position(key)]]
                    for r, key in enumerate(keys))
 
 
@@ -156,28 +185,29 @@ def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
 def test_a_conjugate_s_stepped_powers_are_its_mapped_members(pair_0xb, r):
     # c(x)^i = c(x^i): the powers that ``cycle`` steps from a new conjugate's
     # generator are the members a move maps, in the same order.
-    chain = pair_0xb.chain.chain
+    table = pair_0xb.table
+    chain = table.chain
     if r == chain.identity:
         return
-    for g in pair_0xb.chain.generators:
-        move = chain.conjugator(pair_0xb.chain.rank(g))
+    for g in table.generators:
+        move = chain.conjugator(table.rank(g))
         assert chain.cycle(move(r)) == [move(x) for x in chain.cycle(r)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(r=st.integers(0, 29119), s=st.integers(0, 29119))
 def test_rank_products_agree_with_byte_key_products(pair_0xb, pair_0xd, r, s):
-    for table in (pair_0xb.chain, pair_0xd.chain):
-        keys = table.sorted_keys()
-        assert keys[table.chain.mul(r, s)] == table.mul(keys[r], keys[s])
+    for pair in (pair_0xb, pair_0xd):
+        keys = pair.keys
+        assert keys[pair.table.chain.mul(r, s)] == pair.reference.mul(keys[r], keys[s])
 
 
-def test_matrix_ranks_agree_with_their_byte_keys(sz8, sz8_matrices):
-    table = sz8.table
+def test_matrix_ranks_agree_with_their_byte_keys(pair_0xb, sz8_matrices):
+    table, keys, ref = pair_0xb.table, pair_0xb.keys, pair_0xb.reference
     for entries in sz8_matrices.sorted_keys()[::97]:
         mat = sz8_matrices.element(entries)
-        assert table.rank(mat) == table.position(table.key(mat))
-    f = sz8.field
+        assert keys[table.rank(mat)] == ref.key(mat)
+    f = table.field
     off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         table.rank(off_ovoid)
@@ -204,35 +234,42 @@ def test_the_chain_s_levels_at_q8(sz8):
 
 @settings(max_examples=200, deadline=None)
 @given(r=st.integers(0, 29119))
-def test_rank_key_sift_rank_round_trips(sz8, r):
-    table = sz8.table
-    key = table.sorted_keys()[r]
+def test_rank_key_sift_rank_round_trips(pair_0xb, r):
+    table, key = pair_0xb.table, pair_0xb.keys[r]
     u0, u1, u2 = table.chain.element(r)
     assert key == bytes(u0[u1[u2[k]]] for k in range(65))
+    assert key in pair_0xb.reference.by_key
     assert table.chain.rank(*(key[b] for b in table.chain.base)) == r
-    assert table.position(key) == r
+    assert table._rank_of_images(key) == r
 
 
 @settings(max_examples=200, deadline=None)
 @given(perm=st.permutations(range(65)))
 def test_a_key_outside_the_table_raises(pair_0xb, perm):
     # Almost every permutation of the 65 points lies outside Sz(8); the
-    # closure decides which.
-    key, chain = bytes(perm), pair_0xb.chain
+    # closure decides which.  Its base images may still sift to a rank, so
+    # the rank is confirmed on every point.
+    key, table = bytes(perm), pair_0xb.table
     if key in pair_0xb.reference.by_key:
-        assert chain.sorted_keys()[chain.position(key)] == key
+        assert pair_0xb.keys[table._rank_of_images(key)] == key
     else:
         with pytest.raises(ValueError):
-            chain.position(key)
-        assert key not in chain.by_key
+            table._rank_of_images(key)
 
 
 @pytest.mark.parametrize("key", [bytes([200] * 65), bytes(64), (1, 2, 3), "x" * 65],
                          ids=["points-past-65", "short", "tuple", "str"])
 def test_a_key_that_is_no_permutation_of_the_points_raises(sz8, key):
+    # The scans take ranks, and a key is none; as point images, the byte
+    # strings and the tuple are those of no element.
+    chain = sz8.table.chain
     with pytest.raises(ValueError):
-        sz8.table.position(key)
-    assert key not in sz8.table.by_key
+        centralizer(chain, key)
+    with pytest.raises(ValueError):
+        normalizer(chain, SubgroupHandle(frozenset([chain.identity, key]), 2))
+    if not isinstance(key, str):
+        with pytest.raises(ValueError):
+            sz8.table._rank_of_images(key)
 
 
 @pytest.fixture(scope="module")
@@ -243,9 +280,16 @@ def sz32():
 def test_the_sz32_chain_is_certified_without_keys(sz32):
     assert [len(orbit) for orbit in sz32.chain.orbits] == [1025, 1024, 31]
     assert sz32.size == 32537600
-    for make_keys in (sz32.sorted_keys, lambda: sz32.key(sz32.generators[0])):
-        with pytest.raises(ScaleRefusal, match=f"at most {MAX_POINTS}"):
-            make_keys()
+    assert sz32.rank(Mat4.identity(sz32.field)) == sz32.chain.identity
+
+
+def test_the_sz32_torus_is_its_own_centralizer(sz32):
+    # T = <d(lam)> of order q - 1 = 31 fixes b0 and b1; C(d) = T and
+    # |N(T)| = 2 |T|, with no census.
+    chain, d = sz32.chain, sz32.rank(sz32.generators[2])
+    torus = cyclic_subgroup(chain, d, 31)
+    assert centralizer(chain, d).members == torus.members
+    assert normalizer(chain, torus).order == 62
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,11 +2,11 @@
 
 ``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
 table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses.  At
-q = 8, under both moduli of GF(8), the scans of the ovoid table
+q = 8, under both moduli of GF(8), the scans of the ovoid table's chain
 (``build_suzuki_table``) must find the same subgroups once the reference's
-matrices are mapped through ``table.key``, the one boundary conversion, and
-the same census and orbit sizes.  Only the ovoid table conjugates: a matrix
-table closes and counts, nothing more.  A table whose stabilizer chain is
+matrices are mapped through ``table.rank``, the one boundary conversion, and
+the same census and orbit sizes.  Only the chain conjugates: a matrix table
+closes and counts, nothing more.  A table whose stabilizer chain is
 broken must raise, never yield a wrong set.
 """
 
@@ -109,13 +109,13 @@ def _class(world, name):
 def assert_scans_agree(world, name):
     ovoid, matrices = world.ovoid, world.matrices
     gens, members = _class(world, name)
-    to_key = lambda entries: ovoid.key(matrices.element(entries))  # noqa: E731
-    sub = SubgroupHandle(frozenset(map(to_key, members)), len(members),
-                         ovoid.key(gens[0]) if len(gens) == 1 else None)
+    to_rank = lambda entries: ovoid.rank(matrices.element(entries))  # noqa: E731
+    sub = SubgroupHandle(frozenset(map(to_rank, members)), len(members),
+                         ovoid.rank(gens[0]) if len(gens) == 1 else None)
     want = ref_normalizer(matrices, gens, members, world.inverses)
-    assert normalizer(ovoid, sub).members == frozenset(map(to_key, want))
-    got = centralizer(ovoid, ovoid.key(gens[0])).members
-    assert got == frozenset(map(to_key, ref_centralizer(matrices, gens[0])))
+    assert normalizer(ovoid.chain, sub).members == frozenset(map(to_rank, want))
+    got = centralizer(ovoid.chain, ovoid.rank(gens[0])).members
+    assert got == frozenset(map(to_rank, ref_centralizer(matrices, gens[0])))
 
 
 @pytest.mark.parametrize("name", ["u1", "u2", "v"])
@@ -147,8 +147,9 @@ def test_census_and_orbit_sizes_match_the_reference(request, modulus):
 # -- the scans' bookkeeping on the ovoid table ------------------------------------
 
 def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
-    trivial = SubgroupHandle(frozenset([sz8.table.identity]), 1)
-    assert normalizer(sz8.table, trivial).order == sz8.table.size
+    chain = sz8.table.chain
+    trivial = SubgroupHandle(frozenset([chain.identity]), 1)
+    assert normalizer(chain, trivial).order == chain.size
 
 
 def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
@@ -193,28 +194,29 @@ def test_w_conjugates_are_numbered_within_16_bits(sz8, monkeypatch):
 
 
 def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
-    # 448 candidates survive the base-image prefilter, and each is confirmed
-    # by W's 3 generators, not by its 63 nontrivial members.
+    # 448 candidates survive the base-image prefilter and the first
+    # generator's triples, and each is confirmed by the triples of W's 2
+    # other generators, not by its 63 nontrivial members.
     table, made = sz8.table, []
-    conjugates = OvoidTable.conjugates
+    conjugate_triples = szq.oracle._conjugate_triples
 
-    def counted(t, h, positions):
-        for c in conjugates(t, h, positions):
-            made.append(c)
-            yield c
+    def counted(chain, h, ranks):
+        for t in conjugate_triples(chain, h, ranks):
+            made.append(t)
+            yield t
 
-    monkeypatch.setattr(OvoidTable, "conjugates", counted)
-    w = subgroup(table, map(table.key, w_generators(table.field)), limit=64)
-    n = normalizer(table, w)
+    monkeypatch.setattr(szq.oracle, "_conjugate_triples", counted)
+    w = subgroup(table.chain, map(table.rank, w_generators(table.field)), limit=64)
+    n = normalizer(table.chain, w)
     assert n.order * 65 == table.size
-    assert len(made) <= 4 * 448
+    assert len(made) == 2 * 448
 
 
 def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
     table = sz8.table
-    x = table.key(make_w(table.field.one, table.field.zero))  # of order 4
+    x = table.rank(make_w(table.field.one, table.field.zero))  # of order 4
     with pytest.raises(ValueError, match="subgroup"):
-        normalizer(table, SubgroupHandle(frozenset([table.identity, x]), 2))
+        normalizer(table.chain, SubgroupHandle(frozenset([table.chain.identity, x]), 2))
 
 
 # -- tables that are not the group --------------------------------------------------
@@ -240,28 +242,33 @@ def _corrupt(table, kind):
 
 @pytest.mark.parametrize("kind", ["not-a-bijection", "not-closed"])
 def test_a_broken_index_raises(sz8, kind):
+    # The ranks come from the sound chain; the broken one keeps their numbers.
+    x = sz8.table.rank(make_w(sz8.field.one, sz8.field.zero))
+    sub = cyclic_subgroup(sz8.table.chain, x, 4)
     table = _corrupt(sz8.table, kind)
-    x = table.key(make_w(table.field.one, table.field.zero))
-    sub = cyclic_subgroup(table, x, 4)
-    for scan in (lambda: normalizer(table, sub), lambda: centralizer(table, x),
+    for scan in (lambda: normalizer(table.chain, sub), lambda: centralizer(table.chain, x),
                  lambda: verify_partition(table, sz8.params)):
         with pytest.raises(CertificationError):
             scan()
 
 
 def test_scans_refuse_elements_outside_the_table(sz8):
-    # A transposition of two ovoid points fixes the other 63, but only the
-    # identity of Sz(8) fixes three points.
-    table = sz8.table
-    outside = bytes([1, 0]) + table.identity[2:]
+    # Ranks run from 0 to |G| - 1; a transposition of two ovoid points fixes
+    # the other 63, but only the identity of Sz(8) fixes three points.
+    chain = sz8.table.chain
+    for outside in (-1, chain.size, 2.0):
+        with pytest.raises(ValueError):
+            centralizer(chain, outside)
+        with pytest.raises(ValueError):
+            normalizer(chain, SubgroupHandle(frozenset([chain.identity, outside]), 2, outside))
     with pytest.raises(ValueError):
-        centralizer(table, outside)
+        normalizer(chain, SubgroupHandle(frozenset([chain.identity]), 1, chain.size))
     with pytest.raises(ValueError):
-        normalizer(table, SubgroupHandle(frozenset([table.identity, outside]), 2, outside))
+        sz8.table._rank_of_images([1, 0] + list(range(2, 65)))
     f = sz8.field
     off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
-        sz8.table.key(off_ovoid)
+        sz8.table.rank(off_ovoid)
 
 
 def test_a_stabilizer_generator_that_moves_its_base_point_raises(params8, monkeypatch):
