@@ -212,8 +212,8 @@ def cmd_nse(args: argparse.Namespace) -> int:
         lines += _stats_lines(closed, f"closed-form order counts for Sz({p.q})")
     if args.source in ("oracle", "both"):
         # CertificationError -> 4
-        _, table = build_suzuki_table(p, Field(p.m) if field is None else field)
-        oracle_stats = empirical_order_stats(table, spectrum_closed_form(p))
+        _, chain = build_suzuki_table(p, Field(p.m) if field is None else field)
+        oracle_stats = empirical_order_stats(chain, spectrum_closed_form(p))
         payload["oracle"] = oracle_stats.to_json_dict()
         lines += _stats_lines(oracle_stats, f"oracle census for Sz({p.q})")
     if args.source == "both":
@@ -239,12 +239,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     field = Field(p.m, modulus=args.modulus)
     checks: list[tuple[str, bool, str]] = []
 
-    gens, table = build_suzuki_table(p, field)  # CertificationError -> 4
+    _, chain = build_suzuki_table(p, field)  # CertificationError -> 4
     checks.append(("generator_certification", True,
-                   f"closure of 4 candidate generators has {table.size} elements"))
+                   f"closure of 4 candidate generators has {chain.size} elements"))
 
     spectrum = spectrum_closed_form(p)
-    stats = empirical_order_stats(table, spectrum)
+    stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)
     checks.append(("census_matches_closed_form",
                    stats.counts == closed.counts and stats.total == closed.total,
@@ -253,29 +253,28 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    w = unitriangular(table)  # ranks, shared by the partition and N(W)
-    w_orders = [table.orders()[r] for r in w.members]
+    w = unitriangular(chain)  # ranks, shared by the partition and N(W)
+    w_orders = [chain.orders()[r] for r in w.members]
     involutions = w_orders.count(2)
     checks.append(("w_subgroup",
                    w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
                    f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
 
-    partition = verify_partition(table, p, w)
+    partition = verify_partition(chain, p, w)
     checks.append(("partition", partition.passed,
                    f"conjugates ({partition.measured.n_w}, {partition.measured.n_u1}, "
                    f"{partition.measured.n_u2}, {partition.measured.n_v}), "
                    f"coverage {partition.coverage}, "
                    f"multiply covered {partition.multiply_covered}"))
 
-    chain = table.chain
     cyclic = {k: find_cyclic_subgroup(chain, k) for k in (p.u1, p.u2, p.v)}
     for name, k, index_over in (("u1", p.u1, 4), ("u2", p.u2, 4), ("v", p.v, 2)):
         n = normalizer(chain, cyclic[k])
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
     nw = normalizer(chain, w)
-    checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == table.size,
-                   f"|N(W)| = {nw.order}, index {table.size // nw.order}"))
+    checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == chain.size,
+                   f"|N(W)| = {nw.order}, index {chain.size // nw.order}"))
 
     for name, k in (("u1", p.u1), ("u2", p.u2)):
         c = centralizer(chain, cyclic[k].cyclic_generator)

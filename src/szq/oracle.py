@@ -6,15 +6,16 @@ centralizers, and verifies that the conjugates of the four reference
 subgroups cover every nontrivial element exactly once.
 
 ``enumerate_group`` closes any set of matrices into an ``ElementTable`` keyed
-by entry tuples, which closes and counts.  ``build_suzuki_table`` lets Sz(q)
-act on the q^2 + 1 points of its ovoid on a certified stabilizer chain
-(``StabilizerChain``), where each element is "U2[c], then U1[b], then U0[a]"
-in exactly one way and is addressed by its rank (a N1 + b) N2 + c.  Three
-base images determine an element, so a product, a power walk or a conjugate
-steps three base images and sifts them back to a rank: the census,
-``subgroup``, the partition walk and the normalizer and centralizer scans
-all take and return ranks, and all run on Sz(32).  Matrices stay at the
-boundary (``OvoidTable.rank(mat)``, ``ElementTable.element(key)``).
+by entry tuples, which closes and counts.  Sz(q) itself has one carrier:
+``build_suzuki_table`` lets it act on the q^2 + 1 points of its ovoid and
+returns a ``StabilizerChain`` that checks itself when it is built, where
+each element is "U2[c], then U1[b], then U0[a]" in exactly one way and is
+addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
+element, so a product, a power walk or a conjugate steps three base images
+and sifts them back to a rank: the census, ``subgroup``, the partition walk
+and the normalizer and centralizer scans all take the chain and ranks, and
+all run on Sz(32).  Matrices stay at the boundary (``StabilizerChain.rank``,
+``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -246,49 +247,51 @@ def _schreier(point: int, gens: list[list[int]], n: int) -> tuple[list[int], lis
     return orbit, reps
 
 
-@dataclass
-class _Sifter:
-    """The lookups a certified chain sifts with, derived from its orbits and
-    transversals once they have passed ``StabilizerChain._check``."""
-
-    inverses: list[list[list[int]]]  # inverses[j][i]: the inverse of U_j[i]
-    inverse_at: list[list[int]]      # by point p: the inverse of U_0[a], a = index of p
-    offset_at: list[int]             # by point p: a * N1 * N2, or a large negative
-    level12: list[int]               # t1 * n + t2 -> b * N2 + c, or a large negative
-    one: int                         # the rank of the identity
+# A field derived from the others when the chain is built.
+_derived = partial(dc_field, init=False, repr=False, compare=False)
 
 
 @dataclass
 class StabilizerChain:
-    """A base (b0, b1, b2) of a permutation group G on the points 0..n-1 and
-    one transversal per level of G = H0 >= H1 >= H2.
+    """Sz(q) as permutations of the points of its ovoid, on a certified
+    stabilizer chain: a base (b0, b1, b2) of the group G the matrices
+    ``generators`` induce on the point numbers 0..n-1, and one transversal
+    per level of G = H0 >= H1 >= H2.
 
+    ``points`` lists the ovoid ascending, and a permutation numbers the
+    points by their place there, under the row-vector action p -> p g.
     ``orbits[j]`` is the orbit of b_j under H_j, and ``transversals[j][i]``
-    lists the point images (image of point k at index k) of an element U_j[i]
-    of H_j that maps b_j to ``orbits[j][i]``; H1 fixes b0 and H2 fixes b0 and
-    b1.  Once the chain is certified, that is once N0 N1 N2 (the orbit
+    lists the point images (image of point k at index k) of an element
+    U_j[i] of H_j that maps b_j to ``orbits[j][i]``; H1 fixes b0 and H2 fixes
+    b0 and b1.  Once the chain is certified, that is once N0 N1 N2 (the orbit
     lengths) is the order of G, the pointwise stabilizer of the base is
     trivial, and every element of G is "U2[c], then U1[b], then U0[a]" for
-    exactly one (a, b, c).  Its rank is (a N1 + b) N2 + c, and ``rank`` finds
-    it back from the element's three base images alone.
+    exactly one (a, b, c).  Its rank is (a N1 + b) N2 + c: ``sift`` finds it
+    from the element's three base images, and ``rank(mat)`` from a matrix.
+    The chain checks itself when it is built (``_check``).
     """
 
-    base: tuple[int, int, int]
-    orbits: list[list[int]]
-    transversals: list[list[list[int]]]
-    _lookups: _Sifter | None = dc_field(default=None, init=False, repr=False, compare=False)
-    _orders: bytearray | None = dc_field(default=None, init=False, repr=False, compare=False)
+    field: Field
+    generators: list[Mat4]
+    points: list[Point] = dc_field(repr=False)
+    base: tuple[int, int, int] = dc_field(repr=False)
+    orbits: list[list[int]] = dc_field(repr=False)
+    transversals: list[list[list[int]]] = dc_field(repr=False)
+    size: int = dc_field(init=False, compare=False)
+    identity: int = _derived()                # the rank of the identity
+    _number: dict[Point, int] = _derived()    # a point's place in ``points``
+    _inverses: list[list[list[int]]] = _derived()  # [j][i]: the inverse of U_j[i]
+    _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
+    _offset_at: list[int] = _derived()  # by point p: a * N1 * N2, or a large negative
+    _level12: list[int] = _derived()  # t1 * n + t2 -> b * N2 + c, or a large negative
+    _orders: bytearray | None = _derived(default=None)
 
-    @property
-    def size(self) -> int:
-        return len(self.orbits[0]) * len(self.orbits[1]) * len(self.orbits[2])
+    def __post_init__(self) -> None:
+        self._number = {p: k for k, p in enumerate(self.points)}
+        self.size = len(self.orbits[0]) * len(self.orbits[1]) * len(self.orbits[2])
+        self._check()
 
-    def _sifter(self) -> _Sifter:
-        if self._lookups is None:
-            self._lookups = self._check()
-        return self._lookups
-
-    def _check(self) -> _Sifter:
+    def _check(self) -> None:
         """Build the sift lookups, checking on the way that each U_j[i] is a
         permutation that maps b_j to orbits[j][i], fixes the earlier base
         points and maps the orbit of b0 onto itself (as every element of G
@@ -330,26 +333,49 @@ class StabilizerChain:
         inverse_at, offset_at = [points] * n, [missing] * n
         for a, p in enumerate(o0):
             inverse_at[p], offset_at[p] = inverses[0][a], a * n12
-        inverse = inverse_at[base[0]]
-        one = offset_at[base[0]] + level12[inverse[base[1]] * n + inverse[base[2]]]
-        if one < 0:
+        self._inverses, self._inverse_at, self._offset_at, self._level12 = (
+            inverses, inverse_at, offset_at, level12)
+        self.identity = self.sift(*base)
+        if self.identity < 0:
             raise CertificationError("the identity is not in the chain")
-        return _Sifter(inverses, inverse_at, offset_at, level12, one)
 
-    def rank(self, p0: int, p1: int, p2: int) -> int:
+    def sift(self, p0: int, p1: int, p2: int) -> int:
         """The rank of the element with base images p0, p1 and p2, or -1 when
         no element of the chain has them."""
-        s = self._sifter()
-        n = len(s.inverse_at)
+        n = len(self._inverse_at)
         if not (0 <= p0 < n and 0 <= p1 < n and 0 <= p2 < n):
             return -1
-        inverse = s.inverse_at[p0]
-        r = s.offset_at[p0] + s.level12[inverse[p1] * n + inverse[p2]]
+        inverse = self._inverse_at[p0]
+        r = self._offset_at[p0] + self._level12[inverse[p1] * n + inverse[p2]]
         return r if r >= 0 else -1
+
+    def rank(self, mat: Mat4) -> int:
+        """The rank of a matrix of Sz(q), from the number of the image of
+        each point; ValueError for a matrix that does not map the points to
+        themselves or acts as no element of the chain."""
+        f, number = self.field, self._number
+        try:
+            image = [number[_point_image(f, p, mat)] for p in self.points]
+        except KeyError:
+            raise ValueError("matrix does not map the ovoid to itself") from None
+        return self._rank_of_images(image)
+
+    def _rank_of_images(self, image: Sequence[int]) -> int:
+        """The rank of the element with these point images: its images of
+        the three base points, sifted, and confirmed on every point.
+        ValueError when no element of the chain has them."""
+        if len(image) == len(self.points):
+            r = self.sift(*(image[b] for b in self.base))
+            if r >= 0 and self.permutation(r) == list(image):
+                return r
+        raise ValueError("the point images are those of no element of the table")
 
     def element(self, r: int) -> tuple[list[int], list[int], list[int]]:
         """(U0[a], U1[b], U2[c]) for the element of rank r: it acts as
-        p -> U0[a][U1[b][U2[c][p]]]."""
+        p -> U0[a][U1[b][U2[c][p]]].  ValueError unless r is an int (not a
+        bool or another subclass) in range(size)."""
+        if type(r) is not int or not 0 <= r < self.size:
+            raise ValueError(f"{r!r} is no rank of the chain")
         (_, o1, o2), (t0, t1, t2) = self.orbits, self.transversals
         a, r12 = divmod(r, len(o1) * len(o2))
         b, c = divmod(r12, len(o2))
@@ -363,10 +389,6 @@ class StabilizerChain:
     # The chain is also a table whose keys are the ranks themselves, so
     # ``subgroup``, ``find_cyclic_subgroup`` and the scans run on it.
 
-    @property
-    def identity(self) -> int:
-        return self._sifter().one
-
     def sorted_keys(self) -> range:
         return range(self.size)
 
@@ -375,7 +397,7 @@ class StabilizerChain:
         s's images of r's base images, sifted."""
         u0, u1, u2 = self.element(r)
         v0, v1, v2 = self.element(s)
-        product = self.rank(*(v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base))
+        product = self.sift(*(v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base))
         if product < 0:
             raise CertificationError("the chain is not closed under products")
         return product
@@ -385,9 +407,9 @@ class StabilizerChain:
         k = ord(x): x's base images stepped by x, each power sifted back to its
         rank.  CertificationError past 255 powers or for a power that sifts
         to no element."""
-        s = self._sifter()
         n, inverse_at, offset_at, level12, one = (
-            len(s.inverse_at), s.inverse_at, s.offset_at, s.level12, s.one)
+            len(self._inverse_at), self._inverse_at, self._offset_at, self._level12,
+            self.identity)
         u0, u1, u2 = self.element(r)
         b0, b1, b2 = self.base
         p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
@@ -403,28 +425,25 @@ class StabilizerChain:
             powers.append(r)
         raise CertificationError("an element has order above 255, the census's limit")
 
-    def power_pass(self) -> bytearray:
-        """The order of every element, by rank: for each element x not yet
-        met as a power, in rank order, ``cycle`` gives x, x^2, ..., x^(k-1),
-        and ord(x^i) = k / gcd(i, k).  Orders are kept one byte each."""
-        orders = bytearray(self.size)
-        orders[self.identity] = 1
-        ratios: dict[int, list[int]] = {}
-        start = orders.find(0)
-        while start >= 0:
-            powers = self.cycle(start)
-            k = len(powers) + 1
-            if k not in ratios:
-                ratios[k] = [k // gcd(i, k) for i in range(1, k)]
-            for r, o in zip(powers, ratios[k]):
-                orders[r] = o
-            start = orders.find(0, start)
-        return orders
-
     def orders(self) -> bytearray:
-        """``power_pass``, computed once."""
+        """orders()[r] is the order of the element of rank r (computed once,
+        one byte each): for each element x not yet met as a power, in rank
+        order, ``cycle`` gives x, x^2, ..., x^(k-1), and ord(x^i) =
+        k / gcd(i, k)."""
         if self._orders is None:
-            self._orders = self.power_pass()
+            orders = bytearray(self.size)
+            orders[self.identity] = 1
+            ratios: dict[int, list[int]] = {}
+            start = orders.find(0)
+            while start >= 0:
+                powers = self.cycle(start)
+                k = len(powers) + 1
+                if k not in ratios:
+                    ratios[k] = [k // gcd(i, k) for i in range(1, k)]
+                for r, o in zip(powers, ratios[k]):
+                    orders[r] = o
+                start = orders.find(0, start)
+            self._orders = orders
         return self._orders
 
     def conjugator(self, s: int) -> Callable[[int], int]:
@@ -433,9 +452,8 @@ class StabilizerChain:
         s^-1(U0[a](U1[b] U2[c](s(b)))) are sifted on each call, from s^-1 and
         the N1 N2 precomputed triples U1[b] U2[c](s(b)).  CertificationError
         for a conjugate that sifts to no element."""
-        sift = self._sifter()
         n, inverse_at, offset_at, level12 = (
-            len(sift.inverse_at), sift.inverse_at, sift.offset_at, sift.level12)
+            len(self._inverse_at), self._inverse_at, self._offset_at, self._level12)
         perm, s_inv = self.permutation(s), [0] * n
         for p, image in enumerate(perm):
             s_inv[image] = p
@@ -455,59 +473,6 @@ class StabilizerChain:
             return r
 
         return image
-
-
-@dataclass
-class OvoidTable:
-    """Sz(q) as permutations of the points of its ovoid, on a certified
-    stabilizer chain.
-
-    ``points`` lists the ovoid ascending, and the chain's permutations number
-    the points by their place there, under the row-vector action p -> p g.
-    Elements are the chain's ranks: the census (``orders``), the scans and
-    the partition walk step base images and sift them back to ranks, and
-    ``rank(mat)`` turns a matrix into one.
-    """
-
-    field: Field
-    generators: list[Mat4]
-    points: list[Point] = dc_field(repr=False)
-    chain: StabilizerChain = dc_field(repr=False)
-    _number: dict[Point, int] = dc_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self._number = {p: k for k, p in enumerate(self.points)}
-
-    @property
-    def size(self) -> int:
-        return self.chain.size
-
-    def rank(self, mat: Mat4) -> int:
-        """The rank of a matrix of Sz(q), from the number of the image of
-        each point; ValueError for a matrix that does not map the ovoid to
-        itself or acts as no element of the chain."""
-        f, number = self.field, self._number
-        try:
-            image = [number[_point_image(f, p, mat)] for p in self.points]
-        except KeyError:
-            raise ValueError("matrix does not map the ovoid to itself") from None
-        return self._rank_of_images(image)
-
-    def _rank_of_images(self, image: Sequence[int]) -> int:
-        """The rank of the element with these point images: its images of
-        the three base points, sifted, and confirmed on every point.
-        ValueError when no element of the chain has them."""
-        chain = self.chain
-        if len(image) == len(self.points):
-            r = chain.rank(*(image[b] for b in chain.base))
-            if r >= 0 and chain.permutation(r) == list(image):
-                return r
-        raise ValueError("the point images are those of no element of the table")
-
-    def orders(self) -> bytearray:
-        """orders()[r] is the order of the element of rank r, from the chain's
-        power pass (computed once)."""
-        return self.chain.orders()
 
 
 @dataclass(frozen=True)
@@ -556,7 +521,8 @@ def check_census_scale(params: SuzukiParams) -> None:
             f"memory limit of {MEMORY_LIMIT} bytes")
 
 
-def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], OvoidTable]:
+def build_suzuki_table(params: SuzukiParams,
+                       field: Field) -> tuple[list[Mat4], StabilizerChain]:
     """Sz(q) on a certified stabilizer chain of its ovoid.
 
     The ovoid is the orbit of the point <e1> under the four candidate
@@ -569,10 +535,11 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
     transversals U0, U1, U2.  ScaleRefusal, before any work, for a census past
     the memory limit (``check_census_scale``).
 
-    Returns (generators, table).  The candidates lie in Sz(q), so the group G
-    they generate has at most |Sz(q)| elements, and at least as many as its
-    image in the permutations, which has at least N0 N1 N2.  A chain with
-    N0 N1 N2 = |Sz(q)| = q^2 (q^2 + 1)(q - 1) therefore proves that G is
+    Returns (generators, chain); the chain checks its transversals when it
+    is built (``StabilizerChain._check``).  The candidates lie in Sz(q), so
+    the group G they generate has at most |Sz(q)| elements, and at least as
+    many as its image in the permutations, which has at least N0 N1 N2.  A
+    chain with N0 N1 N2 = |Sz(q)| = q^2 (q^2 + 1)(q - 1) proves that G is
     Sz(q), that the action is faithful and that the base images fix each
     element: the element of rank (a N1 + b) N2 + c is "U2[c], then U1[b],
     then U0[a]", and it is addressed by that rank.  Any other orbit or chain
@@ -608,16 +575,15 @@ def build_suzuki_table(params: SuzukiParams, field: Field) -> tuple[list[Mat4], 
         orbit_j, transversal = _schreier(base[j], level, n_points)
         orbits.append(orbit_j)
         transversals.append(transversal)
-    chain = StabilizerChain(base, orbits, transversals)
     n0, n1, n2 = map(len, orbits)
-    if chain.size != params.group_order:
+    if n0 * n1 * n2 != params.group_order:
         raise CertificationError(
-            f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {chain.size} "
+            f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {n0 * n1 * n2} "
             f"elements, expected |Sz({params.q})| = {params.group_order}")
-    return gens, OvoidTable(field, gens, points, chain)
+    return gens, StabilizerChain(field, gens, points, base, orbits, transversals)
 
 
-def empirical_order_stats(table: ElementTable | OvoidTable,
+def empirical_order_stats(table: ElementTable | StabilizerChain,
                           spec_hint: Spectrum | None = None) -> OrderStats:
     """Census of element orders over the whole table.
 
@@ -639,9 +605,12 @@ def empirical_order_stats(table: ElementTable | OvoidTable,
 # Subgroup digging
 # ---------------------------------------------------------------------------
 
-def cyclic_subgroup(table: ElementTable, generator: Key, order: int) -> SubgroupHandle:
+def cyclic_subgroup(table: ElementTable | StabilizerChain, generator: Key,
+                    order: int) -> SubgroupHandle:
     """The subgroup generated by an element of the given order; ValueError
-    unless generator^order is the identity and no smaller power is."""
+    for a generator outside the table, or unless generator^order is the
+    identity and no smaller power is."""
+    table.element(generator)
     members, cur = [table.identity], generator
     while cur != table.identity and len(members) < order:
         members.append(cur)
@@ -651,14 +620,15 @@ def cyclic_subgroup(table: ElementTable, generator: Key, order: int) -> Subgroup
     return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
 
 
-def subgroup(table: ElementTable, generators: Iterable[Key], limit: int) -> SubgroupHandle:
+def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
+             limit: int) -> SubgroupHandle:
     """The subgroup generated by the elements keyed ``generators``, closed
     with the table's own product; ClosureLimitError past ``limit`` elements."""
     members = _walk([table.identity], list(generators), table.mul, limit=limit)
     return SubgroupHandle(frozenset(members), len(members))
 
 
-def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
+def find_cyclic_subgroup(table: ElementTable | StabilizerChain, k: int) -> SubgroupHandle:
     """Cyclic subgroup generated by the first element of order k in
     sorted-key order, for determinism."""
     try:
@@ -668,24 +638,20 @@ def find_cyclic_subgroup(table: ElementTable, k: int) -> SubgroupHandle:
     return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
-def _generating_set(table: StabilizerChain, members: frozenset[Key]) -> list[Key]:
+def _generating_set(chain: StabilizerChain, members: frozenset[Key]) -> list[Key]:
     """A generating set of the subgroup with these members: walk them in
     sorted order and keep each one the kept ones do not generate yet.
     ValueError when the members are not a subgroup."""
-    one = table.identity
+    one = chain.identity
     gens: list[Key] = []
     span = {one: one}
     for x in sorted(members):
         if x not in span:
             gens.append(x)
-            span = _walk([one], gens, table.mul)
+            span = _walk([one], gens, chain.mul)
     if len(span) != len(members):
         raise ValueError("the members do not form a subgroup")
     return gens
-
-
-def _is_rank(chain: StabilizerChain, r: object) -> bool:
-    return isinstance(r, int) and 0 <= r < chain.size
 
 
 def _conjugate_triples(chain: StabilizerChain, h: list[int],
@@ -693,7 +659,7 @@ def _conjugate_triples(chain: StabilizerChain, h: list[int],
     """The images of b0, b1 and b2 under g^-1 h g ("first g, then h, then
     g^-1") for the element g of each rank, h given by its point images; g^-1
     is "U0[a]^-1, then U1[b]^-1, then U2[c]^-1"."""
-    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._sifter().inverses
+    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._inverses
     n2 = len(t2)
     for r in ranks:
         ab, c = divmod(r, n2)
@@ -719,16 +685,14 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     by their triples alone (``_conjugate_triples``).  ValueError for members
     that are no ranks of the chain or no subgroup.
     """
+    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
+               for u0, u1, u2 in map(chain.element, sub.members)}
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
-    if not all(_is_rank(chain, r) for r in [*sub.members, *cyclic]):
-        raise ValueError("subgroup is not in the table")
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(range(chain.size)), chain.size)
-    (t0, t1, _), (i0, i1, i2) = chain.transversals, chain._sifter().inverses
+    (t0, t1, _), (i0, i1, i2) = chain.transversals, chain._inverses
     o0, o1, o2 = chain.orbits
-    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
-               for u0, u1, u2 in map(chain.element, sub.members)}
     pairs = {t[:2] for t in triples}
     images = {t[0] for t in triples}
     # hits[p] lists the c with U2[c]^-1(p) in images.
@@ -765,11 +729,9 @@ def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
     U0[a]^-1(x(o0[a])) = U1[b](U2[c](x(b0))), one side from a alone, the
     other from (b, c) alone; b1 and b2 then decide.
     """
-    if not _is_rank(chain, x):
-        raise ValueError("element is not in the table")
-    inverses, (o0, o1, o2), base = chain._sifter().inverses, chain.orbits, chain.base
-    t0, t1, t2 = chain.transversals
     x = chain.permutation(x)
+    inverses, (o0, o1, o2), base = chain._inverses, chain.orbits, chain.base
+    t0, t1, t2 = chain.transversals
     n12, n2 = len(o1) * len(o2), len(o2)
     meet: dict[int, list[int]] = {}
     xb0 = x[base[0]]
@@ -895,21 +857,20 @@ def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int],
     return len(known), slots
 
 
-def unitriangular(table: OvoidTable) -> SubgroupHandle:
+def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
     """W = {w(a, b)} as ranks, closed on the chain from the ranks of
     ``w_generators``."""
-    return subgroup(table.chain, map(table.rank, w_generators(table.field)),
-                    table.field.q ** 2)
+    return subgroup(chain, map(chain.rank, w_generators(chain.field)), chain.field.q ** 2)
 
 
-def verify_partition(table: OvoidTable, params: SuzukiParams,
+def verify_partition(chain: StabilizerChain, params: SuzukiParams,
                      w: SubgroupHandle | None = None) -> PartitionReport:
     """Conjugate one representative of each class and check the cover.
 
     The representatives are ranks on the chain: W = {w(a, b)} (``w``, closed
     by ``unitriangular`` when not given) and cyclic subgroups of orders
     q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
-    ``conjugator`` per generator of the table, skipping a generator in the
+    ``conjugator`` per generator of the chain, skipping a generator in the
     cyclic group of one kept before (w(0, 1) = w(1, 0)^2).  Nothing of size
     |G| is allocated but the orders, the byte ``hits`` and, one class at a
     time, its ``owner`` array (a byte mark, or 16-bit conjugate numbers for
@@ -917,20 +878,19 @@ def verify_partition(table: OvoidTable, params: SuzukiParams,
     ``missing`` and ``multiply_covered`` exact; ``coverage`` is counted as
     the slots are filled.
     """
-    chain = table.chain
     one = chain.identity
     if w is None:
-        w = unitriangular(table)
+        w = unitriangular(chain)
     reps = {"w": (_generating_set(chain, w.members), w.members)}
     for name in ("u1", "u2", "v"):
         h = find_cyclic_subgroup(chain, getattr(params, name))
         reps[name] = ([h.cyclic_generator], h.members)
     moves, powers = [], set()
-    for s in map(table.rank, table.generators):
+    for s in map(chain.rank, chain.generators):
         if s not in powers:
             moves.append(chain.conjugator(s))
             powers.update(chain.cycle(s))
-    hits = bytearray(table.size)
+    hits = bytearray(chain.size)
     counts, coverage = {}, 0
     for name, (gens, members) in reps.items():
         counts[name], slots = _conjugates(gens, [i for i in members if i != one],

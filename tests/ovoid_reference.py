@@ -129,12 +129,12 @@ def conjugation(table: ReferenceOvoidTable, s: bytes) -> array:
     return table.conjugation(s)
 
 
-def rank_keys(table: oracle.OvoidTable) -> list[bytes]:
-    """The ``bytes`` permutation of each rank of the table's chain, in rank
-    order, one ``translate`` each: the key of rank (a N1 + b) N2 + c is the
+def rank_keys(chain: oracle.StabilizerChain) -> list[bytes]:
+    """The ``bytes`` permutation of each rank of the chain, in rank order,
+    one ``translate`` each: the key of rank (a N1 + b) N2 + c is the
     precomputed U2[c] U1[b] followed by U0[a]."""
-    t0, t1, t2 = table.chain.transversals
-    pad = bytes(256 - len(table.points))
+    t0, t1, t2 = chain.transversals
+    pad = bytes(256 - len(chain.points))
     tails = [bytes([u1[p] for p in u2]) for u1 in t1 for u2 in t2]
     keys = []
     for u0 in t0:

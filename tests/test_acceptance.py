@@ -99,7 +99,7 @@ def test_criterion_05_partition_verification(sz8_partition):
 
 
 def test_criterion_06_normalizer_centralizer_indices(sz8):
-    p, table = sz8.params, sz8.table.chain
+    p, table = sz8.params, sz8.table
     ok = True
     for k in (p.u1, p.u2):
         h = find_cyclic_subgroup(table, k)

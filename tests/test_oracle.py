@@ -185,7 +185,7 @@ def test_an_ovoid_element_is_its_permutation(sz8):
     table = sz8.table
     for g in sz8.generators:
         action = [table.points.index(_point_image(table.field, p, g)) for p in table.points]
-        assert table.chain.permutation(table.rank(g)) == action
+        assert table.permutation(table.rank(g)) == action
     with pytest.raises(ValueError):
         table._rank_of_images(list(range(64)) + [0])  # not a permutation
 
@@ -203,11 +203,11 @@ def test_a_singular_matrix_has_no_ovoid_key(sz8):
 def test_w_closes_inside_the_ovoid_table(params8, modulus):
     f = Field(1, modulus=modulus)
     _, table = build_suzuki_table(params8, f)
-    w = subgroup(table.chain, map(table.rank, w_generators(f)), limit=64)
+    w = subgroup(table, map(table.rank, w_generators(f)), limit=64)
     assert w.members == {table.rank(x) for x in w_elements(f)}
     assert w.order == 64 and w.cyclic_generator is None
     with pytest.raises(ClosureLimitError):
-        subgroup(table.chain, map(table.rank, w_generators(f)), limit=63)
+        subgroup(table, map(table.rank, w_generators(f)), limit=63)
 
 
 # -- census -------------------------------------------------------------------
@@ -278,20 +278,20 @@ def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matric
     # boundary conversion, against element_order and Gauss-Jordan on matrices.
     table = sz8.table
     hints = tuple(spectrum_closed_form(sz8.params).orders)
-    chain, orders = table.chain, table.orders()
+    orders = table.orders()
     mats = sz8_matrices.sorted_keys()
     for entries in random.Random(2025).sample(mats, 300):
         x = sz8_matrices.element(entries)
         r = table.rank(x)
         assert orders[r] == element_order(x, hints)
-        assert chain.mul(r, table.rank(x.inv())) == chain.identity
+        assert table.mul(r, table.rank(x.inv())) == table.identity
 
 
 def test_the_ovoid_is_the_orbit_of_e1(sz8):
     points = sz8.table.points
     assert len(points) == 8 * 8 + 1
     assert (1, 0, 0, 0) in points and points == sorted(points)
-    assert sz8.table.chain.permutation(sz8.table.chain.identity) == list(range(65))
+    assert sz8.table.permutation(sz8.table.identity) == list(range(65))
 
 
 _words = st.lists(st.integers(0, 3), min_size=1, max_size=10)
@@ -307,7 +307,7 @@ def test_the_ovoid_action_is_a_faithful_homomorphism(sz8, words):
     mats = [reduce(mul, (sz8.generators[i] for i in w)) for w in words]
     ranks = [table.rank(a) for a in mats]
     for a, b, ra, rb in zip(mats, mats[1:], ranks, ranks[1:]):
-        assert table.rank(a * b) == table.chain.mul(ra, rb)
+        assert table.rank(a * b) == table.mul(ra, rb)
     assert len(set(mats)) == len(set(ranks))
 
 
@@ -324,7 +324,7 @@ def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
 def test_position_is_the_place_in_sorted_keys(sz8, sz8_matrices, f8):
     keys = sz8_matrices.sorted_keys()
     assert [sz8_matrices.position(k) for k in keys] == list(range(sz8_matrices.size))
-    assert sz8.table.chain.sorted_keys() == range(sz8.table.size)
+    assert sz8.table.sorted_keys() == range(sz8.table.size)
     wt = enumerate_group(w_generators(f8), limit=64)
     with pytest.raises(ValueError):
         wt.position(sz8.generators[3].entries)  # the Weyl element is not in W
@@ -332,7 +332,7 @@ def test_position_is_the_place_in_sorted_keys(sz8, sz8_matrices, f8):
 
 def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
     # Orders recounted by repeated products of the ranks.
-    table = sz8.table.chain
+    table = sz8.table
 
     def order(key):
         k, p = 1, key
@@ -367,22 +367,22 @@ def test_nse_value_set(sz8):
 
 def test_find_cyclic_subgroups(sz8):
     for k in (13, 7, 5):
-        h = find_cyclic_subgroup(sz8.table.chain, k)
+        h = find_cyclic_subgroup(sz8.table, k)
         assert h.order == k == len(h.members)
-    trivial = find_cyclic_subgroup(sz8.table.chain, 1)
+    trivial = find_cyclic_subgroup(sz8.table, 1)
     assert trivial.order == 1
 
 
 def test_find_cyclic_subgroup_missing_order(sz8):
     with pytest.raises(SubgroupNotFoundError):
-        find_cyclic_subgroup(sz8.table.chain, 3)
+        find_cyclic_subgroup(sz8.table, 3)
 
 
 @pytest.mark.parametrize("wrong", [26, 5])
 def test_cyclic_subgroup_refuses_a_wrong_order(sz8, wrong):
     # A multiple of the true order would give a handle with too few members;
     # a proper divisor would give a set that is no subgroup.
-    table = sz8.table.chain
+    table = sz8.table
     x = table.orders().index(13)
     assert len(cyclic_subgroup(table, x, 13).members) == 13
     with pytest.raises(ValueError, match="order"):
@@ -391,28 +391,28 @@ def test_cyclic_subgroup_refuses_a_wrong_order(sz8, wrong):
 
 def test_normalizer_indices(sz8):
     for k, want in ((13, 52), (5, 20), (7, 14)):
-        h = find_cyclic_subgroup(sz8.table.chain, k)
-        n = normalizer(sz8.table.chain, h)
+        h = find_cyclic_subgroup(sz8.table, k)
+        n = normalizer(sz8.table, h)
         assert n.order == want
 
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
     handle = SubgroupHandle(frozenset(map(sz8.table.rank, map(wt.element, wt.by_key))), wt.size)
-    n = normalizer(sz8.table.chain, handle)
+    n = normalizer(sz8.table, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65
 
 
 def test_centralizer_of_identity_is_whole_group(sz8, f8):
-    c = centralizer(sz8.table.chain, sz8.table.rank(Mat4.identity(f8)))
+    c = centralizer(sz8.table, sz8.table.rank(Mat4.identity(f8)))
     assert c.order == sz8.table.size
 
 
 def test_centralizers_of_torus_elements(sz8):
     for k in (13, 5):
-        h = find_cyclic_subgroup(sz8.table.chain, k)
-        c = centralizer(sz8.table.chain, h.cyclic_generator)
+        h = find_cyclic_subgroup(sz8.table, k)
+        c = centralizer(sz8.table, h.cyclic_generator)
         assert c.order == k
         assert c.members == h.members
 

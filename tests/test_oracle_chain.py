@@ -76,24 +76,24 @@ def test_the_chain_has_the_closure_s_keys(pair):
     keys, ref = pair.keys, pair.reference
     assert len(keys) == len(set(keys)) == ref.size == 29120
     assert set(keys) == ref.by_key.keys()
-    assert keys[pair.table.chain.identity] == ref.identity
+    assert keys[pair.table.identity] == ref.identity
 
 
 def test_every_key_has_the_same_order_and_inverse(pair):
     table, keys, ref = pair.table, pair.keys, pair.reference
-    chain, orders, rank_of = table.chain, table.orders(), {k: r for r, k in enumerate(keys)}
+    orders, rank_of = table.orders(), {k: r for r, k in enumerate(keys)}
     ref_keys, ref_orders, ref_inverses = ref.sorted_keys(), ref.orders(), ref.inverses()
     for r, key in enumerate(keys):
         i = ref.position(key)
         assert orders[r] == ref_orders[i]
-        assert chain.mul(r, rank_of[ref_keys[ref_inverses[i]]]) == chain.identity
+        assert table.mul(r, rank_of[ref_keys[ref_inverses[i]]]) == table.identity
 
 
 def _class(table, name):
     """(subgroup handle, an element) for a partition class of Sz(8), as ranks."""
     if name == "w":
         return unitriangular(table), table.rank(make_w(table.field.one, table.field.zero))
-    h = find_cyclic_subgroup(table.chain, getattr(make_params(1), name))
+    h = find_cyclic_subgroup(table, getattr(make_params(1), name))
     return h, h.cyclic_generator
 
 
@@ -111,7 +111,7 @@ def _positions(pair, ranks):
 
 
 def _assert_scans_agree(pair, sub, x):
-    chain, ref = pair.table.chain, pair.reference
+    chain, ref = pair.table, pair.reference
     assert _positions(pair, normalizer(chain, sub).members) == \
         set(map(ref.position, ref_normalizer(ref, _keyed(pair, sub))))
     assert _positions(pair, centralizer(chain, x).members) == \
@@ -128,7 +128,7 @@ def test_normalizers_and_centralizers_agree(pair, name):
 def test_the_scans_of_a_random_element_agree_with_the_full_scans(pair_0xb, pair_0xd, r):
     # C(x) and N(<x>) for any x, the identity and the involutions included.
     for pair in (pair_0xb, pair_0xd):
-        chain = pair.table.chain
+        chain = pair.table
         _assert_scans_agree(pair, cyclic_subgroup(chain, r, chain.orders()[r]), r)
 
 
@@ -162,7 +162,7 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
         # generator images can lie in two different known conjugates.
         z1, z2 = (make_w(f.zero, f.element(b)) for b in (1, 2))
         r1, r2, k1, k2 = table.rank(z1), table.rank(z2), ref.key(z1), ref.key(z2)
-        w = SubgroupHandle(frozenset([table.chain.identity, r1, r2, table.chain.mul(r1, r2)]), 4)
+        w = SubgroupHandle(frozenset([table.identity, r1, r2, table.mul(r1, r2)]), 4)
         ref_w = SubgroupHandle(frozenset([ref.identity, k1, k2, ref.mul(k1, k2)]), 4)
     report = verify_partition(table, params, w)
     assert report == ref_verify_partition(ref, params, ref_w)
@@ -174,7 +174,7 @@ def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
     table, keys, ref = pair.table, pair.keys, pair.reference
     ref_keys = ref.sorted_keys()
     for g in table.generators:
-        move = table.chain.conjugator(table.rank(g))
+        move = table.conjugator(table.rank(g))
         ref_images = ovoid_reference.conjugation(ref, ref.key(g))
         assert all(keys[move(r)] == ref_keys[ref_images[ref.position(key)]]
                    for r, key in enumerate(keys))
@@ -185,12 +185,11 @@ def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
 def test_a_conjugate_s_stepped_powers_are_its_mapped_members(pair_0xb, r):
     # c(x)^i = c(x^i): the powers that ``cycle`` steps from a new conjugate's
     # generator are the members a move maps, in the same order.
-    table = pair_0xb.table
-    chain = table.chain
+    chain = pair_0xb.table
     if r == chain.identity:
         return
-    for g in table.generators:
-        move = chain.conjugator(table.rank(g))
+    for g in chain.generators:
+        move = chain.conjugator(chain.rank(g))
         assert chain.cycle(move(r)) == [move(x) for x in chain.cycle(r)]
 
 
@@ -199,7 +198,7 @@ def test_a_conjugate_s_stepped_powers_are_its_mapped_members(pair_0xb, r):
 def test_rank_products_agree_with_byte_key_products(pair_0xb, pair_0xd, r, s):
     for pair in (pair_0xb, pair_0xd):
         keys = pair.keys
-        assert keys[pair.table.chain.mul(r, s)] == pair.reference.mul(keys[r], keys[s])
+        assert keys[pair.table.mul(r, s)] == pair.reference.mul(keys[r], keys[s])
 
 
 def test_matrix_ranks_agree_with_their_byte_keys(pair_0xb, sz8_matrices):
@@ -225,7 +224,7 @@ def test_the_point_action_is_the_same_past_the_table_limit(sz8):
 
 
 def test_the_chain_s_levels_at_q8(sz8):
-    chain = sz8.table.chain
+    chain = sz8.table
     assert [len(orbit) for orbit in chain.orbits] == [65, 64, 7]
     points = sz8.table.points
     assert [points[b] for b in chain.base[:2]] == [(1, 0, 0, 0), (0, 0, 0, 1)]
@@ -236,10 +235,10 @@ def test_the_chain_s_levels_at_q8(sz8):
 @given(r=st.integers(0, 29119))
 def test_rank_key_sift_rank_round_trips(pair_0xb, r):
     table, key = pair_0xb.table, pair_0xb.keys[r]
-    u0, u1, u2 = table.chain.element(r)
+    u0, u1, u2 = table.element(r)
     assert key == bytes(u0[u1[u2[k]]] for k in range(65))
     assert key in pair_0xb.reference.by_key
-    assert table.chain.rank(*(key[b] for b in table.chain.base)) == r
+    assert table.sift(*(key[b] for b in table.base)) == r
     assert table._rank_of_images(key) == r
 
 
@@ -262,7 +261,7 @@ def test_a_key_outside_the_table_raises(pair_0xb, perm):
 def test_a_key_that_is_no_permutation_of_the_points_raises(sz8, key):
     # The scans take ranks, and a key is none; as point images, the byte
     # strings and the tuple are those of no element.
-    chain = sz8.table.chain
+    chain = sz8.table
     with pytest.raises(ValueError):
         centralizer(chain, key)
     with pytest.raises(ValueError):
@@ -278,33 +277,31 @@ def sz32():
 
 
 def test_the_sz32_chain_is_certified_without_keys(sz32):
-    assert [len(orbit) for orbit in sz32.chain.orbits] == [1025, 1024, 31]
+    assert [len(orbit) for orbit in sz32.orbits] == [1025, 1024, 31]
     assert sz32.size == 32537600
-    assert sz32.rank(Mat4.identity(sz32.field)) == sz32.chain.identity
+    assert sz32.rank(Mat4.identity(sz32.field)) == sz32.identity
 
 
 def test_the_sz32_torus_is_its_own_centralizer(sz32):
     # T = <d(lam)> of order q - 1 = 31 fixes b0 and b1; C(d) = T and
     # |N(T)| = 2 |T|, with no census.
-    chain, d = sz32.chain, sz32.rank(sz32.generators[2])
-    torus = cyclic_subgroup(chain, d, 31)
-    assert centralizer(chain, d).members == torus.members
-    assert normalizer(chain, torus).order == 62
+    d = sz32.rank(sz32.generators[2])
+    torus = cyclic_subgroup(sz32, d, 31)
+    assert centralizer(sz32, d).members == torus.members
+    assert normalizer(sz32, torus).order == 62
 
 
 @settings(max_examples=200, deadline=None)
 @given(r=st.integers(0, 32537599))
 def test_sz32_ranks_round_trip_through_their_base_images(sz32, r):
-    chain = sz32.chain
-    u0, u1, u2 = chain.element(r)
-    assert chain.rank(*(u0[u1[u2[b]]] for b in chain.base)) == r
+    u0, u1, u2 = sz32.element(r)
+    assert sz32.sift(*(u0[u1[u2[b]]] for b in sz32.base)) == r
 
 
 def test_sz32_generator_ranks_match_their_point_action(sz32):
     # The generators' own permutations, as the field computes them, sift to
     # ranks whose chain elements act the same on every point.
-    chain = sz32.chain
     for g in sz32.generators:
         perm = [sz32._number[_point_image(sz32.field, p, g)] for p in sz32.points]
-        u0, u1, u2 = chain.element(chain.rank(*(perm[b] for b in chain.base)))
+        u0, u1, u2 = sz32.element(sz32.sift(*(perm[b] for b in sz32.base)))
         assert [u0[u1[u2[k]]] for k in range(1025)] == perm

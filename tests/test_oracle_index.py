@@ -2,14 +2,17 @@
 
 ``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
 table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses.  At
-q = 8, under both moduli of GF(8), the scans of the ovoid table's chain
+q = 8, under both moduli of GF(8), the scans of the chain
 (``build_suzuki_table``) must find the same subgroups once the reference's
-matrices are mapped through ``table.rank``, the one boundary conversion, and
+matrices are mapped through ``chain.rank``, the one boundary conversion, and
 the same census and orbit sizes.  Only the chain conjugates: a matrix table
-closes and counts, nothing more.  A table whose stabilizer chain is
-broken must raise, never yield a wrong set.
+closes and counts, nothing more.  A chain with a broken transversal is
+refused when it is built, and one that builds but is not closed under its
+products raises in its census and partition walk, never yielding a wrong
+count.  Anything that is not a rank is refused, never wrapped.
 """
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -26,7 +29,6 @@ from szq.group import (
 )
 from szq.mat4 import Mat4
 from szq.oracle import (
-    OvoidTable,
     StabilizerChain,
     SubgroupHandle,
     _conjugates,
@@ -113,8 +115,8 @@ def assert_scans_agree(world, name):
     sub = SubgroupHandle(frozenset(map(to_rank, members)), len(members),
                          ovoid.rank(gens[0]) if len(gens) == 1 else None)
     want = ref_normalizer(matrices, gens, members, world.inverses)
-    assert normalizer(ovoid.chain, sub).members == frozenset(map(to_rank, want))
-    got = centralizer(ovoid.chain, ovoid.rank(gens[0])).members
+    assert normalizer(ovoid, sub).members == frozenset(map(to_rank, want))
+    got = centralizer(ovoid, ovoid.rank(gens[0])).members
     assert got == frozenset(map(to_rank, ref_centralizer(matrices, gens[0])))
 
 
@@ -147,7 +149,7 @@ def test_census_and_orbit_sizes_match_the_reference(request, modulus):
 # -- the scans' bookkeeping on the ovoid table ------------------------------------
 
 def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
-    chain = sz8.table.chain
+    chain = sz8.table
     trivial = SubgroupHandle(frozenset([chain.identity]), 1)
     assert normalizer(chain, trivial).order == chain.size
 
@@ -171,7 +173,7 @@ def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
 def test_hit_counts_stop_at_255_and_the_slots_stay_exact(sz8):
     # Hits are bytes: a count at 255 stays there, and the slots the walk
     # fills are counted apart from them.
-    chain = sz8.table.chain
+    chain = sz8.table
     v = find_cyclic_subgroup(chain, sz8.params.v)
     members = [i for i in v.members if i != chain.identity]
     moves = [chain.conjugator(sz8.table.rank(g)) for g in sz8.generators]
@@ -206,8 +208,8 @@ def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
             yield t
 
     monkeypatch.setattr(szq.oracle, "_conjugate_triples", counted)
-    w = subgroup(table.chain, map(table.rank, w_generators(table.field)), limit=64)
-    n = normalizer(table.chain, w)
+    w = subgroup(table, map(table.rank, w_generators(table.field)), limit=64)
+    n = normalizer(table, w)
     assert n.order * 65 == table.size
     assert len(made) == 2 * 448
 
@@ -216,19 +218,19 @@ def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
     table = sz8.table
     x = table.rank(make_w(table.field.one, table.field.zero))  # of order 4
     with pytest.raises(ValueError, match="subgroup"):
-        normalizer(table.chain, SubgroupHandle(frozenset([table.chain.identity, x]), 2))
+        normalizer(table, SubgroupHandle(frozenset([table.identity, x]), 2))
 
 
 # -- tables that are not the group --------------------------------------------------
 
-def _corrupt(table, kind):
-    """A copy of the table whose chain is broken after its certification."""
-    chain = table.chain
+def _rebuilt(chain, kind):
+    """The chain rebuilt with one level changed; the rebuild checks it."""
     orbits = [list(orbit) for orbit in chain.orbits]
     transversals = [list(level) for level in chain.transversals]
     if kind == "not-closed":
-        # The last coset of the stabilizer of <e1> goes: powers of the
-        # elements left still reach it, and then sift to nothing.
+        # The last coset of the stabilizer of <e1> goes: its points are
+        # images of the elements left, so they map the orbit of b0 out of
+        # itself.
         orbits[0].pop()
         transversals[0].pop()
     elif kind == "not-a-bijection":
@@ -236,31 +238,40 @@ def _corrupt(table, kind):
         k1, k2 = [k for k in range(len(u)) if k not in chain.base][:2]
         u[k1] = u[k2]  # two points with one image; the base points map as before
         transversals[0][-1] = u
-    return OvoidTable(table.field, table.generators, table.points,
-                      StabilizerChain(chain.base, orbits, transversals))
+    elif kind == "short-level-1":
+        # The last coset of H2 in H1 goes: every element left still maps the
+        # orbit of b0 onto itself, so the chain builds, but products and
+        # powers of the elements left reach the dropped ones and sift to
+        # nothing.
+        orbits[1].pop()
+        transversals[1].pop()
+    return replace(chain, orbits=orbits, transversals=transversals)
 
 
 @pytest.mark.parametrize("kind", ["not-a-bijection", "not-closed"])
 def test_a_broken_index_raises(sz8, kind):
-    # The ranks come from the sound chain; the broken one keeps their numbers.
-    x = sz8.table.rank(make_w(sz8.field.one, sz8.field.zero))
-    sub = cyclic_subgroup(sz8.table.chain, x, 4)
-    table = _corrupt(sz8.table, kind)
-    for scan in (lambda: normalizer(table.chain, sub), lambda: centralizer(table.chain, x),
-                 lambda: verify_partition(table, sz8.params)):
-        with pytest.raises(CertificationError):
-            scan()
+    # The chain checks itself when it is built, so no scan ever sees it.
+    message = {"not-a-bijection": "not a permutation",
+               "not-closed": "not closed under products"}[kind]
+    with pytest.raises(CertificationError, match=message):
+        _rebuilt(sz8.table, kind)
+
+
+def test_a_chain_that_builds_but_is_not_closed_raises(sz8):
+    chain = _rebuilt(sz8.table, "short-level-1")
+    assert chain.size == 65 * 63 * 7
+    with pytest.raises(CertificationError, match="not closed under products"):
+        chain.orders()
+    with pytest.raises(CertificationError, match="not closed under products"):
+        verify_partition(chain, sz8.params)
 
 
 def test_scans_refuse_elements_outside_the_table(sz8):
-    # Ranks run from 0 to |G| - 1; a transposition of two ovoid points fixes
-    # the other 63, but only the identity of Sz(8) fixes three points.
-    chain = sz8.table.chain
-    for outside in (-1, chain.size, 2.0):
-        with pytest.raises(ValueError):
-            centralizer(chain, outside)
-        with pytest.raises(ValueError):
-            normalizer(chain, SubgroupHandle(frozenset([chain.identity, outside]), 2, outside))
+    # Ranks run from 0 to |G| - 1 (each scan on every non-rank:
+    # ``test_a_non_rank_is_refused_not_wrapped``); a transposition of two
+    # ovoid points fixes the other 63, but only the identity of Sz(8) fixes
+    # three points.
+    chain = sz8.table
     with pytest.raises(ValueError):
         normalizer(chain, SubgroupHandle(frozenset([chain.identity]), 1, chain.size))
     with pytest.raises(ValueError):
@@ -269,6 +280,31 @@ def test_scans_refuse_elements_outside_the_table(sz8):
     off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))
     with pytest.raises(ValueError):
         sz8.table.rank(off_ovoid)
+
+
+_RANK_TAKERS = {
+    "element": lambda chain, r: chain.element(r),
+    "permutation": lambda chain, r: chain.permutation(r),
+    "mul": lambda chain, r: chain.mul(chain.identity, r),
+    "cycle": lambda chain, r: chain.cycle(r),
+    "conjugator": lambda chain, r: chain.conjugator(r),
+    "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
+    "subgroup": lambda chain, r: subgroup(chain, [r], 100),
+    "normalizer": lambda chain, r: normalizer(
+        chain, SubgroupHandle(frozenset([chain.identity, r]), 2, r)),
+    "centralizer": lambda chain, r: centralizer(chain, r),
+}
+
+
+@pytest.mark.parametrize("take", _RANK_TAKERS)
+@pytest.mark.parametrize("non_rank", ["-1", "size", "True", "2.0"])
+def test_a_non_rank_is_refused_not_wrapped(sz8, take, non_rank):
+    # A negative index would wrap onto the last elements, and True would be
+    # taken as rank 1; every rank reaches ``element``, which refuses them.
+    chain = sz8.table
+    r = {"-1": -1, "size": chain.size, "True": True, "2.0": 2.0}[non_rank]
+    with pytest.raises(ValueError, match="no rank of the chain"):
+        _RANK_TAKERS[take](chain, r)
 
 
 def test_a_stabilizer_generator_that_moves_its_base_point_raises(params8, monkeypatch):
