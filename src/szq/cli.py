@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from collections.abc import Callable
 from datetime import datetime, timezone
 from functools import cache
 
@@ -50,25 +49,17 @@ from .orderstats import (
     weisner_count,
 )
 
-DEFAULT_ORACLE_LIMIT = 1 << 25
 
-
-def _nonnegative(base: int, what: str) -> Callable[[str], int]:
-    """An argparse type for an integer >= 0 written in ``base``; a modulus's
+def _hex_modulus(text: str) -> int:
+    """An argparse type for a modulus, a nonnegative hex bit-string; its
     degree and irreducibility are checked where the field is built."""
-    def parse(text: str) -> int:
-        try:
-            value = int(text, base)
-            if value >= 0:
-                return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"not {what}: {text!r}")
-    return parse
-
-
-_hex_modulus = _nonnegative(16, "a hex bit-string")
-_oracle_limit = _nonnegative(10, "a nonnegative integer")
+    try:
+        value = int(text, 16)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a hex bit-string: {text!r}")
 
 
 @cache
@@ -101,7 +92,6 @@ def _parser() -> argparse.ArgumentParser:
                        default="closed-form")
     p_nse.add_argument("--modulus", type=_hex_modulus,
                        help="field modulus override, hex bit-string (e.g. 0xb)")
-    p_nse.add_argument("--oracle-limit", type=_oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     p_nse.add_argument("--allow-big", action="store_true",
                        help="permit oracle runs beyond q=8")
     p_nse.set_defaults(func=cmd_nse)
@@ -110,7 +100,6 @@ def _parser() -> argparse.ArgumentParser:
     add_common(p_verify)
     p_verify.add_argument("--modulus", type=_hex_modulus,
                           help="field modulus override, hex bit-string")
-    p_verify.add_argument("--oracle-limit", type=_oracle_limit, default=DEFAULT_ORACLE_LIMIT)
     p_verify.add_argument("--allow-big", action="store_true")
     p_verify.set_defaults(func=cmd_verify)
 
@@ -142,10 +131,6 @@ def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
 def _check_scale(params: SuzukiParams, args: argparse.Namespace) -> None:
     """Refuse an oracle run from the parameters alone, before any field is
     built."""
-    if params.group_order > args.oracle_limit:
-        raise ScaleRefusal(
-            f"|Sz({params.q})| = {params.group_order} exceeds the oracle limit "
-            f"{args.oracle_limit}; raise --oracle-limit to opt in")
     if params.m > 1 and not args.allow_big:
         raise ScaleRefusal(
             f"oracle runs beyond q=8 enumerate {params.group_order} permutations of "

@@ -7,15 +7,15 @@ subgroups cover every nontrivial element exactly once.
 
 ``enumerate_group`` closes any set of matrices into an ``ElementTable`` keyed
 by entry tuples, which closes and counts.  Sz(q) itself has one carrier:
-``build_suzuki_table`` lets it act on the q^2 + 1 points of its ovoid and
-returns a ``StabilizerChain`` that checks itself when it is built, where
-each element is "U2[c], then U1[b], then U0[a]" in exactly one way and is
-addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
+``StabilizerChain(params, field)`` lets it act on the q^2 + 1 points of its
+ovoid, derives its stabilizer chain and certifies it by the group order,
+so each element is "U2[c], then U1[b], then U0[a]" in exactly one way and
+is addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
 element, so a product, a power walk or a conjugate steps three base images
 and sifts them back to a rank: the census, ``subgroup``, the partition walk
-and the normalizer and centralizer scans all take the chain and ranks, and
-all run on Sz(32).  Matrices stay at the boundary (``StabilizerChain.rank``,
-``ElementTable.element``).
+and the normalizer and centralizer scans (one search, ``_conjugators``) all
+take the chain and ranks, and all run on Sz(32).  Matrices stay at the
+boundary (``StabilizerChain.rank``, ``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -232,112 +232,137 @@ def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     return tuple(field._mul(scale, c) for c in image)
 
 
-def _schreier(point: int, gens: list[list[int]], n: int) -> tuple[list[int], list[list[int]]]:
+def _schreier(point: int, gens: list[list[int]],
+              n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The orbit of ``point`` under the permutations ``gens`` of 0..n-1, in
-    breadth-first order, and a transversal along the Schreier tree: the i-th
-    element maps ``point`` to the i-th orbit point, the first is the identity."""
-    orbit, reps, seen = [point], [list(range(n))], {point}
-    for p, rep in zip(orbit, reps):  # both grow while they are read
-        for g in gens:
+    breadth-first order, a transversal along the Schreier tree and its
+    inverses: the i-th element maps ``point`` to the i-th orbit point, the
+    first is the identity.  Every inverse holds the ints of the identity's
+    one list: fresh ints for each would take about 50 MB more at q = 32."""
+    identity = list(range(n))
+    inverse_gens = [sorted(identity, key=g.__getitem__) for g in gens]  # x at place g(x)
+    orbit, reps, inverses, seen = [point], [identity], [identity], {point}
+    for p, rep, inverse in zip(orbit, reps, inverses):  # all grow while they are read
+        for g, g_inverse in zip(gens, inverse_gens):
             image = g[p]
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
                 reps.append([g[x] for x in rep])  # first rep, then g
-    return orbit, reps
+                inverses.append([inverse[x] for x in g_inverse])  # first g^-1, then rep^-1
+    return orbit, reps, inverses
 
 
-# A field derived from the others when the chain is built.
+def check_census_scale(params: SuzukiParams) -> None:
+    """ScaleRefusal unless the census of Sz(q) fits MEMORY_LIMIT: it keeps one
+    order byte per element, |Sz(q)| bytes.  Decided from the parameters
+    alone, before any field is built."""
+    if params.group_order > MEMORY_LIMIT:
+        raise ScaleRefusal(
+            f"the census of Sz({params.q}) keeps one order byte for each of its "
+            f"{params.group_order} elements: {params.group_order} bytes, past the "
+            f"memory limit of {MEMORY_LIMIT} bytes")
+
+
+# A field the chain derives from ``params`` and ``field`` when it is built.
 _derived = partial(dc_field, init=False, repr=False, compare=False)
 
 
 @dataclass
 class StabilizerChain:
-    """Sz(q) as permutations of the points of its ovoid, on a certified
-    stabilizer chain: a base (b0, b1, b2) of the group G the matrices
-    ``generators`` induce on the point numbers 0..n-1, and one transversal
-    per level of G = H0 >= H1 >= H2.
+    """Sz(q) as permutations of the points of its ovoid, on a stabilizer
+    chain that the constructor derives from ``params`` and ``field`` and
+    certifies.  Nothing else goes in: every other field is derived.
 
-    ``points`` lists the ovoid ascending, and a permutation numbers the
-    points by their place there, under the row-vector action p -> p g.
-    ``orbits[j]`` is the orbit of b_j under H_j, and ``transversals[j][i]``
-    lists the point images (image of point k at index k) of an element
-    U_j[i] of H_j that maps b_j to ``orbits[j][i]``; H1 fixes b0 and H2 fixes
-    b0 and b1.  Once the chain is certified, that is once N0 N1 N2 (the orbit
-    lengths) is the order of G, the pointwise stabilizer of the base is
-    trivial, and every element of G is "U2[c], then U1[b], then U0[a]" for
-    exactly one (a, b, c).  Its rank is (a N1 + b) N2 + c: ``sift`` finds it
-    from the element's three base images, and ``rank(mat)`` from a matrix.
-    The chain checks itself when it is built (``_check``).
+    ``generators`` are the four candidates [w(1,0), w(0,1), d(lam), tau].
+    The ovoid is the orbit of the point <e1> under them, found with field
+    arithmetic alone; it must have q^2 + 1 points (N0).  ``points`` lists it
+    ascending, and a permutation numbers the points by their place there,
+    under the row-vector action p -> p g.  The base is b0 = <e1>, b1 = <e4>
+    and b2 = the first other point, and the levels are G = <the 4
+    candidates> >= H1 = <w(1,0), w(0,1), d(lam)> >= H2 = <d(lam)>: each
+    generator of H1 must fix b0 and d(lam) must fix b0 and b1.  One Schreier
+    tree per level gives ``orbits[j]``, the orbit of b_j under H_j, and
+    ``transversals[j][i]``, the point images (image of point k at index k)
+    of an element U_j[i] of H_j that maps b_j to ``orbits[j][i]``.
+    ScaleRefusal, before any work, for a census past the memory limit
+    (``check_census_scale``).
+
+    The candidates lie in Sz(q), so the group G they generate has at most
+    |Sz(q)| elements, and at least as many as its image in the
+    permutations, which has at least N0 N1 N2.  So N0 N1 N2 = |Sz(q)| =
+    q^2 (q^2 + 1)(q - 1) proves that G is Sz(q), that the action is
+    faithful and that the pointwise stabilizer of the base is trivial:
+    every element of G is "U2[c], then U1[b], then U0[a]" for exactly one
+    (a, b, c).  Its rank is (a N1 + b) N2 + c: ``sift`` finds it from the
+    element's three base images, and ``rank(mat)`` from a matrix.  Any
+    other orbit or chain size raises CertificationError, and so does a
+    stabilizer generator that moves a base point its level must fix.
     """
 
+    params: SuzukiParams
     field: Field
-    generators: list[Mat4]
-    points: list[Point] = dc_field(repr=False)
-    base: tuple[int, int, int] = dc_field(repr=False)
-    orbits: list[list[int]] = dc_field(repr=False)
-    transversals: list[list[list[int]]] = dc_field(repr=False)
-    size: int = dc_field(init=False, compare=False)
+    generators: list[Mat4] = _derived()
+    points: list[Point] = _derived()
+    base: tuple[int, int, int] = _derived()
+    orbits: list[list[int]] = _derived()
+    transversals: list[list[list[int]]] = _derived()
+    size: int = _derived()
     identity: int = _derived()                # the rank of the identity
     _number: dict[Point, int] = _derived()    # a point's place in ``points``
     _inverses: list[list[list[int]]] = _derived()  # [j][i]: the inverse of U_j[i]
     _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
-    _offset_at: list[int] = _derived()  # by point p: a * N1 * N2, or a large negative
+    _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
     _level12: list[int] = _derived()  # t1 * n + t2 -> b * N2 + c, or a large negative
     _orders: bytearray | None = _derived(default=None)
 
     def __post_init__(self) -> None:
-        self._number = {p: k for k, p in enumerate(self.points)}
-        self.size = len(self.orbits[0]) * len(self.orbits[1]) * len(self.orbits[2])
-        self._check()
-
-    def _check(self) -> None:
-        """Build the sift lookups, checking on the way that each U_j[i] is a
-        permutation that maps b_j to orbits[j][i], fixes the earlier base
-        points and maps the orbit of b0 onto itself (as every element of G
-        does), and that no two elements of H1 share their images of b1 and
-        b2; CertificationError otherwise."""
-        (o0, o1, o2), base = self.orbits, self.base
-        n = len(self.transversals[0][0])
-        points = list(range(n))
-        outside = set(points).difference(o0)
-        inverses = []
-        for j, (orbit, transversal) in enumerate(zip(self.orbits, self.transversals)):
-            if len(orbit) != len(transversal) or len(set(orbit)) != len(orbit):
-                raise CertificationError(f"level {j} of the chain lists its orbit wrongly")
-            level = []
-            for i, (u, image) in enumerate(zip(transversal, orbit)):
-                back = dict(zip(u, points))
-                # n distinct images from 0 to n - 1: a permutation
-                if len(u) != n or len(back) != n or min(u) != 0 or max(u) != n - 1:
+        params, field = self.params, self.field
+        check_census_scale(params)
+        n = params.q * params.q + 1
+        gens = candidate_generators(params, field)
+        orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
+        if len(orbit) != n:
+            raise CertificationError(
+                f"the orbit of <e1> has N0 = {len(orbit)} points, expected q^2 + 1 = {n}")
+        points = sorted(orbit)
+        number = {p: k for k, p in enumerate(points)}
+        if (0, 0, 0, 1) not in number:
+            raise CertificationError("<e4> is not a point of the ovoid")
+        perms = [[number[_point_image(field, p, g)] for p in points] for g in gens]
+        b0, b1 = number[(1, 0, 0, 0)], number[(0, 0, 0, 1)]
+        base = (b0, b1, next(k for k in range(n) if k not in (b0, b1)))
+        # H1 drops tau, H2 is <d(lam)>.
+        levels = (perms, perms[:3], perms[2:3])
+        for j, level in enumerate(levels):
+            for g in level:
+                if any(g[b] != b for b in base[:j]):
                     raise CertificationError(
-                        f"transversal element {i} of level {j} is not a permutation")
-                if u[base[j]] != image or any(u[b] != b for b in base[:j]):
-                    raise CertificationError(
-                        f"transversal element {i} of level {j} moves a base point wrongly")
-                if outside and not outside.isdisjoint(map(u.__getitem__, o0)):
-                    raise CertificationError(
-                        f"transversal element {i} of level {j} maps the orbit of b0 out of "
-                        "itself: the chain is not closed under products")
-                level.append([back[p] for p in points])
-            inverses.append(level)
-        n12, n2 = len(o1) * len(o2), len(o2)
-        missing = -(len(o0) * n12 + 1)  # makes any rank it is added to negative
+                        f"generator {perms.index(g)} of level {j} of the chain moves a base "
+                        "point the level must fix")
+        orbits, transversals, inverses = zip(
+            *(_schreier(b, level, n) for b, level in zip(base, levels)))
+        (o0, _, o2), (n0, n1, n2) = orbits, map(len, orbits)
+        if n0 * n1 * n2 != params.group_order:
+            raise CertificationError(
+                f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {n0 * n1 * n2} "
+                f"elements, expected |Sz({params.q})| = {params.group_order}")
+        missing = -(n0 * n1 * n2 + 1)  # makes any rank it is added to negative
         level12 = [missing] * (n * n)
-        for b, u1 in enumerate(self.transversals[1]):
+        for b, u1 in enumerate(transversals[1]):
             t1 = u1[base[1]] * n
             for c, p in enumerate(o2):
                 if level12[t1 + u1[p]] != missing:
                     raise CertificationError("two elements of the chain share their base images")
                 level12[t1 + u1[p]] = b * n2 + c
-        inverse_at, offset_at = [points] * n, [missing] * n
+        inverse_at, offset_at = [None] * n, [0] * n  # o0, the ovoid, fills both
         for a, p in enumerate(o0):
-            inverse_at[p], offset_at[p] = inverses[0][a], a * n12
-        self._inverses, self._inverse_at, self._offset_at, self._level12 = (
-            inverses, inverse_at, offset_at, level12)
+            inverse_at[p], offset_at[p] = inverses[0][a], a * n1 * n2
+        self.generators, self.points, self.base = gens, points, base
+        self.orbits, self.transversals = list(orbits), list(transversals)
+        self.size, self._number, self._inverses = params.group_order, number, list(inverses)
+        self._inverse_at, self._offset_at, self._level12 = inverse_at, offset_at, level12
         self.identity = self.sift(*base)
-        if self.identity < 0:
-            raise CertificationError("the identity is not in the chain")
 
     def sift(self, p0: int, p1: int, p2: int) -> int:
         """The rank of the element with base images p0, p1 and p2, or -1 when
@@ -510,77 +535,12 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     return ElementTable(field=f, by_key=by_key, generators=list(generators))
 
 
-def check_census_scale(params: SuzukiParams) -> None:
-    """ScaleRefusal unless the census of Sz(q) fits MEMORY_LIMIT: it keeps one
-    order byte per element, |Sz(q)| bytes.  Decided from the parameters
-    alone, before any field is built."""
-    if params.group_order > MEMORY_LIMIT:
-        raise ScaleRefusal(
-            f"the census of Sz({params.q}) keeps one order byte for each of its "
-            f"{params.group_order} elements: {params.group_order} bytes, past the "
-            f"memory limit of {MEMORY_LIMIT} bytes")
-
-
 def build_suzuki_table(params: SuzukiParams,
                        field: Field) -> tuple[list[Mat4], StabilizerChain]:
-    """Sz(q) on a certified stabilizer chain of its ovoid.
-
-    The ovoid is the orbit of the point <e1> under the four candidate
-    generators, found with field arithmetic alone; it must have q^2 + 1
-    points (N0).  Each generator becomes a permutation of those points.  The
-    base is b0 = <e1>, b1 = <e4> and b2 = the first other point, and the
-    levels are G = <the 4 candidates> >= H1 = <w(1,0), w(0,1), d(lam)> >=
-    H2 = <d(lam)>: each generator of H1 must fix b0 and d(lam) must fix b0 and
-    b1.  A Schreier tree per level gives the orbit lengths N0, N1, N2 and the
-    transversals U0, U1, U2.  ScaleRefusal, before any work, for a census past
-    the memory limit (``check_census_scale``).
-
-    Returns (generators, chain); the chain checks its transversals when it
-    is built (``StabilizerChain._check``).  The candidates lie in Sz(q), so
-    the group G they generate has at most |Sz(q)| elements, and at least as
-    many as its image in the permutations, which has at least N0 N1 N2.  A
-    chain with N0 N1 N2 = |Sz(q)| = q^2 (q^2 + 1)(q - 1) proves that G is
-    Sz(q), that the action is faithful and that the base images fix each
-    element: the element of rank (a N1 + b) N2 + c is "U2[c], then U1[b],
-    then U0[a]", and it is addressed by that rank.  Any other orbit or chain
-    size raises CertificationError.
-
-    The census, the partition walk and the normalizer and centralizer scans
-    sift base images and need no other view of an element, so ``verify``
-    runs on all of Sz(32) too.
-    """
-    check_census_scale(params)
-    n_points = params.q * params.q + 1
-    gens = candidate_generators(params, field)
-    orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
-    if len(orbit) != n_points:
-        raise CertificationError(
-            f"the orbit of <e1> has N0 = {len(orbit)} points, expected q^2 + 1 = {n_points}")
-    points = sorted(orbit)
-    number = {p: k for k, p in enumerate(points)}
-    if (0, 0, 0, 1) not in number:
-        raise CertificationError("<e4> is not a point of the ovoid")
-    perms = [[number[_point_image(field, p, g)] for p in points] for g in gens]
-    b0, b1 = number[(1, 0, 0, 0)], number[(0, 0, 0, 1)]
-    base = (b0, b1, next(k for k in range(n_points) if k not in (b0, b1)))
-    # The candidates are [w(1,0), w(0,1), d(lam), tau]: H1 drops tau, H2 is <d(lam)>.
-    levels = (perms, perms[:3], perms[2:3])
-    orbits, transversals = [], []
-    for j, level in enumerate(levels):
-        for g in level:
-            if any(g[b] != b for b in base[:j]):
-                raise CertificationError(
-                    f"generator {perms.index(g)} of level {j} of the chain moves a base "
-                    "point the level must fix")
-        orbit_j, transversal = _schreier(base[j], level, n_points)
-        orbits.append(orbit_j)
-        transversals.append(transversal)
-    n0, n1, n2 = map(len, orbits)
-    if n0 * n1 * n2 != params.group_order:
-        raise CertificationError(
-            f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {n0 * n1 * n2} "
-            f"elements, expected |Sz({params.q})| = {params.group_order}")
-    return gens, StabilizerChain(field, gens, points, base, orbits, transversals)
+    """Sz(q) on its certified stabilizer chain, as (generators, chain); the
+    chain derives and certifies itself (``StabilizerChain``)."""
+    chain = StabilizerChain(params, field)
+    return chain.generators, chain
 
 
 def empirical_order_stats(table: ElementTable | StabilizerChain,
@@ -668,36 +628,25 @@ def _conjugate_triples(chain: StabilizerChain, h: list[int],
         yield tuple(v2[v1[v0[h[u0[u1[u2[p]]]]]]] for p in chain.base)
 
 
-def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
-    """All g with g^-1 H g = H, as ranks of a certified chain.
+def _conjugators(chain: StabilizerChain, h: list[int],
+                 triples: set[tuple[int, int, int]]) -> list[int]:
+    """The ranks g whose conjugate g^-1 h g ("first g, then h, then g^-1")
+    has its images of b0, b1 and b2 in ``triples``, h given by its point
+    images.
 
-    Conjugating a generating set of H into H suffices: then g^-1 H g, which
-    those conjugates generate, lies in H and has |H| elements, so it is H.
-    A cyclic H brings its generator; any other gets a small generating set
-    (``_generating_set``: 3 elements for W at q = 8).  Three base images
-    determine an element, so g^-1 h g lies in H exactly when its images of
-    b0, b1 and b2 are those of some m in H.  For the first generator h and
-    g = (a, b, c), U2 fixes b0 and b1, so the partial images
+    For g = (a, b, c), U2 fixes b0 and b1, so the partial images
     z_j = U1[b]^-1 U0[a]^-1 h(g(b_j)), j = 0, 1, come from (a, b) alone.  A c
-    survives when U2[c]^-1 z0 is some m(b0), then when
-    (U2[c]^-1 z0, U2[c]^-1 z1) is some (m(b0), m(b1)), and is kept when the
-    whole triple is some m's.  The other generators confirm each survivor
-    by their triples alone (``_conjugate_triples``).  ValueError for members
-    that are no ranks of the chain or no subgroup.
+    survives when U2[c]^-1 z0 is the first entry of some triple, then when
+    (U2[c]^-1 z0, U2[c]^-1 z1) begins one, and is kept when the whole triple
+    is one.
     """
-    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
-               for u0, u1, u2 in map(chain.element, sub.members)}
-    cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
-    gens = cyclic or _generating_set(chain, sub.members)
-    if not gens:
-        return SubgroupHandle(frozenset(range(chain.size)), chain.size)
     (t0, t1, _), (i0, i1, i2) = chain.transversals, chain._inverses
     o0, o1, o2 = chain.orbits
     pairs = {t[:2] for t in triples}
     images = {t[0] for t in triples}
     # hits[p] lists the c with U2[c]^-1(p) in images.
     hits = [[c for c, v in enumerate(i2) if v[p] in images] for p in range(len(i2[0]))]
-    h, n1, n2 = chain.permutation(gens[0]), len(o1), len(o2)
+    n1, n2 = len(o1), len(o2)
     found: list[int] = []
     for a, p in enumerate(o0):
         u0, v0 = t0[a], i0[a]
@@ -713,6 +662,29 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
                     if (x0, x1) in pairs and \
                             (x0, x1, v2[v1[v0[h[u0[u1[o2[c]]]]]]]) in triples:
                         found.append((a * n1 + b) * n2 + c)
+    return found
+
+
+def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
+    """All g with g^-1 H g = H, as ranks of a certified chain.
+
+    Conjugating a generating set of H into H suffices: then g^-1 H g, which
+    those conjugates generate, lies in H and has |H| elements, so it is H.
+    A cyclic H brings its generator; any other gets a small generating set
+    (``_generating_set``: 3 elements for W at q = 8).  Three base images
+    determine an element, so g^-1 h g lies in H exactly when its images of
+    b0, b1 and b2 are those of some m in H.  ``_conjugators`` finds the g
+    that conjugate the first generator into H, and the other generators
+    confirm each of them by their triples alone (``_conjugate_triples``).
+    ValueError for members that are no ranks of the chain or no subgroup.
+    """
+    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
+               for u0, u1, u2 in map(chain.element, sub.members)}
+    cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
+    gens = cyclic or _generating_set(chain, sub.members)
+    if not gens:
+        return SubgroupHandle(frozenset(range(chain.size)), chain.size)
+    found = _conjugators(chain, chain.permutation(gens[0]), triples)
     for g in gens[1:]:
         found = [r for r, t in zip(found, _conjugate_triples(chain, chain.permutation(g), found))
                  if t in triples]
@@ -723,29 +695,12 @@ def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
     """All g commuting with the element of rank x, as ranks of a certified
     chain; ValueError for an x that is no rank of it.
 
-    Three base images determine an element, so xg = gx exactly when
-    x(g(p)) = g(x(p)) for the three base points p.  The candidates are found
-    level by level: for p = b0 this reads
-    U0[a]^-1(x(o0[a])) = U1[b](U2[c](x(b0))), one side from a alone, the
-    other from (b, c) alone; b1 and b2 then decide.
+    g commutes with x exactly when g^-1 x g = x, that is when the conjugate
+    has x's three base images: the normalizer's scan (``_conjugators``)
+    with that one target triple.
     """
-    x = chain.permutation(x)
-    inverses, (o0, o1, o2), base = chain._inverses, chain.orbits, chain.base
-    t0, t1, t2 = chain.transversals
-    n12, n2 = len(o1) * len(o2), len(o2)
-    meet: dict[int, list[int]] = {}
-    xb0 = x[base[0]]
-    for b, u1 in enumerate(t1):
-        for c, u2 in enumerate(t2):
-            meet.setdefault(u1[u2[xb0]], []).append(b * n2 + c)
-    found = []
-    for a, p in enumerate(o0):
-        u0 = t0[a]
-        for r12 in meet.get(inverses[0][a][x[p]], ()):
-            b, c = divmod(r12, n2)
-            u1, u2 = t1[b], t2[c]
-            if all(x[u0[u1[u2[bp]]]] == u0[u1[u2[x[bp]]]] for bp in base[1:]):
-                found.append(a * n12 + r12)
+    h = chain.permutation(x)
+    found = _conjugators(chain, h, {tuple(h[p] for p in chain.base)})
     return SubgroupHandle(frozenset(found), len(found))
 
 

@@ -126,9 +126,10 @@ def test_nse_oracle_source_alone(capsys):
 
 
 def test_nse_oracle_refused_over_limit(capsys):
-    rc, _, err = run_cli(capsys, "nse", "--q", "512", "--source", "oracle")
+    # Past --allow-big, the census's memory limit refuses Sz(512).
+    rc, _, err = run_cli(capsys, "nse", "--q", "512", "--source", "oracle", "--allow-big")
     assert rc == 3
-    assert "oracle limit" in err
+    assert "memory limit" in err
 
 
 def test_nse_oracle_beyond_q8_needs_allow_big(capsys):
@@ -160,12 +161,12 @@ def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
 
 
 _SZ128_BYTES = f"{make_params(3).group_order} bytes"
-_PAST_THE_LIMIT = ("--q", "128", "--allow-big", "--oracle-limit", str(10 ** 12))
+_PAST_THE_LIMIT = ("--q", "128", "--allow-big")
 
 
 @pytest.mark.parametrize("argv, reasons", [
     (("verify", *_PAST_THE_LIMIT), (_SZ128_BYTES, "memory limit of 1073741824 bytes")),
-    (("nse", "--q", "128", "--source", "oracle", "--allow-big", "--oracle-limit", str(10 ** 12)),
+    (("nse", "--q", "128", "--source", "oracle", "--allow-big"),
      (_SZ128_BYTES, "memory limit of 1073741824 bytes")),
 ], ids=["verify", "nse"])
 def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
@@ -182,12 +183,10 @@ def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
 @pytest.mark.parametrize("argv, reason", [
     (("verify", *_PAST_THE_LIMIT), _SZ128_BYTES),
     (("verify", *_PAST_THE_LIMIT, "--modulus", "0x83"), _SZ128_BYTES),
-    (("nse", "--q", "128", "--source", "both", "--allow-big", "--oracle-limit", str(10 ** 12)),
-     _SZ128_BYTES),
-    (("nse", "--m", "400", "--source", "oracle", "--allow-big",
-      "--oracle-limit", "1" + "0" * 2500), "memory limit"),
-    (("nse", "--m", "400", "--source", "both", "--allow-big", "--modulus", "0x3",
-      "--oracle-limit", "1" + "0" * 2500), "memory limit"),
+    (("nse", "--q", "128", "--source", "both", "--allow-big"), _SZ128_BYTES),
+    (("nse", "--m", "400", "--source", "oracle", "--allow-big"), "memory limit"),
+    (("nse", "--m", "400", "--source", "both", "--allow-big", "--modulus", "0x3"),
+     "memory limit"),
 ], ids=["verify", "verify-modulus", "nse-q128", "nse-m400", "nse-m400-modulus"])
 def test_scale_refusals_come_before_any_field_is_built(capsys, monkeypatch, argv, reason):
     # The refusal is decided from the parameters alone: a field of degree 801
@@ -228,12 +227,11 @@ def test_nse_checks_the_modulus_whatever_the_source(capsys, argv, reason):
 
 
 @pytest.mark.parametrize("command", ["nse", "verify"])
-def test_a_negative_oracle_limit_is_a_usage_error(capsys, command):
-    rc, out, err = run_cli(capsys, command, "--q", "8", "--oracle-limit", "-1")
+def test_the_oracle_limit_flag_is_a_usage_error(capsys, command):
+    # --allow-big and the census's memory limit gate the oracle's scale.
+    rc, out, err = run_cli(capsys, command, "--q", "8", "--oracle-limit", "0")
     assert (rc, out) == (2, "")
-    assert "not a nonnegative integer" in err
-    rc, out, _ = run_cli(capsys, command, "--q", "8", "--oracle-limit", "0")
-    assert rc == (0 if command == "nse" else 3)
+    assert "--oracle-limit" in err
 
 
 def test_nse_rejects_reducible_modulus(capsys):
@@ -492,19 +490,18 @@ _VALUES = {
     "--output": (("json", "table"), ("xml", "")),
     "--source": (("closed-form", "oracle", "both"), ("none",)),
     "--modulus": (("0xb", "0xd", "0x29", "0x2b", "0x0"), ("0x", "", "-0xb", "zz")),
-    "--oracle-limit": (("29120", "29119", "0"), ("-1", "1e9", "x")),
 }
 _OPTIONS = {
     "params": ("--output",),
-    "nse": ("--output", "--source", "--modulus", "--oracle-limit"),
-    "verify": ("--output", "--modulus", "--oracle-limit"),
+    "nse": ("--output", "--source", "--modulus"),
+    "verify": ("--output", "--modulus"),
     "gate": ("--output",),
 }
 _FLAGS = {"params": ("--no-timestamp",), "nse": ("--no-timestamp", "--allow-big"),
           "verify": ("--no-timestamp", "--allow-big"), "gate": ("--no-timestamp", "PROFILE")}
 # Tokens out of place: foreign options and flags, options without a value.
 _STRAYS = ("missing.json", "PROFILE", "extra", "--bogus", "--", "-h", "--m", "--modulus",
-           "--source", "--allow-big", "--oracle-limit")
+           "--source", "--allow-big")
 
 
 @st.composite

@@ -18,7 +18,6 @@ centralizer and has a normalizer of order 2 |T|.
 
 from array import array
 from copy import copy
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -151,7 +150,8 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
         monkeypatch.setattr(ovoid_reference, "conjugation", lambda t, s: array(
             "i", range(t.size)) if s == key_d else conjugation(t, s))
     elif change == "dropped-move":  # the moves generate the Borel subgroup only
-        table = replace(table, generators=[w10, w01, torus])
+        table = copy(table)
+        table.generators = [w10, w01, torus]
         ref.generators = [w10, w01, torus]
     elif change == "v-of-order-4":  # cyclic conjugates that share their squares
         find = szq.oracle.find_cyclic_subgroup
@@ -289,6 +289,19 @@ def test_the_sz32_torus_is_its_own_centralizer(sz32):
     torus = cyclic_subgroup(sz32, d, 31)
     assert centralizer(sz32, d).members == torus.members
     assert normalizer(sz32, torus).order == 62
+
+
+def test_sz32_centralizers_of_2_elements(sz32):
+    # w(1, 0) has order 4 and its square is an involution t: |C(t)| = q^2
+    # and |C(w(1, 0))| = 2q, with the powers stepped by ``cycle``, no census.
+    x = sz32.rank(sz32.generators[0])
+    powers = sz32.cycle(x)
+    assert len(powers) + 1 == 4
+    t = powers[1]
+    assert sz32.cycle(t) == [t]
+    c_t, c_x = centralizer(sz32, t), centralizer(sz32, x)
+    assert (c_t.order, c_x.order) == (1024, 64)
+    assert {sz32.identity, *powers} <= c_x.members <= c_t.members
 
 
 @settings(max_examples=200, deadline=None)
