@@ -228,6 +228,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("generator_certification", True,
                    f"closure of 4 candidate generators has {chain.size} elements"))
 
+    # The partition first: its cyclic conjugates' walks fill most of the census.
+    w = unitriangular(chain)  # ranks, shared by the partition and N(W)
+    partition = verify_partition(chain, p, w)
     spectrum = spectrum_closed_form(p)
     stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)
@@ -238,14 +241,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    w = unitriangular(chain)  # ranks, shared by the partition and N(W)
     w_orders = [chain.orders()[r] for r in w.members]
     involutions = w_orders.count(2)
     checks.append(("w_subgroup",
                    w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
                    f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
 
-    partition = verify_partition(chain, p, w)
     checks.append(("partition", partition.passed,
                    f"conjugates ({partition.measured.n_w}, {partition.measured.n_u1}, "
                    f"{partition.measured.n_u2}, {partition.measured.n_v}), "

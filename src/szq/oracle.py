@@ -14,7 +14,9 @@ is addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
 element, so a product, a power walk or a conjugate steps three base images
 and sifts them back to a rank: the census, ``subgroup``, the partition walk
 and the normalizer and centralizer scans (one search, ``_conjugators``) all
-take the chain and ranks, and all run on Sz(32).  Matrices stay at the
+take the chain and ranks, and all run on Sz(32).  Every power walk
+records the orders it proves in the chain's order bytes, so after the
+partition walk the census walks only W's conjugates.  Matrices stay at the
 boundary (``StabilizerChain.rank``, ``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
@@ -232,6 +234,12 @@ def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     return tuple(field._mul(scale, c) for c in image)
 
 
+@cache
+def _power_orders(k: int) -> tuple[int, ...]:
+    """ord(x^i) = k / gcd(i, k) for i = 1 .. k-1, x of order k."""
+    return tuple(k // gcd(i, k) for i in range(1, k))
+
+
 def _schreier(point: int, gens: list[list[int]],
               n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The orbit of ``point`` under the permutations ``gens`` of 0..n-1, in
@@ -314,7 +322,8 @@ class StabilizerChain:
     _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
     _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
     _level12: list[int] = _derived()  # t1 * n + t2 -> b * N2 + c, or a large negative
-    _orders: bytearray | None = _derived(default=None)
+    _orders: bytearray | None = _derived(default=None)  # 0: order not known yet
+    _known: int = _derived(default=0)  # every rank below has its order byte
 
     def __post_init__(self) -> None:
         params, field = self.params, self.field
@@ -428,14 +437,17 @@ class StabilizerChain:
         return product
 
     def cycle(self, r: int) -> list[int]:
-        """The ranks of x, x^2, ..., x^(k-1) for the element x != 1 of rank r,
-        k = ord(x): x's base images stepped by x, each power sifted back to its
-        rank.  CertificationError past 255 powers or for a power that sifts
-        to no element."""
+        """The ranks of x, x^2, ..., x^(k-1) for the element x of rank r,
+        k = ord(x) (none for x = 1): x's base images stepped by x, each power
+        sifted back to its rank and its byte of ``orders`` set to the
+        ord(x^i) = k / gcd(i, k) the walk proves.  CertificationError past
+        255 powers or for a power that sifts to no element."""
         n, inverse_at, offset_at, level12, one = (
             len(self._inverse_at), self._inverse_at, self._offset_at, self._level12,
             self.identity)
         u0, u1, u2 = self.element(r)
+        if r == one:
+            return []
         b0, b1, b2 = self.base
         p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
         powers = [r]
@@ -444,32 +456,44 @@ class StabilizerChain:
             inverse = inverse_at[p0]
             r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
             if r == one:
+                orders = self._order_bytes()
+                for x, o in zip(powers, _power_orders(len(powers) + 1)):
+                    orders[x] = o
                 return powers
             if r < 0:
                 raise CertificationError("the chain is not closed under products")
             powers.append(r)
         raise CertificationError("an element has order above 255, the census's limit")
 
-    def orders(self) -> bytearray:
-        """orders()[r] is the order of the element of rank r (computed once,
-        one byte each): for each element x not yet met as a power, in rank
-        order, ``cycle`` gives x, x^2, ..., x^(k-1), and ord(x^i) =
-        k / gcd(i, k)."""
+    def _order_bytes(self) -> bytearray:
+        """The order census so far: 0 where no power walk has met the rank."""
         if self._orders is None:
-            orders = bytearray(self.size)
-            orders[self.identity] = 1
-            ratios: dict[int, list[int]] = {}
-            start = orders.find(0)
-            while start >= 0:
-                powers = self.cycle(start)
-                k = len(powers) + 1
-                if k not in ratios:
-                    ratios[k] = [k // gcd(i, k) for i in range(1, k)]
-                for r, o in zip(powers, ratios[k]):
-                    orders[r] = o
-                start = orders.find(0, start)
-            self._orders = orders
+            self._orders, self._known = bytearray(self.size), 0
+            self._orders[self.identity] = 1
         return self._orders
+
+    def orders(self) -> bytearray:
+        """orders()[r] is the order of the element of rank r, one byte each.
+        Every ``cycle`` fills its powers' bytes; the power pass ``cycle``s
+        from each rank, in rank order, whose byte no walk has filled yet, so
+        each order comes from a power walk of its own element."""
+        self._fill()
+        return self._orders
+
+    def _fill(self, k: int = 0) -> int:
+        """The power pass of ``orders``, run only as far as it must: it stops
+        at the first rank of order k (1 to 255) and returns it, or fills every
+        byte and returns -1 (k = 0, or no element of order k)."""
+        orders, size = self._order_bytes(), self.size
+        found = orders.find(k, 0, self._known)  # every rank before _known is filled
+        while found < 0 and self._known < size:
+            hole = orders.find(0, self._known)
+            end = size if hole < 0 else hole
+            found = orders.find(k, self._known, end)
+            if found < 0 and hole >= 0:
+                self.cycle(hole)
+            self._known = end
+        return found
 
     def conjugator(self, s: int) -> Callable[[int], int]:
         """x -> s x s^-1 ("first s, then x, then s^-1") for the element s of
@@ -590,11 +614,15 @@ def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
 
 def find_cyclic_subgroup(table: ElementTable | StabilizerChain, k: int) -> SubgroupHandle:
     """Cyclic subgroup generated by the first element of order k in
-    sorted-key order, for determinism."""
-    try:
-        i = table.orders().index(k)
-    except ValueError:
-        raise SubgroupNotFoundError(f"no element of order {k} in the table") from None
+    sorted-key order, for determinism; on a chain the census runs only until
+    it meets that element, and not at all for k outside 1 to 255."""
+    if isinstance(table, StabilizerChain):
+        i = table._fill(k) if 0 < k < 256 else -1
+    else:
+        orders = table.orders()
+        i = orders.index(k) if k in orders else -1
+    if i < 0:
+        raise SubgroupNotFoundError(f"no element of order {k} in the table")
     return cyclic_subgroup(table, table.sorted_keys()[i], k)
 
 
@@ -826,7 +854,8 @@ def verify_partition(chain: StabilizerChain, params: SuzukiParams,
     by ``unitriangular`` when not given) and cyclic subgroups of orders
     q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
     ``conjugator`` per generator of the chain, skipping a generator in the
-    cyclic group of one kept before (w(0, 1) = w(1, 0)^2).  Nothing of size
+    cyclic group of one kept before (w(0, 1) = w(1, 0)^2); the cyclic
+    conjugates' ``cycle`` fills their members' order bytes.  Nothing of size
     |G| is allocated but the orders, the byte ``hits`` and, one class at a
     time, its ``owner`` array (a byte mark, or 16-bit conjugate numbers for
     W), so this runs on Sz(32) too.  Hit counts stop at 255, which keeps

@@ -12,8 +12,12 @@ q = 32 through the base images alone.  The partition's generator walk must
 give the frozenset walk's report also on inputs that break the partition,
 and the rank operations it runs on (each move's on-demand conjugates, the
 stepped powers of a conjugate, rank products and the ranks of matrices)
-must agree with the byte keys.  At q = 32 the torus T = <d(lam)> is its own
-centralizer and has a normalizer of order 2 |T|.
+must agree with the byte keys.  The order census is the reference power
+pass whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
+before it and filled part of it, also after a partition walk that fails, and
+``find_cyclic_subgroup`` runs the census only as far as it must.  At q = 32
+the torus T = <d(lam)> is its own centralizer and has a normalizer of order
+2 |T|.
 """
 
 from array import array
@@ -35,13 +39,16 @@ from ovoid_reference import (
 from szq.field import Field
 from szq.group import make_params, make_w
 from szq.mat4 import Mat4
+from szq.orderstats import nse_closed_form, spectrum_closed_form
 from szq.oracle import (
     StabilizerChain,
     SubgroupHandle,
+    SubgroupNotFoundError,
     _point_image,
     build_suzuki_table,
     centralizer,
     cyclic_subgroup,
+    empirical_order_stats,
     find_cyclic_subgroup,
     normalizer,
     unitriangular,
@@ -52,8 +59,13 @@ from szq.oracle import (
 def _pair(params, field, table=None):
     if table is None:
         table = build_suzuki_table(params, field)[1]
-    return SimpleNamespace(params=params, table=table, keys=rank_keys(table),
-                           reference=reference_ovoid_table(params, field))
+    keys, ref = rank_keys(table), reference_ovoid_table(params, field)
+    # The census by rank twice: the reference's dict-keyed power pass, and a
+    # fresh chain's orders() with no walk before it.
+    ref_orders = ref.orders()
+    census = bytes(ref_orders[ref.position(key)] for key in keys)
+    return SimpleNamespace(params=params, table=table, keys=keys, reference=ref,
+                           census=census, fresh=StabilizerChain(params, field).orders())
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +179,67 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
     report = verify_partition(table, params, w)
     assert report == ref_verify_partition(ref, params, ref_w)
     assert report.passed == (change == "none")
+
+
+@settings(max_examples=30, deadline=None)
+@given(before=st.lists(st.integers(0, 29119), max_size=8), partition=st.booleans(),
+       found=st.lists(st.sampled_from([13, 7, 5, 4, 2, 1]), max_size=3),
+       after=st.lists(st.integers(0, 29119), max_size=8))
+def test_walks_before_the_census_leave_it_unchanged(pair_0xb, pair_0xd, before, partition,
+                                                     found, after):
+    # Every ``cycle`` records the orders its walk proves, and the census
+    # fills the rest: whatever ran first, the bytes are those of the
+    # reference power pass and of a fresh chain's census, none left at 0.
+    for pair in (pair_0xb, pair_0xd):
+        chain = StabilizerChain(pair.params, pair.table.field)
+        for r in before:
+            chain.cycle(r)
+        if partition:
+            assert verify_partition(chain, pair.params).passed
+        for k in found:
+            assert find_cyclic_subgroup(chain, k).cyclic_generator == pair.fresh.index(k)
+        for r in after:
+            chain.cycle(r)
+        orders = chain.orders()
+        assert orders == pair.fresh == pair.census
+        assert 0 not in orders
+
+
+@pytest.mark.parametrize("change", ["identity-move", "dropped-move"])
+def test_the_census_does_not_depend_on_the_partition(pair, change, monkeypatch):
+    # The broken walks of ``test_the_generator_walk_matches_the_frozenset_walk``
+    # leave conjugates out; the census taken after them fills those too.
+    params, chain = pair.params, StabilizerChain(pair.params, pair.table.field)
+    if change == "identity-move":  # the torus's move conjugates by the identity
+        d, conjugator = chain.rank(chain.generators[2]), StabilizerChain.conjugator
+        monkeypatch.setattr(StabilizerChain, "conjugator", lambda c, s: (
+            lambda r: r) if s == d else conjugator(c, s))
+    else:  # the moves generate the Borel subgroup only
+        chain.generators = chain.generators[:3]
+    assert not verify_partition(chain, params).passed
+    stats = empirical_order_stats(chain, spectrum_closed_form(params))
+    assert 0 not in chain.orders()
+    assert stats.counts == nse_closed_form(params).counts
+    assert chain.orders() == pair.census
+
+
+def test_find_cyclic_subgroup_runs_the_census_only_as_far_as_it_must(sz8, monkeypatch):
+    # On a fresh chain the first element of order k is the one a full census
+    # gives, found with holes left behind; an order no byte can hold is
+    # refused before any walk, and a missing one after the whole census.
+    chain, full = StabilizerChain(sz8.params, sz8.field), sz8.table.orders()
+    walked, cycle = [], StabilizerChain.cycle
+    monkeypatch.setattr(StabilizerChain, "cycle", lambda c, r: walked.append(r) or cycle(c, r))
+    for k in (0, 256):
+        with pytest.raises(SubgroupNotFoundError):
+            find_cyclic_subgroup(chain, k)
+    assert walked == []
+    for k in (13, 5, 7, 4, 2):
+        assert find_cyclic_subgroup(chain, k).cyclic_generator == full.index(k)
+    assert chain._orders.count(0) > 0
+    with pytest.raises(SubgroupNotFoundError):
+        find_cyclic_subgroup(chain, 3)
+    assert chain.orders() == full
 
 
 def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
