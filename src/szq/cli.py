@@ -16,11 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from datetime import datetime, timezone
 from functools import cache
 
-from .field import Field
+from .field import Field, check_modulus
 from .gate import ProfileError, load_profile, run_gate
 from .group import (
     CertificationError,
@@ -50,15 +51,24 @@ from .orderstats import (
 )
 
 
+def _decimal(text: str) -> int:
+    """An argparse type for --m and --q: ASCII decimal digits and nothing
+    else, so no sign, ``_``, whitespace or other script's digit is read as
+    a number."""
+    if re.fullmatch("[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"not a decimal integer: {text[:40]!r}")
+
+
 def _hex_modulus(text: str) -> int:
-    """An argparse type for a modulus, a nonnegative hex bit-string; its
-    degree and irreducibility are checked where the field is built."""
-    try:
-        value = int(text, 16)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
+    """An argparse type for a modulus, an ASCII hex bit-string with an
+    optional 0x; its degree and irreducibility are checked against m before
+    any scale refusal (``_resolve_params``)."""
+    if re.fullmatch("(0[xX])?[0-9a-fA-F]+", text):
+        return int(text, 16)
     raise argparse.ArgumentTypeError(f"not a hex bit-string: {text!r}")
 
 
@@ -76,8 +86,8 @@ def _parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser, *, size: bool = True) -> None:
         if size:
             g = p.add_mutually_exclusive_group(required=True)
-            g.add_argument("--m", type=int, help="twist parameter m >= 1")
-            g.add_argument("--q", type=int, help="field order 2^(2m+1) >= 8")
+            g.add_argument("--m", type=_decimal, help="twist parameter m >= 1")
+            g.add_argument("--q", type=_decimal, help="field order 2^(2m+1) >= 8")
         p.add_argument("--output", choices=("json", "table"), default="table")
         p.add_argument("--no-timestamp", action="store_true",
                        help="omit the generated_at field from JSON output")
@@ -125,6 +135,10 @@ def _resolve_params(args: argparse.Namespace) -> SuzukiParams:
         raise ScaleRefusal(
             f"m = {m}: |Sz(q)| would print with more than {digits} decimal digits, "
             f"the interpreter's limit; the largest m is {largest}")
+    # A bad modulus is a usage error whatever the source, and whatever the
+    # scale: it is found before any refusal or work.
+    if getattr(args, "modulus", None) is not None:
+        check_modulus(2 * m + 1, args.modulus)
     return make_params(m)
 
 
@@ -186,8 +200,6 @@ def cmd_nse(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     if args.source != "closed-form":
         _check_scale(p, args)
-    # A bad modulus is a usage error whatever the source, found before any work.
-    field = None if args.modulus is None else Field(p.m, modulus=args.modulus)
     payload: dict = {"m": p.m, "q": str(p.q), "source": args.source}
     lines: list[str] = []
     rc = 0
@@ -197,7 +209,7 @@ def cmd_nse(args: argparse.Namespace) -> int:
         lines += _stats_lines(closed, f"closed-form order counts for Sz({p.q})")
     if args.source in ("oracle", "both"):
         # CertificationError -> 4
-        _, chain = build_suzuki_table(p, Field(p.m) if field is None else field)
+        _, chain = build_suzuki_table(p, Field(p.m, modulus=args.modulus))
         oracle_stats = empirical_order_stats(chain, spectrum_closed_form(p))
         payload["oracle"] = oracle_stats.to_json_dict()
         lines += _stats_lines(oracle_stats, f"oracle census for Sz({p.q})")

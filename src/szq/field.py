@@ -89,6 +89,18 @@ def is_irreducible(poly: int) -> bool:
     return True
 
 
+def check_modulus(degree: int, modulus: int) -> None:
+    """ValueError unless ``modulus`` is an irreducible bit-polynomial of this
+    degree; the degree is checked first, so a wrong one costs no
+    irreducibility test."""
+    if modulus < 0:
+        raise ValueError(f"modulus {modulus} is negative")
+    if modulus.bit_length() - 1 != degree:
+        raise ValueError(f"modulus degree {modulus.bit_length() - 1} != {degree}")
+    if not is_irreducible(modulus):
+        raise ValueError(f"modulus 0x{modulus:x} is reducible over GF(2)")
+
+
 def find_modulus(m: int) -> int:
     """Smallest irreducible bit-polynomial of degree 2m+1 (bit i = coeff of x^i)."""
     if m < 1:
@@ -135,13 +147,7 @@ class Field:
         if modulus is None:
             modulus = find_modulus(m)
         else:
-            if modulus < 0:
-                raise ValueError(f"modulus {modulus} is negative")
-            if modulus.bit_length() - 1 != self.degree:
-                raise ValueError(
-                    f"modulus degree {modulus.bit_length() - 1} != {self.degree}")
-            if not is_irreducible(modulus):
-                raise ValueError(f"modulus 0x{modulus:x} is reducible over GF(2)")
+            check_modulus(self.degree, modulus)
         self.modulus = modulus
         self.element_bytes = (self.degree + 7) // 8
 

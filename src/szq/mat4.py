@@ -5,10 +5,14 @@ makes matrices hashable and comparison cheap; wrapped ``FieldElement`` views
 are produced on demand.  That tuple is also the key under which the oracle's
 closure tables store an element: a table keeps the tuples alone, and
 ``Mat4._make(field, entries)`` puts a matrix back around one without copying
-it.  The product is unrolled inside ``__mul__`` and reads straight from the
-field's multiplication table when one exists, because closure enumeration and
-order censuses push millions of products through it.  Entries are ints (never
-``bool``) or field elements; anything else is a ``TypeError``.
+it.  A matrix is immutable in its public face only: ``entries`` and
+``field`` are read-only properties over private slots, which every
+constructor fills with plain attribute stores, so a new matrix costs three
+slot stores and no guard.  The product is unrolled inside ``__mul__`` and
+reads straight from the field's multiplication table when one exists,
+because closure enumeration and order censuses push millions of products
+through it.  Entries are ints (never ``bool``) or field elements; anything
+else is a ``TypeError``.
 
 A right factor y that many products share, such as a generator of a closure,
 can carry its own kernel: ``y._as_right_factor()`` is a copy of y whose
@@ -23,6 +27,7 @@ field too large for a table (q > 512), carries none.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .field import Field, FieldElement, FieldMismatchError, _require_int
@@ -82,7 +87,12 @@ def _mul_fn_kernel(x: Sequence[int], y: Sequence[int], mul) -> tuple[int, ...]:
 class Mat4:
     """Immutable 4x4 matrix over a :class:`Field`."""
 
-    __slots__ = ("entries", "field", "_right")
+    __slots__ = ("_entries", "_field", "_right")
+
+    # Read-only views of the private slots: rebinding either raises
+    # AttributeError, and so does any new attribute, for want of a slot.
+    entries = property(attrgetter("_entries"), doc="The 16 entries, row-major.")
+    field = property(attrgetter("_field"), doc="The field of the entries.")
 
     def __init__(self, field: Field, entries: Iterable[int | FieldElement]) -> None:
         vals = []
@@ -98,20 +108,13 @@ class Mat4:
                 vals.append(e)
         if len(vals) != 16:
             raise ValueError(f"need 16 entries, got {len(vals)}")
-        _set_entries(self, tuple(vals))
-        _set_field(self, field)
-        _set_right(self, None)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Mat4 is immutable")
+        self._entries, self._field, self._right = tuple(vals), field, None
 
     @classmethod
     def _make(cls, field: Field, entries: tuple[int, ...]) -> "Mat4":
         """A matrix on an entry tuple taken as it is: no copy, no range check."""
         m = _new(cls)
-        _set_entries(m, entries)
-        _set_field(m, field)
-        _set_right(m, None)
+        m._entries, m._field, m._right = entries, field, None
         return m
 
     def _as_right_factor(self) -> "Mat4":
@@ -119,10 +122,10 @@ class Mat4:
         right factor that many products share: ``x * copy`` runs
         ``_right_kernel``.  Over a field with no multiplication table the
         copy carries none and products take the generic path."""
-        m = Mat4._make(self.field, self.entries)
-        mul = self.field._mul_table
+        m = Mat4._make(self._field, self._entries)
+        mul = self._field._mul_table
         if mul is not None:
-            _set_right(m, _right_kernel(self.entries, mul))
+            m._right = _right_kernel(self._entries, mul)
         return m
 
     @classmethod
@@ -140,21 +143,21 @@ class Mat4:
 
     def entry(self, i: int, j: int) -> FieldElement:
         """Entry in row i, column j (0-based), as a field element."""
-        return FieldElement(self.entries[4 * i + j], self.field)
+        return FieldElement(self._entries[4 * i + j], self._field)
 
     def __mul__(self, other: "Mat4") -> "Mat4":
-        f = self.field
-        if other.field is not f and other.field != f:
+        f = self._field
+        if other._field is not f and other._field != f:
             raise FieldMismatchError("matrices over different fields")
         kernel = other._right
         if kernel is not None:
-            entries = kernel(self.entries)
+            entries = kernel(self._entries)
         elif (mul := f._mul_table) is None:
-            entries = _mul_fn_kernel(self.entries, other.entries, f._mul)
+            entries = _mul_fn_kernel(self._entries, other._entries, f._mul)
         else:
             # Unrolled 4x4 product over the q x q multiplication table.
-            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = self.entries
-            y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = other.entries
+            x0, x1, x2, x3, x4, x5, x6, x7, x8, x9, x10, x11, x12, x13, x14, x15 = self._entries
+            y0, y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = other._entries
             r0, r1, r2, r3 = mul[x0], mul[x1], mul[x2], mul[x3]
             r4, r5, r6, r7 = mul[x4], mul[x5], mul[x6], mul[x7]
             r8, r9, r10, r11 = mul[x8], mul[x9], mul[x10], mul[x11]
@@ -178,15 +181,13 @@ class Mat4:
                 r12[y3] ^ r13[y7] ^ r14[y11] ^ r15[y15],
             )
         m = _new(Mat4)
-        _set_entries(m, entries)
-        _set_field(m, f)
-        _set_right(m, None)
+        m._entries, m._field, m._right = entries, f, None
         return m
 
     def __pow__(self, k: int) -> "Mat4":
         if k < 0:
             return self.inv() ** (-k)
-        r = Mat4.identity(self.field)
+        r = Mat4.identity(self._field)
         b = self
         while k:
             if k & 1:
@@ -197,11 +198,11 @@ class Mat4:
 
     def inv(self) -> "Mat4":
         """Gauss-Jordan inverse; raises SingularMatrixError below rank 4."""
-        f = self.field
+        f = self._field
         mul, finv = f._mul, f._inv
         aug = []
         for r in range(4):
-            row = list(self.entries[4 * r:4 * r + 4]) + [0] * 4
+            row = list(self._entries[4 * r:4 * r + 4]) + [0] * 4
             row[4 + r] = 1
             aug.append(row)
         for col in range(4):
@@ -225,7 +226,7 @@ class Mat4:
         return Mat4._make(f, tuple(out))
 
     def is_identity(self) -> bool:
-        return self.entries == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
+        return self._entries == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
 
     # -- serialization --
 
@@ -235,8 +236,8 @@ class Mat4:
         The encoding is injective and stable; it is the serialization format
         (``decode`` inverts it).  In-memory tables key matrices by ``entries``.
         """
-        w = self.field.element_bytes
-        return b"".join(v.to_bytes(w, "little") for v in self.entries)
+        w = self._field.element_bytes
+        return b"".join(v.to_bytes(w, "little") for v in self._entries)
 
     @classmethod
     def decode(cls, field: Field, data: bytes) -> "Mat4":
@@ -252,22 +253,19 @@ class Mat4:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat4):
             return NotImplemented
-        return self.entries == other.entries and self.field == other.field
+        return self._entries == other._entries and self._field == other._field
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return hash(self._entries)
 
     def __repr__(self) -> str:
-        rows = [" ".join(f"{v:x}" for v in self.entries[4 * r:4 * r + 4]) for r in range(4)]
+        rows = [" ".join(f"{v:x}" for v in self._entries[4 * r:4 * r + 4]) for r in range(4)]
         return "Mat4[" + " | ".join(rows) + "]"
 
 
-# The slots' own setters bypass the immutability guard in ``__setattr__``;
-# only constructors use them.
+# Constructors skip ``__init__``'s checks: they fill the private slots of a
+# bare instance with plain stores, and no other code writes them.
 _new = object.__new__
-_set_entries = Mat4.entries.__set__
-_set_field = Mat4.field.__set__
-_set_right = Mat4._right.__set__
 
 
 def element_order(mat: Mat4, hint_orders: Iterable[int] = (), bound: int | None = None) -> int:

@@ -46,7 +46,7 @@ from .orderstats import OrderStats, ScaleRefusal, Spectrum
 
 Key = Hashable  # an entry tuple in an ElementTable, a rank on a StabilizerChain
 Point = tuple[int, int, int, int]
-_entries = attrgetter("entries")
+_entries = attrgetter("_entries")  # Mat4 -> its entry tuple, read off the slot
 
 # The census keeps one order byte per element, |Sz(q)| bytes in all.
 MEMORY_LIMIT = 1 << 30
@@ -542,10 +542,12 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     elements makes n * len(generators) products.  Each product goes through
     ``Mat4.__mul__`` with a copy of its generator that carries the kernel of
     that right factor (``Mat4._as_right_factor``): zero entries of the
-    generator drop their terms and unit entries their lookups.  The caller's
-    matrices are not touched, and the table's ``generators`` are those very
-    matrices.  Raises ClosureLimitError as soon as the element count would
-    exceed ``limit`` (wrong generators or wrong limit).
+    generator drop their terms and unit entries their lookups.  Past the
+    kernel, a step costs the lift and each product's new ``Mat4``, three
+    plain slot stores apiece, and the key is read off the ``_entries`` slot.
+    The caller's matrices are not touched, and the table's ``generators``
+    are those very matrices.  Raises ClosureLimitError as soon as the
+    element count would exceed ``limit`` (wrong generators or wrong limit).
     """
     if not generators:
         raise ValueError("need at least one generator")
@@ -662,34 +664,44 @@ def _conjugators(chain: StabilizerChain, h: list[int],
     has its images of b0, b1 and b2 in ``triples``, h given by its point
     images.
 
-    For g = (a, b, c), U2 fixes b0 and b1, so the partial images
-    z_j = U1[b]^-1 U0[a]^-1 h(g(b_j)), j = 0, 1, come from (a, b) alone.  A c
-    survives when U2[c]^-1 z0 is the first entry of some triple, then when
-    (U2[c]^-1 z0, U2[c]^-1 z1) begins one, and is kept when the whole triple
-    is one.
+    For g = (a, b, c), U1 and U2 fix b0, so the conjugate's image of b0 is
+    U2[c]^-1 z with z = U1[b]^-1 y_a and y_a = U0[a]^-1 h(o0[a]) from a
+    alone.  It is the first entry t0 of a triple exactly when z = U2[c](t0):
+    ``hits[z]`` lists those c, and ``meet[y]`` the b that take y to a z with
+    hits, so only the (a, b) that can succeed are visited (about N1 N2 of
+    the N0 N1 for one target triple).  A c survives when (x0, x1) begins a triple,
+    and is kept when the whole triple is one.
     """
-    (t0, t1, _), (i0, i1, i2) = chain.transversals, chain._inverses
+    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._inverses
     o0, o1, o2 = chain.orbits
+    n1, n2, points = len(o1), len(o2), range(len(i0[0]))
     pairs = {t[:2] for t in triples}
-    images = {t[0] for t in triples}
-    # hits[p] lists the c with U2[c]^-1(p) in images.
-    hits = [[c for c, v in enumerate(i2) if v[p] in images] for p in range(len(i2[0]))]
-    n1, n2 = len(o1), len(o2)
+    hits: list[list[int]] = [[] for _ in points]
+    for first in {t[0] for t in triples}:
+        for c, u2 in enumerate(t2):
+            hits[u2[first]].append(c)
+    bs = list(range(n1))  # one int object for each b, shared by every list
+    if all(hits):  # every b can succeed from every y: nothing to meet
+        meet = [bs] * len(points)
+    else:
+        meet = [[] for _ in points]
+        for z in points:
+            if hits[z]:
+                for b, u1 in zip(bs, t1):
+                    meet[u1[z]].append(b)
     found: list[int] = []
     for a, p in enumerate(o0):
         u0, v0 = t0[a], i0[a]
         y = v0[h[p]]
-        for b, v1 in enumerate(i1):
-            z0 = v1[y]
-            cs = hits[z0]
-            if cs:
-                u1, z1 = t1[b], v1[v0[h[u0[o1[b]]]]]  # U1[b](b1) = o1[b]
-                for c in cs:
-                    v2 = i2[c]
-                    x0, x1 = v2[z0], v2[z1]
-                    if (x0, x1) in pairs and \
-                            (x0, x1, v2[v1[v0[h[u0[u1[o2[c]]]]]]]) in triples:
-                        found.append((a * n1 + b) * n2 + c)
+        for b in meet[y]:
+            u1, v1 = t1[b], i1[b]
+            z0, z1 = v1[y], v1[v0[h[u0[o1[b]]]]]  # U1[b](b1) = o1[b]
+            for c in hits[z0]:
+                v2 = i2[c]
+                x0, x1 = v2[z0], v2[z1]
+                if (x0, x1) in pairs and \
+                        (x0, x1, v2[v1[v0[h[u0[u1[o2[c]]]]]]]) in triples:
+                    found.append((a * n1 + b) * n2 + c)
     return found
 
 

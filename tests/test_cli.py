@@ -161,6 +161,8 @@ def test_nse_oracle_bad_closure_exits_4(capsys, monkeypatch):
 
 
 _SZ128_BYTES = f"{make_params(3).group_order} bytes"
+# x^801 + x^217 + 1, irreducible: a well-formed modulus for m = 400.
+_DEGREE_801 = hex((1 << 801) | (1 << 217) | 1)
 _PAST_THE_LIMIT = ("--q", "128", "--allow-big")
 
 
@@ -185,7 +187,7 @@ def test_oracle_beyond_the_point_limit_is_refused(capsys, argv, reasons):
     (("verify", *_PAST_THE_LIMIT, "--modulus", "0x83"), _SZ128_BYTES),
     (("nse", "--q", "128", "--source", "both", "--allow-big"), _SZ128_BYTES),
     (("nse", "--m", "400", "--source", "oracle", "--allow-big"), "memory limit"),
-    (("nse", "--m", "400", "--source", "both", "--allow-big", "--modulus", "0x3"),
+    (("nse", "--m", "400", "--source", "both", "--allow-big", "--modulus", _DEGREE_801),
      "memory limit"),
 ], ids=["verify", "verify-modulus", "nse-q128", "nse-m400", "nse-m400-modulus"])
 def test_scale_refusals_come_before_any_field_is_built(capsys, monkeypatch, argv, reason):
@@ -246,12 +248,70 @@ def test_nse_rejects_reducible_modulus(capsys):
     ("nse", "--q", "8", "--modulus", ""),
     ("nse", "--q", "8", "--modulus=-0xb"),
     ("verify", "--q", "8", "--modulus", "0xg"),
-], ids=["0x", "empty", "negative", "verify-0xg"])
+    *(("verify", "--q", "8", "--modulus", value) for value in (
+        "\u0660xb", "0x_b", " 0xb", "0xb ", "0xb\n", "+0xb", "0_xb", "0x\uff42", "0x0xb")),
+], ids=["0x", "empty", "negative", "verify-0xg", "arabic-indic-zero", "underscore",
+        "leading-space", "trailing-space", "newline", "plus", "underscore-in-prefix",
+        "fullwidth-b", "double-prefix"])
 def test_a_modulus_that_is_not_a_hex_bit_string_is_a_usage_error(capsys, argv):
-    # The parser reads --modulus even where no field gets built.
+    # The parser reads --modulus even where no field gets built, and takes
+    # ASCII hex digits only: int(text, 16) would read all but the last three
+    # of the new cases as 0xb.
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (2, "")
     assert "not a hex bit-string" in err
+
+
+@pytest.mark.parametrize("value", [
+    "1_0", " 3", "3 ", "3\n", "+3", "-1", "\u0663", "\uff13", "3.0", "1e1", "0x3", "",
+    "9" * 5000,
+], ids=["underscore", "leading-space", "trailing-space", "newline", "plus", "minus",
+        "arabic-indic", "fullwidth", "float", "exponent", "hex", "empty", "past-digit-limit"])
+@pytest.mark.parametrize("option", ["--m", "--q"])
+def test_sizes_take_ascii_decimal_digits_only(capsys, option, value):
+    # int() would read "1_0" as 10 and a fullwidth or Arabic-Indic digit as
+    # its ASCII twin; the parser reads none of them.
+    rc, out, err = run_cli(capsys, "params", option, value)
+    assert (rc, out) == (2, "")
+    assert "not a decimal integer" in err
+
+
+@pytest.mark.parametrize("argv, same", [
+    (("--m", "010"), ("--m", "10")), (("--q", "0008"), ("--q", "8")),
+], ids=["m", "q"])
+def test_leading_zeros_are_still_decimal(capsys, argv, same):
+    as_json = ("--output", "json", "--no-timestamp")
+    assert run_cli(capsys, "params", *argv, *as_json) == run_cli(capsys, "params", *same,
+                                                                   *as_json)
+
+
+@pytest.mark.parametrize("value", ["0xb", "0XB", "b", "0B"])
+def test_a_modulus_may_drop_its_prefix_or_change_case(capsys, value):
+    argv = ("nse", "--q", "8", "--source", "oracle", "--output", "json", "--no-timestamp")
+    assert run_cli(capsys, *argv, "--modulus", value) == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("verify", "--q", "32", "--modulus", "0xb"), "degree 3 != 5"),
+    (("verify", "--q", "32", "--modulus", "0x2b"), "reducible"),
+    (("nse", "--q", "32", "--source", "oracle", "--modulus", "0xb"), "degree 3 != 5"),
+    (("nse", "--q", "128", "--source", "both", "--modulus", "0x29"), "degree 5 != 7"),
+    (("nse", "--m", "400", "--source", "oracle", "--modulus", "0x3"), "degree 1 != 801"),
+], ids=["verify-degree", "verify-reducible", "nse-degree", "nse-q128", "nse-m400"])
+@pytest.mark.parametrize("allow_big", [False, True], ids=["no-allow-big", "allow-big"])
+def test_a_malformed_modulus_exits_2_before_the_scale_refusal(capsys, monkeypatch, argv,
+                                                               reason, allow_big):
+    # Malformed input is a usage error, whether or not --allow-big would
+    # have let the run past the scale refusals; no field is built for it.
+    import szq.field
+
+    def no_field(*args, **kwargs):
+        raise AssertionError("a field was built")
+
+    monkeypatch.setattr(szq.field.Field, "__init__", no_field)
+    rc, out, err = run_cli(capsys, *argv, *(["--allow-big"] if allow_big else []))
+    assert (rc, out) == (2, "")
+    assert reason in err
 
 
 def test_nse_output_is_deterministic(capsys):
@@ -485,11 +545,12 @@ def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
 # 20 (2^41 is q for m = 20): from m = 26 on, trial division takes seconds
 # before it answers or reaches its bound (exit 3).
 _VALUES = {
-    "--m": (("1", "2", "20", "100000"), ("0", "-1", "1.5", "x", "")),
-    "--q": (("8", "32", "2199023255552"), ("2", "16", "7", "0", "-8", "0x8")),
+    "--m": (("1", "2", "20", "100000"), ("0", "-1", "1.5", "x", "", "1_0", " 3", "\u0663")),
+    "--q": (("8", "32", "2199023255552"), ("2", "16", "7", "0", "-8", "0x8", "\uff18")),
     "--output": (("json", "table"), ("xml", "")),
     "--source": (("closed-form", "oracle", "both"), ("none",)),
-    "--modulus": (("0xb", "0xd", "0x29", "0x2b", "0x0"), ("0x", "", "-0xb", "zz")),
+    "--modulus": (("0xb", "0xd", "0x29", "0x2b", "0x0"),
+                  ("0x", "", "-0xb", "zz", "0x_b", " 0xb", "\u0660xb")),
 }
 _OPTIONS = {
     "params": ("--output",),

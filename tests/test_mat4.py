@@ -179,6 +179,31 @@ def test_values_are_immutable(f8):
         w.entries = (0,) * 16
     with pytest.raises(AttributeError):
         f8.one.bits = 3
+    # Every construction path gives a matrix equally read-only, and equal
+    # matrices from different paths agree in == and hash.
+    one = Mat4.identity(f8)
+    built = {
+        "Mat4(...)": Mat4(f8, w.entries),
+        "product": w * one,
+        "_as_right_factor": w._as_right_factor(),
+        "identity": one,
+        "inv": w.inv().inv(),
+        "decode": Mat4.decode(f8, w.encode()),
+    }
+    for path, m in built.items():
+        before = (m.entries, m.field)
+        for name, value in (("entries", (0,) * 16), ("field", Field(2)), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            del m.entries
+        assert (m.entries, m.field) == before, path
+        assert not hasattr(m, "extra"), path
+    same = [m for path, m in built.items() if path != "identity"]
+    assert all(m == w and hash(m) == hash(w) for m in same)
+    assert [one, one * one, one.inv(), Mat4(f8, one.entries)] == [one] * 4
+    assert len({hash(m) for m in (one, one * one, one.inv(), Mat4.decode(f8, one.encode()))}) == 1
+    assert w * one != one and w._as_right_factor() != one
 
 
 def test_entry_accessor(f8):
