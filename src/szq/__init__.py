@@ -11,13 +11,12 @@ from .group import (
     make_params,
     make_w,
     params_for_q,
-    standard_generators,
 )
 from .mat4 import Mat4, OrderNotFoundError, SingularMatrixError, element_order
 from .oracle import (
     ElementTable,
+    StabilizerChain,
     SubgroupHandle,
-    build_suzuki_table,
     empirical_order_stats,
     enumerate_group,
     verify_partition,
@@ -40,11 +39,10 @@ __all__ = [
     "CandidateProfile", "CertificationError", "ElementTable", "Field",
     "FieldElement", "FieldMismatchError", "GateCheck", "GateReport", "Mat4",
     "OrderNotFoundError", "OrderStats", "PartitionClassCounts", "PrimeGraph",
-    "ProfileError", "SingularMatrixError", "Spectrum", "SubgroupHandle",
-    "SuzukiParams", "build_suzuki_table", "closed_form_subgroup_counts",
+    "ProfileError", "SingularMatrixError", "Spectrum", "StabilizerChain",
+    "SubgroupHandle", "SuzukiParams", "closed_form_subgroup_counts",
     "divisors", "element_order", "empirical_order_stats", "enumerate_group",
     "euler_phi", "find_modulus", "is_irreducible", "make_params", "make_w",
     "nse_closed_form", "params_for_q", "prime_graph", "run_gate",
-    "spectrum_closed_form", "standard_generators", "type_function",
-    "verify_partition",
+    "spectrum_closed_form", "type_function", "verify_partition",
 ]

@@ -31,7 +31,7 @@ from .group import (
 )
 from .oracle import (
     ScaleRefusal,
-    build_suzuki_table,
+    StabilizerChain,
     centralizer,
     check_census_scale,
     empirical_order_stats,
@@ -209,7 +209,7 @@ def cmd_nse(args: argparse.Namespace) -> int:
         lines += _stats_lines(closed, f"closed-form order counts for Sz({p.q})")
     if args.source in ("oracle", "both"):
         # CertificationError -> 4
-        _, chain = build_suzuki_table(p, Field(p.m, modulus=args.modulus))
+        chain = StabilizerChain(p, Field(p.m, modulus=args.modulus))
         oracle_stats = empirical_order_stats(chain, spectrum_closed_form(p))
         payload["oracle"] = oracle_stats.to_json_dict()
         lines += _stats_lines(oracle_stats, f"oracle census for Sz({p.q})")
@@ -236,13 +236,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
     field = Field(p.m, modulus=args.modulus)
     checks: list[tuple[str, bool, str]] = []
 
-    _, chain = build_suzuki_table(p, field)  # CertificationError -> 4
+    chain = StabilizerChain(p, field)  # CertificationError -> 4
     checks.append(("generator_certification", True,
                    f"closure of 4 candidate generators has {chain.size} elements"))
 
     # The partition first: its cyclic conjugates' walks fill most of the census.
     w = unitriangular(chain)  # ranks, shared by the partition and N(W)
-    partition = verify_partition(chain, p, w)
+    partition = verify_partition(chain, w)
     spectrum = spectrum_closed_form(p)
     stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)

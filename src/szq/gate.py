@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field as dc_field
+from functools import partial
+from typing import Iterable
 
 from .group import SuzukiParams, make_params
 from .orderstats import OrderStats, _order_dividing, nse_closed_form
@@ -34,6 +36,17 @@ class InvolutionCountError(ValueError):
 
 
 _TOO_MANY_DIGITS = "more digits than the interpreter's integer conversion limit"
+
+
+def _distinct(pairs: Iterable[tuple], what: str) -> dict:
+    """The pairs as a dict; ProfileError for a key met twice (such as
+    ``"13"`` and ``"013"`` as orders), which a dict would keep once."""
+    out = {}
+    for k, v in pairs:
+        if k in out:
+            raise ProfileError(f"{what} {k!r:.40} appears twice")
+        out[k] = v
+    return out
 
 
 def _as_int(value, what: str) -> int:
@@ -90,8 +103,9 @@ class CandidateProfile:
         if has_map:
             if not isinstance(data["nse_map"], dict):
                 raise ProfileError("'nse_map' must be an object")
-            nse_map = {_as_int(i, "an nse_map order"): _as_int(c, "an nse_map count")
-                       for i, c in data["nse_map"].items()}
+            nse_map = _distinct(
+                ((_as_int(i, "an nse_map order"), _as_int(c, "an nse_map count"))
+                 for i, c in data["nse_map"].items()), "nse_map order")
             return cls(order=order, nse_set=frozenset(nse_map.values()), nse_map=nse_map)
         if not isinstance(data["nse_set"], list):
             raise ProfileError("'nse_set' must be a list")
@@ -288,7 +302,9 @@ def load_profile(path: str) -> CandidateProfile:
     """Read a profile from a JSON file; raises ProfileError on any defect."""
     try:
         with open(path, "rb") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=partial(_distinct, what="profile key"))
+    except ProfileError:  # a repeated key, and no digit-limit ValueError
+        raise
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ProfileError(f"cannot read profile {path!r}: {e}") from e
     except ValueError as e:  # a JSON integer literal beyond the digit limit

@@ -6,8 +6,8 @@ w(a, b), a candidate generating set for the whole group, and the closed-form
 conjugate counts of the partition classes.
 
 The generating set {w(1,0), w(0,1), d(lambda), tau} is a literature-informed
-candidate, not an axiom: ``standard_generators`` certifies it by a
-stabilizer chain on the ovoid whose orbit lengths must multiply to
+candidate, not an axiom: ``oracle.StabilizerChain(params, field)`` certifies
+it by a stabilizer chain on the ovoid whose orbit lengths must multiply to
 |Sz(q)| = q^2 (q^2 + 1)(q - 1), and fails loudly on any mismatch.
 """
 
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import Field, FieldElement, FieldMismatchError
+from .field import Field, FieldElement, FieldMismatchError, _require_int
 from .mat4 import Mat4
 
 
@@ -39,7 +39,8 @@ class SuzukiParams:
 
 
 def make_params(m: int) -> SuzukiParams:
-    """Parameters for Sz(2^(2m+1)); m must be at least 1."""
+    """Parameters for Sz(2^(2m+1)); m must be an int (no bool) >= 1."""
+    _require_int("m", m)
     if m < 1:
         raise ValueError("m must be >= 1 (q = 2 gives no simple group)")
     q = 1 << (2 * m + 1)
@@ -54,7 +55,8 @@ def make_params(m: int) -> SuzukiParams:
 
 
 def params_for_q(q: int) -> SuzukiParams:
-    """Parameters for a given field order; q must be 2^(2m+1) >= 8."""
+    """Parameters for a field order q, an int of the form 2^(2m+1) >= 8."""
+    _require_int("q", q)
     if q >= 8 and q & (q - 1) == 0:
         d = q.bit_length() - 1
         if d % 2 == 1:
@@ -137,16 +139,6 @@ def candidate_generators(params: SuzukiParams, field: Field) -> list[Mat4]:
         torus_element(field, lam),
         weyl_element(field),
     ]
-
-
-def standard_generators(params: SuzukiParams, field: Field) -> list[Mat4]:
-    """Certified generators of Sz(q): the candidate set, accepted only after
-    its stabilizer chain on the ovoid has exactly q^2 (q^2 + 1)(q - 1)
-    elements."""
-    from . import oracle  # late import; oracle builds on this module
-
-    gens, _table = oracle.build_suzuki_table(params, field)
-    return gens
 
 
 # ---------------------------------------------------------------------------

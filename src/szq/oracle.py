@@ -76,8 +76,8 @@ def _malloc_trim() -> Callable[[int], int]:
 
 def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
           key: Callable[..., Hashable] = _itself, limit: int | None = None,
-          lift: Callable[[Hashable], object] | None = None) -> dict:
-    """Breadth-first closure of the keys ``seeds``: {key: key} for every key
+          lift: Callable[[Hashable], object] | None = None) -> set:
+    """Breadth-first closure of the keys ``seeds``: the set of every key
     reached.
 
     The one walker behind every closure in this module.  It stores keys only,
@@ -89,9 +89,9 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
     # Keys, not elements, wait in the frontier: as Mat4s, a whole level would
     # stay alive, and the cyclic collector would traverse it at each of its
     # full passes.
-    seen = {s: s for s in seeds}
+    seen = set(seeds)
     frontier = list(seen)
-    # Outgrown dict tables are freed.  Once glibc has raised its mmap
+    # Outgrown set tables are freed.  Once glibc has raised its mmap
     # threshold (as on freeing an earlier closure's table), they come from the
     # heap and stay resident, so the heap is trimmed each time the closure
     # doubles: a second B(128) closure in one process peaked 39 MB higher.
@@ -104,7 +104,7 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
                 if kb not in seen:
                     if limit is not None and len(seen) >= limit:
                         raise ClosureLimitError(f"closure exceeds limit {limit}")
-                    seen[kb] = kb
+                    seen.add(kb)
                     new.append(kb)
         frontier = new
         if len(seen) >= trim_at:
@@ -115,9 +115,9 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
 
 @dataclass
 class ElementTable:
-    """A fully enumerated group: ``by_key`` holds each element's key, mapped
-    to itself, and ``position(key)`` is the key's place in ``sorted_keys()``,
-    so the order census and the inverses are arrays over positions.
+    """A fully enumerated group: ``keys`` is the set of its elements' keys,
+    and ``position(key)`` is the key's place in ``sorted_keys()``, so the
+    order census and the inverses are arrays over positions.
 
     The keys are the matrices' entry tuples, and no matrix is kept:
     ``element(key)`` rebuilds one on demand.  The lazily filled caches take
@@ -125,7 +125,7 @@ class ElementTable:
     """
 
     field: Field
-    by_key: dict[Key, Key]
+    keys: set[Key]
     generators: list[Mat4]
     _sorted_keys: list[Key] | None = dc_field(
         default=None, init=False, repr=False, compare=False)
@@ -136,18 +136,18 @@ class ElementTable:
 
     @property
     def size(self) -> int:
-        return len(self.by_key)
+        return len(self.keys)
 
     def sorted_keys(self) -> list[Key]:
         """Canonical iteration order: keys ascending."""
         if self._sorted_keys is None:
-            self._sorted_keys = sorted(self.by_key)
+            self._sorted_keys = sorted(self.keys)
         return self._sorted_keys
 
     def element(self, key: Key) -> Mat4:
         """The matrix keyed ``key``, rebuilt around its entry tuple;
         ValueError for a key outside the table."""
-        if key not in self.by_key:
+        if key not in self.keys:
             raise ValueError("element is not in the table")
         return Mat4._make(self.field, key)
 
@@ -217,12 +217,10 @@ class ElementTable:
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     """The projective point <point * mat> (a row vector times the matrix),
     scaled so that its first nonzero coordinate is 1; a zero image comes back
-    as it is, and names no point.  Each coordinate's products are read from
-    its row of the field's multiplication table (past the table limit, from
-    a row of the 16 products the matrix needs)."""
+    as it is, and names no point.  Products come from the field's table
+    rows: the census limit admits only Sz(8) and Sz(32), whose fields have one."""
     t, e = field._mul_table, mat.entries
-    r0, r1, r2, r3 = ([t[x] for x in point] if t is not None else
-                      [{c: field._mul(x, c) for c in e} for x in point])
+    r0, r1, r2, r3 = [t[x] for x in point]
     image = (r0[e[0]] ^ r1[e[4]] ^ r2[e[8]] ^ r3[e[12]],
              r0[e[1]] ^ r1[e[5]] ^ r2[e[9]] ^ r3[e[13]],
              r0[e[2]] ^ r1[e[6]] ^ r2[e[10]] ^ r3[e[14]],
@@ -526,12 +524,15 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its members' keys inside some table; on a
-    StabilizerChain the keys are ranks."""
+    """A subgroup given by its members' keys inside some table (on a
+    StabilizerChain, ranks); its ``order`` is their count."""
 
     members: frozenset[Key]
-    order: int
-    cyclic_generator: Key | None = None
+    cyclic_generator: Key | None = dc_field(default=None, kw_only=True)
+
+    @property
+    def order(self) -> int:
+        return len(self.members)
 
 
 def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
@@ -556,17 +557,9 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
         if g.field != f:
             raise ValueError("generators live in different fields")
     moves = [g._as_right_factor() for g in generators]
-    by_key = _walk([Mat4.identity(f).entries], moves, mul, _entries, limit,
-                   partial(Mat4._make, f))
-    return ElementTable(field=f, by_key=by_key, generators=list(generators))
-
-
-def build_suzuki_table(params: SuzukiParams,
-                       field: Field) -> tuple[list[Mat4], StabilizerChain]:
-    """Sz(q) on its certified stabilizer chain, as (generators, chain); the
-    chain derives and certifies itself (``StabilizerChain``)."""
-    chain = StabilizerChain(params, field)
-    return chain.generators, chain
+    keys = _walk([Mat4.identity(f).entries], moves, mul, _entries, limit,
+                 partial(Mat4._make, f))
+    return ElementTable(field=f, keys=keys, generators=list(generators))
 
 
 def empirical_order_stats(table: ElementTable | StabilizerChain,
@@ -603,7 +596,7 @@ def cyclic_subgroup(table: ElementTable | StabilizerChain, generator: Key,
         cur = table.mul(cur, generator)
     if cur != table.identity or len(members) != order:
         raise ValueError(f"the generator does not have order {order}")
-    return SubgroupHandle(frozenset(members), order, cyclic_generator=generator)
+    return SubgroupHandle(frozenset(members), cyclic_generator=generator)
 
 
 def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
@@ -611,7 +604,7 @@ def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
     """The subgroup generated by the elements keyed ``generators``, closed
     with the table's own product; ClosureLimitError past ``limit`` elements."""
     members = _walk([table.identity], list(generators), table.mul, limit=limit)
-    return SubgroupHandle(frozenset(members), len(members))
+    return SubgroupHandle(frozenset(members))
 
 
 def find_cyclic_subgroup(table: ElementTable | StabilizerChain, k: int) -> SubgroupHandle:
@@ -634,7 +627,7 @@ def _generating_set(chain: StabilizerChain, members: frozenset[Key]) -> list[Key
     ValueError when the members are not a subgroup."""
     one = chain.identity
     gens: list[Key] = []
-    span = {one: one}
+    span = {one}
     for x in sorted(members):
         if x not in span:
             gens.append(x)
@@ -723,12 +716,12 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
-        return SubgroupHandle(frozenset(range(chain.size)), chain.size)
+        return SubgroupHandle(frozenset(range(chain.size)))
     found = _conjugators(chain, chain.permutation(gens[0]), triples)
     for g in gens[1:]:
         found = [r for r, t in zip(found, _conjugate_triples(chain, chain.permutation(g), found))
                  if t in triples]
-    return SubgroupHandle(frozenset(found), len(found))
+    return SubgroupHandle(frozenset(found))
 
 
 def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
@@ -741,7 +734,7 @@ def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
     """
     h = chain.permutation(x)
     found = _conjugators(chain, h, {tuple(h[p] for p in chain.base)})
-    return SubgroupHandle(frozenset(found), len(found))
+    return SubgroupHandle(frozenset(found))
 
 
 # ---------------------------------------------------------------------------
@@ -858,8 +851,7 @@ def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
     return subgroup(chain, map(chain.rank, w_generators(chain.field)), chain.field.q ** 2)
 
 
-def verify_partition(chain: StabilizerChain, params: SuzukiParams,
-                     w: SubgroupHandle | None = None) -> PartitionReport:
+def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) -> PartitionReport:
     """Conjugate one representative of each class and check the cover.
 
     The representatives are ranks on the chain: W = {w(a, b)} (``w``, closed
@@ -874,7 +866,7 @@ def verify_partition(chain: StabilizerChain, params: SuzukiParams,
     ``missing`` and ``multiply_covered`` exact; ``coverage`` is counted as
     the slots are filled.
     """
-    one = chain.identity
+    one, params = chain.identity, chain.params
     if w is None:
         w = unitriangular(chain)
     reps = {"w": (_generating_set(chain, w.members), w.members)}

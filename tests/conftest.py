@@ -13,7 +13,7 @@ import pytest
 from szq.field import Field
 from szq.group import candidate_generators, make_params
 from szq.oracle import (
-    build_suzuki_table,
+    StabilizerChain,
     empirical_order_stats,
     enumerate_group,
     verify_partition,
@@ -35,7 +35,7 @@ def params8():
 def sz8(field8, params8):
     """Generators, closure table, and census of Sz(8), with build timings."""
     t0 = perf_counter()
-    gens, table = build_suzuki_table(params8, field8)
+    table = StabilizerChain(params8, field8)
     closure_seconds = perf_counter() - t0
     t0 = perf_counter()
     stats = empirical_order_stats(table, spectrum_closed_form(params8))
@@ -43,7 +43,7 @@ def sz8(field8, params8):
     return SimpleNamespace(
         field=field8,
         params=params8,
-        generators=gens,
+        generators=table.generators,
         table=table,
         stats=stats,
         closure_seconds=closure_seconds,
@@ -63,5 +63,5 @@ def sz8_matrices(field8, params8):
 def sz8_partition(sz8):
     """Partition report for Sz(8) plus the seconds it took to compute."""
     t0 = perf_counter()
-    report = verify_partition(sz8.table, sz8.params)
+    report = verify_partition(sz8.table)
     return SimpleNamespace(report=report, seconds=perf_counter() - t0)

@@ -2,7 +2,7 @@
 the chain is tested against.
 
 ``reference_ovoid_table`` closes the four candidate generators' ``bytes``
-permutations with ``bytes.translate`` into a dict, sorts the keys, and gets
+permutations with ``bytes.translate`` into a set, sorts the keys, and gets
 orders and inverses from the dict-keyed power pass that ``ElementTable``
 still runs for matrix tables.  ``ref_normalizer`` and ``ref_centralizer`` scan
 every element with two ``translate`` calls each, as the oracle did before its
@@ -56,7 +56,7 @@ class ReferenceOvoidTable(ElementTable):
         return bytes([self._number[_point_image(self.field, p, mat)] for p in self.points])
 
     def element(self, key: bytes) -> bytes:
-        if key not in self.by_key:
+        if key not in self.keys:
             raise ValueError("element is not in the table")
         return key
 
@@ -86,10 +86,10 @@ def reference_ovoid_table(params: SuzukiParams, field) -> ReferenceOvoidTable:
     gens = candidate_generators(params, field)
     orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
     assert len(orbit) == params.q * params.q + 1
-    table = ReferenceOvoidTable(field, {}, gens, sorted(orbit))
+    table = ReferenceOvoidTable(field, set(), gens, sorted(orbit))
     moves = [table.key(g) + table._pad for g in gens]
     try:
-        table.by_key = _walk([table.identity], moves, bytes.translate,
+        table.keys = _walk([table.identity], moves, bytes.translate,
                              limit=params.group_order)
     except ClosureLimitError as e:
         raise CertificationError("closure exceeds |Sz(q)|") from e
@@ -119,7 +119,7 @@ def _orbit(table, members: frozenset, moves: list[array]):
     def conjugate(sub: frozenset[int], c: array) -> frozenset[int]:
         return frozenset(map(c.__getitem__, sub))
 
-    return _walk([frozenset(map(table.position, members))], moves, conjugate).keys()
+    return _walk([frozenset(map(table.position, members))], moves, conjugate)
 
 
 def conjugation(table: ReferenceOvoidTable, s: bytes) -> array:

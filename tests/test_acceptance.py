@@ -109,8 +109,8 @@ def test_criterion_06_normalizer_centralizer_indices(sz8):
     hv = find_cyclic_subgroup(table, p.v)
     ok = ok and normalizer(table, hv).order == 2 * p.v
     wt = enumerate_group(w_generators(sz8.field), limit=p.w_order)
-    w_ranks = frozenset(map(sz8.table.rank, map(wt.element, wt.by_key)))
-    nw = normalizer(table, SubgroupHandle(w_ranks, wt.size))
+    w_ranks = frozenset(map(sz8.table.rank, map(wt.element, wt.keys)))
+    nw = normalizer(table, SubgroupHandle(w_ranks))
     ok = ok and table.size == 65 * nw.order
     _report(6, "normalizer indices 4/4/2, |S:N(W)|=65, torus centralizers", ok)
 

@@ -466,6 +466,27 @@ def test_gate_map_sum_mismatch_is_input_error(tmp_path, capsys):
     assert "sums to" in err
 
 
+_SZ8_MAP = ('"1": "1", "2": "455", "4": "3640", "5": "5824", "7": "12480", '
+            '"13": "6720"')
+
+
+@pytest.mark.parametrize("text", [
+    '{"order": "29120", "nse_map": {%s, "013": "6720"}}' % _SZ8_MAP,
+    '{"order": "29120", "nse_map": {%s, "13": "6720"}}' % _SZ8_MAP,
+], ids=["13-and-013", "13-twice"])
+def test_gate_refuses_an_order_named_twice(tmp_path, capsys, text):
+    # Kept once, the map would be Sz(8)'s; as written its counts sum to
+    # 35,840, not the order 29,120.
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    with pytest.raises(ProfileError, match="13'? appears twice"):
+        load_profile(str(path))
+    rc, out, err = run_cli(capsys, "gate", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "digit" not in err
+
+
 @pytest.mark.parametrize("text", [
     '{"order": 1e400, "nse_set": ["1"]}',
     '{"order": "29120", "nse_set": [1e400]}',

@@ -246,6 +246,9 @@ def test_profile_from_json_rejects_bad_shapes():
             {"order": "8", "nse_set": ["1"], "nse_map": {"1": "1"}})
     with pytest.raises(ProfileError):
         CandidateProfile.from_json_dict({"order": "x", "nse_set": ["1"]})
+    with pytest.raises(ProfileError, match="order 4 appears twice"):
+        CandidateProfile.from_json_dict(
+            {"order": 120, "nse_map": {"1": 1, "2": 7, "4": 56, "04": 56}})
 
 
 def test_profile_json_roundtrip():

@@ -4,6 +4,8 @@ import dataclasses
 
 import pytest
 
+import szq.oracle
+from szq import StabilizerChain
 from szq.field import Field
 from szq.group import (
     CertificationError,
@@ -12,14 +14,12 @@ from szq.group import (
     make_params,
     make_w,
     params_for_q,
-    standard_generators,
     torus_element,
     w_elements,
     w_generators,
     weyl_element,
 )
 from szq.mat4 import Mat4, element_order
-from szq.oracle import build_suzuki_table
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +60,15 @@ def test_params_for_q():
     for bad in (0, 2, 4, 6, 16, 29120):
         with pytest.raises(ValueError):
             params_for_q(bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.0, 8.0, "8", None])
+def test_params_refuse_a_non_int(bad):
+    # As Field does: make_params(True) is a typo, not Sz(8).
+    with pytest.raises(TypeError, match="must be an int"):
+        make_params(bad)
+    with pytest.raises(TypeError, match="must be an int"):
+        params_for_q(bad)
 
 
 # -- the subgroup W -----------------------------------------------------------
@@ -133,16 +142,18 @@ def test_candidate_generators_are_invertible(f8):
         assert g * g.inv() == ident
 
 
-def test_standard_generators_certify(sz8):
-    gens = standard_generators(sz8.params, sz8.field)
-    assert len(gens) == 4
-    assert sz8.table.size == 29120
+def test_the_chain_certifies_its_generators(sz8):
+    # The chain is the one constructor of Sz(q), exported from the package.
+    assert StabilizerChain is szq.oracle.StabilizerChain
+    chain = StabilizerChain(sz8.params, sz8.field)
+    assert chain.generators == candidate_generators(sz8.params, sz8.field)
+    assert chain.size == 29120
 
 
 def test_certification_failure_is_loud(f8):
     fake = dataclasses.replace(make_params(1), group_order=29119)
     with pytest.raises(CertificationError):
-        build_suzuki_table(fake, f8)
+        StabilizerChain(fake, f8)
 
 
 def test_generator_field_mismatch_rejected(f8):
@@ -183,4 +194,4 @@ def test_w_generators_generate_all_of_w(f8):
 
     table = enumerate_group(w_generators(f8), limit=64)
     assert table.size == 64
-    assert set(table.by_key) == {w.entries for w in w_elements(f8)}
+    assert table.keys == {w.entries for w in w_elements(f8)}

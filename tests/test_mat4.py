@@ -133,7 +133,7 @@ def test_decode_validates(f8):
 
 
 def test_encode_injective_on_full_group(sz8_matrices):
-    assert len({sz8_matrices.element(k).encode() for k in sz8_matrices.by_key}) == 29120
+    assert len({sz8_matrices.element(k).encode() for k in sz8_matrices.keys}) == 29120
 
 
 # -- element order ----------------------------------------------------------

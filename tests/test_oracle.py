@@ -18,8 +18,8 @@ from szq.oracle import (
     SubgroupHandle,
     SubgroupNotFoundError,
     _malloc_trim,
+    StabilizerChain,
     _point_image,
-    build_suzuki_table,
     centralizer,
     cyclic_subgroup,
     empirical_order_stats,
@@ -57,7 +57,7 @@ def test_two_unitriangular_generators_close_to_a_4_cycle(f8):
     w01 = make_w(f8.zero, f8.one)
     table = enumerate_group([w10, w01], limit=64)
     assert table.size == 4
-    assert set(table.by_key) == {
+    assert table.keys == {
         m.entries for m in (Mat4.identity(f8), w10, w01, w10 * w01)}
 
 
@@ -169,8 +169,8 @@ def test_key_only_table_matches_a_walk_over_matrices(request, group):
     ref = sorted(mat4_closure(table.generators), key=attrgetter("entries"))
     keys = table.sorted_keys()
     assert keys == [x.entries for x in ref]
-    assert table.by_key.keys() == set(keys)
-    assert all(v is k for k, v in table.by_key.items())  # no Mat4 is kept
+    assert type(table.keys) is set and table.keys == set(keys)
+    assert all(type(k) is tuple and len(k) == 16 for k in table.keys)  # no Mat4 is kept
     orders, inverses = table.orders(), table.inverses()
     for i, x in enumerate(ref):
         assert table.element(keys[i]).entries == keys[i]
@@ -202,7 +202,7 @@ def test_a_singular_matrix_has_no_ovoid_key(sz8):
 @pytest.mark.parametrize("modulus", [0xb, 0xd], ids=["0xb", "0xd"])
 def test_w_closes_inside_the_ovoid_table(params8, modulus):
     f = Field(1, modulus=modulus)
-    _, table = build_suzuki_table(params8, f)
+    table = StabilizerChain(params8, f)
     w = subgroup(table, map(table.rank, w_generators(f)), limit=64)
     assert w.members == {table.rank(x) for x in w_elements(f)}
     assert w.order == 64 and w.cyclic_generator is None
@@ -318,7 +318,7 @@ def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
     assert a == b and b == a
     assert a != enumerate_group([make_w(f8.one, f8.zero)], limit=64)
     sz8.table.orders()
-    assert sz8.table == build_suzuki_table(sz8.params, sz8.field)[1]
+    assert sz8.table == StabilizerChain(sz8.params, sz8.field)
 
 
 def test_position_is_the_place_in_sorted_keys(sz8, sz8_matrices, f8):
@@ -369,6 +369,8 @@ def test_find_cyclic_subgroups(sz8):
     for k in (13, 7, 5):
         h = find_cyclic_subgroup(sz8.table, k)
         assert h.order == k == len(h.members)
+        with pytest.raises(TypeError):  # the order is the members' count, not an argument
+            SubgroupHandle(h.members, k)
     trivial = find_cyclic_subgroup(sz8.table, 1)
     assert trivial.order == 1
 
@@ -398,7 +400,7 @@ def test_normalizer_indices(sz8):
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
-    handle = SubgroupHandle(frozenset(map(sz8.table.rank, map(wt.element, wt.by_key))), wt.size)
+    handle = SubgroupHandle(frozenset(map(sz8.table.rank, map(wt.element, wt.keys))))
     n = normalizer(sz8.table, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65

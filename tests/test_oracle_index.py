@@ -3,7 +3,7 @@
 ``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
 table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses.  At
 q = 8, under both moduli of GF(8), the scans of the chain
-(``build_suzuki_table``) must find the same subgroups once the reference's
+(``StabilizerChain``) must find the same subgroups once the reference's
 matrices are mapped through ``chain.rank``, the one boundary conversion, and
 the same census and orbit sizes.  Only the chain conjugates: a matrix table
 closes and counts, nothing more.  A chain takes no orbits or transversals
@@ -35,7 +35,6 @@ from szq.oracle import (
     SubgroupHandle,
     _conjugates,
     _walk,
-    build_suzuki_table,
     centralizer,
     cyclic_subgroup,
     empirical_order_stats,
@@ -50,7 +49,7 @@ from szq.oracle import (
 # -- the product-based reference ---------------------------------------------------
 
 def gauss_jordan_inverses(table):
-    return {key: table.element(key).inv() for key in table.by_key}
+    return {key: table.element(key).inv() for key in table.keys}
 
 
 def ref_normalizer(table, gens, members, inv):
@@ -69,7 +68,9 @@ def ref_centralizer(table, x):
 def ref_conjugate_orbit(table, members):
     def conjugate(sub, move):
         g, gi = move
-        return frozenset(table.by_key[(g * table.element(k) * gi).entries] for k in sub)
+        images = frozenset((g * table.element(k) * gi).entries for k in sub)
+        assert images <= table.keys
+        return images
 
     moves = [(g, g.inv()) for g in table.generators]
     return sorted(_walk([members], moves, conjugate, lambda sub: sub), key=sorted)
@@ -90,7 +91,7 @@ def world_0xb(sz8, sz8_matrices):
 @pytest.fixture(scope="module")
 def world_0xd(params8):
     f = Field(1, modulus=0xd)
-    _, ovoid = build_suzuki_table(params8, f)
+    ovoid = StabilizerChain(params8, f)
     return _world(ovoid, enumerate_group(candidate_generators(params8, f),
                                          limit=params8.group_order))
 
@@ -114,8 +115,8 @@ def assert_scans_agree(world, name):
     ovoid, matrices = world.ovoid, world.matrices
     gens, members = _class(world, name)
     to_rank = lambda entries: ovoid.rank(matrices.element(entries))  # noqa: E731
-    sub = SubgroupHandle(frozenset(map(to_rank, members)), len(members),
-                         ovoid.rank(gens[0]) if len(gens) == 1 else None)
+    sub = SubgroupHandle(frozenset(map(to_rank, members)),
+                         cyclic_generator=ovoid.rank(gens[0]) if len(gens) == 1 else None)
     want = ref_normalizer(matrices, gens, members, world.inverses)
     assert normalizer(ovoid, sub).members == frozenset(map(to_rank, want))
     got = centralizer(ovoid, ovoid.rank(gens[0])).members
@@ -141,7 +142,7 @@ def test_census_and_orbit_sizes_match_the_reference(request, modulus):
     world = request.getfixturevalue(f"world_{modulus}")
     assert (empirical_order_stats(world.ovoid).counts
             == empirical_order_stats(world.matrices).counts)
-    report = verify_partition(world.ovoid, make_params(1))
+    report = verify_partition(world.ovoid)
     want = [len(ref_conjugate_orbit(world.matrices, _class(world, name)[1]))
             for name in ("w", "u1", "u2", "v")]
     m = report.measured
@@ -152,7 +153,7 @@ def test_census_and_orbit_sizes_match_the_reference(request, modulus):
 
 def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
     chain = sz8.table
-    trivial = SubgroupHandle(frozenset([chain.identity]), 1)
+    trivial = SubgroupHandle(frozenset([chain.identity]))
     assert normalizer(chain, trivial).order == chain.size
 
 
@@ -162,7 +163,7 @@ def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
     conjugator = StabilizerChain.conjugator
     monkeypatch.setattr(StabilizerChain, "conjugator",
                         lambda chain, s: calls.append(s) or conjugator(chain, s))
-    report = verify_partition(sz8.table, sz8.params)
+    report = verify_partition(sz8.table)
     assert len(calls) == 3
     w10, _w01, torus, weyl = sz8.generators
     assert calls == [sz8.table.rank(g) for g in (w10, torus, weyl)]
@@ -191,10 +192,10 @@ def test_w_conjugates_are_numbered_within_16_bits(sz8, monkeypatch):
     # W's owner array holds 16-bit conjugate numbers; a class with more
     # conjugates than that bound is refused, never wrapped.
     monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 65)
-    assert verify_partition(sz8.table, sz8.params).passed
+    assert verify_partition(sz8.table).passed
     monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 64)
     with pytest.raises(OverflowError):
-        verify_partition(sz8.table, sz8.params)
+        verify_partition(sz8.table)
 
 
 def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
@@ -220,7 +221,7 @@ def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
     table = sz8.table
     x = table.rank(make_w(table.field.one, table.field.zero))  # of order 4
     with pytest.raises(ValueError, match="subgroup"):
-        normalizer(table, SubgroupHandle(frozenset([table.identity, x]), 2))
+        normalizer(table, SubgroupHandle(frozenset([table.identity, x])))
 
 
 # -- tables that are not the group --------------------------------------------------
@@ -250,7 +251,7 @@ def test_a_chain_that_builds_but_is_not_closed_raises(sz8):
     with pytest.raises(CertificationError, match="not closed under products"):
         chain.orders()
     with pytest.raises(CertificationError, match="not closed under products"):
-        verify_partition(chain, sz8.params)
+        verify_partition(chain)
 
 
 def test_scans_refuse_elements_outside_the_table(sz8):
@@ -260,7 +261,7 @@ def test_scans_refuse_elements_outside_the_table(sz8):
     # three points.
     chain = sz8.table
     with pytest.raises(ValueError):
-        normalizer(chain, SubgroupHandle(frozenset([chain.identity]), 1, chain.size))
+        normalizer(chain, SubgroupHandle(frozenset([chain.identity]), cyclic_generator=chain.size))
     with pytest.raises(ValueError):
         sz8.table._rank_of_images([1, 0] + list(range(2, 65)))
     f = sz8.field
@@ -278,7 +279,7 @@ _RANK_TAKERS = {
     "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
     "subgroup": lambda chain, r: subgroup(chain, [r], 100),
     "normalizer": lambda chain, r: normalizer(
-        chain, SubgroupHandle(frozenset([chain.identity, r]), 2, r)),
+        chain, SubgroupHandle(frozenset([chain.identity, r]), cyclic_generator=r)),
     "centralizer": lambda chain, r: centralizer(chain, r),
 }
 
@@ -307,4 +308,4 @@ def test_a_stabilizer_generator_that_moves_its_base_point_raises(params8, monkey
 
     monkeypatch.setattr(szq.oracle, "candidate_generators", swapped)
     with pytest.raises(CertificationError, match="moves a base point"):
-        build_suzuki_table(params8, Field(1))
+        StabilizerChain(params8, Field(1))
