@@ -20,7 +20,7 @@ square-and-multiply routine over that multiply.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .orderstats import factorize
 
@@ -62,17 +62,40 @@ def _poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _pow2_frobenius(mod: int, k: int) -> int:
-    """x^(2^k) reduced modulo ``mod``, by k squarings."""
-    h = _poly_mod(0b10, mod)
-    for _ in range(k):
-        h = _poly_mod(_poly_mul(h, h), mod)
-    return h
+def _squarer(mod: int) -> Callable[[int], int]:
+    """h -> h^2 modulo ``mod`` (degree d >= 1) for h of degree below d.
+
+    Squaring over GF(2) spreads the bits apart (bit i to bit 2i), which
+    reading h's binary digits in base 4 does in linear time.  The square's
+    top bits are then folded back k at a time, from the table ``fold[v] =
+    v x^d + (v x^d mod mod)``, a multiple of ``mod`` whose top chunk is v:
+    each step clears k bits, where a bit-serial reduction clears one.  k is
+    the bit length of d, at most 8, so the table has 4 entries at degree 3,
+    8 at degree 7 and 256 from degree 128 on."""
+    d = mod.bit_length() - 1
+    k = min(8, d.bit_length())
+    fold, t = [0], mod ^ (1 << d)  # t = x^(d+i) mod mod
+    for i in range(k):  # by doubling: bit i of v adds x^(d+i) + t
+        row = (1 << (d + i)) ^ t
+        fold += [r ^ row for r in fold]
+        t <<= 1
+        if t >> d:
+            t ^= mod
+    shifts = [(s, s - d) for s in range(2 * d - 1 - k, d, -k)] + [(d, 0)]
+
+    def square(h: int) -> int:
+        h = int(format(h, "b"), 4)
+        for s, lift in shifts:
+            h ^= fold[h >> s] << lift
+        return h
+
+    return square
 
 
 def is_irreducible(poly: int) -> bool:
-    """Irreducibility over GF(2): x^(2^d) == x mod poly, plus the gcd
-    condition gcd(x^(2^(d/p)) - x, poly) == 1 for every prime p dividing d."""
+    """Rabin's test over GF(2): x^(2^d) == x mod poly, plus the gcd
+    condition gcd(x^(2^(d/p)) - x, poly) == 1 for every prime p dividing d.
+    One chain of d squarings yields x^(2^d) and every x^(2^(d/p))."""
     d = poly.bit_length() - 1
     if poly < 0 or d < 1:
         return False
@@ -80,13 +103,13 @@ def is_irreducible(poly: int) -> bool:
         return True
     if poly & 1 == 0:  # divisible by x
         return False
-    if _pow2_frobenius(poly, d) != 0b10:
-        return False
-    for p in factorize(d):
-        h = _pow2_frobenius(poly, d // p)
-        if _poly_gcd(h ^ 0b10, poly) != 1:
-            return False
-    return True
+    square, steps = _squarer(poly), {d // p for p in factorize(d)}
+    h, powers = 0b10, []
+    for i in range(1, d + 1):
+        h = square(h)
+        if i in steps:
+            powers.append(h)
+    return h == 0b10 and all(_poly_gcd(g ^ 0b10, poly) == 1 for g in powers)
 
 
 def check_modulus(degree: int, modulus: int) -> None:

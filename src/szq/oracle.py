@@ -25,6 +25,7 @@ the closed forms are tested against, so it must not share their shortcuts.
 
 from __future__ import annotations
 
+import gc
 from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
@@ -95,6 +96,8 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
     # threshold (as on freeing an earlier closure's table), they come from the
     # heap and stay resident, so the heap is trimmed each time the closure
     # doubles: a second B(128) closure in one process peaked 39 MB higher.
+    # The trim cannot reach pymalloc's arenas; ``enumerate_group`` empties
+    # the tuple free list that keeps them resident.
     trim_at = 2 * len(seen)
     while frontier:
         new = []
@@ -557,6 +560,14 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
         if g.field != f:
             raise ValueError("generators live in different fields")
     moves = [g._as_right_factor() for g in generators]
+    # A dropped table frees its key tuples in hash order, and the first 2,000
+    # freed 16-tuples stay on CPython's tuple free list, one in nearly every
+    # pymalloc arena, so none of those arenas is returned: 368 MB stayed
+    # resident after a B(128) table was dropped, and the next closure peaked
+    # 30 MB above the first.  A full collection empties the free lists (to
+    # 19 MB) and costs milliseconds; it runs here, not in ``_walk``, whose
+    # small walks the chain runs many times per request.
+    gc.collect()
     keys = _walk([Mat4.identity(f).entries], moves, mul, _entries, limit,
                  partial(Mat4._make, f))
     return ElementTable(field=f, keys=keys, generators=list(generators))

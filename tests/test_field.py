@@ -2,6 +2,7 @@
 random moduli of every odd degree from 3 to 21."""
 
 import os
+import random
 import subprocess
 import sys
 from functools import reduce
@@ -16,12 +17,14 @@ from szq.field import (
     FieldMismatchError,
     _poly_gcd,
     _poly_mod,
-    _pow2_frobenius,
+    _poly_mul,
+    _squarer,
     find_modulus,
     is_irreducible,
 )
 from szq.group import make_w, torus_element, weyl_element
 from szq.mat4 import Mat4
+from szq.orderstats import factorize
 
 
 # -- independent oracles ----------------------------------------------------
@@ -37,6 +40,28 @@ def _trial_division_irreducible(poly: int) -> bool:
         if _poly_mod(poly, cand) == 0:
             return False
     return True
+
+
+def _bit_serial_rabin(poly: int) -> bool:
+    """Rabin's test with schoolbook squarings, each reduced one bit at a
+    time, and every x^(2^k) squared up afresh: the reference the folding
+    squarer is compared with."""
+    d = poly.bit_length() - 1
+    if d < 1:
+        return False
+    if d == 1:
+        return True
+    if poly & 1 == 0:
+        return False
+
+    def frobenius(k: int) -> int:
+        h = 0b10
+        for _ in range(k):
+            h = _poly_mod(_poly_mul(h, h), poly)
+        return h
+
+    return frobenius(d) == 0b10 and all(
+        _poly_gcd(frobenius(d // p) ^ 0b10, poly) == 1 for p in factorize(d))
 
 
 def _schoolbook_mul(a: int, b: int, modulus: int, degree: int) -> int:
@@ -212,24 +237,46 @@ def test_find_modulus_is_smallest_irreducible(m):
         assert not _trial_division_irreducible(smaller)
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_is_irreducible_matches_trial_division(m):
-    d = 2 * m + 1
+@pytest.mark.parametrize("d", range(1, 13))
+def test_is_irreducible_matches_trial_division(d):
+    # Even degrees too: d = 12 has two prime divisors, so two gcd checks.
     for poly in range(1 << d, 1 << (d + 1)):
         assert is_irreducible(poly) == _trial_division_irreducible(poly)
+
+
+def test_is_irreducible_matches_the_bit_serial_rabin_test():
+    rng = random.Random(23)
+    for _ in range(300):
+        d = rng.randrange(2, 201)
+        poly = rng.getrandbits(d) | (1 << d) | 1
+        assert is_irreducible(poly) == _bit_serial_rabin(poly), hex(poly)
+    # Irreducible ones of each degree class, where every check must pass.
+    for m in range(1, 9):
+        assert _bit_serial_rabin(find_modulus(m))
+
+
+def test_squaring_matches_the_schoolbook_product():
+    rng = random.Random(5)
+    for d in [1, 2, 3, 7, 8, 9, 15, 16, 17, 64, 255, 256, 257, 300]:
+        mod = rng.getrandbits(d) | (1 << d)
+        square = _squarer(mod)
+        for h in [0, 1, (1 << d) - 1] + [rng.getrandbits(d) for _ in range(20)]:
+            assert square(h) == _poly_mod(_poly_mul(h, h), mod)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_modulus_root_structure(m):
     mod = find_modulus(m)
     d = 2 * m + 1
+    square, frobenius = _squarer(mod), [0b10]  # x^(2^e) for e = 0, 1, ..., d
+    for _ in range(d):
+        frobenius.append(square(frobenius[-1]))
     # divides x^(2^d) + x: the Frobenius power collapses to x mod the modulus
-    assert _pow2_frobenius(mod, d) == 0b10
+    assert frobenius[d] == 0b10
     # no common root with x^(2^e) + x for proper divisors e of d
     for e in range(1, d):
         if d % e == 0:
-            h = _pow2_frobenius(mod, e)
-            assert _poly_gcd(h ^ 0b10, mod) == 1
+            assert _poly_gcd(frobenius[e] ^ 0b10, mod) == 1
 
 
 def test_field_rejects_bad_moduli():

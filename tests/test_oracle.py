@@ -1,5 +1,6 @@
 """Brute-force oracle: closure, census, subgroups, and the partition cover."""
 
+import gc
 import json
 import random
 from functools import reduce
@@ -27,6 +28,8 @@ from szq.oracle import (
     find_cyclic_subgroup,
     normalizer,
     subgroup,
+    unitriangular,
+    verify_partition,
 )
 from szq.orderstats import Spectrum, euler_phi, spectrum_closed_form
 
@@ -112,6 +115,31 @@ def test_closure_trims_the_heap_each_time_it_doubles(monkeypatch):
     table = enumerate_group(gens, limit=order)
     assert table.size == order
     assert pads and set(pads) == {0} and len(pads) <= order.bit_length()
+
+
+def test_only_a_matrix_closure_collects_and_before_its_first_product(monkeypatch, params8, f8):
+    # enumerate_group empties the free lists once, before the walk starts;
+    # the chain and its small walks never collect.
+    events = []
+    product = Mat4.__mul__
+
+    def counted(a, b):
+        events.append("mul")
+        return product(a, b)
+
+    monkeypatch.setattr(gc, "collect", lambda *args: events.append("collect") or 0)
+    monkeypatch.setattr(Mat4, "__mul__", counted)
+    table = enumerate_group(w_generators(f8), limit=64)
+    assert table.size == 64
+    assert events[0] == "collect" and events.count("collect") == 1
+    assert events.count("mul") == 64 * len(w_generators(f8))
+    events.clear()
+    chain = StabilizerChain(params8, f8)
+    w = unitriangular(chain)
+    assert verify_partition(chain, w).passed
+    assert normalizer(chain, w).order == params8.q ** 2 * (params8.q - 1)
+    assert centralizer(chain, chain.identity).order == params8.group_order
+    assert "collect" not in events
 
 
 def test_malloc_trim_is_callable_here():
