@@ -20,6 +20,7 @@ square-and-multiply routine over that multiply.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Callable, Iterator
 
 from .orderstats import factorize
@@ -124,8 +125,13 @@ def check_modulus(degree: int, modulus: int) -> None:
         raise ValueError(f"modulus 0x{modulus:x} is reducible over GF(2)")
 
 
+@lru_cache(maxsize=None, typed=True)
 def find_modulus(m: int) -> int:
-    """Smallest irreducible bit-polynomial of degree 2m+1 (bit i = coeff of x^i)."""
+    """Smallest irreducible bit-polynomial of degree 2m+1 (bit i = coeff of x^i).
+
+    A pure function of m, so each m is searched once per process: ``Field(m)``
+    without a modulus asks again for every field it builds.  ``typed``, so
+    that an m of another type (1.0, True) answers as it would uncached."""
     if m < 1:
         raise ValueError("m must be >= 1")
     d = 2 * m + 1

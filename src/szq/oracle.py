@@ -33,7 +33,7 @@ from functools import cache, partial
 from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
-from .field import Field
+from .field import Field, FieldMismatchError, _require_int
 from .group import (
     CertificationError,
     PartitionClassCounts,
@@ -220,19 +220,22 @@ class ElementTable:
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     """The projective point <point * mat> (a row vector times the matrix),
     scaled so that its first nonzero coordinate is 1; a zero image comes back
-    as it is, and names no point.  Products come from the field's table
-    rows: the census limit admits only Sz(8) and Sz(32), whose fields have one."""
-    t, e = field._mul_table, mat.entries
-    r0, r1, r2, r3 = [t[x] for x in point]
-    image = (r0[e[0]] ^ r1[e[4]] ^ r2[e[8]] ^ r3[e[12]],
-             r0[e[1]] ^ r1[e[5]] ^ r2[e[9]] ^ r3[e[13]],
-             r0[e[2]] ^ r1[e[6]] ^ r2[e[10]] ^ r3[e[14]],
-             r0[e[3]] ^ r1[e[7]] ^ r2[e[11]] ^ r3[e[15]])
-    lead = next((c for c in image if c), 1)
-    if lead == 1:
-        return image
-    scale = field._inv(lead)
-    return tuple(field._mul(scale, c) for c in image)
+    as it is, and names no point.  Every product is a lookup in the field's
+    multiplication table ``t``: row t[x] holds x times each element, the
+    lead's inverse is the column where its row holds 1, and the scaled image
+    is read off the inverse's row.  The census limit admits only Sz(8) and
+    Sz(32), whose fields have a table."""
+    t, e = field._mul_table, mat._entries
+    r0, r1, r2, r3 = t[point[0]], t[point[1]], t[point[2]], t[point[3]]
+    x0 = r0[e[0]] ^ r1[e[4]] ^ r2[e[8]] ^ r3[e[12]]
+    x1 = r0[e[1]] ^ r1[e[5]] ^ r2[e[9]] ^ r3[e[13]]
+    x2 = r0[e[2]] ^ r1[e[6]] ^ r2[e[10]] ^ r3[e[14]]
+    x3 = r0[e[3]] ^ r1[e[7]] ^ r2[e[11]] ^ r3[e[15]]
+    lead = x0 or x1 or x2 or x3
+    if lead <= 1:  # already scaled, or the zero vector
+        return x0, x1, x2, x3
+    s = t[t[lead].index(1)]
+    return s[x0], s[x1], s[x2], s[x3]
 
 
 @cache
@@ -387,8 +390,12 @@ class StabilizerChain:
     def rank(self, mat: Mat4) -> int:
         """The rank of a matrix of Sz(q), from the number of the image of
         each point; ValueError for a matrix that does not map the points to
-        themselves or acts as no element of the chain."""
+        themselves or acts as no element of the chain; FieldMismatchError (a
+        ValueError) for a matrix over another field, before any image."""
         f, number = self.field, self._number
+        if mat.field != f:
+            raise FieldMismatchError(f"a matrix over {mat.field!r} is no element of a chain "
+                                     f"over {f!r}")
         try:
             image = [number[_point_image(f, p, mat)] for p in self.points]
         except KeyError:
@@ -411,9 +418,9 @@ class StabilizerChain:
         bool or another subclass) in range(size)."""
         if type(r) is not int or not 0 <= r < self.size:
             raise ValueError(f"{r!r} is no rank of the chain")
-        (_, o1, o2), (t0, t1, t2) = self.orbits, self.transversals
-        a, r12 = divmod(r, len(o1) * len(o2))
-        b, c = divmod(r12, len(o2))
+        t0, t1, t2 = self.transversals
+        ab, c = divmod(r, len(t2))
+        a, b = divmod(ab, len(t1))
         return t0[a], t1[b], t2[c]
 
     def permutation(self, r: int) -> list[int]:
@@ -429,42 +436,83 @@ class StabilizerChain:
 
     def mul(self, r: int, s: int) -> int:
         """The rank of "first the element of rank r, then that of rank s":
-        s's images of r's base images, sifted."""
+        s's images of r's base images, sifted inline as in ``sift``, from
+        the row ``_inverse_at[p0]`` and the ``_offset_at`` and ``_level12``
+        lookups.  The images are points, so no bounds check is needed."""
         u0, u1, u2 = self.element(r)
         v0, v1, v2 = self.element(s)
-        product = self.sift(*(v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base))
+        b0, b1, b2 = self.base
+        p0 = v0[v1[v2[u0[u1[u2[b0]]]]]]
+        inverse = self._inverse_at[p0]
+        product = self._offset_at[p0] + self._level12[
+            inverse[v0[v1[v2[u0[u1[u2[b1]]]]]]] * len(inverse)
+            + inverse[v0[v1[v2[u0[u1[u2[b2]]]]]]]]
         if product < 0:
             raise CertificationError("the chain is not closed under products")
         return product
 
     def cycle(self, r: int) -> list[int]:
         """The ranks of x, x^2, ..., x^(k-1) for the element x of rank r,
-        k = ord(x) (none for x = 1): x's base images stepped by x, each power
-        sifted back to its rank and its byte of ``orders`` set to the
-        ord(x^i) = k / gcd(i, k) the walk proves.  CertificationError past
-        255 powers or for a power that sifts to no element."""
-        n, inverse_at, offset_at, level12, one = (
+        k = ord(x) (none for x = 1), each power's byte of ``orders`` set to
+        the ord(x^i) = k / gcd(i, k) the walk proves: one call of a fresh
+        ``_power_walker``, whose docstring says how a walk runs and why a
+        scan takes one walker for all its walks.  ValueError for an r that
+        is no rank; CertificationError past 255 powers or for a power that
+        sifts to no element."""
+        return self._power_walker()(r)
+
+    def _power_walker(self) -> Callable[[int], list[int]]:
+        """``cycle`` as a closure, for scans that walk many elements: the
+        census (``_fill``) and the partition walk each make one and call it
+        for every hole or new conjugate, with no method call or attribute
+        read per walk.
+
+        A walk decodes r into (a, b, c) with two divmods on the transversal
+        lengths and takes x = U0[a] U1[b] U2[c] from ``transversals``.  It
+        steps x's base images by x and sifts each power back to its rank:
+        ``_inverse_at[p0]`` is the row of U0[a]^-1 for the power's image p0
+        of b0, ``_offset_at[p0]`` its a N1 N2, and ``_level12`` the b N2 + c
+        of the other two images mapped by that row.  It records each power's
+        order in the chain's order bytes.
+
+        The walker reads the tables and the order bytes when it is made, not
+        when the chain is built: a chain whose tables are replaced afterwards
+        (say with ``copy`` and a changed transversal) walks the tables it
+        has now, so a power that its lookups do not know raises
+        CertificationError rather than passing for the old chain's.
+        """
+        n, inverse_at, offset_at, level12, one, size = (
             len(self._inverse_at), self._inverse_at, self._offset_at, self._level12,
-            self.identity)
-        u0, u1, u2 = self.element(r)
-        if r == one:
-            return []
+            self.identity, self.size)
+        t0, t1, t2 = self.transversals
+        n1, n2 = len(t1), len(t2)
         b0, b1, b2 = self.base
-        p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
-        powers = [r]
-        for _ in range(254):
-            p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
-            inverse = inverse_at[p0]
-            r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
+        orders = self._order_bytes()
+
+        def walk(r: int) -> list[int]:
+            if type(r) is not int or not 0 <= r < size:
+                raise ValueError(f"{r!r} is no rank of the chain")
             if r == one:
-                orders = self._order_bytes()
-                for x, o in zip(powers, _power_orders(len(powers) + 1)):
-                    orders[x] = o
-                return powers
-            if r < 0:
-                raise CertificationError("the chain is not closed under products")
-            powers.append(r)
-        raise CertificationError("an element has order above 255, the census's limit")
+                return []
+            ab, c = divmod(r, n2)
+            a, b = divmod(ab, n1)
+            u0, u1, u2 = t0[a], t1[b], t2[c]
+            p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
+            powers = [r]
+            for _ in range(254):
+                p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
+                inverse = inverse_at[p0]
+                r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
+                if r == one:
+                    for x, o in zip(powers, _power_orders(len(powers) + 1)):
+                        orders[x] = o
+                    return powers
+                if r < 0:
+                    raise CertificationError("the chain is not closed under products")
+                powers.append(r)
+            raise CertificationError("an element has order above 255, the census's limit")
+
+        return walk
 
     def _order_bytes(self) -> bytearray:
         """The order census so far: 0 where no power walk has met the rank."""
@@ -484,16 +532,18 @@ class StabilizerChain:
     def _fill(self, k: int = 0) -> int:
         """The power pass of ``orders``, run only as far as it must: it stops
         at the first rank of order k (1 to 255) and returns it, or fills every
-        byte and returns -1 (k = 0, or no element of order k)."""
-        orders, size = self._order_bytes(), self.size
-        found = orders.find(k, 0, self._known)  # every rank before _known is filled
-        while found < 0 and self._known < size:
-            hole = orders.find(0, self._known)
+        byte and returns -1 (k = 0, or no element of order k).  One power
+        walker, made here, walks every hole."""
+        orders, size, walk = self._order_bytes(), self.size, self._power_walker()
+        known = self._known  # every rank before it is filled
+        found = orders.find(k, 0, known)
+        while found < 0 and known < size:
+            hole = orders.find(0, known)
             end = size if hole < 0 else hole
-            found = orders.find(k, self._known, end)
+            found = orders.find(k, known, end)
             if found < 0 and hole >= 0:
-                self.cycle(hole)
-            self._known = end
+                walk(hole)
+            self._known = known = end
         return found
 
     def conjugator(self, s: int) -> Callable[[int], int]:
@@ -599,7 +649,9 @@ def cyclic_subgroup(table: ElementTable | StabilizerChain, generator: Key,
                     order: int) -> SubgroupHandle:
     """The subgroup generated by an element of the given order; ValueError
     for a generator outside the table, or unless generator^order is the
-    identity and no smaller power is."""
+    identity and no smaller power is; TypeError for an order that is no int
+    (or a bool)."""
+    _require_int("order", order)
     table.element(generator)
     members, cur = [table.identity], generator
     while cur != table.identity and len(members) < order:
@@ -621,7 +673,9 @@ def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
 def find_cyclic_subgroup(table: ElementTable | StabilizerChain, k: int) -> SubgroupHandle:
     """Cyclic subgroup generated by the first element of order k in
     sorted-key order, for determinism; on a chain the census runs only until
-    it meets that element, and not at all for k outside 1 to 255."""
+    it meets that element, and not at all for k outside 1 to 255.  TypeError
+    for a k that is no int (or a bool), before any walk."""
+    _require_int("k", k)
     if isinstance(table, StabilizerChain):
         i = table._fill(k) if 0 < k < 256 else -1
     else:
@@ -831,7 +885,11 @@ def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int],
             for c in moves:
                 x = c(g)
                 if not owner[x]:
-                    add(cycle(x), 1)
+                    k_members = cycle(x)
+                    for i in k_members:  # not ``add``: its call costs as much as 4 to 12 bumps
+                        hits[i] = _BUMP[hits[i]]
+                        owner[i] = 1
+                    slots += len(k_members)
                     known.append(x)
         return len(known), slots
     owner = array("H", bytes(2 * len(hits)))
@@ -869,13 +927,14 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     by ``unitriangular`` when not given) and cyclic subgroups of orders
     q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
     ``conjugator`` per generator of the chain, skipping a generator in the
-    cyclic group of one kept before (w(0, 1) = w(1, 0)^2); the cyclic
-    conjugates' ``cycle`` fills their members' order bytes.  Nothing of size
-    |G| is allocated but the orders, the byte ``hits`` and, one class at a
-    time, its ``owner`` array (a byte mark, or 16-bit conjugate numbers for
-    W), so this runs on Sz(32) too.  Hit counts stop at 255, which keeps
-    ``missing`` and ``multiply_covered`` exact; ``coverage`` is counted as
-    the slots are filled.
+    cyclic group of one kept before (w(0, 1) = w(1, 0)^2); one power walker
+    (``StabilizerChain._power_walker``) steps every cyclic conjugate and
+    fills its members' order bytes.  Nothing of size |G| is allocated but
+    the orders, the byte ``hits`` and, one class at a time, its ``owner``
+    array (a byte mark, or 16-bit conjugate numbers for W), so this runs on
+    Sz(32) too.  Hit counts stop at 255, which keeps ``missing`` and
+    ``multiply_covered`` exact; ``coverage`` is counted as the slots are
+    filled.
     """
     one, params = chain.identity, chain.params
     if w is None:
@@ -884,16 +943,16 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     for name in ("u1", "u2", "v"):
         h = find_cyclic_subgroup(chain, getattr(params, name))
         reps[name] = ([h.cyclic_generator], h.members)
-    moves, powers = [], set()
+    moves, powers, walk = [], set(), chain._power_walker()
     for s in map(chain.rank, chain.generators):
         if s not in powers:
             moves.append(chain.conjugator(s))
-            powers.update(chain.cycle(s))
+            powers.update(walk(s))
     hits = bytearray(chain.size)
     counts, coverage = {}, 0
     for name, (gens, members) in reps.items():
         counts[name], slots = _conjugates(gens, [i for i in members if i != one],
-                                          moves, hits, chain.cycle)
+                                          moves, hits, walk)
         coverage += slots
     missing = hits.count(0) - 1  # the identity is in no count
     multiply = len(hits) - hits.count(1) - missing - 1

@@ -227,6 +227,20 @@ def test_find_modulus_known_polynomials():
     assert find_modulus(3) == 0b10000011   # x^7 + x + 1
 
 
+def test_find_modulus_searches_each_m_once(monkeypatch):
+    # A field built without a modulus asks for it again; the search, with
+    # its irreducibility tests, runs once per m.  An m of another type is
+    # not answered from an int's entry: 2.0 fails as it would uncached.
+    import szq.field
+
+    assert find_modulus(2) == 0b100101
+    monkeypatch.setattr(szq.field, "is_irreducible",
+                        lambda poly: pytest.fail("a modulus search ran again"))
+    assert Field(2).modulus == find_modulus(2) == 0b100101
+    with pytest.raises(TypeError):
+        find_modulus(2.0)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_find_modulus_is_smallest_irreducible(m):
     mod = find_modulus(m)

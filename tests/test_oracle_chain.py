@@ -12,7 +12,9 @@ q = 32 through the base images alone.  The partition's generator walk must
 give the frozenset walk's report also on inputs that break the partition,
 and the rank operations it runs on (each move's on-demand conjugates, the
 stepped powers of a conjugate, rank products and the ranks of matrices)
-must agree with the byte keys.  The order census is the reference power
+must agree with the byte keys.  Point images by table lookups must equal
+those by field arithmetic, rank products the composed permutations, and a
+power walker's walk the cyclic subgroup.  The order census is the reference power
 pass whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
 before it and filled part of it, also after a partition walk that fails, and
 ``find_cyclic_subgroup`` runs the census only as far as it must.  At q = 32
@@ -270,6 +272,68 @@ def test_rank_products_agree_with_byte_key_products(pair_0xb, pair_0xd, r, s):
     for pair in (pair_0xb, pair_0xd):
         keys = pair.keys
         assert keys[pair.table.mul(r, s)] == pair.reference.mul(keys[r], keys[s])
+
+
+def _reference_point_image(field, point, mat):
+    """``_point_image`` as it was before its lookups: the lead's inverse by
+    square-and-multiply (``field._inv``) and the scaling by ``field._mul``."""
+    t, e = field._mul_table, mat.entries
+    r0, r1, r2, r3 = [t[x] for x in point]
+    image = (r0[e[0]] ^ r1[e[4]] ^ r2[e[8]] ^ r3[e[12]],
+             r0[e[1]] ^ r1[e[5]] ^ r2[e[9]] ^ r3[e[13]],
+             r0[e[2]] ^ r1[e[6]] ^ r2[e[10]] ^ r3[e[14]],
+             r0[e[3]] ^ r1[e[7]] ^ r2[e[11]] ^ r3[e[15]])
+    lead = next((c for c in image if c), 1)
+    if lead == 1:
+        return image
+    scale = field._inv(lead)
+    return tuple(field._mul(scale, c) for c in image)
+
+
+@pytest.mark.parametrize("q", ["8-0xb", "8-0xd", "32"])
+def test_point_images_agree_with_field_arithmetic(pair_0xb, pair_0xd, sz32, q):
+    # Every ovoid point and the zero vector under each candidate generator;
+    # at q = 8 also every other vector, whose images need scaling by any lead.
+    chain = {"8-0xb": pair_0xb.table, "8-0xd": pair_0xd.table, "32": sz32}[q]
+    f = chain.field
+    points = list(chain.points) + [(0, 0, 0, 0)]
+    if f.q == 8:
+        points = [(a, b, c, d) for a in range(8) for b in range(8)
+                  for c in range(8) for d in range(8)]
+    for g in chain.generators:
+        for p in points:
+            assert _point_image(f, p, g) == _reference_point_image(f, p, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(0, 29119), s=st.integers(0, 29119))
+def test_rank_products_agree_with_composed_permutations(pair_0xb, pair_0xd, r, s):
+    # "First r, then s" maps point p to s(r(p)); the chain confirms that
+    # permutation on every point.
+    for chain in (pair_0xb.table, pair_0xd.table):
+        u, v = chain.permutation(r), chain.permutation(s)
+        assert chain.mul(r, s) == chain._rank_of_images([v[p] for p in u])
+
+
+@settings(max_examples=100, deadline=None)
+@given(r=st.integers(0, 29119))
+def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
+    # The walk lists x, x^2, ... in order, the members of <x> but the
+    # identity (none for the identity), and records each power's order as
+    # the reference census has it.  (A non-rank is refused with the other
+    # rank takers, in ``test_a_non_rank_is_refused_not_wrapped``.)
+    for pair in (pair_0xb, pair_0xd):
+        chain = StabilizerChain(pair.params, pair.table.field)
+        walk = chain._power_walker()
+        assert walk(chain.identity) == []
+        powers = walk(r)
+        k = len(powers) + 1
+        members = cyclic_subgroup(chain, r, k).members
+        assert set(powers) == members - {chain.identity}
+        assert len(powers) == len(set(powers))
+        assert powers[1:] == [chain.mul(x, r) for x in powers[:-1]]
+        assert all(chain._orders[x] == pair.census[x] for x in powers)
+        assert chain.cycle(r) == powers
 
 
 def test_matrix_ranks_agree_with_their_byte_keys(pair_0xb, sz8_matrices):

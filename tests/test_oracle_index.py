@@ -10,7 +10,8 @@ closes and counts, nothing more.  A chain takes no orbits or transversals
 from outside, and a copy whose transversal is broken, so that it is not
 closed under its products, raises in its census and partition walk, never
 yielding a wrong count.  Anything that is not a rank is refused, never
-wrapped.
+wrapped, and so are a matrix over another field and a subgroup order that
+is no int.
 """
 
 from copy import copy
@@ -20,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 import szq.oracle
-from szq.field import Field
+from szq.field import Field, FieldMismatchError
 from szq.group import (
     CertificationError,
     candidate_generators,
@@ -270,11 +271,40 @@ def test_scans_refuse_elements_outside_the_table(sz8):
         sz8.table.rank(off_ovoid)
 
 
+def test_rank_refuses_a_matrix_over_another_field(sz8):
+    # The default chain is over GF(8) mod 0xb.  Before the field check the
+    # GF(32) identity ranked 0, a GF(32) generator raised a bare IndexError,
+    # and the 0xd generators got the ranks (7, 14, 448) of other elements.
+    chain = sz8.table
+    other = [Mat4.identity(Field(2)), candidate_generators(make_params(2), Field(2))[0],
+             *candidate_generators(make_params(1), Field(1, modulus=0xd))]
+    for mat in other:
+        with pytest.raises(FieldMismatchError):
+            chain.rank(mat)
+    assert [chain.rank(g) for g in candidate_generators(make_params(1), Field(1))] == \
+        [chain.rank(g) for g in chain.generators]
+
+
+@pytest.mark.parametrize("order", [True, 13.0, "13"], ids=["bool", "float", "str"])
+def test_a_subgroup_order_that_is_no_int_is_refused(sz8, order):
+    # True found the identity's subgroup, 13.0 failed inside bytearray.find,
+    # and cyclic_subgroup took 13.0 as 13.  The refusal names the argument
+    # and comes before any walk: a fresh chain has no order bytes yet.
+    chain = StabilizerChain(sz8.params, sz8.field)
+    with pytest.raises(TypeError, match="k must be an int"):
+        find_cyclic_subgroup(chain, order)
+    assert chain._orders is None
+    r = find_cyclic_subgroup(chain, 13).cyclic_generator
+    with pytest.raises(TypeError, match="order must be an int"):
+        cyclic_subgroup(chain, r, order)
+
+
 _RANK_TAKERS = {
     "element": lambda chain, r: chain.element(r),
     "permutation": lambda chain, r: chain.permutation(r),
     "mul": lambda chain, r: chain.mul(chain.identity, r),
     "cycle": lambda chain, r: chain.cycle(r),
+    "power walker": lambda chain, r: chain._power_walker()(r),
     "conjugator": lambda chain, r: chain.conjugator(r),
     "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
     "subgroup": lambda chain, r: subgroup(chain, [r], 100),
@@ -288,7 +318,8 @@ _RANK_TAKERS = {
 @pytest.mark.parametrize("non_rank", ["-1", "size", "True", "2.0"])
 def test_a_non_rank_is_refused_not_wrapped(sz8, take, non_rank):
     # A negative index would wrap onto the last elements, and True would be
-    # taken as rank 1; every rank reaches ``element``, which refuses them.
+    # taken as rank 1; every rank reaches ``element`` or the power walker's
+    # own check, which refuse them.
     chain = sz8.table
     r = {"-1": -1, "size": chain.size, "True": True, "2.0": 2.0}[non_rank]
     with pytest.raises(ValueError, match="no rank of the chain"):
