@@ -305,7 +305,8 @@ def load_profile(path: str) -> CandidateProfile:
             data = json.load(fh, object_pairs_hook=partial(_distinct, what="profile key"))
     except ProfileError:  # a repeated key, and no digit-limit ValueError
         raise
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as e:
+    # RecursionError: arrays or objects nested deeper than the decoder recurses.
+    except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:
         raise ProfileError(f"cannot read profile {path!r}: {e}") from e
     except ValueError as e:  # a JSON integer literal beyond the digit limit
         raise ProfileError(f"profile {path!r} holds an integer with {_TOO_MANY_DIGITS}") from e

@@ -15,9 +15,11 @@ element, so a product, a power walk or a conjugate steps three base images
 and sifts them back to a rank: the census, ``subgroup``, the partition walk
 and the normalizer and centralizer scans (one search, ``_conjugators``) all
 take the chain and ranks, and all run on Sz(32).  Every power walk
-records the orders it proves in the chain's order bytes, so after the
-partition walk the census walks only W's conjugates.  Matrices stay at the
-boundary (``StabilizerChain.rank``, ``ElementTable.element``).
+records the orders it proves in the chain's order bytes, and the partition
+walk gives each member of a conjugate of W the byte of the member of W it
+maps, as a conjugation preserves orders; so after a passing partition walk
+the census has no byte left to walk.  Matrices stay at the boundary
+(``StabilizerChain.rank``, ``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -334,7 +336,13 @@ class StabilizerChain:
         check_census_scale(params)
         n = params.q * params.q + 1
         gens = candidate_generators(params, field)
-        orbit = _walk([(1, 0, 0, 0)], gens, lambda p, g: _point_image(field, p, g))
+        images: list[dict[Point, Point]] = [{} for _ in gens]  # [i][p]: p times gens[i]
+
+        def image(p: Point, i: int) -> Point:
+            images[i][p] = x = _point_image(field, p, gens[i])
+            return x
+
+        orbit = _walk([(1, 0, 0, 0)], range(len(gens)), image)
         if len(orbit) != n:
             raise CertificationError(
                 f"the orbit of <e1> has N0 = {len(orbit)} points, expected q^2 + 1 = {n}")
@@ -342,7 +350,7 @@ class StabilizerChain:
         number = {p: k for k, p in enumerate(points)}
         if (0, 0, 0, 1) not in number:
             raise CertificationError("<e4> is not a point of the ovoid")
-        perms = [[number[_point_image(field, p, g)] for p in points] for g in gens]
+        perms = [[number[image_of[p]] for p in points] for image_of in images]
         b0, b1 = number[(1, 0, 0, 0)], number[(0, 0, 0, 1)]
         base = (b0, b1, next(k for k in range(n) if k not in (b0, b1)))
         # H1 drops tau, H2 is <d(lam)>.
@@ -464,8 +472,8 @@ class StabilizerChain:
     def _power_walker(self) -> Callable[[int], list[int]]:
         """``cycle`` as a closure, for scans that walk many elements: the
         census (``_fill``) and the partition walk each make one and call it
-        for every hole or new conjugate, with no method call or attribute
-        read per walk.
+        for every hole, new cyclic conjugate or unwalked member of W, with no
+        method call or attribute read per walk.
 
         A walk decodes r into (a, b, c) with two divmods on the transversal
         lengths and takes x = U0[a] U1[b] U2[c] from ``transversals``.  It
@@ -523,9 +531,13 @@ class StabilizerChain:
 
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, one byte each.
-        Every ``cycle`` fills its powers' bytes; the power pass ``cycle``s
-        from each rank, in rank order, whose byte no walk has filled yet, so
-        each order comes from a power walk of its own element."""
+        Every ``cycle`` fills its powers' bytes, and ``verify_partition``
+        those of W's conjugates from W's own; the power pass ``cycle``s from
+        each rank, in rank order, whose byte is still 0.  So each order comes
+        from a power walk through its element or through one it is conjugate
+        to, never from the closed forms; on a fresh chain every order comes
+        from the power pass, and after a passing partition walk it walks
+        nothing."""
         self._fill()
         return self._orders
 
@@ -536,11 +548,12 @@ class StabilizerChain:
         walker, made here, walks every hole."""
         orders, size, walk = self._order_bytes(), self.size, self._power_walker()
         known = self._known  # every rank before it is filled
-        found = orders.find(k, 0, known)
+        found = orders.find(k, 0, known) if k else -1
         while found < 0 and known < size:
             hole = orders.find(0, known)
             end = size if hole < 0 else hole
-            found = orders.find(k, known, end)
+            if k:  # no 0 lies before ``end``, the first at or after ``known``
+                found = orders.find(k, known, end)
             if found < 0 and hole >= 0:
                 walk(hole)
             self._known = known = end
@@ -850,10 +863,12 @@ _MAX_OWNERS = 0xFFFF
 
 
 def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int], int]],
-                hits: bytearray, cycle: Callable[[int], list[int]]) -> tuple[int, int]:
+                hits: bytearray, cycle: Callable[[int], list[int]],
+                orders: bytearray) -> tuple[int, int]:
     """The number of conjugates of the subgroup H with these generators and
     nontrivial members (ranks), and the membership slots they fill: each
-    conjugate's nontrivial members get one more ``hits``.
+    conjugate's nontrivial members get one more ``hits`` and their order
+    bytes in ``orders``.
 
     ``moves`` map a rank to its conjugate by one generator of the group, so
     they reach every conjugate.  ``owner[i]`` is nonzero once rank i lies in
@@ -861,40 +876,42 @@ def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int],
     is the subgroup their images generate, with |H| elements, so when they
     all lie in one known conjugate, c(K) is that one.  For a cyclic H, an
     image x with no owner gives the new conjugate <x>, whose members
-    ``cycle(x)`` steps, so only generators are kept and ``owner`` is a byte
-    mark.  Any other H, whose conjugates may share more than the identity,
-    numbers its conjugates in ``owner`` (an OverflowError past
-    ``_MAX_OWNERS`` of them), keeps the members of each, maps them when the
-    generators leave the known ones, and adds c(K) unless its member set was
-    met before.
+    ``cycle(x)`` steps and records the orders of, so only generators are
+    kept and ``owner`` is a byte mark.  Any other H, whose conjugates may
+    share more than the identity, numbers its conjugates in ``owner`` (an
+    OverflowError past ``_MAX_OWNERS`` of them), keeps the members of each,
+    maps them when the generators leave the known ones, and adds c(K) unless
+    its member set was met before.  Its members' orders come from ``cycle``
+    walks of H's own members; a conjugation preserves orders, so each mapped
+    member c(x) takes x's byte, and a byte that a walk set before and that
+    disagrees raises CertificationError.
     """
-    slots = 0
-
-    def add(k_members: Sequence[int], k: int) -> None:
-        nonlocal slots
-        for i in k_members:
-            hits[i] = _BUMP[hits[i]]
-            owner[i] = k
-        slots += len(k_members)
-
-    if len(gens) == 1:
-        owner = bytearray(len(hits))
+    cyclic = len(gens) == 1
+    owner = bytearray(len(hits)) if cyclic else array("H", bytes(2 * len(hits)))
+    for i in members:
+        hits[i] = _BUMP[hits[i]]
+        owner[i] = 1
+    slots = len(members)
+    if cyclic:
         known = [gens[0]]
-        add(members, 1)
         for g in known:  # grows while it is read
             for c in moves:
                 x = c(g)
                 if not owner[x]:
                     k_members = cycle(x)
-                    for i in k_members:  # not ``add``: its call costs as much as 4 to 12 bumps
+                    for i in k_members:
                         hits[i] = _BUMP[hits[i]]
                         owner[i] = 1
                     slots += len(k_members)
                     known.append(x)
         return len(known), slots
-    owner = array("H", bytes(2 * len(hits)))
+    for x in members:
+        if not orders[x]:
+            cycle(x)
+    # Every conjugate's members are H's, mapped in their order, so member i
+    # of each has the order pattern[i].
+    pattern = bytes(map(orders.__getitem__, members))
     known = [(gens, array("i", members))]
-    add(members, 1)
     seen = {array("i", sorted(members)).tobytes()}
     for k_gens, k_members in known:
         for c in moves:
@@ -910,7 +927,17 @@ def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int],
                                         f"non-cyclic subgroup")
                 seen.add(member_set)
                 known.append((images, image))
-                add(image, len(known))
+                k = len(known)
+                for i, o in zip(image, pattern):
+                    hits[i] = _BUMP[hits[i]]
+                    owner[i] = k
+                    if orders[i] != o:
+                        if orders[i]:
+                            raise CertificationError(
+                                f"rank {i} has order byte {orders[i]}, but the "
+                                f"conjugation that maps it gives {o}")
+                        orders[i] = o
+                slots += len(image)
     return len(known), slots
 
 
@@ -929,7 +956,9 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     ``conjugator`` per generator of the chain, skipping a generator in the
     cyclic group of one kept before (w(0, 1) = w(1, 0)^2); one power walker
     (``StabilizerChain._power_walker``) steps every cyclic conjugate and
-    fills its members' order bytes.  Nothing of size |G| is allocated but
+    fills its members' order bytes.  W's conjugates take the bytes of the
+    members of W that they map, after W's own are walked, so after a passing
+    walk every byte is filled.  Nothing of size |G| is allocated but
     the orders, the byte ``hits`` and, one class at a time, its ``owner``
     array (a byte mark, or 16-bit conjugate numbers for W), so this runs on
     Sz(32) too.  Hit counts stop at 255, which keeps ``missing`` and
@@ -952,7 +981,7 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     counts, coverage = {}, 0
     for name, (gens, members) in reps.items():
         counts[name], slots = _conjugates(gens, [i for i in members if i != one],
-                                          moves, hits, walk)
+                                          moves, hits, walk, chain._order_bytes())
         coverage += slots
     missing = hits.count(0) - 1  # the identity is in no count
     multiply = len(hits) - hits.count(1) - missing - 1

@@ -522,6 +522,21 @@ def test_gate_numbers_beyond_the_digit_limit_are_profile_errors(tmp_path, capsys
     assert sys.get_int_max_str_digits() == limit
 
 
+@pytest.mark.parametrize("text", ["[" * 100_000, '{"order": ' + "[" * 100_000 + "}"],
+                         ids=["whole-file", "order-value"])
+def test_gate_a_profile_nested_too_deeply_is_a_profile_error(tmp_path, capsys, text):
+    # The decoder gives up on nesting this deep with a RecursionError, which
+    # is malformed input like any other: exit 2 and one line on stderr.
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    with pytest.raises(ProfileError, match="recursion"):
+        load_profile(str(path))
+    rc, out, err = run_cli(capsys, "gate", str(path))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # Profile numbers near the real ones (orders and counts of Sz(8) and of its W,
 # the order of Sz(32)), so fuzzed profiles also get past validation into the
 # certificates.

@@ -17,7 +17,10 @@ those by field arithmetic, rank products the composed permutations, and a
 power walker's walk the cyclic subgroup.  The order census is the reference power
 pass whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
 before it and filled part of it, also after a partition walk that fails, and
-``find_cyclic_subgroup`` runs the census only as far as it must.  At q = 32
+``find_cyclic_subgroup`` runs the census only as far as it must.  A passing
+partition walk fills every order byte, so the census after it walks
+nothing, and a byte that a conjugation of W contradicts raises; a full
+census searches its order bytes once per hole.  At q = 32
 the torus T = <d(lam)> is its own centralizer and has a normalizer of order
 2 |T|.
 """
@@ -39,7 +42,7 @@ from ovoid_reference import (
     reference_ovoid_table,
 )
 from szq.field import Field
-from szq.group import make_params, make_w
+from szq.group import CertificationError, make_params, make_w
 from szq.mat4 import Mat4
 from szq.orderstats import nse_closed_form, spectrum_closed_form
 from szq.oracle import (
@@ -221,6 +224,63 @@ def test_the_census_does_not_depend_on_the_partition(pair, change, monkeypatch):
     assert 0 not in chain.orders()
     assert stats.counts == nse_closed_form(params).counts
     assert chain.orders() == pair.census
+
+
+def _count_walks(monkeypatch):
+    """The ranks that every power walker made from now on walks."""
+    walks, power_walker = [], StabilizerChain._power_walker
+
+    def counted(chain):
+        walk = power_walker(chain)
+        return lambda r: walks.append(r) or walk(r)
+
+    monkeypatch.setattr(StabilizerChain, "_power_walker", counted)
+    return walks
+
+
+def test_the_partition_fills_the_whole_census(pair, monkeypatch):
+    # The cyclic conjugates' walks and W's mapped conjugates leave no byte
+    # at 0, each the reference power pass's, so the census walks nothing.
+    chain = StabilizerChain(pair.params, pair.table.field)
+    assert verify_partition(chain).passed
+    assert 0 not in chain._orders
+    assert chain._orders == pair.census
+    walks = _count_walks(monkeypatch)
+    assert chain.orders() == pair.census
+    assert walks == []
+
+
+def test_a_byte_the_conjugation_contradicts_raises(sz8):
+    # A wrong order planted on a member of a later conjugate of W (by tau)
+    # disagrees with the byte the conjugation maps onto it.
+    chain = StabilizerChain(sz8.params, sz8.field)
+    w, tau = unitriangular(chain), chain.rank(chain.generators[3])
+    move = chain.conjugator(tau)
+    planted = max(move(r) for r in w.members)
+    assert planted not in w.members
+    orders = chain._order_bytes()
+    orders[planted] = 13
+    with pytest.raises(CertificationError, match="conjugation"):
+        verify_partition(chain, w)
+
+
+def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
+    # The search for the next hole is the only one: with k = 0 no 0 lies
+    # between the known prefix and that hole.
+    class CountingBytes(bytearray):
+        finds = 0
+
+        def find(self, *args):
+            CountingBytes.finds += 1
+            return super().find(*args)
+
+    chain = StabilizerChain(pair.params, pair.table.field)
+    chain._orders = CountingBytes(chain.size)
+    chain._orders[chain.identity] = 1
+    walks = _count_walks(monkeypatch)
+    assert chain.orders() == pair.census
+    assert walks
+    assert CountingBytes.finds <= len(walks) + 1
 
 
 def test_find_cyclic_subgroup_runs_the_census_only_as_far_as_it_must(sz8, monkeypatch):

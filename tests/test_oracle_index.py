@@ -9,7 +9,7 @@ the same census and orbit sizes.  Only the chain conjugates: a matrix table
 closes and counts, nothing more.  A chain takes no orbits or transversals
 from outside, and a copy whose transversal is broken, so that it is not
 closed under its products, raises in its census and partition walk, never
-yielding a wrong count.  Anything that is not a rank is refused, never
+yielding a wrong count.  The chain maps each point by each generator once.  Anything that is not a rank is refused, never
 wrapped, and so are a matrix over another field and a subgroup order that
 is no int.
 """
@@ -184,7 +184,7 @@ def test_hit_counts_stop_at_255_and_the_slots_stay_exact(sz8):
     hits = bytearray(b"\xfe") * chain.size
     for _ in range(2):
         assert _conjugates([v.cyclic_generator], members, moves, hits,
-                           chain.cycle) == (2080, 2080 * 6)
+                           chain.cycle, chain._order_bytes()) == (2080, 2080 * 6)
     assert hits.count(255) == 2080 * 6
     assert hits.count(254) == chain.size - 2080 * 6
 
@@ -223,6 +223,16 @@ def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
     x = table.rank(make_w(table.field.one, table.field.zero))  # of order 4
     with pytest.raises(ValueError, match="subgroup"):
         normalizer(table, SubgroupHandle(frozenset([table.identity, x])))
+
+
+def test_the_chain_takes_each_generator_s_point_images_once(params8, field8, monkeypatch):
+    # The orbit walk maps each of the 65 points by each of the 4 generators,
+    # and the generators' permutations are read off those images.
+    calls, point_image = [], szq.oracle._point_image
+    monkeypatch.setattr(szq.oracle, "_point_image",
+                        lambda f, p, g: calls.append(p) or point_image(f, p, g))
+    StabilizerChain(params8, field8)
+    assert len(calls) == 4 * 65
 
 
 # -- tables that are not the group --------------------------------------------------
