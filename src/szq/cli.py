@@ -35,9 +35,6 @@ from .oracle import (
     centralizer,
     check_census_scale,
     empirical_order_stats,
-    find_cyclic_subgroup,
-    normalizer,
-    unitriangular,
     verify_partition,
 )
 from .orderstats import (
@@ -240,9 +237,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     checks.append(("generator_certification", True,
                    f"closure of 4 candidate generators has {chain.size} elements"))
 
-    # The partition first: its cyclic conjugates' walks fill most of the census.
-    w = unitriangular(chain)  # ranks, shared by the partition and N(W)
-    partition = verify_partition(chain, w)
+    # The certificate digs the four classes and their normalizers; the
+    # normalizer and centralizer checks below read them off the report.
+    partition = verify_partition(chain)
+    classes, normalizers = partition.classes, partition.normalizers
     spectrum = spectrum_closed_form(p)
     stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)
@@ -253,7 +251,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    w_orders = [chain.orders()[r] for r in w.members]
+    w, orders = classes["w"], chain.orders()
+    w_orders = [orders[r] for r in w.members]
     involutions = w_orders.count(2)
     checks.append(("w_subgroup",
                    w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
@@ -265,17 +264,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    f"coverage {partition.coverage}, "
                    f"multiply covered {partition.multiply_covered}"))
 
-    cyclic = {k: find_cyclic_subgroup(chain, k) for k in (p.u1, p.u2, p.v)}
     for name, k, index_over in (("u1", p.u1, 4), ("u2", p.u2, 4), ("v", p.v, 2)):
-        n = normalizer(chain, cyclic[k])
+        n = normalizers[name]
         checks.append((f"normalizer_{name}", n.order == index_over * k,
                        f"|N| = {n.order} = {index_over} * {k}"))
-    nw = normalizer(chain, w)
+    nw = normalizers["w"]
     checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == chain.size,
                    f"|N(W)| = {nw.order}, index {chain.size // nw.order}"))
 
     for name, k in (("u1", p.u1), ("u2", p.u2)):
-        c = centralizer(chain, cyclic[k].cyclic_generator)
+        c = centralizer(chain, classes[name].cyclic_generator)
         checks.append((f"centralizer_{name}", c.order == k,
                        f"|C| = {c.order} for an element of order {k}"))
 

@@ -2,8 +2,8 @@
 
 Enumerates a group from generators, takes empirical order censuses from one
 pass over the cyclic subgroups, digs out cyclic subgroups, normalizers and
-centralizers, and verifies that the conjugates of the four reference
-subgroups cover every nontrivial element exactly once.
+centralizers, and proves by counting that the conjugates of the four
+reference subgroups cover every nontrivial element exactly once.
 
 ``enumerate_group`` closes any set of matrices into an ``ElementTable`` keyed
 by entry tuples, which closes and counts.  Sz(q) itself has one carrier:
@@ -11,15 +11,14 @@ by entry tuples, which closes and counts.  Sz(q) itself has one carrier:
 ovoid, derives its stabilizer chain and certifies it by the group order,
 so each element is "U2[c], then U1[b], then U0[a]" in exactly one way and
 is addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
-element, so a product, a power walk or a conjugate steps three base images
-and sifts them back to a rank: the census, ``subgroup``, the partition walk
-and the normalizer and centralizer scans (one search, ``_conjugators``) all
-take the chain and ranks, and all run on Sz(32).  Every power walk
-records the orders it proves in the chain's order bytes, and the partition
-walk gives each member of a conjugate of W the byte of the member of W it
-maps, as a conjugation preserves orders; so after a passing partition walk
-the census has no byte left to walk.  Matrices stay at the boundary
-(``StabilizerChain.rank``, ``ElementTable.element``).
+element, so a product or a power walk steps three base images and sifts
+them back to a rank: the census, ``subgroup`` and the normalizer and
+centralizer scans (one search, ``_conjugators``) all take the chain and
+ranks, and all run on Sz(32).  Every power walk records the orders it
+proves in the chain's order bytes, and the census walks every rank whose
+byte is still 0.  The partition certificate (``verify_partition``) counts
+conjugates by normalizer indices and walks no conjugate.  Matrices stay at
+the boundary (``StabilizerChain.rank``, ``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -32,6 +31,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from functools import cache, partial
+from itertools import combinations
 from operator import attrgetter, mul
 from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
@@ -45,7 +45,7 @@ from .group import (
     w_generators,
 )
 from .mat4 import Mat4, OrderNotFoundError
-from .orderstats import OrderStats, ScaleRefusal, Spectrum
+from .orderstats import OrderStats, ScaleRefusal, Spectrum, factorize
 
 Key = Hashable  # an entry tuple in an ElementTable, a rank on a StabilizerChain
 Point = tuple[int, int, int, int]
@@ -470,10 +470,9 @@ class StabilizerChain:
         return self._power_walker()(r)
 
     def _power_walker(self) -> Callable[[int], list[int]]:
-        """``cycle`` as a closure, for scans that walk many elements: the
-        census (``_fill``) and the partition walk each make one and call it
-        for every hole, new cyclic conjugate or unwalked member of W, with no
-        method call or attribute read per walk.
+        """``cycle`` as a closure, for the census (``_fill``), which makes
+        one and calls it for every hole, with no method call or attribute
+        read per walk.
 
         A walk decodes r into (a, b, c) with two divmods on the transversal
         lengths and takes x = U0[a] U1[b] U2[c] from ``transversals``.  It
@@ -531,13 +530,10 @@ class StabilizerChain:
 
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, one byte each.
-        Every ``cycle`` fills its powers' bytes, and ``verify_partition``
-        those of W's conjugates from W's own; the power pass ``cycle``s from
-        each rank, in rank order, whose byte is still 0.  So each order comes
-        from a power walk through its element or through one it is conjugate
-        to, never from the closed forms; on a fresh chain every order comes
-        from the power pass, and after a passing partition walk it walks
-        nothing."""
+        Every ``cycle`` fills its powers' bytes, and the power pass
+        ``cycle``s from each rank, in rank order, whose byte is still 0.  So
+        each order comes from a power walk through its element, never from
+        the closed forms or from the partition's counts."""
         self._fill()
         return self._orders
 
@@ -558,34 +554,6 @@ class StabilizerChain:
                 walk(hole)
             self._known = known = end
         return found
-
-    def conjugator(self, s: int) -> Callable[[int], int]:
-        """x -> s x s^-1 ("first s, then x, then s^-1") for the element s of
-        rank s, as a map of ranks: the conjugate's base images
-        s^-1(U0[a](U1[b] U2[c](s(b)))) are sifted on each call, from s^-1 and
-        the N1 N2 precomputed triples U1[b] U2[c](s(b)).  CertificationError
-        for a conjugate that sifts to no element."""
-        n, inverse_at, offset_at, level12 = (
-            len(self._inverse_at), self._inverse_at, self._offset_at, self._level12)
-        perm, s_inv = self.permutation(s), [0] * n
-        for p, image in enumerate(perm):
-            s_inv[image] = p
-        c0, c1, c2 = (perm[b] for b in self.base)
-        tails = [(u1[u2[c0]], u1[u2[c1]], u1[u2[c2]])
-                 for u1 in self.transversals[1] for u2 in self.transversals[2]]
-        t0, n12 = self.transversals[0], len(tails)
-
-        def image(r: int) -> int:
-            a, r12 = divmod(r, n12)
-            u, (p0, p1, p2) = t0[a], tails[r12]
-            y0 = s_inv[u[p0]]
-            inverse = inverse_at[y0]
-            r = offset_at[y0] + level12[inverse[s_inv[u[p1]]] * n + inverse[s_inv[u[p2]]]]
-            if r < 0:
-                raise CertificationError("the chain is not closed under products")
-            return r
-
-        return image
 
 
 @dataclass(frozen=True)
@@ -821,14 +789,25 @@ def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
 
 @dataclass
 class PartitionReport:
-    """Outcome of the conjugate-cover check of the four reference classes."""
+    """Outcome of the counting certificate for the partition of the group
+    into the conjugates of the four reference classes (``verify_partition``).
+
+    ``multiply_covered`` and ``missing`` are exact when the certificate
+    holds and None when it does not.  ``classes`` and ``normalizers`` hold
+    the subgroups the certificate dug, by class name ("w", "u1", "u2", "v"),
+    for the caller's own checks; they take no part in ``==``, ``repr`` or
+    the JSON."""
 
     measured: PartitionClassCounts
     expected: PartitionClassCounts
-    coverage: int            # nontrivial membership slots filled
-    expected_coverage: int   # group order - 1
-    multiply_covered: int    # nontrivial elements hit more than once
-    missing: int             # nontrivial elements hit zero times
+    coverage: int                 # sum over the classes of n_i (|H_i| - 1)
+    expected_coverage: int        # group order - 1
+    multiply_covered: int | None  # nontrivial elements in two conjugates or more
+    missing: int | None           # nontrivial elements in no conjugate
+    classes: dict[str, SubgroupHandle] = dc_field(
+        default_factory=dict, repr=False, compare=False)
+    normalizers: dict[str, SubgroupHandle] = dc_field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -855,90 +834,32 @@ class PartitionReport:
         }
 
 
-# A hit count plus one, stopping at 255: the cover check needs only 0, 1 and
-# "more", and the identity, in every conjugate, takes no hits.
-_BUMP = bytes(range(1, 256)) + b"\xff"
-# Conjugates of a non-cyclic class are numbered 1.. in an array('H').
-_MAX_OWNERS = 0xFFFF
+def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool:
+    """Whether two distinct conjugates of H meet only in the identity, given
+    n = N(H); a False is no proof that they meet.
 
-
-def _conjugates(gens: list[int], members: list[int], moves: list[Callable[[int], int]],
-                hits: bytearray, cycle: Callable[[int], list[int]],
-                orders: bytearray) -> tuple[int, int]:
-    """The number of conjugates of the subgroup H with these generators and
-    nontrivial members (ranks), and the membership slots they fill: each
-    conjugate's nontrivial members get one more ``hits`` and their order
-    bytes in ``orders``.
-
-    ``moves`` map a rank to its conjugate by one generator of the group, so
-    they reach every conjugate.  ``owner[i]`` is nonzero once rank i lies in
-    a known conjugate.  A move c maps a conjugate K's generators only: c(K)
-    is the subgroup their images generate, with |H| elements, so when they
-    all lie in one known conjugate, c(K) is that one.  For a cyclic H, an
-    image x with no owner gives the new conjugate <x>, whose members
-    ``cycle(x)`` steps and records the orders of, so only generators are
-    kept and ``owner`` is a byte mark.  Any other H, whose conjugates may
-    share more than the identity, numbers its conjugates in ``owner`` (an
-    OverflowError past ``_MAX_OWNERS`` of them), keeps the members of each,
-    maps them when the generators leave the known ones, and adds c(K) unless
-    its member set was met before.  Its members' orders come from ``cycle``
-    walks of H's own members; a conjugation preserves orders, so each mapped
-    member c(x) takes x's byte, and a byte that a walk set before and that
-    disagrees raises CertificationError.
+    A cyclic H of prime order is TI by Lagrange.  In a cyclic H of order k,
+    a nontrivial H ∩ H^g holds a subgroup of prime order p, the only one of
+    that order in H and in H^g, so g normalizes P, the subgroup of order p
+    of H; if N(P) = N(H) for each prime p < k dividing k, then H^g = H.  P
+    is generated by x^(k/p), read off the powers of H's generator x that
+    ``cycle`` steps.  Any other H must be a
+    2-group with |N(H) : H| odd whose every involution t has
+    H ⊆ C(t) ⊆ N(H): a nontrivial H ∩ H^g holds an involution t of H and
+    of H^g, central in both, so H^g ≤ C(t) ≤ N(H), and H^g = H, the one
+    Sylow 2-subgroup of N(H).
     """
-    cyclic = len(gens) == 1
-    owner = bytearray(len(hits)) if cyclic else array("H", bytes(2 * len(hits)))
-    for i in members:
-        hits[i] = _BUMP[hits[i]]
-        owner[i] = 1
-    slots = len(members)
-    if cyclic:
-        known = [gens[0]]
-        for g in known:  # grows while it is read
-            for c in moves:
-                x = c(g)
-                if not owner[x]:
-                    k_members = cycle(x)
-                    for i in k_members:
-                        hits[i] = _BUMP[hits[i]]
-                        owner[i] = 1
-                    slots += len(k_members)
-                    known.append(x)
-        return len(known), slots
-    for x in members:
-        if not orders[x]:
-            cycle(x)
-    # Every conjugate's members are H's, mapped in their order, so member i
-    # of each has the order pattern[i].
-    pattern = bytes(map(orders.__getitem__, members))
-    known = [(gens, array("i", members))]
-    seen = {array("i", sorted(members)).tobytes()}
-    for k_gens, k_members in known:
-        for c in moves:
-            images = [c(g) for g in k_gens]
-            k = owner[images[0]]
-            if k and all(owner[i] == k for i in images):
-                continue
-            image = array("i", map(c, k_members))
-            member_set = array("i", sorted(image)).tobytes()
-            if member_set not in seen:
-                if len(known) >= _MAX_OWNERS:
-                    raise OverflowError(f"more than {_MAX_OWNERS} conjugates of a "
-                                        f"non-cyclic subgroup")
-                seen.add(member_set)
-                known.append((images, image))
-                k = len(known)
-                for i, o in zip(image, pattern):
-                    hits[i] = _BUMP[hits[i]]
-                    owner[i] = k
-                    if orders[i] != o:
-                        if orders[i]:
-                            raise CertificationError(
-                                f"rank {i} has order byte {orders[i]}, but the "
-                                f"conjugation that maps it gives {o}")
-                        orders[i] = o
-                slots += len(image)
-    return len(known), slots
+    one = chain.identity
+    if h.cyclic_generator is not None:
+        powers = [one, *chain.cycle(h.cyclic_generator)]  # x^i at index i
+        k = len(powers)
+        return all(normalizer(chain, cyclic_subgroup(chain, powers[k // p], p)).members
+                   == n.members for p in factorize(k) if p < k)
+    index, rest = divmod(n.order, h.order)
+    if h.order & (h.order - 1) or rest or index % 2 == 0 or not h.members <= n.members:
+        return False
+    return all(h.members <= centralizer(chain, t).members <= n.members
+               for t in h.members if t != one and chain.mul(t, t) == one)
 
 
 def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
@@ -948,49 +869,43 @@ def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
 
 
 def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) -> PartitionReport:
-    """Conjugate one representative of each class and check the cover.
+    """Prove by counting that the conjugates of four classes H_i cover each
+    nontrivial element of the chain's group G exactly once (Suzuki, Ann. of
+    Math. 75, 1962), and count those conjugates.
 
-    The representatives are ranks on the chain: W = {w(a, b)} (``w``, closed
-    by ``unitriangular`` when not given) and cyclic subgroups of orders
-    q+s+1, q-s+1 and q-1.  ``_conjugates`` walks each class with one
-    ``conjugator`` per generator of the chain, skipping a generator in the
-    cyclic group of one kept before (w(0, 1) = w(1, 0)^2); one power walker
-    (``StabilizerChain._power_walker``) steps every cyclic conjugate and
-    fills its members' order bytes.  W's conjugates take the bytes of the
-    members of W that they map, after W's own are walked, so after a passing
-    walk every byte is filled.  Nothing of size |G| is allocated but
-    the orders, the byte ``hits`` and, one class at a time, its ``owner``
-    array (a byte mark, or 16-bit conjugate numbers for W), so this runs on
-    Sz(32) too.  Hit counts stop at 255, which keeps ``missing`` and
-    ``multiply_covered`` exact; ``coverage`` is counted as the slots are
-    filled.
+    The classes are ranks on the chain: W = {w(a, b)} (``w``, closed by
+    ``unitriangular`` when not given) and the cyclic subgroups of orders
+    q+s+1, q-s+1 and q-1 that ``find_cyclic_subgroup`` digs.  Class i has
+    n_i = |G : N(H_i)| conjugates, from ``normalizer`` and the chain's
+    certified |G|.  The certificate holds when every such index is an
+    integer, the four |H_i| are pairwise coprime (so conjugates of two
+    classes meet trivially) and each class is TI (``_is_ti``: two of its
+    conjugates meet trivially).  Then the conjugates are disjoint outside
+    the identity, ``multiply_covered`` is 0 and ``missing`` is
+    |G| - 1 - coverage, with coverage = sum n_i (|H_i| - 1); otherwise both
+    are None and the report fails.  Nothing is conjugated element by
+    element, and nothing of size |G| is built beyond the order bytes the
+    digging fills, so this runs on Sz(32) in seconds.
     """
-    one, params = chain.identity, chain.params
-    if w is None:
-        w = unitriangular(chain)
-    reps = {"w": (_generating_set(chain, w.members), w.members)}
+    params = chain.params
+    classes = {"w": unitriangular(chain) if w is None else w}
     for name in ("u1", "u2", "v"):
-        h = find_cyclic_subgroup(chain, getattr(params, name))
-        reps[name] = ([h.cyclic_generator], h.members)
-    moves, powers, walk = [], set(), chain._power_walker()
-    for s in map(chain.rank, chain.generators):
-        if s not in powers:
-            moves.append(chain.conjugator(s))
-            powers.update(walk(s))
-    hits = bytearray(chain.size)
-    counts, coverage = {}, 0
-    for name, (gens, members) in reps.items():
-        counts[name], slots = _conjugates(gens, [i for i in members if i != one],
-                                          moves, hits, walk, chain._order_bytes())
-        coverage += slots
-    missing = hits.count(0) - 1  # the identity is in no count
-    multiply = len(hits) - hits.count(1) - missing - 1
+        classes[name] = find_cyclic_subgroup(chain, getattr(params, name))
+    normalizers = {name: normalizer(chain, h) for name, h in classes.items()}
+    counts = {name: chain.size // n.order for name, n in normalizers.items()}
+    coverage = sum(counts[name] * (h.order - 1) for name, h in classes.items())
+    certified = (all(chain.size % n.order == 0 for n in normalizers.values())
+                 and all(gcd(a.order, b.order) == 1
+                         for a, b in combinations(classes.values(), 2))
+                 and all(_is_ti(chain, h, normalizers[name]) for name, h in classes.items()))
     return PartitionReport(
         measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],
                                       n_u2=counts["u2"], n_v=counts["v"]),
         expected=closed_form_subgroup_counts(params),
         coverage=coverage,
         expected_coverage=params.group_order - 1,
-        multiply_covered=multiply,
-        missing=missing,
+        multiply_covered=0 if certified else None,
+        missing=chain.size - 1 - coverage if certified else None,
+        classes=classes,
+        normalizers=normalizers,
     )

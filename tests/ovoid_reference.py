@@ -6,13 +6,14 @@ permutations with ``bytes.translate`` into a set, sorts the keys, and gets
 orders and inverses from the dict-keyed power pass that ``ElementTable``
 still runs for matrix tables.  ``ref_normalizer`` and ``ref_centralizer`` scan
 every element with two ``translate`` calls each, as the oracle did before its
-base-image prefilters.  ``conjugation`` is the full conjugation array per
-move that the partition walk used before it sifted conjugates on demand, and
-``ref_verify_partition`` walks each class's conjugates over those arrays as
-frozensets of positions, every move mapping every member, as the oracle did
-before its generator walk.  ``rank_keys`` lists the ``bytes`` permutation of
-every rank of a chain, in rank order, which maps the chain's ranks into this
-table.  Only the tests import this module.
+base-image prefilters.  ``ref_verify_partition`` walks each class's
+conjugates over the full conjugation array of each move
+(``ReferenceOvoidTable.conjugation``) as frozensets of positions, every
+move mapping every member, and counts the hits on each element: the cover
+that the oracle's partition certificate proves by counting.  ``rank_keys``
+lists the ``bytes`` permutation of every rank of a chain, in rank order,
+which maps the chain's ranks into this table.  Only the tests import this
+module.
 """
 
 from __future__ import annotations
@@ -122,13 +123,6 @@ def _orbit(table, members: frozenset, moves: list[array]):
     return _walk([frozenset(map(table.position, members))], moves, conjugate)
 
 
-def conjugation(table: ReferenceOvoidTable, s: bytes) -> array:
-    """conjugation(table, s)[i] is the position of s x s^-1 for the element x
-    at position i; a table that is not closed raises CertificationError.
-    The partition walk looks this up at call time, so a test can replace it."""
-    return table.conjugation(s)
-
-
 def rank_keys(chain: oracle.StabilizerChain) -> list[bytes]:
     """The ``bytes`` permutation of each rank of the chain, in rank order,
     one ``translate`` each: the key of rank (a N1 + b) N2 + c is the
@@ -145,11 +139,10 @@ def rank_keys(chain: oracle.StabilizerChain) -> list[bytes]:
 
 def ref_verify_partition(table: ReferenceOvoidTable, params: SuzukiParams,
                          w: SubgroupHandle | None = None) -> PartitionReport:
-    """The partition report from frozenset orbits.  The representatives and
-    moves come from ``szq.oracle``'s own functions and this module's
-    ``conjugation``, looked up at call time, so a test that replaces one of
-    them changes both walks alike.  ``w``, when given, is W by the table's
-    keys."""
+    """The partition report from frozenset orbits.  The representatives
+    come from ``szq.oracle``'s own functions, looked up at call time, so a
+    test that replaces one of them changes the oracle's classes alike.
+    ``w``, when given, is W by the table's keys."""
     if w is None:
         w = oracle.subgroup(table, map(table.key, w_generators(table.field)), params.w_order)
     reps = {"w": w.members}
@@ -158,7 +151,7 @@ def ref_verify_partition(table: ReferenceOvoidTable, params: SuzukiParams,
     moves, powers = [], set()
     for s in map(table.key, table.generators):
         if s not in powers:
-            moves.append(conjugation(table, s))
+            moves.append(table.conjugation(s))
             powers |= oracle.cyclic_subgroup(table, s, table.orders()[table.position(s)]).members
     hits = array("i", bytes(4 * table.size))
     sizes = {}

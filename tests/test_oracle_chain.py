@@ -8,31 +8,27 @@ same order and inverse for every key; the rank normalizers and centralizers
 must be the reference full scans, member for member, mapped through the
 reference's positions; and the partition reports must be equal.  The
 chain's sift round-trips every rank, at q = 8 through the byte keys and at
-q = 32 through the base images alone.  The partition's generator walk must
-give the frozenset walk's report also on inputs that break the partition,
-and the rank operations it runs on (each move's on-demand conjugates, the
-stepped powers of a conjugate, rank products and the ranks of matrices)
-must agree with the byte keys.  Point images by table lookups must equal
-those by field arithmetic, rank products the composed permutations, and a
-power walker's walk the cyclic subgroup.  The order census is the reference power
-pass whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
-before it and filled part of it, also after a partition walk that fails, and
-``find_cyclic_subgroup`` runs the census only as far as it must.  A passing
-partition walk fills every order byte, so the census after it walks
-nothing, and a byte that a conjugation of W contradicts raises; a full
-census searches its order bytes once per hole.  At q = 32
-the torus T = <d(lam)> is its own centralizer and has a normalizer of order
-2 |T|.
+q = 32 through the base images alone.  The partition certificate must
+give the frozenset walk's report while the partition holds, and its counts
+and coverage, with no claim on the cover, on classes that break it; a
+normalizer short of a member and a cyclic class that is not TI fail it, and
+at q = 32 it holds under three moduli.  Rank products and the ranks of
+matrices must agree with the byte keys.  Point images by table lookups must
+equal those by field arithmetic, rank products the composed permutations,
+and a power walker's walk the cyclic subgroup.  The order census is the
+reference power pass whatever walks (``cycle``, the partition,
+``find_cyclic_subgroup``) ran before it and filled part of it, and
+``find_cyclic_subgroup`` runs the census only as far as it must; a full
+census searches its order bytes once per hole.  At q = 32 the torus
+T = <d(lam)> is its own centralizer and has a normalizer of order 2 |T|.
 """
 
-from array import array
 from copy import copy
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import ovoid_reference
 import szq.oracle
 from ovoid_reference import (
     rank_keys,
@@ -42,17 +38,16 @@ from ovoid_reference import (
     reference_ovoid_table,
 )
 from szq.field import Field
-from szq.group import CertificationError, make_params, make_w
+from szq.group import make_params, make_w
 from szq.mat4 import Mat4
-from szq.orderstats import nse_closed_form, spectrum_closed_form
 from szq.oracle import (
     StabilizerChain,
     SubgroupHandle,
     SubgroupNotFoundError,
+    _is_ti,
     _point_image,
     centralizer,
     cyclic_subgroup,
-    empirical_order_stats,
     find_cyclic_subgroup,
     normalizer,
     unitriangular,
@@ -151,37 +146,78 @@ def test_the_partition_reports_agree(pair):
     assert verify_partition(pair.table) == ref_verify_partition(pair.reference, pair.params)
 
 
-@pytest.mark.parametrize("change", ["none", "identity-move", "dropped-move",
-                                    "v-of-order-4", "w-as-a-four-group"])
+@pytest.mark.parametrize("change", ["none", "dropped-move", "v-of-order-4",
+                                    "w-as-a-four-group"])
 def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch):
+    # The certificate against the reference walk of frozenset orbits: the
+    # same report while the partition holds, and the same counts and
+    # coverage, with no claim on the cover, for classes that break it.
     table, ref, params = pair.table, copy(pair.reference), pair.params
     w10, w01, torus, weyl = table.generators
     f, w, ref_w = table.field, None, None
-    if change == "identity-move":  # the torus's move conjugates by the identity
-        conjugator, conjugation = StabilizerChain.conjugator, ovoid_reference.conjugation
-        d, key_d = table.rank(torus), ref.key(torus)
-        monkeypatch.setattr(StabilizerChain, "conjugator", lambda chain, s: (
-            lambda r: r) if s == d else conjugator(chain, s))
-        monkeypatch.setattr(ovoid_reference, "conjugation", lambda t, s: array(
-            "i", range(t.size)) if s == key_d else conjugation(t, s))
-    elif change == "dropped-move":  # the moves generate the Borel subgroup only
+    if change == "dropped-move":  # generators that span the Borel subgroup only
         table = copy(table)
         table.generators = [w10, w01, torus]
-        ref.generators = [w10, w01, torus]
     elif change == "v-of-order-4":  # cyclic conjugates that share their squares
         find = szq.oracle.find_cyclic_subgroup
         monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
                             lambda t, k: find(t, 4 if k == params.v else k))
     elif change == "w-as-a-four-group":
-        # Four-groups in the centre of W meet in involutions, so a move's two
-        # generator images can lie in two different known conjugates.
+        # Four-groups in the centre of W meet in involutions.
         z1, z2 = (make_w(f.zero, f.element(b)) for b in (1, 2))
         r1, r2, k1, k2 = table.rank(z1), table.rank(z2), ref.key(z1), ref.key(z2)
         w = SubgroupHandle(frozenset([table.identity, r1, r2, table.mul(r1, r2)]))
         ref_w = SubgroupHandle(frozenset([ref.identity, k1, k2, ref.mul(k1, k2)]))
-    report = verify_partition(table, w)
-    assert report == ref_verify_partition(ref, params, ref_w)
-    assert report.passed == (change == "none")
+    report, walked = verify_partition(table, w), ref_verify_partition(ref, params, ref_w)
+    if change == "dropped-move":
+        # The certificate reads no generator of the chain.
+        assert report == verify_partition(pair.table) == walked
+        assert report.passed
+    elif change == "none":
+        assert report == walked
+        assert report.passed
+    else:
+        assert (report.measured, report.coverage) == (walked.measured, walked.coverage)
+        assert (report.multiply_covered, report.missing) == (None, None)
+        assert walked.multiply_covered > 0
+        assert not report.passed
+    want = {"v-of-order-4": ((65, 560, 1456, 1820), 22099),
+            "w-as-a-four-group": ((455, 560, 1456, 2080), 26389)}
+    m = report.measured
+    assert ((m.n_w, m.n_u1, m.n_u2, m.n_v), report.coverage) == \
+        want.get(change, ((65, 560, 1456, 2080), 29119))
+
+
+def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
+    # |N(U1)| = 51 divides no |G| = 29120, so the index is no count of
+    # conjugates and the certificate claims nothing.
+    u1, real = find_cyclic_subgroup(pair.table, pair.params.u1), szq.oracle.normalizer
+
+    def short(chain, sub):
+        n = real(chain, sub)
+        if sub.members == u1.members:
+            return SubgroupHandle(n.members - {max(n.members - sub.members)})
+        return n
+
+    monkeypatch.setattr(szq.oracle, "normalizer", short)
+    report = verify_partition(pair.table)
+    assert report.normalizers["u1"].order == 51
+    assert (report.multiply_covered, report.missing) == (None, None)
+    assert not report.passed
+
+
+def test_a_cyclic_class_of_order_4_is_not_ti(sz8):
+    # N(<x^2>) = C(x^2) has order 64, N(<x>) only 16: two conjugates of
+    # <x> share x^2.
+    chain = sz8.table
+    h = find_cyclic_subgroup(chain, 4)
+    square = chain.mul(h.cyclic_generator, h.cyclic_generator)
+    assert centralizer(chain, square).order == 64
+    assert normalizer(chain, h).order == 16
+    assert not _is_ti(chain, h, normalizer(chain, h))
+    for k in (13, 7, 5):
+        h = find_cyclic_subgroup(chain, k)
+        assert _is_ti(chain, h, normalizer(chain, h))
 
 
 @settings(max_examples=30, deadline=None)
@@ -208,24 +244,6 @@ def test_walks_before_the_census_leave_it_unchanged(pair_0xb, pair_0xd, before, 
         assert 0 not in orders
 
 
-@pytest.mark.parametrize("change", ["identity-move", "dropped-move"])
-def test_the_census_does_not_depend_on_the_partition(pair, change, monkeypatch):
-    # The broken walks of ``test_the_generator_walk_matches_the_frozenset_walk``
-    # leave conjugates out; the census taken after them fills those too.
-    params, chain = pair.params, StabilizerChain(pair.params, pair.table.field)
-    if change == "identity-move":  # the torus's move conjugates by the identity
-        d, conjugator = chain.rank(chain.generators[2]), StabilizerChain.conjugator
-        monkeypatch.setattr(StabilizerChain, "conjugator", lambda c, s: (
-            lambda r: r) if s == d else conjugator(c, s))
-    else:  # the moves generate the Borel subgroup only
-        chain.generators = chain.generators[:3]
-    assert not verify_partition(chain).passed
-    stats = empirical_order_stats(chain, spectrum_closed_form(params))
-    assert 0 not in chain.orders()
-    assert stats.counts == nse_closed_form(params).counts
-    assert chain.orders() == pair.census
-
-
 def _count_walks(monkeypatch):
     """The ranks that every power walker made from now on walks."""
     walks, power_walker = [], StabilizerChain._power_walker
@@ -236,32 +254,6 @@ def _count_walks(monkeypatch):
 
     monkeypatch.setattr(StabilizerChain, "_power_walker", counted)
     return walks
-
-
-def test_the_partition_fills_the_whole_census(pair, monkeypatch):
-    # The cyclic conjugates' walks and W's mapped conjugates leave no byte
-    # at 0, each the reference power pass's, so the census walks nothing.
-    chain = StabilizerChain(pair.params, pair.table.field)
-    assert verify_partition(chain).passed
-    assert 0 not in chain._orders
-    assert chain._orders == pair.census
-    walks = _count_walks(monkeypatch)
-    assert chain.orders() == pair.census
-    assert walks == []
-
-
-def test_a_byte_the_conjugation_contradicts_raises(sz8):
-    # A wrong order planted on a member of a later conjugate of W (by tau)
-    # disagrees with the byte the conjugation maps onto it.
-    chain = StabilizerChain(sz8.params, sz8.field)
-    w, tau = unitriangular(chain), chain.rank(chain.generators[3])
-    move = chain.conjugator(tau)
-    planted = max(move(r) for r in w.members)
-    assert planted not in w.members
-    orders = chain._order_bytes()
-    orders[planted] = 13
-    with pytest.raises(CertificationError, match="conjugation"):
-        verify_partition(chain, w)
 
 
 def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
@@ -300,30 +292,6 @@ def test_find_cyclic_subgroup_runs_the_census_only_as_far_as_it_must(sz8, monkey
     with pytest.raises(SubgroupNotFoundError):
         find_cyclic_subgroup(chain, 3)
     assert chain.orders() == full
-
-
-def test_each_move_maps_every_rank_as_the_reference_array_does(pair):
-    # The sifted conjugates against the bytes closure's translate array.
-    table, keys, ref = pair.table, pair.keys, pair.reference
-    ref_keys = ref.sorted_keys()
-    for g in table.generators:
-        move = table.conjugator(table.rank(g))
-        ref_images = ovoid_reference.conjugation(ref, ref.key(g))
-        assert all(keys[move(r)] == ref_keys[ref_images[ref.position(key)]]
-                   for r, key in enumerate(keys))
-
-
-@settings(max_examples=100, deadline=None)
-@given(r=st.integers(0, 29119))
-def test_a_conjugate_s_stepped_powers_are_its_mapped_members(pair_0xb, r):
-    # c(x)^i = c(x^i): the powers that ``cycle`` steps from a new conjugate's
-    # generator are the members a move maps, in the same order.
-    chain = pair_0xb.table
-    if r == chain.identity:
-        return
-    for g in chain.generators:
-        move = chain.conjugator(chain.rank(g))
-        assert chain.cycle(move(r)) == [move(x) for x in chain.cycle(r)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -502,3 +470,17 @@ def test_sz32_generator_ranks_match_their_point_action(sz32):
         perm = [sz32._number[_point_image(sz32.field, p, g)] for p in sz32.points]
         u0, u1, u2 = sz32.element(sz32.sift(*(perm[b] for b in sz32.base)))
         assert [u0[u1[u2[k]]] for k in range(1025)] == perm
+
+
+@pytest.mark.parametrize("modulus", [0x25, 0x29, 0x2f], ids=hex)
+def test_the_sz32_partition_is_certified(modulus):
+    # Four normalizers, N(P) for the subgroup of order 5 of the class of
+    # order 25 and the centralizers of W's 31 involutions: no census.
+    chain = StabilizerChain(make_params(2), Field(2, modulus=modulus))
+    report = verify_partition(chain)
+    m = report.measured
+    assert (m.n_w, m.n_u1, m.n_u2, m.n_v) == (1025, 198400, 325376, 524800)
+    assert report.coverage == 32537599
+    assert (report.multiply_covered, report.missing) == (0, 0)
+    assert report.passed
+    assert chain._orders.count(0) > 0

@@ -8,10 +8,10 @@ matrices are mapped through ``chain.rank``, the one boundary conversion, and
 the same census and orbit sizes.  Only the chain conjugates: a matrix table
 closes and counts, nothing more.  A chain takes no orbits or transversals
 from outside, and a copy whose transversal is broken, so that it is not
-closed under its products, raises in its census and partition walk, never
-yielding a wrong count.  The chain maps each point by each generator once.  Anything that is not a rank is refused, never
-wrapped, and so are a matrix over another field and a subgroup order that
-is no int.
+closed under its products, raises in its census and partition certificate,
+never yielding a wrong count.  The chain maps each point by each generator
+once.  Anything that is not a rank is refused, never wrapped, and so are a
+matrix over another field and a subgroup order that is no int.
 """
 
 from copy import copy
@@ -34,7 +34,6 @@ from szq.mat4 import Mat4
 from szq.oracle import (
     StabilizerChain,
     SubgroupHandle,
-    _conjugates,
     _walk,
     centralizer,
     cyclic_subgroup,
@@ -158,47 +157,6 @@ def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
     assert normalizer(chain, trivial).order == chain.size
 
 
-def test_partition_conjugates_once_per_generator_it_needs(sz8, monkeypatch):
-    # w(0, 1) = w(1, 0)^2 lies in the cyclic group of w(1, 0) and adds no move.
-    calls = []
-    conjugator = StabilizerChain.conjugator
-    monkeypatch.setattr(StabilizerChain, "conjugator",
-                        lambda chain, s: calls.append(s) or conjugator(chain, s))
-    report = verify_partition(sz8.table)
-    assert len(calls) == 3
-    w10, _w01, torus, weyl = sz8.generators
-    assert calls == [sz8.table.rank(g) for g in (w10, torus, weyl)]
-    m = report.measured
-    assert [m.n_w, m.n_u1, m.n_u2, m.n_v] == [65, 560, 1456, 2080]
-    assert (report.coverage, report.multiply_covered, report.missing) == (29119, 0, 0)
-    assert report.passed
-
-
-def test_hit_counts_stop_at_255_and_the_slots_stay_exact(sz8):
-    # Hits are bytes: a count at 255 stays there, and the slots the walk
-    # fills are counted apart from them.
-    chain = sz8.table
-    v = find_cyclic_subgroup(chain, sz8.params.v)
-    members = [i for i in v.members if i != chain.identity]
-    moves = [chain.conjugator(sz8.table.rank(g)) for g in sz8.generators]
-    hits = bytearray(b"\xfe") * chain.size
-    for _ in range(2):
-        assert _conjugates([v.cyclic_generator], members, moves, hits,
-                           chain.cycle, chain._order_bytes()) == (2080, 2080 * 6)
-    assert hits.count(255) == 2080 * 6
-    assert hits.count(254) == chain.size - 2080 * 6
-
-
-def test_w_conjugates_are_numbered_within_16_bits(sz8, monkeypatch):
-    # W's owner array holds 16-bit conjugate numbers; a class with more
-    # conjugates than that bound is refused, never wrapped.
-    monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 65)
-    assert verify_partition(sz8.table).passed
-    monkeypatch.setattr(szq.oracle, "_MAX_OWNERS", 64)
-    with pytest.raises(OverflowError):
-        verify_partition(sz8.table)
-
-
 def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
     # 448 candidates survive the base-image prefilter and the first
     # generator's triples, and each is confirmed by the triples of W's 2
@@ -251,8 +209,8 @@ def test_the_chain_takes_no_orbits_or_transversals(sz8, derived):
 
 def test_a_chain_that_builds_but_is_not_closed_raises(sz8):
     # Two points swapped in U2[1] of a copy: no sift lookup knows the changed
-    # element, so the census and the partition walk step onto base images
-    # that no element has.
+    # element, so the census and the partition certificate step onto base
+    # images that no element has.
     chain = copy(sz8.table)
     chain.transversals = [list(level) for level in chain.transversals]
     u = chain.transversals[2][1] = list(chain.transversals[2][1])
@@ -315,7 +273,6 @@ _RANK_TAKERS = {
     "mul": lambda chain, r: chain.mul(chain.identity, r),
     "cycle": lambda chain, r: chain.cycle(r),
     "power walker": lambda chain, r: chain._power_walker()(r),
-    "conjugator": lambda chain, r: chain.conjugator(r),
     "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
     "subgroup": lambda chain, r: subgroup(chain, [r], 100),
     "normalizer": lambda chain, r: normalizer(
