@@ -33,7 +33,7 @@ from math import gcd
 from functools import cache, partial
 from itertools import combinations
 from operator import attrgetter, mul
-from typing import Callable, Hashable, Iterable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .field import Field, FieldMismatchError, _require_int
 from .group import (
@@ -329,7 +329,6 @@ class StabilizerChain:
     _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
     _level12: list[int] = _derived()  # t1 * n + t2 -> b * N2 + c, or a large negative
     _orders: bytearray | None = _derived(default=None)  # 0: order not known yet
-    _known: int = _derived(default=0)  # every rank below has its order byte
 
     def __post_init__(self) -> None:
         params, field = self.params, self.field
@@ -524,7 +523,7 @@ class StabilizerChain:
     def _order_bytes(self) -> bytearray:
         """The order census so far: 0 where no power walk has met the rank."""
         if self._orders is None:
-            self._orders, self._known = bytearray(self.size), 0
+            self._orders = bytearray(self.size)
             self._orders[self.identity] = 1
         return self._orders
 
@@ -540,11 +539,11 @@ class StabilizerChain:
     def _fill(self, k: int = 0) -> int:
         """The power pass of ``orders``, run only as far as it must: it stops
         at the first rank of order k (1 to 255) and returns it, or fills every
-        byte and returns -1 (k = 0, or no element of order k).  One power
-        walker, made here, walks every hole."""
+        byte and returns -1 (k = 0, or no element of order k).  Each call
+        starts at rank 0, and ``bytearray.find`` skips a filled prefix at C
+        speed.  One power walker, made here, walks every hole."""
         orders, size, walk = self._order_bytes(), self.size, self._power_walker()
-        known = self._known  # every rank before it is filled
-        found = orders.find(k, 0, known) if k else -1
+        known, found = 0, -1  # every rank before ``known`` is filled
         while found < 0 and known < size:
             hole = orders.find(0, known)
             end = size if hole < 0 else hole
@@ -552,7 +551,7 @@ class StabilizerChain:
                 found = orders.find(k, known, end)
             if found < 0 and hole >= 0:
                 walk(hole)
-            self._known = known = end
+            known = end
         return found
 
 
@@ -683,20 +682,6 @@ def _generating_set(chain: StabilizerChain, members: frozenset[Key]) -> list[Key
     return gens
 
 
-def _conjugate_triples(chain: StabilizerChain, h: list[int],
-                       ranks: Iterable[int]) -> Iterator[tuple[int, int, int]]:
-    """The images of b0, b1 and b2 under g^-1 h g ("first g, then h, then
-    g^-1") for the element g of each rank, h given by its point images; g^-1
-    is "U0[a]^-1, then U1[b]^-1, then U2[c]^-1"."""
-    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._inverses
-    n2 = len(t2)
-    for r in ranks:
-        ab, c = divmod(r, n2)
-        a, b = divmod(ab, len(t1))
-        u0, u1, u2, v0, v1, v2 = t0[a], t1[b], t2[c], i0[a], i1[b], i2[c]
-        yield tuple(v2[v1[v0[h[u0[u1[u2[p]]]]]]] for p in chain.base)
-
-
 def _conjugators(chain: StabilizerChain, h: list[int],
                  triples: set[tuple[int, int, int]]) -> list[int]:
     """The ranks g whose conjugate g^-1 h g ("first g, then h, then g^-1")
@@ -747,14 +732,14 @@ def _conjugators(chain: StabilizerChain, h: list[int],
 def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     """All g with g^-1 H g = H, as ranks of a certified chain.
 
-    Conjugating a generating set of H into H suffices: then g^-1 H g, which
-    those conjugates generate, lies in H and has |H| elements, so it is H.
-    A cyclic H brings its generator; any other gets a small generating set
-    (``_generating_set``: 3 elements for W at q = 8).  Three base images
-    determine an element, so g^-1 h g lies in H exactly when its images of
-    b0, b1 and b2 are those of some m in H.  ``_conjugators`` finds the g
-    that conjugate the first generator into H, and the other generators
-    confirm each of them by their triples alone (``_conjugate_triples``).
+    N(H) is the intersection over a generating set of H of the g with
+    g^-1 h g in H: then g^-1 H g, which those conjugates generate, lies in
+    H and has |H| elements, so it is H.  A cyclic H brings its generator;
+    any other gets a small generating set (``_generating_set``: 3 elements
+    for W at q = 8).  Three base images determine an element, so g^-1 h g
+    lies in H exactly when its images of b0, b1 and b2 are those of some m
+    in H: one ``_conjugators`` scan with H's triples for each generator.
+    The trivial subgroup has no generator and is normalized by every g.
     ValueError for members that are no ranks of the chain or no subgroup.
     """
     triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
@@ -763,11 +748,11 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(range(chain.size)))
-    found = _conjugators(chain, chain.permutation(gens[0]), triples)
-    for g in gens[1:]:
-        found = [r for r, t in zip(found, _conjugate_triples(chain, chain.permutation(g), found))
-                 if t in triples]
-    return SubgroupHandle(frozenset(found))
+    found = None
+    for g in gens:
+        scan = _conjugators(chain, chain.permutation(g), triples)
+        found = frozenset(scan) if found is None else found.intersection(scan)
+    return SubgroupHandle(found)
 
 
 def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:

@@ -6,9 +6,10 @@ permutations, its ascending keys and its dict-keyed power pass, and
 both moduli of GF(8), the chain's ranks must map to the same keys, with the
 same order and inverse for every key; the rank normalizers and centralizers
 must be the reference full scans, member for member, mapped through the
-reference's positions; and the partition reports must be equal.  The
-chain's sift round-trips every rank, at q = 8 through the byte keys and at
-q = 32 through the base images alone.  The partition certificate must
+reference's positions, also for subgroups given by their members alone
+(W, N(W), N(V) and a four-group of W's centre); and the partition reports
+must be equal.  The chain's sift round-trips every rank, at q = 8 through
+the byte keys and at q = 32 through the base images alone.  The partition certificate must
 give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
@@ -131,6 +132,35 @@ def _assert_scans_agree(pair, sub, x):
 @pytest.mark.parametrize("name", ["u1", "u2", "v", "w"])
 def test_normalizers_and_centralizers_agree(pair, name):
     _assert_scans_agree(pair, *_class(pair.table, name))
+
+
+def _members_only(chain, name):
+    """A subgroup of Sz(8) as its members alone, with no cyclic generator."""
+    w = unitriangular(chain)
+    if name == "w":
+        return w
+    if name == "n(w)":
+        return SubgroupHandle(normalizer(chain, w).members)
+    if name == "n(v)":
+        v = find_cyclic_subgroup(chain, make_params(1).v)
+        return SubgroupHandle(normalizer(chain, v).members)
+    f = chain.field  # the four-group {1, w(1, 0)^2, w(2, 0)^2, their product}
+    x, y = (chain.rank(make_w(f.element(a), f.zero)) for a in (1, 2))
+    x2, y2 = chain.mul(x, x), chain.mul(y, y)
+    return SubgroupHandle(frozenset([chain.identity, x2, y2, chain.mul(x2, y2)]))
+
+
+@pytest.mark.parametrize("name, order, n_order", [
+    ("w", 64, 448), ("n(w)", 448, 448), ("n(v)", 14, 14), ("four-group", 4, 64)])
+def test_normalizers_of_subgroups_given_by_their_members_agree(pair, name, order, n_order):
+    # None of these brings a cyclic generator, so each normalizer
+    # intersects the scans of a generating set.
+    chain, ref = pair.table, pair.reference
+    sub = _members_only(chain, name)
+    n = normalizer(chain, sub)
+    assert (sub.order, n.order) == (order, n_order)
+    assert _positions(pair, n.members) == \
+        set(map(ref.position, ref_normalizer(ref, _keyed(pair, sub))))
 
 
 @settings(max_examples=15, deadline=None)

@@ -10,8 +10,9 @@ closes and counts, nothing more.  A chain takes no orbits or transversals
 from outside, and a copy whose transversal is broken, so that it is not
 closed under its products, raises in its census and partition certificate,
 never yielding a wrong count.  The chain maps each point by each generator
-once.  Anything that is not a rank is refused, never wrapped, and so are a
-matrix over another field and a subgroup order that is no int.
+once, and a normalizer makes one conjugation scan per generator of H.
+Anything that is not a rank is refused, never wrapped, and so are a matrix
+over another field and a subgroup order that is no int.
 """
 
 from copy import copy
@@ -157,23 +158,24 @@ def test_the_trivial_subgroup_is_normalized_by_everything(sz8):
     assert normalizer(chain, trivial).order == chain.size
 
 
-def test_the_normalizer_of_w_conjugates_a_generating_set(sz8, monkeypatch):
-    # 448 candidates survive the base-image prefilter and the first
-    # generator's triples, and each is confirmed by the triples of W's 2
-    # other generators, not by its 63 nontrivial members.
-    table, made = sz8.table, []
-    conjugate_triples = szq.oracle._conjugate_triples
-
-    def counted(chain, h, ranks):
-        for t in conjugate_triples(chain, h, ranks):
-            made.append(t)
-            yield t
-
-    monkeypatch.setattr(szq.oracle, "_conjugate_triples", counted)
+def test_each_generator_takes_one_conjugation_scan(sz8, monkeypatch):
+    # N(W) intersects one scan for each generator of W; a cyclic subgroup
+    # brings its one generator, and a centralizer is a single scan.
+    table, scans = sz8.table, []
+    conjugators = szq.oracle._conjugators
+    monkeypatch.setattr(szq.oracle, "_conjugators",
+                        lambda chain, h, triples: scans.append(h) or conjugators(chain, h, triples))
     w = subgroup(table, map(table.rank, w_generators(table.field)), limit=64)
-    n = normalizer(table, w)
-    assert n.order * 65 == table.size
-    assert len(made) == 2 * 448
+    gens = szq.oracle._generating_set(table, w.members)
+    assert normalizer(table, w).order * 65 == table.size
+    assert len(scans) == len(gens) == 3
+    h = find_cyclic_subgroup(table, 13)
+    scans.clear()
+    assert normalizer(table, h).order == 4 * 13
+    assert len(scans) == 1
+    scans.clear()
+    assert centralizer(table, h.cyclic_generator).members == h.members
+    assert len(scans) == 1
 
 
 def test_the_normalizer_refuses_members_that_are_no_subgroup(sz8):
