@@ -29,9 +29,11 @@ from .group import (
     make_params,
     params_for_q,
 )
+from .mat4 import OrderNotFoundError
 from .oracle import (
     ScaleRefusal,
     StabilizerChain,
+    SubgroupNotFoundError,
     centralizer,
     check_census_scale,
     empirical_order_stats,
@@ -238,11 +240,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    f"closure of 4 candidate generators has {chain.size} elements"))
 
     # The certificate digs the four classes and their normalizers; the
-    # normalizer and centralizer checks below read them off the report.
+    # normalizer and centralizer checks below read them off the report, and
+    # the census too once the partition holds.  Without it the power pass
+    # takes the census, and the failed partition check exits 4.
     partition = verify_partition(chain)
     classes, normalizers = partition.classes, partition.normalizers
     spectrum = spectrum_closed_form(p)
-    stats = empirical_order_stats(chain, spectrum)
+    stats = partition.census
+    if stats is None:
+        stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)
     checks.append(("census_matches_closed_form",
                    stats.counts == closed.counts and stats.total == closed.total,
@@ -251,8 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                    set(stats.counts) == set(spectrum.orders),
                    f"orders found: {sorted(stats.counts)}"))
 
-    w, orders = classes["w"], chain.orders()
-    w_orders = [orders[r] for r in w.members]
+    w = classes["w"]
+    w_orders = [chain.order(r) for r in w.members]
     involutions = w_orders.count(2)
     checks.append(("w_subgroup",
                    w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
@@ -324,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScaleRefusal as e:
         print(f"refused: {e}", file=sys.stderr)
         return 3
-    except CertificationError as e:
+    except (CertificationError, SubgroupNotFoundError, OrderNotFoundError) as e:
         print(f"certification failure: {e}", file=sys.stderr)
         return 4
     except (ProfileError, ValueError) as e:

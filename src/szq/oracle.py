@@ -15,10 +15,12 @@ element, so a product or a power walk steps three base images and sifts
 them back to a rank: the census, ``subgroup`` and the normalizer and
 centralizer scans (one search, ``_conjugators``) all take the chain and
 ranks, and all run on Sz(32).  Every power walk records the orders it
-proves in the chain's order bytes, and the census walks every rank whose
-byte is still 0.  The partition certificate (``verify_partition``) counts
-conjugates by normalizer indices and walks no conjugate.  Matrices stay at
-the boundary (``StabilizerChain.rank``, ``ElementTable.element``).
+proves in the chain's order bytes, and the power pass (``orders``) walks
+every rank whose byte is still 0.  The partition certificate
+(``verify_partition``) counts conjugates by normalizer indices and walks no
+conjugate; once it holds, it reads a second census off the partition, from
+the orders of the four classes' members alone.  Matrices stay at the
+boundary (``StabilizerChain.rank``, ``ElementTable.element``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import gc
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import gcd
 from functools import cache, partial
@@ -527,6 +530,17 @@ class StabilizerChain:
             self._orders[self.identity] = 1
         return self._orders
 
+    def order(self, r: int) -> int:
+        """The order of the element of rank r: its byte of ``orders``, from
+        one ``cycle`` through r when no walk has met it yet.  ValueError for
+        an r that is no rank, as ``cycle`` refuses it."""
+        if type(r) is not int or not 0 <= r < self.size:
+            raise ValueError(f"{r!r} is no rank of the chain")
+        orders = self._order_bytes()
+        if not orders[r]:
+            self.cycle(r)
+        return orders[r]
+
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, one byte each.
         Every ``cycle`` fills its powers' bytes, and the power pass
@@ -781,7 +795,9 @@ class PartitionReport:
     holds and None when it does not.  ``classes`` and ``normalizers`` hold
     the subgroups the certificate dug, by class name ("w", "u1", "u2", "v"),
     for the caller's own checks; they take no part in ``==``, ``repr`` or
-    the JSON."""
+    the JSON.  ``census`` is the order census read off the partition when
+    both ``multiply_covered`` and ``missing`` are 0, and None otherwise; it
+    takes no part in ``==`` or the JSON."""
 
     measured: PartitionClassCounts
     expected: PartitionClassCounts
@@ -793,6 +809,7 @@ class PartitionReport:
         default_factory=dict, repr=False, compare=False)
     normalizers: dict[str, SubgroupHandle] = dc_field(
         default_factory=dict, repr=False, compare=False)
+    census: OrderStats | None = dc_field(default=None, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -871,6 +888,14 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     are None and the report fails.  Nothing is conjugated element by
     element, and nothing of size |G| is built beyond the order bytes the
     digging fills, so this runs on Sz(32) in seconds.
+
+    When both are 0, every nontrivial element lies in exactly one conjugate
+    of one class, and a conjugation keeps orders, so the report's
+    ``census`` is count(d) = sum_i n_i #{h in H_i, h != 1 : ord h = d}, with
+    count(1) = 1.  The cyclic classes' orders are already in the order
+    bytes, from the ``cycle`` of each generator in ``_is_ti``, and W's come
+    from power walks of its members (``StabilizerChain.order``): measured
+    indices and power walks, no closed form.
     """
     params = chain.params
     classes = {"w": unitriangular(chain) if w is None else w}
@@ -883,6 +908,14 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
                  and all(gcd(a.order, b.order) == 1
                          for a, b in combinations(classes.values(), 2))
                  and all(_is_ti(chain, h, normalizers[name]) for name, h in classes.items()))
+    missing = chain.size - 1 - coverage if certified else None
+    census = None
+    if certified and missing == 0:
+        tally = Counter({1: 1})
+        for name, h in classes.items():
+            for r in h.members - {chain.identity}:
+                tally[chain.order(r)] += counts[name]
+        census = OrderStats(counts=dict(tally), total=chain.size)
     return PartitionReport(
         measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],
                                       n_u2=counts["u2"], n_v=counts["v"]),
@@ -890,7 +923,8 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
         coverage=coverage,
         expected_coverage=params.group_order - 1,
         multiply_covered=0 if certified else None,
-        missing=chain.size - 1 - coverage if certified else None,
+        missing=missing,
         classes=classes,
         normalizers=normalizers,
+        census=census,
     )

@@ -15,6 +15,8 @@ from szq.field import Field
 from szq.gate import ProfileError, load_profile
 from szq.group import make_params
 from szq.mat4 import Mat4
+from szq.oracle import StabilizerChain
+from szq.orderstats import Spectrum
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -392,6 +394,53 @@ def test_verify_q8_stays_within_its_product_budget(capsys, monkeypatch):
 
 _JSON = ("--output", "json", "--no-timestamp")
 _TABLE = ("--output", "table")
+
+
+@pytest.mark.parametrize("argv, power_pass", [
+    (("verify", "--q", "8", *_JSON), False),
+    (("verify", "--q", "8", "--modulus", "0xd", *_JSON), False),
+    (("nse", "--q", "8", "--source", "oracle", *_JSON), True),
+    (("nse", "--q", "8", "--source", "both", *_JSON), True),
+], ids=["verify", "verify-0xd", "nse-oracle", "nse-both"])
+def test_only_nse_runs_the_power_pass(capsys, monkeypatch, argv, power_pass):
+    # verify reads its census off the certified partition, so the power pass
+    # (``_fill`` with k = 0) never runs there, only the searches for the
+    # first element of an order (k > 0).  nse runs the whole pass and leaves
+    # no order byte at 0.
+    calls, fill = [], StabilizerChain._fill
+
+    def counted(chain, k=0):
+        found = fill(chain, k)
+        calls.append((k, chain._orders.count(0)))
+        return found
+
+    monkeypatch.setattr(StabilizerChain, "_fill", counted)
+    rc, _, _ = run_cli(capsys, *argv)
+    assert rc == 0
+    if power_pass:
+        assert calls == [(0, 0)]
+    else:
+        assert calls and all(k > 0 and holes > 0 for k, holes in calls)
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (("verify", "--q", "8", *_JSON), "find_cyclic_subgroup"),
+    (("nse", "--q", "8", "--source", "oracle", *_JSON), "spectrum"),
+], ids=["subgroup-not-found", "order-not-found"])
+def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, patch):
+    # No element of an order the classes need, and an element order outside
+    # the spectrum, are findings: exit 4 with one line, no traceback.
+    if patch == "find_cyclic_subgroup":
+        def not_found(table, k):
+            raise oracle.SubgroupNotFoundError(f"no element of order {k} in the table")
+
+        monkeypatch.setattr(oracle, "find_cyclic_subgroup", not_found)
+    else:
+        monkeypatch.setattr(cli, "spectrum_closed_form",
+                            lambda params: Spectrum.from_values((4, 5, 7)))
+    rc, out, err = run_cli(capsys, *argv)
+    assert (rc, out) == (4, "")
+    assert err.startswith("certification failure: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv, golden", [

@@ -20,10 +20,14 @@ and a power walker's walk the cyclic subgroup.  The order census is the
 reference power pass whatever walks (``cycle``, the partition,
 ``find_cyclic_subgroup``) ran before it and filled part of it, and
 ``find_cyclic_subgroup`` runs the census only as far as it must; a full
-census searches its order bytes once per hole.  At q = 32 the torus
+census searches its order bytes once per hole.  The census read off a
+certified partition is the power pass's, at q = 32 the closed forms'; a
+failed certificate reads none, and ``verify`` then reports the power pass.
+``order`` walks one cycle and keeps its bytes.  At q = 32 the torus
 T = <d(lam)> is its own centralizer and has a normalizer of order 2 |T|.
 """
 
+import json
 from copy import copy
 from types import SimpleNamespace
 
@@ -38,6 +42,7 @@ from ovoid_reference import (
     ref_verify_partition,
     reference_ovoid_table,
 )
+from szq.cli import main
 from szq.field import Field
 from szq.group import make_params, make_w
 from szq.mat4 import Mat4
@@ -54,6 +59,7 @@ from szq.oracle import (
     unitriangular,
     verify_partition,
 )
+from szq.orderstats import OrderStats, nse_closed_form
 
 
 def _pair(params, field, table=None):
@@ -218,9 +224,9 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
         want.get(change, ((65, 560, 1456, 2080), 29119))
 
 
-def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
-    # |N(U1)| = 51 divides no |G| = 29120, so the index is no count of
-    # conjugates and the certificate claims nothing.
+def _shorten_n_u1(pair, monkeypatch):
+    """Make ``normalizer`` drop one member of N(U1) outside U1, for U1 as
+    ``find_cyclic_subgroup`` digs it on any chain of the pair's field."""
     u1, real = find_cyclic_subgroup(pair.table, pair.params.u1), szq.oracle.normalizer
 
     def short(chain, sub):
@@ -230,10 +236,58 @@ def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch)
         return n
 
     monkeypatch.setattr(szq.oracle, "normalizer", short)
+
+
+def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
+    # |N(U1)| = 51 divides no |G| = 29120, so the index is no count of
+    # conjugates and the certificate claims nothing, no census either.
+    _shorten_n_u1(pair, monkeypatch)
     report = verify_partition(pair.table)
     assert report.normalizers["u1"].order == 51
     assert (report.multiply_covered, report.missing) == (None, None)
+    assert report.census is None
     assert not report.passed
+
+
+def test_verify_without_the_certificate_reports_the_power_pass(pair, monkeypatch, capsys):
+    # The failed certificate leaves verify the power pass's census, which
+    # still matches the closed forms, and the partition check fails: exit 4.
+    _shorten_n_u1(pair, monkeypatch)
+    modulus = hex(pair.table.field.modulus)
+    rc = main(["verify", "--q", "8", "--modulus", modulus, "--output", "json",
+               "--no-timestamp"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 4
+    checks = {c["name"]: c["passed"] for c in data["checks"]}
+    assert not checks["partition"] and checks["census_matches_closed_form"]
+    assert data["census"] == OrderStats(
+        counts={o: pair.census.count(o) for o in set(pair.census)}, total=29120).to_json_dict()
+
+
+def test_the_partition_census_is_the_power_pass(pair):
+    # Read off the partition of a fresh chain from the orders of the four
+    # classes' members: the counts of a fresh chain's power pass, with most
+    # order bytes never walked.
+    chain = StabilizerChain(pair.params, pair.table.field)
+    census = verify_partition(chain).census
+    assert census == OrderStats(counts={o: pair.fresh.count(o) for o in set(pair.fresh)},
+                                total=29120)
+    assert chain._orders.count(0) > 20000
+
+
+@settings(max_examples=30, deadline=None)
+@given(r=st.integers(0, 29119))
+def test_order_walks_one_cycle_and_keeps_its_bytes(pair_0xb, pair_0xd, r):
+    # On a fresh chain the order of r comes from one walk of its k - 1
+    # nontrivial powers, whose bytes it fills and nothing else; a second
+    # call walks nothing.
+    for pair in (pair_0xb, pair_0xd):
+        chain = StabilizerChain(pair.params, pair.table.field)
+        k = chain.order(r)
+        assert k == pair.fresh[r] == chain._orders[r]
+        assert chain._orders.count(0) == chain.size - k
+        chain._orders[r] = 255
+        assert chain.order(r) == 255
 
 
 def test_a_cyclic_class_of_order_4_is_not_ti(sz8):
@@ -513,4 +567,5 @@ def test_the_sz32_partition_is_certified(modulus):
     assert report.coverage == 32537599
     assert (report.multiply_covered, report.missing) == (0, 0)
     assert report.passed
+    assert report.census == nse_closed_form(make_params(2))
     assert chain._orders.count(0) > 0

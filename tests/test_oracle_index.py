@@ -274,6 +274,7 @@ _RANK_TAKERS = {
     "permutation": lambda chain, r: chain.permutation(r),
     "mul": lambda chain, r: chain.mul(chain.identity, r),
     "cycle": lambda chain, r: chain.cycle(r),
+    "order": lambda chain, r: chain.order(r),
     "power walker": lambda chain, r: chain._power_walker()(r),
     "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
     "subgroup": lambda chain, r: subgroup(chain, [r], 100),
