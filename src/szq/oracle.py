@@ -5,22 +5,22 @@ pass over the cyclic subgroups, digs out cyclic subgroups, normalizers and
 centralizers, and proves by counting that the conjugates of the four
 reference subgroups cover every nontrivial element exactly once.
 
-``enumerate_group`` closes any set of matrices into an ``ElementTable`` keyed
-by entry tuples, which closes and counts.  Sz(q) itself has one carrier:
+``enumerate_group`` closes any set of matrices into an ``ElementTable`` of
+entry tuples, which only closes and counts.  Sz(q) itself has one carrier:
 ``StabilizerChain(params, field)`` lets it act on the q^2 + 1 points of its
 ovoid, derives its stabilizer chain and certifies it by the group order,
 so each element is "U2[c], then U1[b], then U0[a]" in exactly one way and
 is addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
 element, so a product or a power walk steps three base images and sifts
-them back to a rank: the census, ``subgroup`` and the normalizer and
-centralizer scans (one search, ``_conjugators``) all take the chain and
-ranks, and all run on Sz(32).  Every power walk records the orders it
-proves in the chain's order bytes, and the power pass (``orders``) walks
-every rank whose byte is still 0.  The partition certificate
-(``verify_partition``) counts conjugates by normalizer indices and walks no
-conjugate; once it holds, it reads a second census off the partition, from
-the orders of the four classes' members alone.  Matrices stay at the
-boundary (``StabilizerChain.rank``, ``ElementTable.element``).
+them back to a rank: the census, ``subgroup``, ``cyclic_subgroup``,
+``find_cyclic_subgroup`` and the normalizer and centralizer scans (one
+search, ``_conjugators``) all take the chain and ranks, and all run on
+Sz(32).  Every power walk records the orders it proves in the chain's order
+bytes, and the power pass (``orders``) walks every rank whose byte is still
+0.  The partition certificate (``verify_partition``) counts conjugates by
+normalizer indices and walks no conjugate; once it holds, it reads a second
+census off the partition, from the orders of the four classes' members
+alone.  Matrices stay at the boundary (``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -29,7 +29,6 @@ the closed forms are tested against, so it must not share their shortcuts.
 from __future__ import annotations
 
 import gc
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from math import gcd
@@ -50,7 +49,6 @@ from .group import (
 from .mat4 import Mat4, OrderNotFoundError
 from .orderstats import OrderStats, ScaleRefusal, Spectrum, factorize
 
-Key = Hashable  # an entry tuple in an ElementTable, a rank on a StabilizerChain
 Point = tuple[int, int, int, int]
 _entries = attrgetter("_entries")  # Mat4 -> its entry tuple, read off the slot
 
@@ -63,10 +61,10 @@ class ClosureLimitError(RuntimeError):
 
 
 class SubgroupNotFoundError(LookupError):
-    """No element of the requested order exists in the table."""
+    """No element of the requested order exists in the chain."""
 
 
-def _itself(x: Key) -> Key:
+def _itself(x: Hashable) -> Hashable:
     return x
 
 
@@ -123,103 +121,17 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
 
 @dataclass
 class ElementTable:
-    """A fully enumerated group: ``keys`` is the set of its elements' keys,
-    and ``position(key)`` is the key's place in ``sorted_keys()``, so the
-    order census and the inverses are arrays over positions.
-
-    The keys are the matrices' entry tuples, and no matrix is kept:
-    ``element(key)`` rebuilds one on demand.  The lazily filled caches take
-    no part in ``==``.
-    """
+    """A group closed from matrices by ``enumerate_group``: ``keys`` is the
+    set of its elements' entry tuples, and no matrix is kept.  The table
+    closes and counts; the group algebra runs on a ``StabilizerChain``."""
 
     field: Field
-    keys: set[Key]
+    keys: set[tuple[int, ...]]
     generators: list[Mat4]
-    _sorted_keys: list[Key] | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    _positions: dict[Key, int] | None = dc_field(
-        default=None, init=False, repr=False, compare=False)
-    _orders: array | None = dc_field(default=None, init=False, repr=False, compare=False)
-    _inverses: array | None = dc_field(default=None, init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.keys)
-
-    def sorted_keys(self) -> list[Key]:
-        """Canonical iteration order: keys ascending."""
-        if self._sorted_keys is None:
-            self._sorted_keys = sorted(self.keys)
-        return self._sorted_keys
-
-    def element(self, key: Key) -> Mat4:
-        """The matrix keyed ``key``, rebuilt around its entry tuple;
-        ValueError for a key outside the table."""
-        if key not in self.keys:
-            raise ValueError("element is not in the table")
-        return Mat4._make(self.field, key)
-
-    def mul(self, a: Key, b: Key) -> Key:
-        """The key of the product of the elements keyed a and b."""
-        return (Mat4._make(self.field, a) * Mat4._make(self.field, b)).entries
-
-    @property
-    def identity(self) -> Key:
-        return Mat4.identity(self.field).entries
-
-    def _position_map(self) -> dict[Key, int]:
-        if self._positions is None:
-            self._positions = {k: i for i, k in enumerate(self.sorted_keys())}
-        return self._positions
-
-    def position(self, key: Key) -> int:
-        """Place of a key in ``sorted_keys()``; ValueError for a key outside
-        the table."""
-        try:
-            return self._position_map()[key]
-        except KeyError:
-            raise ValueError("element is not in the table") from None
-
-    def orders(self) -> array:
-        """orders()[i] is the order of the element at position i (computed once).
-
-        The power pass: for each element x not yet met as a power, in sorted
-        order, walk x, x^2, ..., x^k = 1 once and record ord(x^i) =
-        k / gcd(i, k) for all k powers.  Only group multiplication is used, so
-        the census stays independent of the closed forms.
-        """
-        if self._orders is None:
-            self._power_pass()
-        return self._orders
-
-    def inverses(self) -> array:
-        """inverses()[i] is the position of the inverse of the element at
-        position i: the same power pass gives x^i and x^(k - i) together."""
-        if self._inverses is None:
-            self._power_pass()
-        return self._inverses
-
-    def _power_pass(self) -> None:
-        keys, product, one, at = self.sorted_keys(), self.mul, self.identity, self._position_map()
-        n = len(keys)
-        orders = array("i", bytes(4 * n))  # 0: not yet met
-        inverses = array("i", bytes(4 * n))
-        for start, x in enumerate(keys):
-            if orders[start]:
-                continue
-            powers, p = [start], x  # powers[i - 1] is the position of x^i
-            while p != one:
-                if len(powers) >= n:
-                    raise OrderNotFoundError(f"no power of {x!r} within the table size")
-                p = product(p, x)
-                if p not in at:
-                    raise CertificationError("table is not closed under products")
-                powers.append(at[p])
-            k = len(powers)
-            for i, pi in enumerate(powers, 1):
-                orders[pi] = k // gcd(i, k)
-                inverses[pi] = powers[k - i - 1]  # x^(k - i); powers[-1] is the identity
-        self._orders, self._inverses = orders, inverses
 
 
 def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
@@ -438,12 +350,6 @@ class StabilizerChain:
         u0, u1, u2 = self.element(r)
         return [u0[u1[p]] for p in u2]
 
-    # The chain is also a table whose keys are the ranks themselves, so
-    # ``subgroup``, ``find_cyclic_subgroup`` and the scans run on it.
-
-    def sorted_keys(self) -> range:
-        return range(self.size)
-
     def mul(self, r: int, s: int) -> int:
         """The rank of "first the element of rank r, then that of rank s":
         s's images of r's base images, sifted inline as in ``sift``, from
@@ -571,11 +477,11 @@ class StabilizerChain:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its members' keys inside some table (on a
-    StabilizerChain, ranks); its ``order`` is their count."""
+    """A subgroup given by its members' ranks on a StabilizerChain; its
+    ``order`` is their count."""
 
-    members: frozenset[Key]
-    cyclic_generator: Key | None = dc_field(default=None, kw_only=True)
+    members: frozenset[int]
+    cyclic_generator: int | None = dc_field(default=None, kw_only=True)
 
     @property
     def order(self) -> int:
@@ -617,75 +523,66 @@ def enumerate_group(generators: Sequence[Mat4], limit: int) -> ElementTable:
     return ElementTable(field=f, keys=keys, generators=list(generators))
 
 
-def empirical_order_stats(table: ElementTable | StabilizerChain,
+def empirical_order_stats(chain: StabilizerChain,
                           spec_hint: Spectrum | None = None) -> OrderStats:
-    """Census of element orders over the whole table.
+    """Census of element orders over the whole chain (``chain.orders()``).
 
     An element whose order divides none of ``spec_hint``'s orders raises
-    OrderNotFoundError, which is a finding (the table is not the group the
+    OrderNotFoundError, which is a finding (the chain is not the group the
     spectrum belongs to), not a crash to swallow.
     """
     hints = tuple(spec_hint.orders) if spec_hint is not None else ()
-    orders = table.orders()
+    orders = chain.orders()
     counts = {o: orders.count(o) for o in set(orders)}  # one C-level pass per order
     outside = [o for o in counts if hints and all(h % o for h in hints)]
     if outside:
         raise OrderNotFoundError(
             f"element orders {sorted(outside)} lie outside the hints {sorted(hints)}")
-    return OrderStats(counts=counts, total=table.size)
+    return OrderStats(counts=counts, total=chain.size)
 
 
 # ---------------------------------------------------------------------------
 # Subgroup digging
 # ---------------------------------------------------------------------------
 
-def cyclic_subgroup(table: ElementTable | StabilizerChain, generator: Key,
-                    order: int) -> SubgroupHandle:
-    """The subgroup generated by an element of the given order; ValueError
-    for a generator outside the table, or unless generator^order is the
-    identity and no smaller power is; TypeError for an order that is no int
-    (or a bool)."""
+def cyclic_subgroup(chain: StabilizerChain, generator: int, order: int) -> SubgroupHandle:
+    """The subgroup generated by the element of rank ``generator``: the
+    identity and the powers that ``chain.cycle`` walks, whose order bytes
+    the walk fills.  ValueError for a generator that is no rank, or unless
+    its order is ``order``; TypeError for an order that is no int (or a
+    bool), before any walk."""
     _require_int("order", order)
-    table.element(generator)
-    members, cur = [table.identity], generator
-    while cur != table.identity and len(members) < order:
-        members.append(cur)
-        cur = table.mul(cur, generator)
-    if cur != table.identity or len(members) != order:
+    members = [chain.identity, *chain.cycle(generator)]
+    if len(members) != order:
         raise ValueError(f"the generator does not have order {order}")
     return SubgroupHandle(frozenset(members), cyclic_generator=generator)
 
 
-def subgroup(table: ElementTable | StabilizerChain, generators: Iterable[Key],
-             limit: int) -> SubgroupHandle:
-    """The subgroup generated by the elements keyed ``generators``, closed
-    with the table's own product; ClosureLimitError past ``limit`` elements."""
-    members = _walk([table.identity], list(generators), table.mul, limit=limit)
+def subgroup(chain: StabilizerChain, generators: Iterable[int], limit: int) -> SubgroupHandle:
+    """The subgroup generated by the elements of ranks ``generators``, closed
+    with the chain's product; ClosureLimitError past ``limit`` elements."""
+    members = _walk([chain.identity], list(generators), chain.mul, limit=limit)
     return SubgroupHandle(frozenset(members))
 
 
-def find_cyclic_subgroup(table: ElementTable | StabilizerChain, k: int) -> SubgroupHandle:
-    """Cyclic subgroup generated by the first element of order k in
-    sorted-key order, for determinism; on a chain the census runs only until
-    it meets that element, and not at all for k outside 1 to 255.  TypeError
-    for a k that is no int (or a bool), before any walk."""
+def find_cyclic_subgroup(chain: StabilizerChain, k: int) -> SubgroupHandle:
+    """Cyclic subgroup generated by the first element of order k in rank
+    order, for determinism; the census runs only until it meets that
+    element, and not at all for k outside 1 to 255.  TypeError for a k that
+    is no int (or a bool), before any walk."""
     _require_int("k", k)
-    if isinstance(table, StabilizerChain):
-        i = table._fill(k) if 0 < k < 256 else -1
-    else:
-        orders = table.orders()
-        i = orders.index(k) if k in orders else -1
-    if i < 0:
-        raise SubgroupNotFoundError(f"no element of order {k} in the table")
-    return cyclic_subgroup(table, table.sorted_keys()[i], k)
+    r = chain._fill(k) if 0 < k < 256 else -1
+    if r < 0:
+        raise SubgroupNotFoundError(f"no element of order {k} in the chain")
+    return cyclic_subgroup(chain, r, k)
 
 
-def _generating_set(chain: StabilizerChain, members: frozenset[Key]) -> list[Key]:
+def _generating_set(chain: StabilizerChain, members: frozenset[int]) -> list[int]:
     """A generating set of the subgroup with these members: walk them in
     sorted order and keep each one the kept ones do not generate yet.
     ValueError when the members are not a subgroup."""
     one = chain.identity
-    gens: list[Key] = []
+    gens: list[int] = []
     span = {one}
     for x in sorted(members):
         if x not in span:

@@ -48,8 +48,9 @@ def sz8(field8, params8):
 @pytest.fixture(scope="session")
 def sz8_matrices(field8, params8):
     """Sz(8) as 4x4 matrices: the Mat4 closure of the candidate generators,
-    keyed by entry tuples.  The oracle's own table is a permutation table;
-    this one is the matrix reference tests compare it with."""
+    as a set of entry tuples.  The oracle's carrier is the chain; tests
+    rebuild each matrix with ``Mat4(field, key)`` to compare it with this
+    reference."""
     return enumerate_group(candidate_generators(params8, field8), limit=params8.group_order)
 
 

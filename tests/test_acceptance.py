@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from time import perf_counter
 
@@ -21,18 +22,16 @@ from szq.gate import CandidateProfile, run_gate
 from szq.group import (
     make_params,
     make_w,
-    w_generators,
 )
 from szq.oracle import (
-    SubgroupHandle,
+    StabilizerChain,
     centralizer,
-    empirical_order_stats,
-    enumerate_group,
     find_cyclic_subgroup,
     normalizer,
+    unitriangular,
 )
 from szq.orderstats import (
-    Spectrum,
+    OrderStats,
     divisors,
     frobenius_check,
     multiplicative_order,
@@ -132,9 +131,7 @@ def test_criterion_06_normalizer_centralizer_indices(sz8):
         ok = ok and c.order == k and c.members == h.members
     hv = find_cyclic_subgroup(table, p.v)
     ok = ok and normalizer(table, hv).order == 2 * p.v
-    wt = enumerate_group(w_generators(sz8.field), limit=p.w_order)
-    w_ranks = frozenset(map(sz8.table.rank, map(wt.element, wt.keys)))
-    nw = normalizer(table, SubgroupHandle(w_ranks))
+    nw = normalizer(table, unitriangular(table))
     ok = ok and table.size == 65 * nw.order
     _report(6, "normalizer indices 4/4/2, |S:N(W)|=65, torus centralizers", ok)
 
@@ -241,12 +238,14 @@ def test_criterion_12_representation_independence():
     ok = ok and sum(stats32.counts.values()) == p32.group_order
 
     # field level at degree 5: census of the 1024-element unitriangular
-    # subgroup under both irreducible pentanomial moduli
+    # subgroup under both irreducible pentanomial moduli, each member's order
+    # walked on the Sz(32) chain
     censuses = []
     for modulus in (0b100101, 0b101001):
-        f = Field(2, modulus=modulus)
-        table = enumerate_group(w_generators(f), limit=1024)
-        censuses.append(empirical_order_stats(table, Spectrum.from_values((4,))))
+        chain = StabilizerChain(p32, Field(2, modulus=modulus))
+        w = unitriangular(chain)
+        counts = Counter(map(chain.order, w.members))
+        censuses.append(OrderStats(counts=dict(counts), total=w.order))
     ok = ok and censuses[0] == censuses[1]
     ok = ok and censuses[0].counts == {1: 1, 2: 31, 4: 992}
     _report(12, "identical OrderStats under x^5+x^2+1 and x^5+x^3+1", ok)

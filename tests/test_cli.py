@@ -396,6 +396,13 @@ _JSON = ("--output", "json", "--no-timestamp")
 _TABLE = ("--output", "table")
 
 
+def test_the_json_flags_keep_their_name():
+    # Test bodies spread ``*_JSON`` when they run, after the whole module has
+    # been executed, so a later module-level binding of the name would reach
+    # them instead of these flags.
+    assert _JSON == ("--output", "json", "--no-timestamp")
+
+
 @pytest.mark.parametrize("argv, power_pass", [
     (("verify", "--q", "8", *_JSON), False),
     (("verify", "--q", "8", "--modulus", "0xd", *_JSON), False),
@@ -592,7 +599,7 @@ def test_gate_a_profile_nested_too_deeply_is_a_profile_error(tmp_path, capsys, t
 _NUMBERS = st.one_of(
     st.integers(), st.integers(min_value=1),
     st.sampled_from([0, 1, 7, 56, 64, 455, 3640, 5824, 6720, 12480, 29120, 32537600]))
-_JSON = st.recursive(
+_JSON_VALUE = st.recursive(
     st.one_of(st.none(), st.booleans(), st.floats(), st.text(max_size=6),
               _NUMBERS, _NUMBERS.map(str)),
     lambda inner: st.one_of(
@@ -600,15 +607,16 @@ _JSON = st.recursive(
         st.dictionaries(st.one_of(st.text(max_size=4), _NUMBERS.map(str)), inner,
                         max_size=8)),
     max_leaves=8)
-_ORDER = st.one_of(_NUMBERS, _NUMBERS.map(str), _JSON)
+_ORDER = st.one_of(_NUMBERS, _NUMBERS.map(str), _JSON_VALUE)
 _PROFILES = st.one_of(
     st.fixed_dictionaries({"order": _ORDER, "nse_set": st.one_of(
         st.lists(_NUMBERS, max_size=8), st.sets(st.sampled_from(SZ8_PROFILE["nse_set"])).map(list),
-        _JSON)}),
+        _JSON_VALUE)}),
     st.fixed_dictionaries({"order": _ORDER, "nse_map": st.one_of(
-        st.dictionaries(_NUMBERS.map(str), _NUMBERS, max_size=8), _JSON)}),
-    st.fixed_dictionaries({}, optional={"order": _JSON, "nse_set": _JSON, "nse_map": _JSON}),
-    _JSON)
+        st.dictionaries(_NUMBERS.map(str), _NUMBERS, max_size=8), _JSON_VALUE)}),
+    st.fixed_dictionaries({}, optional={"order": _JSON_VALUE, "nse_set": _JSON_VALUE,
+                                        "nse_map": _JSON_VALUE}),
+    _JSON_VALUE)
 
 
 @settings(max_examples=100, deadline=1000,

@@ -133,7 +133,8 @@ def test_decode_validates(f8):
 
 
 def test_encode_injective_on_full_group(sz8_matrices):
-    assert len({sz8_matrices.element(k).encode() for k in sz8_matrices.keys}) == 29120
+    f = sz8_matrices.field
+    assert len({Mat4(f, k).encode() for k in sz8_matrices.keys}) == 29120
 
 
 # -- element order ----------------------------------------------------------
@@ -230,12 +231,12 @@ def test_fallback_kernel_without_tables():
 
 
 def test_order_is_conjugation_invariant(sz8_matrices):
-    keys = sz8_matrices.sorted_keys()
+    f, keys = sz8_matrices.field, sorted(sz8_matrices.keys)
     rng = random.Random(1234)
     hints = (4, 7, 5, 13)
     for _ in range(1000):
-        x = sz8_matrices.element(rng.choice(keys))
-        g = sz8_matrices.element(rng.choice(keys))
+        x = Mat4(f, rng.choice(keys))
+        g = Mat4(f, rng.choice(keys))
         conj = (g * x) * g.inv()
         assert element_order(conj, hints) == element_order(x, hints)
 

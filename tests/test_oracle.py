@@ -3,8 +3,9 @@
 import gc
 import json
 import random
+from collections import Counter
 from functools import reduce
-from operator import attrgetter, mul
+from operator import mul
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,7 +100,7 @@ def test_borel_closure_makes_one_product_per_element_and_generator(monkeypatch, 
 
     monkeypatch.setattr(Mat4, "__mul__", counted)
     table = enumerate_group(gens, limit=order)
-    assert table.size == len(table.sorted_keys()) == order
+    assert table.size == len(table.keys) == order
     assert calls == 3 * order
 
 
@@ -171,7 +172,7 @@ def test_borel_closure_through_kernels_matches_a_walk_over_matrices():
     before = [(g.entries, hash(g)) for g in gens]
     copies = [Mat4._make(g.field, g.entries) for g in gens]
     table = enumerate_group(gens, limit=params.q ** 2 * (params.q - 1))
-    assert table.sorted_keys() == sorted(x.entries for x in mat4_closure(gens))
+    assert table.keys == {x.entries for x in mat4_closure(gens)}
     assert all(t is g for t, g in zip(table.generators, gens))
     assert len(table.generators) == len(gens)
     assert [(g.entries, hash(g)) for g in gens] == before
@@ -185,27 +186,18 @@ def test_closure_over_a_field_with_no_table():
     f = Field(5)
     w10 = make_w(f.one, f.zero)
     table = enumerate_group([w10], limit=4)
-    assert table.sorted_keys() == sorted(x.entries for x in mat4_closure([w10]))
+    assert table.keys == {x.entries for x in mat4_closure([w10])}
 
 
 @pytest.mark.parametrize("group", ["w-q32", "sz8"])
 def test_key_only_table_matches_a_walk_over_matrices(request, group):
     if group == "sz8":
-        table, hints = request.getfixturevalue("sz8_matrices"), (2, 4, 5, 7, 13)
+        table = request.getfixturevalue("sz8_matrices")
     else:
-        table, hints = enumerate_group(w_generators(Field(2)), limit=1024), (2, 4)
-    ref = sorted(mat4_closure(table.generators), key=attrgetter("entries"))
-    keys = table.sorted_keys()
-    assert keys == [x.entries for x in ref]
-    assert type(table.keys) is set and table.keys == set(keys)
+        table = enumerate_group(w_generators(Field(2)), limit=1024)
+    assert type(table.keys) is set
+    assert table.keys == {x.entries for x in mat4_closure(table.generators)}
     assert all(type(k) is tuple and len(k) == 16 for k in table.keys)  # no Mat4 is kept
-    orders, inverses = table.orders(), table.inverses()
-    for i, x in enumerate(ref):
-        assert table.element(keys[i]).entries == keys[i]
-        assert orders[i] == element_order(x, hints)
-        assert keys[inverses[i]] == x.inv().entries
-    with pytest.raises(ValueError):
-        table.element(Mat4.diagonal(table.field, [1, 1, 1, 0]).entries)
 
 
 def test_an_ovoid_element_is_its_permutation(sz8):
@@ -245,17 +237,12 @@ def test_census_is_the_closed_form(sz8):
     assert sz8.stats.total == 29120
 
 
-def test_census_of_trivial_table(f8):
-    table = enumerate_group([Mat4.identity(f8)], limit=2)
-    stats = empirical_order_stats(table)
-    assert stats.counts == {1: 1}
-
-
-def test_w_census(f8):
-    table = enumerate_group(w_generators(f8), limit=64)
-    stats = empirical_order_stats(table, Spectrum.from_values((4,)))
-    assert stats.counts == {1: 1, 2: 7, 4: 56}
-    assert max(stats.counts) == 4  # exponent of the 2-subgroup
+def test_w_census(sz8):
+    # The orders of W's members, each walked on the chain.
+    chain = sz8.table
+    counts = Counter(map(chain.order, unitriangular(chain).members))
+    assert counts == {1: 1, 2: 7, 4: 56}
+    assert max(counts) == 4  # exponent of the 2-subgroup
 
 
 def test_nse_oracle_census_matches_table_census(sz8, capsys):
@@ -265,40 +252,21 @@ def test_nse_oracle_census_matches_table_census(sz8, capsys):
     assert json.loads(capsys.readouterr().out)["oracle"] == sz8.stats.to_json_dict()
 
 
-def test_w_census_without_hint(f8):
-    table = enumerate_group(w_generators(f8), limit=64)
-    assert empirical_order_stats(table).counts == {1: 1, 2: 7, 4: 56}
-
-
 def test_limit_is_the_exact_closure_size(f8):
     assert enumerate_group(w_generators(f8), limit=64).size == 64
     with pytest.raises(ClosureLimitError):
         enumerate_group(w_generators(f8), limit=63)
 
 
-def test_power_pass_matches_element_order_and_inv(sz8_matrices, params8):
-    # The power pass derives the orders of all k powers from one walk;
-    # element_order recomputes each on its own, and x^(ord - 1) must be the
-    # Gauss-Jordan inverse.
-    table = sz8_matrices
-    hints = tuple(spectrum_closed_form(params8).orders)
-    orders, keys = table.orders(), table.sorted_keys()
-    assert len(orders) == table.size
-    for i in random.Random(2024).sample(range(table.size), 500):
-        x = table.element(keys[i])
-        assert orders[i] == element_order(x, hints)
-        assert x ** (orders[i] - 1) == x.inv()
-
-
 def test_power_pass_on_w_at_q32():
-    wt = enumerate_group(w_generators(Field(2)), limit=1024)
-    assert wt.size == 1024
-    orders = wt.orders()
-    assert len(orders) == wt.size
-    for i, key in enumerate(wt.sorted_keys()):
-        x = wt.element(key)
-        assert orders[i] == element_order(x, (4,))
-        assert x ** (orders[i] - 1) == x.inv()
+    # Orders and inverses of W's members on the Sz(32) chain, each taken from
+    # its rank, against element_order and Gauss-Jordan on the matrices.
+    f = Field(2)
+    chain = StabilizerChain(make_params(2), f)
+    for x in random.Random(2026).sample(w_elements(f), 100):
+        r = chain.rank(x)
+        assert chain.order(r) == element_order(x, (4,))
+        assert chain.mul(r, chain.rank(x.inv())) == chain.identity
 
 
 def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matrices):
@@ -307,9 +275,9 @@ def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matric
     table = sz8.table
     hints = tuple(spectrum_closed_form(sz8.params).orders)
     orders = table.orders()
-    mats = sz8_matrices.sorted_keys()
+    mats = sorted(sz8_matrices.keys)
     for entries in random.Random(2025).sample(mats, 300):
-        x = sz8_matrices.element(entries)
+        x = Mat4(sz8_matrices.field, entries)
         r = table.rank(x)
         assert orders[r] == element_order(x, hints)
         assert table.mul(r, table.rank(x.inv())) == table.identity
@@ -341,21 +309,10 @@ def test_the_ovoid_action_is_a_faithful_homomorphism(sz8, words):
 
 def test_equal_tables_stay_equal_once_their_caches_fill(sz8, f8):
     a, b = (enumerate_group(w_generators(f8), limit=64) for _ in range(2))
-    assert a == b
-    a.orders()
     assert a == b and b == a
     assert a != enumerate_group([make_w(f8.one, f8.zero)], limit=64)
     sz8.table.orders()
     assert sz8.table == StabilizerChain(sz8.params, sz8.field)
-
-
-def test_position_is_the_place_in_sorted_keys(sz8, sz8_matrices, f8):
-    keys = sz8_matrices.sorted_keys()
-    assert [sz8_matrices.position(k) for k in keys] == list(range(sz8_matrices.size))
-    assert sz8.table.sorted_keys() == range(sz8.table.size)
-    wt = enumerate_group(w_generators(f8), limit=64)
-    with pytest.raises(ValueError):
-        wt.position(sz8.generators[3].entries)  # the Weyl element is not in W
 
 
 def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
@@ -369,7 +326,7 @@ def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
         return k
 
     for k in (2, 4, 5, 7, 13):
-        first = next(key for key in table.sorted_keys() if order(key) == k)
+        first = next(r for r in range(table.size) if order(r) == k)
         assert find_cyclic_subgroup(table, k).cyclic_generator == first
 
 
@@ -377,14 +334,13 @@ def test_spectrum_found_is_exact(sz8):
     assert set(sz8.stats.counts) == {1, 2, 4, 5, 7, 13}
 
 
-def test_census_surfaces_spectrum_violations(f8):
+def test_census_surfaces_spectrum_violations(sz8):
     from szq.mat4 import OrderNotFoundError
 
-    table = enumerate_group(w_generators(f8), limit=64)
     with pytest.raises(OrderNotFoundError):
-        empirical_order_stats(table, Spectrum.from_values((2,)))  # misses order 4
+        empirical_order_stats(sz8.table, Spectrum.from_values((4, 5, 7)))  # misses order 13
     with pytest.raises(OrderNotFoundError):
-        empirical_order_stats(table, Spectrum.from_values((5,)))  # 2, 4 < 5 but divide no hint
+        empirical_order_stats(sz8.table, Spectrum.from_values((13,)))  # 2 .. 7 divide no hint
 
 
 def test_nse_value_set(sz8):
@@ -428,7 +384,7 @@ def test_normalizer_indices(sz8):
 
 def test_normalizer_of_w(sz8, f8):
     wt = enumerate_group(w_generators(f8), limit=64)
-    handle = SubgroupHandle(frozenset(map(sz8.table.rank, map(wt.element, wt.keys))))
+    handle = SubgroupHandle(frozenset(sz8.table.rank(Mat4(f8, k)) for k in wt.keys))
     n = normalizer(sz8.table, handle)
     assert n.order == 448
     assert sz8.table.size // n.order == 65

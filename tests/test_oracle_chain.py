@@ -1,14 +1,15 @@
 """The stabilizer-chain table against the bytes closure it replaced.
 
 ``ovoid_reference`` keeps the closure of the generators' ``bytes``
-permutations, its ascending keys and its dict-keyed power pass, and
+permutations, its ascending keys and a power walk of each key, and
 ``rank_keys`` maps each rank of a chain to its ``bytes`` permutation.  Under
 both moduli of GF(8), the chain's ranks must map to the same keys, with the
 same order and inverse for every key; the rank normalizers and centralizers
-must be the reference full scans, member for member, mapped through the
-reference's positions, also for subgroups given by their members alone
-(W, N(W), N(V) and a four-group of W's centre); and the partition reports
-must be equal.  The chain's sift round-trips every rank, at q = 8 through
+must be the reference full scans, member for member, mapped through
+``rank_keys``, also for subgroups given by their members alone (W, N(W),
+N(V) and a four-group of W's centre); and the partition reports must be
+equal, the reference walking the conjugates of the classes the certificate
+dug.  The chain's sift round-trips every rank, at q = 8 through
 the byte keys and at q = 32 through the base images alone.  The partition certificate must
 give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
@@ -16,9 +17,10 @@ normalizer short of a member and a cyclic class that is not TI fail it, and
 at q = 32 it holds under three moduli.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
-and a power walker's walk the cyclic subgroup.  The order census is the
-reference power pass whatever walks (``cycle``, the partition,
-``find_cyclic_subgroup``) ran before it and filled part of it, and
+and a power walker's walk the cyclic subgroup, whose members' order bytes
+``cyclic_subgroup`` fills.  The order census is the reference power pass
+whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
+before it and filled part of it, and
 ``find_cyclic_subgroup`` runs the census only as far as it must; a full
 census searches its order bytes once per hole.  The census read off a
 certified partition is the power pass's, at q = 32 the closed forms'; a
@@ -36,11 +38,11 @@ from hypothesis import given, settings, strategies as st
 
 import szq.oracle
 from ovoid_reference import (
+    ReferenceOvoidTable,
     rank_keys,
     ref_centralizer,
     ref_normalizer,
     ref_verify_partition,
-    reference_ovoid_table,
 )
 from szq.cli import main
 from szq.field import Field
@@ -65,11 +67,10 @@ from szq.orderstats import OrderStats, nse_closed_form
 def _pair(params, field, table=None):
     if table is None:
         table = StabilizerChain(params, field)
-    keys, ref = rank_keys(table), reference_ovoid_table(params, field)
-    # The census by rank twice: the reference's dict-keyed power pass, and a
-    # fresh chain's orders() with no walk before it.
-    ref_orders = ref.orders()
-    census = bytes(ref_orders[ref.position(key)] for key in keys)
+    keys, ref = rank_keys(table), ReferenceOvoidTable(params, field)
+    # The census by rank twice: the reference's power walk of each key, and
+    # a fresh chain's orders() with no walk before it.
+    census = bytes(ref.orders[ref.position[key]] for key in keys)
     return SimpleNamespace(params=params, table=table, keys=keys, reference=ref,
                            census=census, fresh=StabilizerChain(params, field).orders())
 
@@ -99,9 +100,9 @@ def test_the_chain_has_the_closure_s_keys(pair):
 def test_every_key_has_the_same_order_and_inverse(pair):
     table, keys, ref = pair.table, pair.keys, pair.reference
     orders, rank_of = table.orders(), {k: r for r, k in enumerate(keys)}
-    ref_keys, ref_orders, ref_inverses = ref.sorted_keys(), ref.orders(), ref.inverses()
+    ref_keys, ref_orders, ref_inverses = ref.sorted_keys, ref.orders, ref.inverses
     for r, key in enumerate(keys):
-        i = ref.position(key)
+        i = ref.position[key]
         assert orders[r] == ref_orders[i]
         assert table.mul(r, rank_of[ref_keys[ref_inverses[i]]]) == table.identity
 
@@ -114,25 +115,22 @@ def _class(table, name):
     return h, h.cyclic_generator
 
 
-def _keyed(pair, sub):
-    """A subgroup handle of ranks as one of the reference's keys."""
-    keys = pair.keys
+def _keys(pair, ranks):
+    """Ranks mapped to the reference's keys."""
+    return frozenset(pair.keys[r] for r in ranks)
+
+
+def _ref_normalizer(pair, sub):
+    """The reference's normalizer of a subgroup handle of ranks."""
     x = sub.cyclic_generator
-    return SubgroupHandle(frozenset(keys[r] for r in sub.members),
-                          cyclic_generator=None if x is None else keys[x])
-
-
-def _positions(pair, ranks):
-    """Ranks mapped to the reference's positions."""
-    return {pair.reference.position(pair.keys[r]) for r in ranks}
+    return ref_normalizer(pair.reference, _keys(pair, sub.members),
+                          None if x is None else pair.keys[x])
 
 
 def _assert_scans_agree(pair, sub, x):
     chain, ref = pair.table, pair.reference
-    assert _positions(pair, normalizer(chain, sub).members) == \
-        set(map(ref.position, ref_normalizer(ref, _keyed(pair, sub))))
-    assert _positions(pair, centralizer(chain, x).members) == \
-        set(map(ref.position, ref_centralizer(ref, pair.keys[x])))
+    assert _keys(pair, normalizer(chain, sub).members) == _ref_normalizer(pair, sub)
+    assert _keys(pair, centralizer(chain, x).members) == ref_centralizer(ref, pair.keys[x])
 
 
 @pytest.mark.parametrize("name", ["u1", "u2", "v", "w"])
@@ -161,12 +159,10 @@ def _members_only(chain, name):
 def test_normalizers_of_subgroups_given_by_their_members_agree(pair, name, order, n_order):
     # None of these brings a cyclic generator, so each normalizer
     # intersects the scans of a generating set.
-    chain, ref = pair.table, pair.reference
-    sub = _members_only(chain, name)
-    n = normalizer(chain, sub)
+    sub = _members_only(pair.table, name)
+    n = normalizer(pair.table, sub)
     assert (sub.order, n.order) == (order, n_order)
-    assert _positions(pair, n.members) == \
-        set(map(ref.position, ref_normalizer(ref, _keyed(pair, sub))))
+    assert _keys(pair, n.members) == _ref_normalizer(pair, sub)
 
 
 @settings(max_examples=15, deadline=None)
@@ -178,19 +174,28 @@ def test_the_scans_of_a_random_element_agree_with_the_full_scans(pair_0xb, pair_
         _assert_scans_agree(pair, cyclic_subgroup(chain, r, chain.orders()[r]), r)
 
 
+def _walked(pair, report):
+    """The reference's report for the classes that ``report``'s certificate
+    dug, mapped to keys."""
+    classes = {name: _keys(pair, h.members) for name, h in report.classes.items()}
+    return ref_verify_partition(pair.reference, pair.params, classes)
+
+
 def test_the_partition_reports_agree(pair):
-    assert verify_partition(pair.table) == ref_verify_partition(pair.reference, pair.params)
+    report = verify_partition(pair.table)
+    assert report == _walked(pair, report)
 
 
 @pytest.mark.parametrize("change", ["none", "dropped-move", "v-of-order-4",
                                     "w-as-a-four-group"])
 def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch):
-    # The certificate against the reference walk of frozenset orbits: the
-    # same report while the partition holds, and the same counts and
-    # coverage, with no claim on the cover, for classes that break it.
-    table, ref, params = pair.table, copy(pair.reference), pair.params
+    # The certificate against the reference walk of frozenset orbits of the
+    # same classes: the same report while the partition holds, and the same
+    # counts and coverage, with no claim on the cover, for classes that
+    # break it.
+    table, params = pair.table, pair.params
     w10, w01, torus, weyl = table.generators
-    f, w, ref_w = table.field, None, None
+    f, w = table.field, None
     if change == "dropped-move":  # generators that span the Borel subgroup only
         table = copy(table)
         table.generators = [w10, w01, torus]
@@ -200,11 +205,10 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
                             lambda t, k: find(t, 4 if k == params.v else k))
     elif change == "w-as-a-four-group":
         # Four-groups in the centre of W meet in involutions.
-        z1, z2 = (make_w(f.zero, f.element(b)) for b in (1, 2))
-        r1, r2, k1, k2 = table.rank(z1), table.rank(z2), ref.key(z1), ref.key(z2)
+        r1, r2 = (table.rank(make_w(f.zero, f.element(b))) for b in (1, 2))
         w = SubgroupHandle(frozenset([table.identity, r1, r2, table.mul(r1, r2)]))
-        ref_w = SubgroupHandle(frozenset([ref.identity, k1, k2, ref.mul(k1, k2)]))
-    report, walked = verify_partition(table, w), ref_verify_partition(ref, params, ref_w)
+    report = verify_partition(table, w)
+    walked = _walked(pair, report)
     if change == "dropped-move":
         # The certificate reads no generator of the chain.
         assert report == verify_partition(pair.table) == walked
@@ -448,10 +452,27 @@ def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
         assert chain.cycle(r) == powers
 
 
+@settings(max_examples=30, deadline=None)
+@given(r=st.integers(0, 29119))
+def test_cyclic_subgroup_fills_its_members_order_bytes(pair_0xb, pair_0xd, r):
+    # On a fresh chain <x> comes from the power walk of x, which sets the
+    # order byte of each member and of nothing else.  (Its refusals: a wrong
+    # order in ``test_cyclic_subgroup_refuses_a_wrong_order``, an order that
+    # is no int in ``test_a_subgroup_order_that_is_no_int_is_refused``, a
+    # non-rank in ``test_a_non_rank_is_refused_not_wrapped``.)
+    for pair in (pair_0xb, pair_0xd):
+        chain = StabilizerChain(pair.params, pair.table.field)
+        k = pair.fresh[r]
+        h = cyclic_subgroup(chain, r, k)
+        assert h.order == k and h.cyclic_generator == r
+        assert all(chain._orders[x] == pair.fresh[x] for x in h.members)
+        assert chain._orders.count(0) == chain.size - k
+
+
 def test_matrix_ranks_agree_with_their_byte_keys(pair_0xb, sz8_matrices):
     table, keys, ref = pair_0xb.table, pair_0xb.keys, pair_0xb.reference
-    for entries in sz8_matrices.sorted_keys()[::97]:
-        mat = sz8_matrices.element(entries)
+    for entries in sorted(sz8_matrices.keys)[::97]:
+        mat = Mat4(sz8_matrices.field, entries)
         assert keys[table.rank(mat)] == ref.key(mat)
     f = table.field
     off_ovoid = Mat4(f, (1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))

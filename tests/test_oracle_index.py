@@ -1,20 +1,23 @@
 """The oracle's scans against the matrix-product scans they replaced.
 
 ``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
-table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses.  At
-q = 8, under both moduli of GF(8), the scans of the chain
-(``StabilizerChain``) must find the same subgroups once the reference's
-matrices are mapped through ``chain.rank``, the one boundary conversion, and
-the same census and orbit sizes.  Only the chain conjugates: a matrix table
-closes and counts, nothing more.  A chain takes no orbits or transversals
-from outside, and a copy whose transversal is broken, so that it is not
-closed under its products, raises in its census and partition certificate,
-never yielding a wrong count.  The chain maps each point by each generator
-once, and a normalizer makes one conjugation scan per generator of H.
-Anything that is not a rank is refused, never wrapped, and so are a matrix
-over another field and a subgroup order that is no int.
+table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses; the
+reference digs its own cyclic classes (the first matrix of each order in
+sorted key order) and counts its census with ``element_order``.  At q = 8,
+under both moduli of GF(8), the scans of the chain (``StabilizerChain``)
+must find the same subgroups once the reference's matrices are mapped
+through ``chain.rank``, the one boundary conversion, and the same census and
+orbit sizes.  Only the chain conjugates: a matrix table closes and counts,
+nothing more.  A chain takes no orbits or transversals from outside, and a
+copy whose transversal is broken, so that it is not closed under its
+products, raises in its census and partition certificate, never yielding a
+wrong count.  The chain maps each point by each generator once, and a
+normalizer makes one conjugation scan per generator of H.  Anything that is
+not a rank is refused, never wrapped, and so are a matrix over another field
+and a subgroup order that is no int.
 """
 
+from collections import Counter
 from copy import copy
 from dataclasses import replace
 from types import SimpleNamespace
@@ -31,7 +34,7 @@ from szq.group import (
     w_elements,
     w_generators,
 )
-from szq.mat4 import Mat4
+from szq.mat4 import Mat4, element_order
 from szq.oracle import (
     StabilizerChain,
     SubgroupHandle,
@@ -45,31 +48,29 @@ from szq.oracle import (
     subgroup,
     verify_partition,
 )
+from szq.orderstats import spectrum_closed_form
+
+HINTS = tuple(spectrum_closed_form(make_params(1)).orders)
 
 
 # -- the product-based reference ---------------------------------------------------
 
-def gauss_jordan_inverses(table):
-    return {key: table.element(key).inv() for key in table.keys}
-
-
-def ref_normalizer(table, gens, members, inv):
+def ref_normalizer(world, gens, members):
     """Entry tuples of all g in a matrix table with g h g^-1 in ``members``
     for every Mat4 h in ``gens``."""
-    return frozenset(key for key in table.sorted_keys()
-                     if all(((table.element(key) * h) * inv[key]).entries in members
-                            for h in gens))
+    inv = world.inverses
+    return frozenset(g.entries for g in world.elements
+                     if all(((g * h) * inv[g.entries]).entries in members for h in gens))
 
 
-def ref_centralizer(table, x):
-    return frozenset(key for key in table.sorted_keys()
-                     if table.element(key) * x == x * table.element(key))
+def ref_centralizer(world, x):
+    return frozenset(g.entries for g in world.elements if g * x == x * g)
 
 
 def ref_conjugate_orbit(table, members):
     def conjugate(sub, move):
         g, gi = move
-        images = frozenset((g * table.element(k) * gi).entries for k in sub)
+        images = frozenset((g * Mat4(table.field, k) * gi).entries for k in sub)
         assert images <= table.keys
         return images
 
@@ -80,8 +81,13 @@ def ref_conjugate_orbit(table, members):
 # -- the ovoid table against the matrix reference at q = 8 ---------------------------
 
 def _world(ovoid, matrices):
-    return SimpleNamespace(ovoid=ovoid, matrices=matrices,
-                           inverses=gauss_jordan_inverses(matrices))
+    """The chain and the matrix table, with every matrix of the table in
+    sorted key order, its order (``element_order``) and its Gauss-Jordan
+    inverse."""
+    elements = [Mat4(matrices.field, key) for key in sorted(matrices.keys)]
+    return SimpleNamespace(ovoid=ovoid, matrices=matrices, elements=elements,
+                           orders=[element_order(x, HINTS) for x in elements],
+                           inverses={x.entries: x.inv() for x in elements})
 
 
 @pytest.fixture(scope="module")
@@ -108,20 +114,21 @@ def _class(world, name):
         gens = [make_w(f.element(1 << i), f.zero) for i in range(f.degree)]
         assert enumerate_group(gens, limit=64).size == 64
         return gens, frozenset(w.entries for w in w_elements(f))
-    h = find_cyclic_subgroup(m, getattr(p, name))
-    return [m.element(h.cyclic_generator)], h.members
+    k = getattr(p, name)
+    x = world.elements[world.orders.index(k)]  # the first of order k
+    return [x], frozenset((x ** i).entries for i in range(k))
 
 
 def assert_scans_agree(world, name):
     ovoid, matrices = world.ovoid, world.matrices
     gens, members = _class(world, name)
-    to_rank = lambda entries: ovoid.rank(matrices.element(entries))  # noqa: E731
+    to_rank = lambda entries: ovoid.rank(Mat4(matrices.field, entries))  # noqa: E731
     sub = SubgroupHandle(frozenset(map(to_rank, members)),
                          cyclic_generator=ovoid.rank(gens[0]) if len(gens) == 1 else None)
-    want = ref_normalizer(matrices, gens, members, world.inverses)
+    want = ref_normalizer(world, gens, members)
     assert normalizer(ovoid, sub).members == frozenset(map(to_rank, want))
     got = centralizer(ovoid, ovoid.rank(gens[0])).members
-    assert got == frozenset(map(to_rank, ref_centralizer(matrices, gens[0])))
+    assert got == frozenset(map(to_rank, ref_centralizer(world, gens[0])))
 
 
 @pytest.mark.parametrize("name", ["u1", "u2", "v"])
@@ -141,8 +148,7 @@ def test_scans_agree_under_the_other_modulus(world_0xd, name):
 @pytest.mark.parametrize("modulus", ["0xb", "0xd"])
 def test_census_and_orbit_sizes_match_the_reference(request, modulus):
     world = request.getfixturevalue(f"world_{modulus}")
-    assert (empirical_order_stats(world.ovoid).counts
-            == empirical_order_stats(world.matrices).counts)
+    assert empirical_order_stats(world.ovoid).counts == Counter(world.orders)
     report = verify_partition(world.ovoid)
     want = [len(ref_conjugate_orbit(world.matrices, _class(world, name)[1]))
             for name in ("w", "u1", "u2", "v")]
