@@ -245,6 +245,13 @@ def test_w_census(sz8):
     assert max(counts) == 4  # exponent of the 2-subgroup
 
 
+def test_w_census_without_hint(f8):
+    # The same census off W's matrices, each order searched with no
+    # spectrum hint, only a bound at |W|.
+    counts = Counter(element_order(x, bound=64) for x in w_elements(f8))
+    assert counts == {1: 1, 2: 7, 4: 56}
+
+
 def test_nse_oracle_census_matches_table_census(sz8, capsys):
     rc = main(["nse", "--q", "8", "--source", "oracle", "--output", "json",
                "--no-timestamp"])
