@@ -96,11 +96,23 @@ def w_elements(field: Field) -> list[Mat4]:
 
 
 def w_generators(field: Field) -> list[Mat4]:
-    """A generating set for the full subgroup {w(a, b)}: every w(a, 0)
-    together with w(0, 1)."""
-    zero, one = field.zero, field.one
-    gens = [make_w(a, zero) for a in field.elements() if a.bits]
-    gens.append(make_w(zero, one))
+    """A generating set for the full subgroup W = {w(a, b)}: w(x^i, 0) for
+    the 2m + 1 basis elements x^i of GF(q) over GF(2), then w(0, 1), so
+    2m + 2 matrices.
+
+    By Burnside's basis theorem, elements of a 2-group generate it exactly
+    when their images generate it modulo its Frattini subgroup.  Here
+    Phi(W) = Z = {w(0, b)}: W/Z is elementary abelian, since w(a, b) -> a is
+    a homomorphism onto (GF(q), +) with kernel Z, and the squares
+    w(a, b)^2 = w(0, a^(2^(m+1) + 1)) fill Z, because 2^(m+1) + 1 is prime
+    to q - 1 = 2^(2m+1) - 1 (a common factor would divide 2^(2m+2) - 1 too,
+    and gcd(2^(2m+2) - 1, 2^(2m+1) - 1) = 2^gcd(2m+2, 2m+1) - 1 = 1).  So
+    W/Phi(W) is (GF(q), +), the w(x^i, 0) map to a basis of it and generate
+    W on their own; w(0, 1), the chain's second candidate generator, lies
+    in Z."""
+    zero = field.zero
+    gens = [make_w(field.element(1 << i), zero) for i in range(field.degree)]
+    gens.append(make_w(zero, field.one))
     return gens
 
 

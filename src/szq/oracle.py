@@ -34,7 +34,7 @@ from dataclasses import dataclass, field as dc_field
 from math import gcd
 from functools import cache, partial
 from itertools import combinations
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .field import Field, FieldMismatchError, _require_int
@@ -155,21 +155,18 @@ def _point_image(field: Field, point: Point, mat: Mat4) -> Point:
     return s[x0], s[x1], s[x2], s[x3]
 
 
-@cache
-def _power_orders(k: int) -> tuple[int, ...]:
-    """ord(x^i) = k / gcd(i, k) for i = 1 .. k-1, x of order k."""
-    return tuple(k // gcd(i, k) for i in range(1, k))
-
-
 def _schreier(point: int, gens: list[list[int]],
               n: int) -> tuple[list[int], list[list[int]], list[list[int]]]:
     """The orbit of ``point`` under the permutations ``gens`` of 0..n-1, in
     breadth-first order, a transversal along the Schreier tree and its
     inverses: the i-th element maps ``point`` to the i-th orbit point, the
     first is the identity.  Every inverse holds the ints of the identity's
-    one list: fresh ints for each would take about 50 MB more at q = 32."""
+    one list: fresh ints for each would take about 50 MB more at q = 32.
+    Permutations are composed by ``itemgetter``, in C, which needs n >= 2
+    (a getter of one index returns no tuple)."""
     identity = list(range(n))
-    inverse_gens = [sorted(identity, key=g.__getitem__) for g in gens]  # x at place g(x)
+    # g^-1 as a getter: getter(perm) is "first g^-1, then perm"
+    inverse_gens = [itemgetter(*sorted(identity, key=g.__getitem__)) for g in gens]
     orbit, reps, inverses, seen = [point], [identity], [identity], {point}
     for p, rep, inverse in zip(orbit, reps, inverses):  # all grow while they are read
         for g, g_inverse in zip(gens, inverse_gens):
@@ -177,8 +174,8 @@ def _schreier(point: int, gens: list[list[int]],
             if image not in seen:
                 seen.add(image)
                 orbit.append(image)
-                reps.append([g[x] for x in rep])  # first rep, then g
-                inverses.append([inverse[x] for x in g_inverse])  # first g^-1, then rep^-1
+                reps.append(list(itemgetter(*rep)(g)))  # first rep, then g
+                inverses.append(list(g_inverse(inverse)))  # first g^-1, then rep^-1
     return orbit, reps, inverses
 
 
@@ -203,7 +200,8 @@ class StabilizerChain:
     chain that the constructor derives from ``params`` and ``field`` and
     certifies.  Nothing else goes in: every other field is derived.
 
-    ``generators`` are the four candidates [w(1,0), w(0,1), d(lam), tau].
+    ``generators`` are the four candidates [w(1,0), w(0,1), d(lam), tau],
+    and ``generator_ranks`` their ranks, sifted from their permutations.
     The ovoid is the orbit of the point <e1> under them, found with field
     arithmetic alone; it must have q^2 + 1 points (N0).  ``points`` lists it
     ascending, and a permutation numbers the points by their place there,
@@ -232,6 +230,7 @@ class StabilizerChain:
     params: SuzukiParams
     field: Field
     generators: list[Mat4] = _derived()
+    generator_ranks: list[int] = _derived()
     points: list[Point] = _derived()
     base: tuple[int, int, int] = _derived()
     orbits: list[list[int]] = _derived()
@@ -298,6 +297,7 @@ class StabilizerChain:
         self.size, self._number, self._inverses = params.group_order, number, list(inverses)
         self._inverse_at, self._offset_at, self._level12 = inverse_at, offset_at, level12
         self.identity = self.sift(*base)
+        self.generator_ranks = [self.sift(*(g[b] for b in base)) for g in perms]
 
     def sift(self, p0: int, p1: int, p2: int) -> int:
         """The rank of the element with base images p0, p1 and p2, or -1 when
@@ -334,12 +334,17 @@ class StabilizerChain:
                 return r
         raise ValueError("the point images are those of no element of the table")
 
+    def _require_rank(self, r: int) -> None:
+        """ValueError unless r is an int (not a bool or another subclass) in
+        range(size)."""
+        if type(r) is not int or not 0 <= r < self.size:
+            raise ValueError(f"{r!r} is no rank of the chain")
+
     def element(self, r: int) -> tuple[list[int], list[int], list[int]]:
         """(U0[a], U1[b], U2[c]) for the element of rank r: it acts as
         p -> U0[a][U1[b][U2[c][p]]].  ValueError unless r is an int (not a
         bool or another subclass) in range(size)."""
-        if type(r) is not int or not 0 <= r < self.size:
-            raise ValueError(f"{r!r} is no rank of the chain")
+        self._require_rank(r)
         t0, t1, t2 = self.transversals
         ab, c = divmod(r, len(t2))
         a, b = divmod(ab, len(t1))
@@ -373,8 +378,9 @@ class StabilizerChain:
         the ord(x^i) = k / gcd(i, k) the walk proves: one call of a fresh
         ``_power_walker``, whose docstring says how a walk runs and why a
         scan takes one walker for all its walks.  ValueError for an r that
-        is no rank; CertificationError past 255 powers or for a power that
-        sifts to no element."""
+        is no rank, before the order bytes are allocated; CertificationError
+        past 255 powers or for a power that sifts to no element."""
+        self._require_rank(r)
         return self._power_walker()(r)
 
     def _power_walker(self) -> Callable[[int], list[int]]:
@@ -388,7 +394,9 @@ class StabilizerChain:
         ``_inverse_at[p0]`` is the row of U0[a]^-1 for the power's image p0
         of b0, ``_offset_at[p0]`` its a N1 N2, and ``_level12`` the b N2 + c
         of the other two images mapped by that row.  It records each power's
-        order in the chain's order bytes.
+        order in the chain's order bytes: ord(x^i) = k / gcd(i, k) for x of
+        order k, from a table of these k - 1 orders that the walker fills the
+        first time one of its walks meets order k, a list lookup per walk.
 
         The walker reads the tables and the order bytes when it is made, not
         when the chain is built: a chain whose tables are replaced afterwards
@@ -403,6 +411,7 @@ class StabilizerChain:
         n1, n2 = len(t1), len(t2)
         b0, b1, b2 = self.base
         orders = self._order_bytes()
+        power_orders: list[list[int] | None] = [None] * 256  # [k]: as ord(x^i) above
 
         def walk(r: int) -> list[int]:
             if type(r) is not int or not 0 <= r < size:
@@ -419,7 +428,11 @@ class StabilizerChain:
                 inverse = inverse_at[p0]
                 r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
                 if r == one:
-                    for x, o in zip(powers, _power_orders(len(powers) + 1)):
+                    k = len(powers) + 1
+                    ks = power_orders[k]
+                    if ks is None:
+                        ks = power_orders[k] = [k // gcd(i, k) for i in range(1, k)]
+                    for x, o in zip(powers, ks):
                         orders[x] = o
                     return powers
                 if r < 0:
@@ -440,8 +453,7 @@ class StabilizerChain:
         """The order of the element of rank r: its byte of ``orders``, from
         one ``cycle`` through r when no walk has met it yet.  ValueError for
         an r that is no rank, as ``cycle`` refuses it."""
-        if type(r) is not int or not 0 <= r < self.size:
-            raise ValueError(f"{r!r} is no rank of the chain")
+        self._require_rank(r)
         orders = self._order_bytes()
         if not orders[r]:
             self.cycle(r)
@@ -461,18 +473,22 @@ class StabilizerChain:
         at the first rank of order k (1 to 255) and returns it, or fills every
         byte and returns -1 (k = 0, or no element of order k).  Each call
         starts at rank 0, and ``bytearray.find`` skips a filled prefix at C
-        speed.  One power walker, made here, walks every hole."""
-        orders, size, walk = self._order_bytes(), self.size, self._power_walker()
-        known, found = 0, -1  # every rank before ``known`` is filled
-        while found < 0 and known < size:
-            hole = orders.find(0, known)
-            end = size if hole < 0 else hole
-            if k:  # no 0 lies before ``end``, the first at or after ``known``
-                found = orders.find(k, known, end)
-            if found < 0 and hole >= 0:
-                walk(hole)
-            known = end
-        return found
+        speed: it finds each hole, the next rank whose byte is 0, and for
+        k > 0 searches the filled run before it for k, so the first rank of
+        order k is the first in rank order.  One power walker, made here,
+        walks every hole."""
+        orders, walk = self._order_bytes(), self._power_walker()
+        find, start = orders.find, 0
+        hole = find(0)
+        while hole >= 0:
+            if k:  # every byte from ``start`` up to the hole is filled
+                found = find(k, start, hole)
+                if found >= 0:
+                    return found
+                start = hole
+            walk(hole)
+            hole = find(0, hole + 1)
+        return find(k, start) if k else -1
 
 
 @dataclass(frozen=True)
@@ -747,6 +763,14 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     H ⊆ C(t) ⊆ N(H): a nontrivial H ∩ H^g holds an involution t of H and
     of H^g, central in both, so H^g ≤ C(t) ≤ N(H), and H^g = H, the one
     Sylow 2-subgroup of N(H).
+
+    That condition is scanned once per orbit of H's involutions under
+    conjugation by the chain's generators that lie in N(H)
+    (``generator_ranks``): for such a g, C(t^g) = C(t)^g, and g fixes H and
+    N(H), so the condition holds for t^g when it holds for t.  Each
+    involution that no earlier orbit reached gets one centralizer scan: for
+    W, d(lam) moves the q - 1 involutions in one orbit, so one scan serves
+    them all, while without generators in N(H) every involution gets its own.
     """
     one = chain.identity
     if h.cyclic_generator is not None:
@@ -757,14 +781,31 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     index, rest = divmod(n.order, h.order)
     if h.order & (h.order - 1) or rest or index % 2 == 0 or not h.members <= n.members:
         return False
-    return all(h.members <= centralizer(chain, t).members <= n.members
-               for t in h.members if t != one and chain.mul(t, t) == one)
+    movers = []  # (g^-1, g): g^-1 has the base images that g maps to b0, b1, b2
+    for g in chain.generator_ranks:
+        if g in n.members:
+            image = chain.permutation(g)
+            movers.append((chain.sift(*map(image.index, chain.base)), g))
+    reached: set[int] = set()
+    for t in h.members:
+        if t not in reached and t != one and chain.mul(t, t) == one:
+            if not h.members <= centralizer(chain, t).members <= n.members:
+                return False
+            reached |= _walk([t], movers, lambda x, m: chain.mul(chain.mul(m[0], x), m[1]))
+    return True
 
 
 def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
-    """W = {w(a, b)} as ranks, closed on the chain from the ranks of
-    ``w_generators``."""
-    return subgroup(chain, map(chain.rank, w_generators(chain.field)), chain.field.q ** 2)
+    """W = {w(a, b)} as ranks, closed on the chain from the ranks of the
+    2m + 2 ``w_generators``, whose docstring proves that they generate W.
+    w(1, 0) and w(0, 1) are candidate generators of the chain, whose ranks it
+    keeps (``generator_ranks``), so only the other 2m matrices are ranked
+    (``StabilizerChain.rank``).  Every generator lies in W, so the closure
+    does, and the limit of q^2 elements bounds it; the caller checks that it
+    has all q^2 (``verify``'s w_subgroup check)."""
+    known = dict(zip(chain.generators, chain.generator_ranks))
+    ranks = [known[g] if g in known else chain.rank(g) for g in w_generators(chain.field)]
+    return subgroup(chain, ranks, chain.field.q ** 2)
 
 
 def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) -> PartitionReport:

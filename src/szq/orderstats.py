@@ -203,8 +203,12 @@ def nse_closed_form(params: SuzukiParams) -> OrderStats:
 
 
 def type_function(stats: OrderStats, n: int) -> int:
-    """Number of elements x with x^n = 1: the sum of counts over divisors of n."""
-    return sum(stats.counts.get(d, 0) for d in divisors(n))
+    """Number of elements x with x^n = 1: the sum of the counts at the
+    orders that divide n, read off the census's own orders, so n is never
+    factored (an order below 1 divides nothing).  ValueError for n < 1."""
+    if n < 1:
+        raise ValueError(f"the type function needs n >= 1, not {n}")
+    return sum(c for o, c in stats.counts.items() if o > 0 and n % o == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +223,9 @@ class CheckReport:
 
 
 def frobenius_check(stats: OrderStats) -> CheckReport:
-    """Every divisor n of the group order must divide |{x : x^n = 1}|."""
+    """Every divisor n of the group order must divide |{x : x^n = 1}|.  The
+    group order is factored once, for its divisors; ``type_function``
+    factors none of them."""
     violations = []
     for n in divisors(stats.total):
         g = type_function(stats, n)

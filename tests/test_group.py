@@ -190,8 +190,20 @@ def test_u1_class_accounts_for_its_orders():
 
 
 def test_w_generators_generate_all_of_w(f8):
-    from szq.oracle import enumerate_group
+    # At q = 8 the matrix closure of the 4 generators is every w(a, b); at
+    # q = 32, on the chain under three moduli, the 6 generators, all in W,
+    # close to |W| = 1,024 ranks, among them those of sampled w(a, b).
+    from szq.oracle import enumerate_group, subgroup
 
+    assert len(w_generators(f8)) == 4
     table = enumerate_group(w_generators(f8), limit=64)
     assert table.size == 64
     assert table.keys == {w.entries for w in w_elements(f8)}
+    for modulus in (0x25, 0x29, 0x2f):
+        f = Field(2, modulus=modulus)
+        chain = StabilizerChain(make_params(2), f)
+        gens = w_generators(f)
+        assert len(gens) == 6
+        w = subgroup(chain, map(chain.rank, gens), limit=1024)
+        assert w.order == 1024
+        assert {chain.rank(x) for x in w_elements(f)[::97]} <= w.members

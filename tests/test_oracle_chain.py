@@ -14,7 +14,11 @@ the byte keys and at q = 32 through the base images alone.  The partition certif
 give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
-at q = 32 it holds under three moduli.  Rank products and the ranks of
+at q = 32 it holds under three moduli.  It makes one centralizer scan for
+W's involutions, which d(lam) conjugates in one orbit (7 scans in all at
+q = 8, 10 at q = 32), and one for each involution when no generator of the
+chain moves them; ``unitriangular`` ranks only the 2m of W's generators
+that the chain does not keep.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
 and a power walker's walk the cyclic subgroup, whose members' order bytes
@@ -199,6 +203,7 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
     if change == "dropped-move":  # generators that span the Borel subgroup only
         table = copy(table)
         table.generators = [w10, w01, torus]
+        table.generator_ranks = table.generator_ranks[:3]
     elif change == "v-of-order-4":  # cyclic conjugates that share their squares
         find = szq.oracle.find_cyclic_subgroup
         monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
@@ -210,7 +215,8 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
     report = verify_partition(table, w)
     walked = _walked(pair, report)
     if change == "dropped-move":
-        # The certificate reads no generator of the chain.
+        # The certificate reads the generators only to share the TI scans
+        # of W's involutions, and tau lies outside N(W).
         assert report == verify_partition(pair.table) == walked
         assert report.passed
     elif change == "none":
@@ -240,6 +246,37 @@ def _shorten_n_u1(pair, monkeypatch):
         return n
 
     monkeypatch.setattr(szq.oracle, "normalizer", short)
+
+
+def _count_scans(monkeypatch):
+    """One entry for each ``_conjugators`` scan made from now on."""
+    scans, real = [], szq.oracle._conjugators
+    monkeypatch.setattr(szq.oracle, "_conjugators", lambda *args: scans.append(1) or real(*args))
+    return scans
+
+
+def test_the_certificate_scans_one_involution_of_w(pair, monkeypatch):
+    # Three scans for N(W) (a generating set of three), one each for N(U1),
+    # N(U2) and N(V), and one centralizer for W's 7 involutions, which
+    # d(lam) conjugates in one orbit: 7 scans, not 13.
+    scans = _count_scans(monkeypatch)
+    assert verify_partition(pair.table).passed
+    assert len(scans) == 7
+
+
+@pytest.mark.parametrize("movers, scans_made", [("all", 1), ("none", 7), ("the two w's", 7)])
+def test_w_is_ti_with_or_without_normalizing_generators(pair, movers, scans_made, monkeypatch):
+    # With no generator in N(W), or only w(1, 0) and w(0, 1), which fix
+    # every involution of W, each of the 7 involutions gets its own
+    # centralizer scan; either way W is TI.
+    chain = copy(pair.table)
+    w = unitriangular(chain)
+    n = normalizer(chain, w)
+    chain.generator_ranks = {"all": chain.generator_ranks, "none": [],
+                             "the two w's": chain.generator_ranks[:2]}[movers]
+    scans = _count_scans(monkeypatch)
+    assert _is_ti(chain, w, n)
+    assert len(scans) == scans_made
 
 
 def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
@@ -577,12 +614,28 @@ def test_sz32_generator_ranks_match_their_point_action(sz32):
         assert [u0[u1[u2[k]]] for k in range(1025)] == perm
 
 
+@pytest.mark.parametrize("q", [8, 32])
+def test_unitriangular_ranks_only_the_generators_the_chain_lacks(pair_0xb, sz32, q,
+                                                                  monkeypatch):
+    # w(1, 0) and w(0, 1) come with the chain's generator ranks; the other
+    # 2m of the 2m + 2 ``w_generators`` are ranked from their matrices.
+    chain = pair_0xb.table if q == 8 else sz32
+    ranked, rank = [], StabilizerChain.rank
+    monkeypatch.setattr(StabilizerChain, "rank", lambda c, mat: ranked.append(mat) or rank(c, mat))
+    assert unitriangular(chain).order == q * q
+    assert len(ranked) <= 2 * chain.params.m
+
+
 @pytest.mark.parametrize("modulus", [0x25, 0x29, 0x2f], ids=hex)
-def test_the_sz32_partition_is_certified(modulus):
-    # Four normalizers, N(P) for the subgroup of order 5 of the class of
-    # order 25 and the centralizers of W's 31 involutions: no census.
+def test_the_sz32_partition_is_certified(modulus, monkeypatch):
+    # Five scans for N(W) (a generating set of five), one each for N(U1),
+    # N(U2), N(V) and N(P), P the subgroup of order 5 of the class of order
+    # 25, and one centralizer for W's 31 involutions, which d(lam)
+    # conjugates in one orbit: 10 scans, not 40, and no census.
     chain = StabilizerChain(make_params(2), Field(2, modulus=modulus))
+    scans = _count_scans(monkeypatch)
     report = verify_partition(chain)
+    assert len(scans) == 10
     m = report.measured
     assert (m.n_w, m.n_u1, m.n_u2, m.n_v) == (1025, 198400, 325376, 524800)
     assert report.coverage == 32537599

@@ -13,8 +13,9 @@ copy whose transversal is broken, so that it is not closed under its
 products, raises in its census and partition certificate, never yielding a
 wrong count.  The chain maps each point by each generator once, and a
 normalizer makes one conjugation scan per generator of H.  Anything that is
-not a rank is refused, never wrapped, and so are a matrix over another field
-and a subgroup order that is no int.
+not a rank is refused, never wrapped, and before any order byte is
+allocated, and so are a matrix over another field and a subgroup order that
+is no int.
 """
 
 from collections import Counter
@@ -300,6 +301,18 @@ def test_a_non_rank_is_refused_not_wrapped(sz8, take, non_rank):
     r = {"-1": -1, "size": chain.size, "True": True, "2.0": 2.0}[non_rank]
     with pytest.raises(ValueError, match="no rank of the chain"):
         _RANK_TAKERS[take](chain, r)
+
+
+@pytest.mark.parametrize("take", ["cycle", "order", "cyclic_subgroup"])
+@pytest.mark.parametrize("non_rank", ["-1", "size", "True", "2.0"])
+def test_a_non_rank_is_refused_before_the_order_bytes(params8, field8, take, non_rank):
+    # On a fresh chain the refusal comes first: no order byte is allocated,
+    # one per element of G (32.5 MB at q = 32).
+    chain = StabilizerChain(params8, field8)
+    r = {"-1": -1, "size": chain.size, "True": True, "2.0": 2.0}[non_rank]
+    with pytest.raises(ValueError, match="no rank of the chain"):
+        _RANK_TAKERS[take](chain, r)
+    assert chain._orders is None
 
 
 def test_a_stabilizer_generator_that_moves_its_base_point_raises(params8, monkeypatch):

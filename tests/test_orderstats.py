@@ -211,6 +211,25 @@ def test_type_function_at_four_is_q_fourth(m):
     assert type_function(stats, 4) == p.q ** 4
 
 
+def _type_function_by_divisors(stats, n):
+    """The reference: the counts at every divisor of n, from n's factorization."""
+    return sum(stats.counts.get(d, 0) for d in divisors(n))
+
+
+@given(counts=st.dictionaries(st.integers(-3, 300), st.integers(0, 10 ** 9), max_size=12),
+       n=st.one_of(st.integers(1, 10 ** 5), st.sampled_from(divisors(32537600))))
+def test_type_function_is_the_divisor_sum(counts, n):
+    # Orders 0 and below, as perturbed stats may hold, divide nothing.
+    stats = OrderStats(counts=counts, total=sum(counts.values()))
+    assert type_function(stats, n) == _type_function_by_divisors(stats, n)
+
+
+@pytest.mark.parametrize("n", [0, -1, -29120])
+def test_type_function_refuses_n_below_1(n):
+    with pytest.raises(ValueError):
+        type_function(nse_closed_form(make_params(1)), n)
+
+
 # -- divisibility checks -------------------------------------------------------------
 
 def test_frobenius_check_passes_on_closed_form():
@@ -224,6 +243,17 @@ def test_frobenius_check_flags_perturbation():
     report = frobenius_check(OrderStats(counts=counts, total=29120))
     assert not report.passed
     assert report.violations
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_frobenius_check_factors_the_group_order_once(m, monkeypatch):
+    # Its divisors (56 at q = 8, 132 at q = 32) come from one factorization,
+    # and the type function factors none of them.
+    stats = nse_closed_form(make_params(m))
+    calls, real = [], szq.orderstats.factorize
+    monkeypatch.setattr(szq.orderstats, "factorize", lambda n: calls.append(n) or real(n))
+    assert frobenius_check(stats).passed
+    assert calls == [stats.total]
 
 
 def test_frobenius_check_trivial_group():
