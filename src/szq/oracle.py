@@ -98,10 +98,12 @@ def _walk(seeds: Iterable[Hashable], moves: Sequence, act: Callable,
     # Outgrown set tables are freed.  Once glibc has raised its mmap
     # threshold (as on freeing an earlier closure's table), they come from the
     # heap and stay resident, so the heap is trimmed each time the closure
-    # doubles: a second B(128) closure in one process peaked 39 MB higher.
-    # The trim cannot reach pymalloc's arenas; ``enumerate_group`` empties
-    # the tuple free list that keeps them resident.
-    trim_at = 2 * len(seen)
+    # doubles from 2^12 keys on: a second B(128) closure in one process
+    # peaked 39 MB higher.  The chain's small walks (at most 1,025 keys up to
+    # Sz(32)) free too little to trim.  The trim cannot reach pymalloc's
+    # arenas; ``enumerate_group`` empties the tuple free list that keeps them
+    # resident.
+    trim_at = max(2 * len(seen), 1 << 12)
     while frontier:
         new = []
         for a in frontier if lift is None else map(lift, frontier):

@@ -118,6 +118,18 @@ def test_closure_trims_the_heap_each_time_it_doubles(monkeypatch):
     assert pads and set(pads) == {0} and len(pads) <= order.bit_length()
 
 
+def test_the_chain_and_verify_q8_make_no_trim(monkeypatch, capsys):
+    # The chain's walks (ovoid orbit, W, generating sets, TI orbits) stay at
+    # 1,025 keys or fewer up to Sz(32), below the 2^12 keys the trim starts at.
+    pads = []
+    monkeypatch.setattr(szq.oracle, "_malloc_trim", lambda: pads.append)
+    assert main(["verify", "--q", "8", "--output", "json", "--no-timestamp"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert pads == []
+    StabilizerChain(make_params(2), Field(2))
+    assert pads == []
+
+
 def test_only_a_matrix_closure_collects_and_before_its_first_product(monkeypatch, params8, f8):
     # enumerate_group empties the free lists once, before the walk starts;
     # the chain and its small walks never collect.

@@ -66,11 +66,14 @@ def test_factorize_roundtrip():
         assert prod == n
 
 
+# 5 lies below the wheel primes 7 and 11; 100 and 211 fall in the wheel's
+# first block of candidates, 11..211 (211 is its last), and 1000 in the block
+# 851..1051.
+@pytest.mark.parametrize("bound", [5, 100, 211, 1000])
 @given(st.integers(min_value=1, max_value=10 ** 7))
-def test_factorize_stops_at_its_bound(n):
-    # With the bound at 100, a cofactor free of primes up to 100 is proven
-    # prime below 101^2 and refused from there on.
-    bound = 100
+def test_factorize_stops_at_its_bound(bound, n):
+    # A cofactor free of primes up to the bound is proven prime below
+    # (bound + 1)^2 and refused from there on.
     cofactor = n
     for d in range(2, bound + 1):
         while cofactor % d == 0:
@@ -84,6 +87,50 @@ def test_factorize_stops_at_its_bound(n):
         fac = factorize(n)
     assert all(factorize(p) == {p: 1} for p in fac)
     assert prod(p ** k for p, k in fac.items()) == n
+
+
+def reference_factorize(n):
+    """Trial division by every integer from 2 up to the square root."""
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+@given(st.integers(min_value=1, max_value=10 ** 10))
+def test_factorize_matches_trial_division_by_every_integer(n):
+    fac = factorize(n)
+    assert fac == reference_factorize(n)
+    assert list(fac) == sorted(fac)
+    assert prod(p ** k for p, k in fac.items()) == n
+    assert all(reference_factorize(p) == {p: 1} for p in fac)
+
+
+# The wheel's seams: 11 = 11 + 0 and 221 = 11 + 210 open a block, 211 and
+# 421 close one, and 7 is the last prime divided out before the wheel.
+@pytest.mark.parametrize("n, fac", [
+    (121, {11: 2}),
+    (209, {11: 1, 19: 1}),
+    (221, {13: 1, 17: 1}),
+    (211 ** 2, {211: 2}),
+    (419 * 421, {419: 1, 421: 1}),
+    (7 ** 12, {7: 12}),
+])
+def test_factorize_at_the_wheel_seams(n, fac):
+    assert factorize(n) == fac
+
+
+def test_factorize_clips_the_last_block_at_its_bound(monkeypatch):
+    # 997 is the last candidate up to 1000, in the block 851..1051.
+    monkeypatch.setattr(szq.orderstats, "FACTOR_BOUND", 1000)
+    assert factorize(997 ** 2) == {997: 2}
+    with pytest.raises(ScaleRefusal, match="bound of 1000"):
+        factorize(1009 ** 2)
 
 
 def test_coprime_part():
