@@ -12,9 +12,10 @@ from .group import (
     make_w,
     params_for_q,
 )
-from .mat4 import Mat4, OrderNotFoundError, SingularMatrixError, element_order
+from .mat4 import Mat4
 from .oracle import (
     ElementTable,
+    OrderNotFoundError,
     StabilizerChain,
     SubgroupHandle,
     empirical_order_stats,
@@ -39,10 +40,10 @@ __all__ = [
     "CandidateProfile", "CertificationError", "ElementTable", "Field",
     "FieldElement", "FieldMismatchError", "GateCheck", "GateReport", "Mat4",
     "OrderNotFoundError", "OrderStats", "PartitionClassCounts", "PrimeGraph",
-    "ProfileError", "SingularMatrixError", "Spectrum", "StabilizerChain",
-    "SubgroupHandle", "SuzukiParams", "closed_form_subgroup_counts",
-    "divisors", "element_order", "empirical_order_stats", "enumerate_group",
-    "euler_phi", "find_modulus", "is_irreducible", "make_params", "make_w",
-    "nse_closed_form", "params_for_q", "prime_graph", "run_gate",
-    "spectrum_closed_form", "type_function", "verify_partition",
+    "ProfileError", "Spectrum", "StabilizerChain", "SubgroupHandle",
+    "SuzukiParams", "closed_form_subgroup_counts", "divisors",
+    "empirical_order_stats", "enumerate_group", "euler_phi", "find_modulus",
+    "is_irreducible", "make_params", "make_w", "nse_closed_form",
+    "params_for_q", "prime_graph", "run_gate", "spectrum_closed_form",
+    "type_function", "verify_partition",
 ]

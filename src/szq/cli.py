@@ -8,7 +8,8 @@ verify   full oracle suite at desk scale: closure, census, partition, indices
 gate     decide an (order, nse-profile) JSON file
 
 Exit codes: 0 success/accept, 1 gate reject, 2 usage or input error,
-3 refused scale, 4 certification or verification failure.
+3 refused scale, 4 certification or verification failure.  A closed stdout
+ends the console script by SIGPIPE where the platform has it.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import json
 import math
 import re
+import signal
 import sys
 from datetime import datetime, timezone
 from functools import cache
@@ -29,8 +31,8 @@ from .group import (
     make_params,
     params_for_q,
 )
-from .mat4 import OrderNotFoundError
 from .oracle import (
+    OrderNotFoundError,
     ScaleRefusal,
     StabilizerChain,
     SubgroupNotFoundError,
@@ -339,6 +341,10 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
+    # A closed stdout ends the console script as it ends ``cat``: by SIGPIPE,
+    # with nothing on stderr.  ``main`` leaves signals to its caller.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

@@ -21,7 +21,7 @@ square-and-multiply routine over that multiply.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable
 
 from .orderstats import factorize
 
@@ -178,7 +178,6 @@ class Field:
         else:
             check_modulus(self.degree, modulus)
         self.modulus = modulus
-        self.element_bytes = (self.degree + 7) // 8
 
         self._mul_table: list[list[int]] | None = None
         self._generator: int | None = None
@@ -244,18 +243,11 @@ class Field:
             raise ValueError(f"element 0x{bits:x} out of range for GF(2^{self.degree})")
         return FieldElement(bits, self)
 
-    def elements(self) -> Iterator["FieldElement"]:
-        for bits in range(self.q):
-            yield FieldElement(bits, self)
-
     def primitive_element(self) -> "FieldElement":
         """Smallest generator of the multiplicative group, in bit order."""
         if self._generator is None:
             self._generator = self._find_generator()
         return FieldElement(self._generator, self)
-
-    def __iter__(self) -> Iterator["FieldElement"]:
-        return self.elements()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Field):

@@ -1,11 +1,16 @@
 """Decision gate for (order, nse) profiles against Suzuki groups.
 
 Given a candidate group order and the set (or full map) of its
-elements-per-order counts, the gate replays the arithmetic certificates that
-pin such a profile to Sz(q): the order must factor as q^2 (q^2+1)(q-1) with
-q = 2^(2m+1), the counts must match the closed forms exactly, 2 must be
-isolated in the prime graph, and both Frobenius-type splittings of the order
-must be arithmetically impossible, leaving a unique simple section size.
+elements-per-order counts, the gate infers m from the order, which must
+factor as q^2 (q^2+1)(q-1) with q = 2^(2m+1).  Two checks read the
+profile's counts: ``involution_count`` (its one odd count above 1 is the
+involution count of Sz(q)) and ``nse_match`` (the counts are the closed
+forms exactly).  The other four run on the inferred m alone:
+``isolation_certificate`` (2 isolated in the prime graph) on the closed-form
+counts of Sz(q), not on the profile's, and the exclusion of both
+Frobenius-type splittings and the uniqueness of the simple section
+parameter on m's arithmetic.  Once the order has Sz(q)'s form, those four
+pass whatever the counts are.
 
 ACCEPT certifies consistency with Sz(q); it is not a standalone isomorphism
 proof for an arbitrary group handed only as a profile, and the report says
@@ -111,14 +116,6 @@ class CandidateProfile:
             raise ProfileError("'nse_set' must be a list")
         return cls(order=order,
                    nse_set=frozenset(_as_int(v, "an nse_set value") for v in data["nse_set"]))
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"order": str(self.order)}
-        if self.nse_map is not None:
-            out["nse_map"] = {str(i): str(c) for i, c in sorted(self.nse_map.items())}
-        else:
-            out["nse_set"] = [str(v) for v in sorted(self.nse_set)]
-        return out
 
 
 @dataclass(frozen=True)

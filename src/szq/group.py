@@ -90,11 +90,6 @@ def make_w(a: FieldElement, b: FieldElement) -> Mat4:
     ))
 
 
-def w_elements(field: Field) -> list[Mat4]:
-    """All q^2 elements w(a, b), in (a, b) bit order."""
-    return [make_w(a, b) for a in field.elements() for b in field.elements()]
-
-
 def w_generators(field: Field) -> list[Mat4]:
     """A generating set for the full subgroup W = {w(a, b)}: w(x^i, 0) for
     the 2m + 1 basis elements x^i of GF(q) over GF(2), then w(0, 1), so
@@ -165,15 +160,6 @@ class PartitionClassCounts:
     n_u1: int
     n_u2: int
     n_v: int
-
-    def coverage(self, params: SuzukiParams) -> int:
-        """Total nontrivial elements covered if all conjugates intersect
-        trivially; equals group_order - 1 exactly when they partition."""
-        q2 = params.q * params.q
-        return (self.n_w * (q2 - 1)
-                + self.n_u1 * (params.u1 - 1)
-                + self.n_u2 * (params.u2 - 1)
-                + self.n_v * (params.v - 1))
 
 
 def closed_form_subgroup_counts(params: SuzukiParams) -> PartitionClassCounts:

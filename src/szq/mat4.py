@@ -1,4 +1,7 @@
-"""4x4 matrices over a binary field: the concrete carrier of group elements.
+"""4x4 matrices over a binary field: the boundary type of group elements.
+
+A matrix is built, multiplied, compared and hashed, and nothing more: orders,
+inverses and subgroups are taken on the ranks of ``oracle.StabilizerChain``.
 
 Entries are stored row-major as a flat tuple of 16 raw bit-polynomials, which
 makes matrices hashable and comparison cheap; wrapped ``FieldElement`` views
@@ -31,14 +34,6 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .field import Field, FieldElement, FieldMismatchError, _require_int
-
-
-class SingularMatrixError(ValueError):
-    """Raised when inverting a matrix without full rank."""
-
-
-class OrderNotFoundError(LookupError):
-    """No power within the hinted divisors (or the bound) equals the identity."""
 
 
 def _right_kernel(y: Sequence[int],
@@ -141,10 +136,6 @@ class Mat4:
             e[5 * i] = d.bits if isinstance(d, FieldElement) else d
         return cls(field, e)
 
-    def entry(self, i: int, j: int) -> FieldElement:
-        """Entry in row i, column j (0-based), as a field element."""
-        return FieldElement(self._entries[4 * i + j], self._field)
-
     def __mul__(self, other: "Mat4") -> "Mat4":
         f = self._field
         if other._field is not f and other._field != f:
@@ -184,72 +175,6 @@ class Mat4:
         m._entries, m._field, m._right = entries, f, None
         return m
 
-    def __pow__(self, k: int) -> "Mat4":
-        if k < 0:
-            return self.inv() ** (-k)
-        r = Mat4.identity(self._field)
-        b = self
-        while k:
-            if k & 1:
-                r = r * b
-            b = b * b
-            k >>= 1
-        return r
-
-    def inv(self) -> "Mat4":
-        """Gauss-Jordan inverse; raises SingularMatrixError below rank 4."""
-        f = self._field
-        mul, finv = f._mul, f._inv
-        aug = []
-        for r in range(4):
-            row = list(self._entries[4 * r:4 * r + 4]) + [0] * 4
-            row[4 + r] = 1
-            aug.append(row)
-        for col in range(4):
-            piv = next((r for r in range(col, 4) if aug[r][col]), None)
-            if piv is None:
-                raise SingularMatrixError("matrix has rank < 4")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            scale = finv(aug[col][col])
-            if scale != 1:
-                aug[col] = [mul(scale, v) for v in aug[col]]
-            prow = aug[col]
-            for r in range(4):
-                if r == col:
-                    continue
-                factor = aug[r][col]
-                if factor:
-                    aug[r] = [v ^ mul(factor, p) for v, p in zip(aug[r], prow)]
-        out = []
-        for r in range(4):
-            out.extend(aug[r][4:])
-        return Mat4._make(f, tuple(out))
-
-    def is_identity(self) -> bool:
-        return self._entries == (1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)
-
-    # -- serialization --
-
-    def encode(self) -> bytes:
-        """Row-major, each entry as little-endian fixed-width bytes.
-
-        The encoding is injective and stable; it is the serialization format
-        (``decode`` inverts it).  In-memory tables key matrices by ``entries``.
-        """
-        w = self._field.element_bytes
-        return b"".join(v.to_bytes(w, "little") for v in self._entries)
-
-    @classmethod
-    def decode(cls, field: Field, data: bytes) -> "Mat4":
-        w = field.element_bytes
-        if len(data) != 16 * w:
-            raise ValueError(f"need {16 * w} bytes, got {len(data)}")
-        vals = tuple(int.from_bytes(data[i * w:(i + 1) * w], "little") for i in range(16))
-        for v in vals:
-            if v >= field.q:
-                raise ValueError(f"entry 0x{v:x} out of range")
-        return cls._make(field, vals)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Mat4):
             return NotImplemented
@@ -266,31 +191,3 @@ class Mat4:
 # Constructors skip ``__init__``'s checks: they fill the private slots of a
 # bare instance with plain stores, and no other code writes them.
 _new = object.__new__
-
-
-def element_order(mat: Mat4, hint_orders: Iterable[int] = (), bound: int | None = None) -> int:
-    """Least k >= 1 with mat**k equal to the identity.
-
-    With ``hint_orders`` the true order must divide one of the hints; powers
-    are walked up to the largest hint.  Without hints the search runs up to
-    ``bound`` by iterated multiplication.  Exhausting either search, or a
-    first identity power dividing no hint, raises OrderNotFoundError, which
-    for hinted searches signals an element outside the expected spectrum.
-    """
-    hints = [h for h in hint_orders if h > 0]
-    if hints:
-        limit = max(hints)
-    elif bound is None:
-        raise ValueError("element_order needs hint_orders or a bound")
-    else:
-        limit = bound
-    cur = mat
-    for k in range(1, limit + 1):
-        if cur.is_identity():
-            if not hints or any(h % k == 0 for h in hints):
-                return k
-            break
-        if k < limit:
-            cur = cur * mat
-    raise OrderNotFoundError(
-        f"no order found within {'hints ' + str(sorted(hints)) if hints else f'bound {bound}'}")

@@ -46,7 +46,7 @@ from .group import (
     closed_form_subgroup_counts,
     w_generators,
 )
-from .mat4 import Mat4, OrderNotFoundError
+from .mat4 import Mat4
 from .orderstats import OrderStats, ScaleRefusal, Spectrum, factorize
 
 Point = tuple[int, int, int, int]
@@ -62,6 +62,11 @@ class ClosureLimitError(RuntimeError):
 
 class SubgroupNotFoundError(LookupError):
     """No element of the requested order exists in the chain."""
+
+
+class OrderNotFoundError(LookupError):
+    """An element's order divides none of the spectrum's orders
+    (``empirical_order_stats``)."""
 
 
 def _itself(x: Hashable) -> Hashable:

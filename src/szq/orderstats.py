@@ -158,13 +158,6 @@ class OrderStats:
             "counts": {str(i): str(c) for i, c in sorted(self.counts.items())},
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "OrderStats":
-        return cls(
-            counts={int(i): int(c) for i, c in data["counts"].items()},
-            total=int(data["total"]),
-        )
-
 
 @dataclass(frozen=True)
 class Spectrum:

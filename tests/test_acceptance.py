@@ -41,6 +41,8 @@ from szq.orderstats import (
     weisner_count,
 )
 
+from matrix_reference import elements
+
 SZ8_COUNTS = {1: 1, 2: 455, 4: 3640, 5: 5824, 7: 12480, 13: 6720}
 SZ8_SET = {1, 455, 3640, 5824, 6720, 12480}
 
@@ -52,7 +54,7 @@ def _report(number: int, name: str, ok: bool) -> None:
 
 def test_criterion_01_group_law_exhaustive():
     f = Field(1)
-    els = list(f)
+    els = elements(f)
     t0 = perf_counter()
     cache = {(a.bits, b.bits): make_w(a, b) for a in els for b in els}
     ok = True

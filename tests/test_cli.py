@@ -1,7 +1,10 @@
 """Command-line behavior: outputs, determinism, exit codes."""
 
 import json
+import os
 import re
+import signal
+import subprocess
 import sys
 from pathlib import Path
 from time import perf_counter
@@ -694,3 +697,24 @@ def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch
     assert rc in range(5)
     if rc == 2:
         assert out == ""
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+@pytest.mark.parametrize("argv", [("verify", "--q", "8"),
+                                  ("nse", "--m", "12", "--output", "json")],
+                         ids=["verify", "nse-json"])
+def test_a_closed_stdout_ends_the_script_by_sigpipe(argv):
+    # As ``cat`` ends: killed by SIGPIPE, with nothing on stderr, where a
+    # BrokenPipeError traceback came from ``_emit``.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "szq.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert done.returncode == -signal.SIGPIPE
+    assert done.stderr == b""

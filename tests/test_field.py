@@ -5,8 +5,6 @@ import os
 import random
 import subprocess
 import sys
-from functools import reduce
-from operator import mul
 from pathlib import Path
 
 import pytest
@@ -22,9 +20,9 @@ from szq.field import (
     find_modulus,
     is_irreducible,
 )
-from szq.group import make_w, torus_element, weyl_element
-from szq.mat4 import Mat4
 from szq.orderstats import factorize
+
+from matrix_reference import elements
 
 
 # -- independent oracles ----------------------------------------------------
@@ -112,7 +110,7 @@ def test_add_rejects_same_degree_other_modulus():
 # -- multiplication ---------------------------------------------------------
 
 def test_mul_identity(f8):
-    for a in f8:
+    for a in elements(f8):
         assert a * f8.one == a
 
 
@@ -134,7 +132,7 @@ def test_mul_matches_schoolbook_everywhere(m):
 
 
 def test_mul_commutes_and_distributes_gf8(f8):
-    els = list(f8)
+    els = elements(f8)
     for a in els:
         for b in els:
             assert a * b == b * a
@@ -159,7 +157,7 @@ def test_inv_known_values(f8):
 @pytest.mark.parametrize("m", [1, 2])
 def test_inv_exhaustive(m):
     f = Field(m)
-    for a in f:
+    for a in elements(f):
         if not a:
             continue
         assert a * a.inv() == f.one
@@ -182,7 +180,7 @@ def test_pow_basics(f8):
 @pytest.mark.parametrize("m", [1, 2])
 def test_pow_lagrange(m):
     f = Field(m)
-    for a in f:
+    for a in elements(f):
         if a:
             assert a ** (f.q - 1) == f.one
         assert a ** f.q == a  # Frobenius fixed point of the full field
@@ -203,7 +201,7 @@ def test_twist_known_value(f8):
 @pytest.mark.parametrize("m", [1, 2])
 def test_twist_squares_to_frobenius(m):
     f = Field(m)
-    for a in f:
+    for a in elements(f):
         assert a.twist().twist() == a * a
         # repeated-squaring oracle
         want = a
@@ -213,8 +211,8 @@ def test_twist_squares_to_frobenius(m):
 
 
 def test_twist_is_additive_and_multiplicative(f8):
-    for a in f8:
-        for b in f8:
+    for a in elements(f8):
+        for b in elements(f8):
             assert (a + b).twist() == a.twist() + b.twist()
             assert (a * b).twist() == a.twist() * b.twist()
 
@@ -387,17 +385,3 @@ def test_field_axioms_on_a_random_modulus(data):
         assert a ** (f.q - 1) == f.one
         assert a ** -1 == a.inv()
         assert a ** k * a ** -k == f.one
-
-
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_mat4_inverse_and_encoding_on_a_random_modulus(data):
-    f = data.draw(_fields())
-    el = st.integers(0, f.q - 1).map(f.element)
-    factor = st.one_of(
-        st.tuples(el, el).map(lambda ab: make_w(*ab)),
-        st.integers(1, f.q - 1).map(lambda bits: torus_element(f, f.element(bits))),
-        st.just(weyl_element(f)))
-    x = reduce(mul, data.draw(st.lists(factor, min_size=1, max_size=6)))
-    assert x * x.inv() == Mat4.identity(f)
-    assert Mat4.decode(f, x.encode()) == x

@@ -1,5 +1,6 @@
 """Profile gate: inference, certificates, and the end-to-end pipeline."""
 
+import json
 import sys
 
 import pytest
@@ -12,6 +13,7 @@ from szq.gate import (
     identify_m2,
     infer_q,
     isolation_certificate,
+    load_profile,
     nse_match_check,
     run_gate,
     simple_section_check,
@@ -251,7 +253,15 @@ def test_profile_from_json_rejects_bad_shapes():
             {"order": 120, "nse_map": {"1": 1, "2": 7, "4": 56, "04": 56}})
 
 
-def test_profile_json_roundtrip():
-    profile = _profile(2)
-    back = CandidateProfile.from_json_dict(profile.to_json_dict())
-    assert back == profile
+def test_profile_json_roundtrip(tmp_path):
+    # A profile written as the README's JSON, set and map, loads back as it was.
+    stats = nse_closed_form(make_params(2))
+    for profile, data in (
+            (_profile(2), {"order": str(stats.total),
+                           "nse_set": [str(v) for v in sorted(set(stats.counts.values()))]}),
+            (CandidateProfile(order=stats.total, nse_set=frozenset(stats.counts.values()),
+                              nse_map=stats.counts),
+             {"order": str(stats.total), "nse_map": stats.to_json_dict()["counts"]})):
+        path = tmp_path / "profile.json"
+        path.write_text(json.dumps(data))
+        assert load_profile(str(path)) == profile

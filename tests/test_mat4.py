@@ -1,4 +1,5 @@
-"""Matrix carrier: products, inverses, canonical encoding, element orders."""
+"""Matrix boundary type: construction, products, equality, and the kernel of a
+right factor; orders and inverses from the matrix reference."""
 
 import random
 
@@ -7,13 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from szq.field import Field, FieldMismatchError
 from szq.group import make_w
-from szq.mat4 import (
-    Mat4,
-    OrderNotFoundError,
-    SingularMatrixError,
-    _mul_fn_kernel,
-    element_order,
-)
+from szq.mat4 import Mat4, _mul_fn_kernel
+
+from matrix_reference import elements, order_and_inverse, power, w_elements
 
 
 @pytest.fixture(scope="module")
@@ -68,110 +65,59 @@ def test_constructor_refuses_non_int_entries(f8, bad):
 
 
 def test_inverse_roundtrip(f8):
+    # The reference's inverse, the last power before the identity.
     ident = Mat4.identity(f8)
-    assert ident.inv() == ident
-    for a_bits in range(f8.q):
-        for b_bits in range(f8.q):
-            w = make_w(f8.element(a_bits), f8.element(b_bits))
-            assert w * w.inv() == ident
-            assert w.inv() * w == ident
-            assert w.inv().inv() == w
+    assert order_and_inverse(ident) == (1, ident)
+    for w in w_elements(f8):
+        inverse = order_and_inverse(w)[1]
+        assert w * inverse == inverse * w == ident
+        assert order_and_inverse(inverse)[1] == w
 
 
 def test_w_inverse_closed_form(f8):
-    # w(a,b)^-1 = w(a, b + twist(a)*a), checked through the product
-    for a in f8:
-        for b in f8:
+    # w(a,b)^-1 = w(a, b + twist(a)*a), the last power before the identity
+    for a in elements(f8):
+        for b in elements(f8):
             w = make_w(a, b)
-            assert w.inv() == make_w(a, b + a.twist() * a)
+            assert order_and_inverse(w)[1] == make_w(a, b + a.twist() * a)
 
 
 def test_singular_matrix_raises(f8):
-    with pytest.raises(SingularMatrixError):
-        Mat4(f8, (0,) * 16).inv()
-    with pytest.raises(SingularMatrixError):
-        # two equal rows
-        Mat4(f8, (1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1)).inv()
+    # No power of a singular matrix is the identity: the walk gives up.
+    for singular in (Mat4(f8, (0,) * 16),
+                     Mat4(f8, (1, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1))):  # equal rows
+        with pytest.raises(AssertionError, match="no identity"):
+            order_and_inverse(singular)
 
 
 def test_matrix_power(f8):
     w = make_w(f8.one, f8.zero)
-    assert w ** 0 == Mat4.identity(f8)
-    assert w ** 2 == w * w
-    assert w ** 4 == Mat4.identity(f8)
-    assert w ** -1 == w.inv()
-
-
-# -- encoding ---------------------------------------------------------------
-
-def test_encode_identity_snapshot(f8):
-    assert Mat4.identity(f8).encode() == bytes(
-        [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1])
-
-
-def test_encode_roundtrip_and_injectivity(f8):
-    seen = set()
-    for a in f8:
-        for b in f8:
-            w = make_w(a, b)
-            data = w.encode()
-            assert Mat4.decode(f8, data) == w
-            seen.add(data)
-    assert len(seen) == f8.q * f8.q
-
-
-def test_encode_width_scales_with_degree():
-    f = Field(4)  # degree 9 -> 2 bytes per entry
-    assert len(Mat4.identity(f).encode()) == 32
-
-
-def test_decode_validates(f8):
-    with pytest.raises(ValueError):
-        Mat4.decode(f8, b"\x01" * 15)
-    with pytest.raises(ValueError):
-        Mat4.decode(f8, b"\x09" + b"\x00" * 15)  # 9 >= q
-
-
-def test_encode_injective_on_full_group(sz8_matrices):
-    f = sz8_matrices.field
-    assert len({Mat4(f, k).encode() for k in sz8_matrices.keys}) == 29120
+    assert power(w, 0) == Mat4.identity(f8)
+    assert power(w, 2) == w * w
+    assert power(w, 4) == Mat4.identity(f8)
+    assert power(w, 3) == order_and_inverse(w)[1]
 
 
 # -- element order ----------------------------------------------------------
 
 def test_order_of_identity(f8):
-    assert element_order(Mat4.identity(f8), (4, 7)) == 1
-    assert element_order(Mat4.identity(f8), bound=5) == 1
+    assert order_and_inverse(Mat4.identity(f8), limit=1) == (1, Mat4.identity(f8))
 
 
 def test_orders_within_w(f8):
-    for a in f8:
-        for b in f8:
+    for a in elements(f8):
+        for b in elements(f8):
             if not a and not b:
                 continue
-            w = make_w(a, b)
             want = 2 if not a else 4
-            assert element_order(w, (4,)) == want
-            assert element_order(w, bound=4) == want
+            assert order_and_inverse(make_w(a, b))[0] == want
 
 
 def test_order_bound_exhausted_raises(f8):
     w = make_w(f8.one, f8.zero)  # order 4
-    with pytest.raises(OrderNotFoundError):
-        element_order(w, bound=3)
-    with pytest.raises(OrderNotFoundError):
-        element_order(w, (3,))  # hints that miss the true order
-
-
-def test_order_dividing_no_hint_raises(f8):
-    w = make_w(f8.one, f8.zero)  # order 4, reached before the largest hint
-    with pytest.raises(OrderNotFoundError):
-        element_order(w, (5, 6))
-
-
-def test_order_requires_hints_or_bound(f8):
-    with pytest.raises(ValueError):
-        element_order(Mat4.identity(f8))
+    assert order_and_inverse(w, limit=4)[0] == 4
+    with pytest.raises(AssertionError, match="no identity among the first 3 powers"):
+        order_and_inverse(w, limit=3)
 
 
 def test_values_are_immutable(f8):
@@ -188,8 +134,6 @@ def test_values_are_immutable(f8):
         "product": w * one,
         "_as_right_factor": w._as_right_factor(),
         "identity": one,
-        "inv": w.inv().inv(),
-        "decode": Mat4.decode(f8, w.encode()),
     }
     for path, m in built.items():
         before = (m.entries, m.field)
@@ -202,16 +146,17 @@ def test_values_are_immutable(f8):
         assert not hasattr(m, "extra"), path
     same = [m for path, m in built.items() if path != "identity"]
     assert all(m == w and hash(m) == hash(w) for m in same)
-    assert [one, one * one, one.inv(), Mat4(f8, one.entries)] == [one] * 4
-    assert len({hash(m) for m in (one, one * one, one.inv(), Mat4.decode(f8, one.encode()))}) == 1
+    assert [one, one * one, Mat4(f8, one.entries)] == [one] * 3
+    assert len({hash(m) for m in (one, one * one, Mat4(f8, one.entries))}) == 1
     assert w * one != one and w._as_right_factor() != one
 
 
 def test_entry_accessor(f8):
+    # ``entries`` is row-major: entry (i, j) sits at 4 i + j.
     w = make_w(f8.element(0b011), f8.element(0b101))
-    assert w.entry(1, 0) == f8.element(0b011)
-    assert w.entry(2, 0) == f8.element(0b101)
-    assert w.entry(0, 0) == f8.one
+    assert w.entries[4 * 1 + 0] == 0b011
+    assert w.entries[4 * 2 + 0] == 0b101
+    assert w.entries[0] == 1
 
 
 def test_fallback_kernel_without_tables():
@@ -225,20 +170,19 @@ def test_fallback_kernel_without_tables():
     for _ in range(5):
         a, b, c, d = (f.element(rng.randrange(f.q)) for _ in range(4))
         assert mw(a, b) * mw(c, d) == mw(a + c, b + d + a.twist() * c)
-    ident = Mat4.identity(f)
     m = mw(f.one, f.zero)
-    assert m * m.inv() == ident
+    k, inverse = order_and_inverse(m)
+    assert k == 4 and m * inverse == Mat4.identity(f)
 
 
 def test_order_is_conjugation_invariant(sz8_matrices):
     f, keys = sz8_matrices.field, sorted(sz8_matrices.keys)
     rng = random.Random(1234)
-    hints = (4, 7, 5, 13)
     for _ in range(1000):
         x = Mat4(f, rng.choice(keys))
         g = Mat4(f, rng.choice(keys))
-        conj = (g * x) * g.inv()
-        assert element_order(conj, hints) == element_order(x, hints)
+        conj = (g * x) * order_and_inverse(g)[1]
+        assert order_and_inverse(conj)[0] == order_and_inverse(x)[0]
 
 
 # -- the kernel of a fixed right factor --------------------------------------

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 import szq.oracle
 from szq.cli import main
 from szq.field import Field
-from szq.group import candidate_generators, make_params, make_w, w_elements, w_generators
-from szq.mat4 import Mat4, element_order
+from szq.group import candidate_generators, make_params, make_w, w_generators
+from szq.mat4 import Mat4
 from szq.oracle import (
     ClosureLimitError,
     SubgroupHandle,
@@ -32,7 +32,9 @@ from szq.oracle import (
     unitriangular,
     verify_partition,
 )
-from szq.orderstats import Spectrum, euler_phi, spectrum_closed_form
+from szq.orderstats import Spectrum, euler_phi
+
+from matrix_reference import order_and_inverse, w_elements
 
 SZ8_COUNTS = {1: 1, 2: 455, 4: 3640, 5: 5824, 7: 12480, 13: 6720}
 
@@ -258,9 +260,9 @@ def test_w_census(sz8):
 
 
 def test_w_census_without_hint(f8):
-    # The same census off W's matrices, each order searched with no
-    # spectrum hint, only a bound at |W|.
-    counts = Counter(element_order(x, bound=64) for x in w_elements(f8))
+    # The same census off W's matrices, each order from its own walk of
+    # matrix products, with no spectrum hint.
+    counts = Counter(order_and_inverse(x, limit=64)[0] for x in w_elements(f8))
     assert counts == {1: 1, 2: 7, 4: 56}
 
 
@@ -279,27 +281,28 @@ def test_limit_is_the_exact_closure_size(f8):
 
 def test_power_pass_on_w_at_q32():
     # Orders and inverses of W's members on the Sz(32) chain, each taken from
-    # its rank, against element_order and Gauss-Jordan on the matrices.
+    # its rank, against the walk of matrix products of each matrix.
     f = Field(2)
     chain = StabilizerChain(make_params(2), f)
     for x in random.Random(2026).sample(w_elements(f), 100):
         r = chain.rank(x)
-        assert chain.order(r) == element_order(x, (4,))
-        assert chain.mul(r, chain.rank(x.inv())) == chain.identity
+        k, inverse = order_and_inverse(x)
+        assert chain.order(r) == k
+        assert chain.mul(r, chain.rank(inverse)) == chain.identity
 
 
 def test_ovoid_power_pass_matches_the_matrix_orders_and_inverses(sz8, sz8_matrices):
     # The permutation table's orders and inverses, looked up through the
-    # boundary conversion, against element_order and Gauss-Jordan on matrices.
+    # boundary conversion, against the walk of matrix products of each matrix.
     table = sz8.table
-    hints = tuple(spectrum_closed_form(sz8.params).orders)
     orders = table.orders()
     mats = sorted(sz8_matrices.keys)
     for entries in random.Random(2025).sample(mats, 300):
         x = Mat4(sz8_matrices.field, entries)
         r = table.rank(x)
-        assert orders[r] == element_order(x, hints)
-        assert table.mul(r, table.rank(x.inv())) == table.identity
+        k, inverse = order_and_inverse(x)
+        assert orders[r] == k
+        assert table.mul(r, table.rank(inverse)) == table.identity
 
 
 def test_the_ovoid_is_the_orbit_of_e1(sz8):
@@ -354,8 +357,9 @@ def test_spectrum_found_is_exact(sz8):
 
 
 def test_census_surfaces_spectrum_violations(sz8):
-    from szq.mat4 import OrderNotFoundError
+    from szq.oracle import OrderNotFoundError
 
+    assert szq.OrderNotFoundError is OrderNotFoundError
     with pytest.raises(OrderNotFoundError):
         empirical_order_stats(sz8.table, Spectrum.from_values((4, 5, 7)))  # misses order 13
     with pytest.raises(OrderNotFoundError):

@@ -290,6 +290,31 @@ def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch)
     assert not report.passed
 
 
+def test_two_classes_of_one_order_fail_the_certificate(pair, monkeypatch):
+    # U2 handed in as the v class too: every index is an integer and U2 is
+    # TI, so the pairwise-coprime orders are the one check that fails, and
+    # the certificate claims nothing, no census either.
+    params, find = pair.params, szq.oracle.find_cyclic_subgroup
+    monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
+                        lambda t, k: find(t, params.u2 if k == params.v else k))
+    report = verify_partition(pair.table)
+    assert report.classes["v"].members == report.classes["u2"].members
+    assert (report.multiply_covered, report.missing, report.census) == (None, None, None)
+    assert not report.passed
+
+
+def test_a_centralizer_outside_the_normalizer_fails_the_certificate(pair, monkeypatch):
+    # An involution t of W whose C(t) reaches outside N(W) leaves W's TI
+    # proof without its key step, C(t) ⊆ N(W): the certificate fails.
+    chain, real = pair.table, szq.oracle.centralizer
+    outside = min(set(range(chain.size)) - normalizer(chain, unitriangular(chain)).members)
+    monkeypatch.setattr(szq.oracle, "centralizer",
+                        lambda c, x: SubgroupHandle(real(c, x).members | {outside}))
+    report = verify_partition(chain)
+    assert (report.multiply_covered, report.missing, report.census) == (None, None, None)
+    assert not report.passed
+
+
 def test_verify_without_the_certificate_reports_the_power_pass(pair, monkeypatch, capsys):
     # The failed certificate leaves verify the power pass's census, which
     # still matches the closed forms, and the partition check fails: exit 4.

