@@ -17,10 +17,14 @@ them back to a rank: the census, ``subgroup``, ``cyclic_subgroup``,
 search, ``_conjugators``) all take the chain and ranks, and all run on
 Sz(32).  Every power walk records the orders it proves in the chain's order
 bytes, and the power pass (``orders``) walks every rank whose byte is still
-0.  The partition certificate (``verify_partition``) counts conjugates by
-normalizer indices and walks no conjugate; once it holds, it reads a second
-census off the partition, from the orders of the four classes' members
-alone.  Matrices stay at the boundary (``StabilizerChain.rank``).
+0, in rank order, all in one loop: one call of one power walker, which finds
+each next such rank with ``bytearray.find``.  ``empirical_order_stats``
+counts only the orders its hints allow, one ``bytearray.count`` each, and
+scans for other orders only when those counts miss elements.  The partition
+certificate (``verify_partition``) counts conjugates by normalizer indices
+and walks no conjugate; once it holds, it reads a second census off the
+partition, from the orders of the four classes' members alone.  Matrices
+stay at the boundary (``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -248,7 +252,7 @@ class StabilizerChain:
     _inverses: list[list[list[int]]] = _derived()  # [j][i]: the inverse of U_j[i]
     _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
     _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
-    _level12: list[int] = _derived()  # t1 * n + t2 -> b * N2 + c, or a large negative
+    _level12: list[list[int]] = _derived()  # [t1][t2] -> b * N2 + c, or a large negative
     _orders: bytearray | None = _derived(default=None)  # 0: order not known yet
 
     def __post_init__(self) -> None:
@@ -289,13 +293,13 @@ class StabilizerChain:
                 f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {n0 * n1 * n2} "
                 f"elements, expected |Sz({params.q})| = {params.group_order}")
         missing = -(n0 * n1 * n2 + 1)  # makes any rank it is added to negative
-        level12 = [missing] * (n * n)
+        level12 = [[missing] * n for _ in range(n)]
         for b, u1 in enumerate(transversals[1]):
-            t1 = u1[base[1]] * n
+            row = level12[u1[base[1]]]
             for c, p in enumerate(o2):
-                if level12[t1 + u1[p]] != missing:
+                if row[u1[p]] != missing:
                     raise CertificationError("two elements of the chain share their base images")
-                level12[t1 + u1[p]] = b * n2 + c
+                row[u1[p]] = b * n2 + c
         inverse_at, offset_at = [None] * n, [0] * n  # o0, the ovoid, fills both
         for a, p in enumerate(o0):
             inverse_at[p], offset_at[p] = inverses[0][a], a * n1 * n2
@@ -313,7 +317,7 @@ class StabilizerChain:
         if not (0 <= p0 < n and 0 <= p1 < n and 0 <= p2 < n):
             return -1
         inverse = self._inverse_at[p0]
-        r = self._offset_at[p0] + self._level12[inverse[p1] * n + inverse[p2]]
+        r = self._offset_at[p0] + self._level12[inverse[p1]][inverse[p2]]
         return r if r >= 0 else -1
 
     def rank(self, mat: Mat4) -> int:
@@ -373,8 +377,7 @@ class StabilizerChain:
         p0 = v0[v1[v2[u0[u1[u2[b0]]]]]]
         inverse = self._inverse_at[p0]
         product = self._offset_at[p0] + self._level12[
-            inverse[v0[v1[v2[u0[u1[u2[b1]]]]]]] * len(inverse)
-            + inverse[v0[v1[v2[u0[u1[u2[b2]]]]]]]]
+            inverse[v0[v1[v2[u0[u1[u2[b1]]]]]]]][inverse[v0[v1[v2[u0[u1[u2[b2]]]]]]]]
         if product < 0:
             raise CertificationError("the chain is not closed under products")
         return product
@@ -383,27 +386,39 @@ class StabilizerChain:
         """The ranks of x, x^2, ..., x^(k-1) for the element x of rank r,
         k = ord(x) (none for x = 1), each power's byte of ``orders`` set to
         the ord(x^i) = k / gcd(i, k) the walk proves: one call of a fresh
-        ``_power_walker``, whose docstring says how a walk runs and why a
-        scan takes one walker for all its walks.  ValueError for an r that
+        ``_power_walker``, whose docstring says how a walk runs and how the
+        census runs all its walks in one call.  ValueError for an r that
         is no rank, before the order bytes are allocated; CertificationError
         past 255 powers or for a power that sifts to no element."""
         self._require_rank(r)
         return self._power_walker()(r)
 
-    def _power_walker(self) -> Callable[[int], list[int]]:
-        """``cycle`` as a closure, for the census (``_fill``), which makes
-        one and calls it for every hole, with no method call or attribute
-        read per walk.
+    def _power_walker(self) -> Callable[..., list[int] | int]:
+        """``cycle`` as a closure that can also run the census (``_fill``).
 
-        A walk decodes r into (a, b, c) with two divmods on the transversal
-        lengths and takes x = U0[a] U1[b] U2[c] from ``transversals``.  It
-        steps x's base images by x and sifts each power back to its rank:
-        ``_inverse_at[p0]`` is the row of U0[a]^-1 for the power's image p0
-        of b0, ``_offset_at[p0]`` its a N1 N2, and ``_level12`` the b N2 + c
-        of the other two images mapped by that row.  It records each power's
-        order in the chain's order bytes: ord(x^i) = k / gcd(i, k) for x of
-        order k, from a table of these k - 1 orders that the walker fills the
-        first time one of its walks meets order k, a list lookup per walk.
+        ``walk(r)`` walks the powers of the element of rank r and returns
+        them.  ``walk(r, k)``, from a hole r (a rank whose order byte is 0,
+        with every byte before it filled), walks r and then every later hole
+        in rank order, the next hole found by ``bytearray.find`` at C speed.
+        With k = 0 it walks them all and returns -1.  With k in 1 to 255 it
+        searches the run that the last walk completed, from the last hole up
+        to the next, for k, and returns the first rank of order k as soon as
+        one is filled, or -1 past the last hole; since every byte before r
+        is filled, that rank is the first of order k in rank order.  The
+        whole census is one call, which binds the tables as locals once and
+        checks one rank, rather than a call, a rank check and two divmods
+        per hole.
+
+        A walk decodes r into (a, b, c) with ``//`` and ``-`` on the
+        transversal lengths and takes x = U0[a] U1[b] U2[c] from
+        ``transversals``.  It steps x's base images by x and sifts each
+        power back to its rank: ``_inverse_at[p0]`` is the row of U0[a]^-1
+        for the power's image p0 of b0, ``_offset_at[p0]`` its a N1 N2, and
+        ``_level12[i1][i2]`` the b N2 + c, for i1 and i2 the other two
+        images mapped by that row.  It records each power's order in the
+        chain's order bytes: ord(x^i) = k / gcd(i, k) for x of order k, from
+        a table of these k - 1 orders that the walker fills the first time
+        one of its walks meets order k, a list lookup per walk.
 
         The walker reads the tables and the order bytes when it is made, not
         when the chain is built: a chain whose tables are replaced afterwards
@@ -411,41 +426,53 @@ class StabilizerChain:
         has now, so a power that its lookups do not know raises
         CertificationError rather than passing for the old chain's.
         """
-        n, inverse_at, offset_at, level12, one, size = (
-            len(self._inverse_at), self._inverse_at, self._offset_at, self._level12,
-            self.identity, self.size)
         t0, t1, t2 = self.transversals
-        n1, n2 = len(t1), len(t2)
-        b0, b1, b2 = self.base
         orders = self._order_bytes()
+        tables = (len(t1), len(t2), self._inverse_at, self._offset_at, self._level12,
+                  t0, t1, t2, *self.base, self.identity, orders)
+        size = self.size
         power_orders: list[list[int] | None] = [None] * 256  # [k]: as ord(x^i) above
 
-        def walk(r: int) -> list[int]:
+        def walk(r: int, k: int | None = None) -> list[int] | int:
             if type(r) is not int or not 0 <= r < size:
                 raise ValueError(f"{r!r} is no rank of the chain")
-            if r == one:
-                return []
-            ab, c = divmod(r, n2)
-            a, b = divmod(ab, n1)
-            u0, u1, u2 = t0[a], t1[b], t2[c]
-            p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
-            powers = [r]
-            for _ in range(254):
-                p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
-                inverse = inverse_at[p0]
-                r = offset_at[p0] + level12[inverse[p1] * n + inverse[p2]]
-                if r == one:
-                    k = len(powers) + 1
-                    ks = power_orders[k]
-                    if ks is None:
-                        ks = power_orders[k] = [k // gcd(i, k) for i in range(1, k)]
-                    for x, o in zip(powers, ks):
-                        orders[x] = o
+            n1, n2, inverse_at, offset_at, level12, t0, t1, t2, b0, b1, b2, one, orders = tables
+            if r == one:  # never a hole: its byte is 1 from the start
+                return [] if k is None else -1
+            find, start = orders.find, r
+            while True:
+                ab = r // n2
+                a = ab // n1
+                u0, u1, u2 = t0[a], t1[ab - a * n1], t2[r - ab * n2]
+                p0, p1, p2 = u0[u1[u2[b0]]], u0[u1[u2[b1]]], u0[u1[u2[b2]]]
+                powers = [r]
+                for _ in range(254):
+                    p0, p1, p2 = u0[u1[u2[p0]]], u0[u1[u2[p1]]], u0[u1[u2[p2]]]
+                    inverse = inverse_at[p0]
+                    s = offset_at[p0] + level12[inverse[p1]][inverse[p2]]
+                    if s == one:
+                        break
+                    if s < 0:
+                        raise CertificationError("the chain is not closed under products")
+                    powers.append(s)
+                else:
+                    raise CertificationError("an element has order above 255, the census's limit")
+                order = len(powers) + 1
+                ks = power_orders[order]
+                if ks is None:
+                    ks = power_orders[order] = [order // gcd(i, order) for i in range(1, order)]
+                for x, o in zip(powers, ks):
+                    orders[x] = o
+                if k is None:
                     return powers
+                r = find(0, r + 1)  # the next hole
+                if k:  # every byte from ``start`` up to that hole is filled
+                    found = find(k, start, r if r >= 0 else size)
+                    if found >= 0:
+                        return found
+                    start = r
                 if r < 0:
-                    raise CertificationError("the chain is not closed under products")
-                powers.append(r)
-            raise CertificationError("an element has order above 255, the census's limit")
+                    return -1
 
         return walk
 
@@ -469,9 +496,9 @@ class StabilizerChain:
     def orders(self) -> bytearray:
         """orders()[r] is the order of the element of rank r, one byte each.
         Every ``cycle`` fills its powers' bytes, and the power pass
-        ``cycle``s from each rank, in rank order, whose byte is still 0.  So
-        each order comes from a power walk through its element, never from
-        the closed forms or from the partition's counts."""
+        (``_fill``) walks from each rank, in rank order, whose byte is still
+        0.  So each order comes from a power walk through its element, never
+        from the closed forms or from the partition's counts."""
         self._fill()
         return self._orders
 
@@ -479,23 +506,18 @@ class StabilizerChain:
         """The power pass of ``orders``, run only as far as it must: it stops
         at the first rank of order k (1 to 255) and returns it, or fills every
         byte and returns -1 (k = 0, or no element of order k).  Each call
-        starts at rank 0, and ``bytearray.find`` skips a filled prefix at C
-        speed: it finds each hole, the next rank whose byte is 0, and for
-        k > 0 searches the filled run before it for k, so the first rank of
-        order k is the first in rank order.  One power walker, made here,
-        walks every hole."""
-        orders, walk = self._order_bytes(), self._power_walker()
-        find, start = orders.find, 0
-        hole = find(0)
-        while hole >= 0:
-            if k:  # every byte from ``start`` up to the hole is filled
-                found = find(k, start, hole)
-                if found >= 0:
-                    return found
-                start = hole
-            walk(hole)
-            hole = find(0, hole + 1)
-        return find(k, start) if k else -1
+        starts at rank 0: ``bytearray.find`` skips the filled prefix at C
+        speed to the first hole, and for k > 0 searches that prefix for k.
+        Then one call of a fresh power walker walks that hole and every later
+        one, searching each filled run for k as it goes (``_power_walker``),
+        so the first rank of order k is the first in rank order."""
+        orders = self._order_bytes()
+        hole = orders.find(0)
+        if k:
+            found = orders.find(k, 0, hole if hole >= 0 else len(orders))
+            if found >= 0:
+                return found
+        return self._power_walker()(hole, k) if hole >= 0 else -1
 
 
 @dataclass(frozen=True)
@@ -552,15 +574,22 @@ def empirical_order_stats(chain: StabilizerChain,
 
     An element whose order divides none of ``spec_hint``'s orders raises
     OrderNotFoundError, which is a finding (the chain is not the group the
-    spectrum belongs to), not a crash to swallow.
+    spectrum belongs to), not a crash to swallow.  With hints, the census
+    counts only the orders 1 to 255 (all an order byte holds) that divide a
+    hint, one ``bytearray.count`` each, at C speed; only when those counts
+    miss elements does it scan the bytes for their distinct orders, to name
+    the ones outside the hints.  Without hints (or with an empty set) it
+    takes that scan for the orders to count.
     """
-    hints = tuple(spec_hint.orders) if spec_hint is not None else ()
     orders = chain.orders()
-    counts = {o: orders.count(o) for o in set(orders)}  # one C-level pass per order
-    outside = [o for o in counts if hints and all(h % o for h in hints)]
-    if outside:
-        raise OrderNotFoundError(
-            f"element orders {sorted(outside)} lie outside the hints {sorted(hints)}")
+    hints = sorted(spec_hint.orders) if spec_hint is not None else []
+    if not hints:
+        return OrderStats(counts={o: orders.count(o) for o in set(orders)}, total=chain.size)
+    allowed = sorted({d for h in hints for d in range(1, 256) if h % d == 0})
+    counts = {d: c for d in allowed if (c := orders.count(d))}
+    if sum(counts.values()) != len(orders):
+        outside = sorted(set(orders).difference(allowed))
+        raise OrderNotFoundError(f"element orders {outside} lie outside the hints {hints}")
     return OrderStats(counts=counts, total=chain.size)
 
 

@@ -596,6 +596,20 @@ def test_gate_a_profile_nested_too_deeply_is_a_profile_error(tmp_path, capsys, t
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def _assert_one_diagnosis(rc, out, err):
+    """No traceback on stderr; exit 2 prints nothing on stdout and ends
+    stderr with its ``error:`` line, and exits 3 and 4 print exactly one
+    stderr line, the refusal or the certification failure."""
+    lines = err.splitlines()
+    assert "Traceback" not in err
+    if rc == 2:
+        assert out == ""
+        assert lines and "error:" in lines[-1]
+    if rc in (3, 4):
+        assert len(lines) == 1
+        assert lines[0].startswith("refused:" if rc == 3 else "certification failure:")
+
+
 # Profile numbers near the real ones (orders and counts of Sz(8) and of its W,
 # the order of Sz(32)), so fuzzed profiles also get past validation into the
 # certificates.
@@ -628,10 +642,9 @@ _PROFILES = st.one_of(
 def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
     path = tmp_path / "profile.json"
     path.write_text(json.dumps(data))
-    rc, out, _ = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
+    rc, out, err = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
     assert rc in (0, 1, 2)
-    if rc == 2:
-        assert out == ""
+    _assert_one_diagnosis(rc, out, err)
 
 
 # -- fuzzed argv --------------------------------------------------------------
@@ -693,10 +706,9 @@ def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(SZ8_PROFILE))
     argv = [str(profile) if token == "PROFILE" else token for token in argv]
-    rc, out, _ = run_cli(capsys, *argv)
+    rc, out, err = run_cli(capsys, *argv)
     assert rc in range(5)
-    if rc == 2:
-        assert out == ""
+    _assert_one_diagnosis(rc, out, err)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

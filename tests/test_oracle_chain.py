@@ -14,11 +14,13 @@ the byte keys and at q = 32 through the base images alone.  The partition certif
 give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
-at q = 32 it holds under three moduli.  It makes one centralizer scan for
-W's involutions, which d(lam) conjugates in one orbit (7 scans in all at
-q = 8, 10 at q = 32), and one for each involution when no generator of the
-chain moves them; ``unitriangular`` ranks only the 2m of W's generators
-that the chain does not keep.  Rank products and the ranks of
+at q = 32 it holds under three moduli; there, a class short of its
+elements leaves them missing, with no census.  It makes one centralizer
+scan for W's involutions, which d(lam) conjugates in one orbit (7 scans in
+all at q = 8, 10 at q = 32), and one for each involution when no generator
+of the chain moves them or only generators outside N(W) do;
+``unitriangular`` ranks only the 2m of W's generators that the chain does
+not keep.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
 and a power walker's walk the cyclic subgroup, whose members' order bytes
@@ -26,7 +28,9 @@ and a power walker's walk the cyclic subgroup, whose members' order bytes
 whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
 before it and filled part of it, and
 ``find_cyclic_subgroup`` runs the census only as far as it must; a full
-census searches its order bytes once per hole.  The census read off a
+census is one walker call that searches its order bytes once per hole and
+walks each hole once, and the census counted by its hints is every byte's
+count, refusing what the scan of every byte refuses.  The census read off a
 certified partition is the power pass's, at q = 32 the closed forms'; a
 failed certificate reads none, and ``verify`` then reports the power pass.
 ``order`` walks one cycle and keeps its bytes.  At q = 32 the torus
@@ -34,6 +38,7 @@ T = <d(lam)> is its own centralizer and has a normalizer of order 2 |T|.
 """
 
 import json
+from collections import Counter
 from copy import copy
 from types import SimpleNamespace
 
@@ -53,6 +58,7 @@ from szq.field import Field
 from szq.group import make_params, make_w
 from szq.mat4 import Mat4
 from szq.oracle import (
+    OrderNotFoundError,
     StabilizerChain,
     SubgroupHandle,
     SubgroupNotFoundError,
@@ -60,12 +66,13 @@ from szq.oracle import (
     _point_image,
     centralizer,
     cyclic_subgroup,
+    empirical_order_stats,
     find_cyclic_subgroup,
     normalizer,
     unitriangular,
     verify_partition,
 )
-from szq.orderstats import OrderStats, nse_closed_form
+from szq.orderstats import OrderStats, Spectrum, nse_closed_form, spectrum_closed_form
 
 
 def _pair(params, field, table=None):
@@ -279,6 +286,29 @@ def test_w_is_ti_with_or_without_normalizing_generators(pair, movers, scans_made
     assert len(scans) == scans_made
 
 
+def test_generators_outside_the_normalizer_share_no_scan(pair, monkeypatch):
+    # The chain's generators as w(1, 0), w(0, 1), tau and tau d(lam): the
+    # last two lie outside N(W), and conjugation by them (they generate
+    # d(lam)) carries an involution of W to all the others, but only the
+    # w's, which fix each involution, may share a scan: each of the 7 still
+    # gets its own.  (tau alone, with or without the w's, moves no
+    # involution of W to another.)
+    chain = copy(pair.table)
+    w = unitriangular(chain)
+    n = normalizer(chain, w)
+    one, (w10, w01, d, tau) = chain.identity, chain.generator_ranks
+    chain.generator_ranks = [w10, w01, tau, chain.mul(tau, d)]
+    assert not set(chain.generator_ranks[2:]) & n.members
+    involutions = {t for t in w.members if t != one and chain.mul(t, t) == one}
+    movers = [(chain.cycle(g)[-1], g) for g in chain.generator_ranks]  # (g^-1, g)
+    orbit = szq.oracle._walk([min(involutions)], movers,
+                             lambda x, m: chain.mul(chain.mul(m[0], x), m[1]))
+    assert involutions <= orbit
+    scans = _count_scans(monkeypatch)
+    assert _is_ti(chain, w, n)
+    assert len(scans) == 7
+
+
 def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
     # |N(U1)| = 51 divides no |G| = 29120, so the index is no count of
     # conjugates and the certificate claims nothing, no census either.
@@ -394,35 +424,96 @@ def test_walks_before_the_census_leave_it_unchanged(pair_0xb, pair_0xd, before, 
         assert 0 not in orders
 
 
-def _count_walks(monkeypatch):
-    """The ranks that every power walker made from now on walks."""
-    walks, power_walker = [], StabilizerChain._power_walker
+class _CountingBytes(bytearray):
+    """Order bytes that log the census: ``finds`` holds (args, result) for
+    each search, ``writes`` counts the bytes set."""
+
+    def __init__(self, size):
+        super().__init__(size)
+        self.finds, self.writes = [], 0
+
+    def find(self, *args):
+        found = super().find(*args)
+        self.finds.append((args, found))
+        return found
+
+    def __setitem__(self, i, value):
+        self.writes += 1
+        super().__setitem__(i, value)
+
+
+def _count_walks(chain, monkeypatch):
+    """Order bytes that log the census for a fresh chain, and the calls,
+    (r, k), of every power walker made from now on."""
+    orders = chain._orders = _CountingBytes(chain.size)
+    bytearray.__setitem__(orders, chain.identity, 1)
+    calls, power_walker = [], StabilizerChain._power_walker
 
     def counted(chain):
         walk = power_walker(chain)
-        return lambda r: walks.append(r) or walk(r)
+        return lambda r, k=None: calls.append((r, k)) or walk(r, k)
 
     monkeypatch.setattr(StabilizerChain, "_power_walker", counted)
-    return walks
+    return orders, calls
 
 
 def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
-    # The search for the next hole is the only one: with k = 0 no 0 lies
-    # between the known prefix and that hole.
-    class CountingBytes(bytearray):
-        finds = 0
-
-        def find(self, *args):
-            CountingBytes.finds += 1
-            return super().find(*args)
-
+    # The whole census is one walker call from the first hole.  Inside it
+    # the search for the next hole is the only one: with k = 0 no 0 lies
+    # between the known prefix and that hole.  Each hole a search finds is
+    # walked once and nothing else is: a walk of a rank of order k sets
+    # k - 1 bytes, so the bytes set are those of one walk per hole.
     chain = StabilizerChain(pair.params, pair.table.field)
-    chain._orders = CountingBytes(chain.size)
-    chain._orders[chain.identity] = 1
-    walks = _count_walks(monkeypatch)
+    orders, calls = _count_walks(chain, monkeypatch)
     assert chain.orders() == pair.census
-    assert walks
-    assert CountingBytes.finds <= len(walks) + 1
+    holes = [found for args, found in orders.finds if found >= 0]
+    assert holes and calls == [(holes[0], 0)]
+    assert holes == sorted(set(holes))
+    assert all(args[0] == 0 for args, _ in orders.finds)
+    assert orders.writes == sum(pair.census[h] - 1 for h in holes)
+    assert len(orders.finds) <= len(holes) + 1
+
+
+def _distinct_order_stats(orders, hints):
+    """The census that scans every byte for the distinct orders and refuses
+    those dividing no hint: the counts, or the refusal's message."""
+    counts = {o: orders.count(o) for o in set(orders)}
+    outside = [o for o in counts if hints and all(h % o for h in hints)]
+    if outside:
+        return f"element orders {sorted(outside)} lie outside the hints {sorted(hints)}"
+    return counts
+
+
+def _hinted_order_stats(orders, hints):
+    """``empirical_order_stats`` on these order bytes: the counts, or the
+    refusal's message."""
+    chain = SimpleNamespace(orders=lambda: orders, size=len(orders))
+    try:
+        return empirical_order_stats(chain, Spectrum(frozenset(hints))).counts
+    except OrderNotFoundError as e:
+        return str(e)
+
+
+def test_the_hinted_count_is_the_census(pair):
+    # The counts of the orders that divide a hint are every byte's count;
+    # a hint of 13 alone, not divisor-closed, refuses orders 2, 4, 5 and 7
+    # and names them as the scan of every byte does.
+    chain = StabilizerChain(pair.params, pair.table.field)
+    stats = empirical_order_stats(chain, spectrum_closed_form(pair.params))
+    assert stats.counts == Counter(chain.orders())
+    assert stats.total == chain.size
+    with pytest.raises(OrderNotFoundError) as refused:
+        empirical_order_stats(chain, Spectrum(frozenset({13})))
+    assert str(refused.value) == _distinct_order_stats(chain.orders(), [13])
+    assert "[2, 4, 5, 7]" in str(refused.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders=st.lists(st.sampled_from([1, 2, 4, 5, 7, 13, 26, 255]), min_size=1, max_size=40),
+       hints=st.sampled_from([{13}, {13, 4}, {26}, {2, 255}, {0}, {1}, {520}]))
+def test_the_hinted_count_accepts_and_refuses_as_the_distinct_scan(orders, hints):
+    orders = bytearray(orders)
+    assert _hinted_order_stats(orders, hints) == _distinct_order_stats(orders, hints)
 
 
 def test_find_cyclic_subgroup_runs_the_census_only_as_far_as_it_must(sz8, monkeypatch):
@@ -498,8 +589,10 @@ def test_rank_products_agree_with_composed_permutations(pair_0xb, pair_0xd, r, s
 def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
     # The walk lists x, x^2, ... in order, the members of <x> but the
     # identity (none for the identity), and records each power's order as
-    # the reference census has it.  (A non-rank is refused with the other
-    # rank takers, in ``test_a_non_rank_is_refused_not_wrapped``.)
+    # the reference census has it.  Given x's order k > 1, a walker on a
+    # fresh chain walks from the first hole on and stops at the first rank
+    # of order k.  (A non-rank is refused with the other rank takers, in
+    # ``test_a_non_rank_is_refused_not_wrapped``.)
     for pair in (pair_0xb, pair_0xd):
         chain = StabilizerChain(pair.params, pair.table.field)
         walk = chain._power_walker()
@@ -512,6 +605,10 @@ def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
         assert powers[1:] == [chain.mul(x, r) for x in powers[:-1]]
         assert all(chain._orders[x] == pair.census[x] for x in powers)
         assert chain.cycle(r) == powers
+        fresh = StabilizerChain(pair.params, pair.table.field)
+        census = fresh._power_walker()
+        if k > 1:  # the identity is the one rank filled before the first hole
+            assert census(fresh._orders.find(0), k) == pair.census.index(k)
 
 
 @settings(max_examples=30, deadline=None)
@@ -621,6 +718,24 @@ def test_sz32_centralizers_of_2_elements(sz32):
     c_t, c_x = centralizer(sz32, t), centralizer(sz32, x)
     assert (c_t.order, c_x.order) == (1024, 64)
     assert {sz32.identity, *powers} <= c_x.members <= c_t.members
+
+
+def test_a_class_short_of_its_elements_leaves_them_missing(sz32, monkeypatch):
+    # The class of order 25 replaced by its subgroup P of order 5: P is
+    # prime, so TI, and coprime to the other classes, so the certificate
+    # holds, but each conjugate of P covers 4 of the 24 nontrivial elements
+    # of its conjugate of U2.  The rest are missing, and no census is read
+    # off the partition.
+    find = szq.oracle.find_cyclic_subgroup
+    monkeypatch.setattr(szq.oracle, "find_cyclic_subgroup",
+                        lambda t, k: find(t, 5 if k == 25 else k))
+    report = verify_partition(sz32)
+    assert report.classes["u2"].order == 5
+    assert report.measured.n_u2 == 325376
+    assert report.multiply_covered == 0
+    assert report.missing == 325376 * 20 == sz32.size - 1 - report.coverage
+    assert report.census is None
+    assert not report.passed
 
 
 @settings(max_examples=200, deadline=None)

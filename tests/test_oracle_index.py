@@ -282,7 +282,7 @@ _RANK_TAKERS = {
     "mul": lambda chain, r: chain.mul(chain.identity, r),
     "cycle": lambda chain, r: chain.cycle(r),
     "order": lambda chain, r: chain.order(r),
-    "power walker": lambda chain, r: chain._power_walker()(r),
+    "power walker": lambda chain, r: chain._power_walker()(r, 0),
     "cyclic_subgroup": lambda chain, r: cyclic_subgroup(chain, r, 4),
     "subgroup": lambda chain, r: subgroup(chain, [r], 100),
     "normalizer": lambda chain, r: normalizer(
