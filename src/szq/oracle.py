@@ -416,9 +416,11 @@ class StabilizerChain:
         for the power's image p0 of b0, ``_offset_at[p0]`` its a N1 N2, and
         ``_level12[i1][i2]`` the b N2 + c, for i1 and i2 the other two
         images mapped by that row.  It records each power's order in the
-        chain's order bytes: ord(x^i) = k / gcd(i, k) for x of order k, from
-        a table of these k - 1 orders that the walker fills the first time
-        one of its walks meets order k, a list lookup per walk.
+        chain's order bytes, ord(x^i) = k / gcd(i, k) for x of order k: it
+        writes k into the byte of every power, then rewrites only the x^i
+        with gcd(i, k) > 1 from ``_power_fixups(k)``, a list the walker keeps
+        from the first walk that meets order k.  For a prime k that list is
+        empty, and for k = 4 it holds x^2 alone.
 
         The walker reads the tables and the order bytes when it is made, not
         when the chain is built: a chain whose tables are replaced afterwards
@@ -431,7 +433,7 @@ class StabilizerChain:
         tables = (len(t1), len(t2), self._inverse_at, self._offset_at, self._level12,
                   t0, t1, t2, *self.base, self.identity, orders)
         size = self.size
-        power_orders: list[list[int] | None] = [None] * 256  # [k]: as ord(x^i) above
+        fixups: list[list[tuple[int, int]] | None] = [None] * 256  # [k]: _power_fixups(k)
 
         def walk(r: int, k: int | None = None) -> list[int] | int:
             if type(r) is not int or not 0 <= r < size:
@@ -458,11 +460,13 @@ class StabilizerChain:
                 else:
                     raise CertificationError("an element has order above 255, the census's limit")
                 order = len(powers) + 1
-                ks = power_orders[order]
-                if ks is None:
-                    ks = power_orders[order] = [order // gcd(i, order) for i in range(1, order)]
-                for x, o in zip(powers, ks):
-                    orders[x] = o
+                for x in powers:
+                    orders[x] = order
+                fixes = fixups[order]
+                if fixes is None:
+                    fixes = fixups[order] = _power_fixups(order)
+                for i, o in fixes:
+                    orders[powers[i]] = o
                 if k is None:
                     return powers
                 r = find(0, r + 1)  # the next hole
@@ -518,6 +522,14 @@ class StabilizerChain:
             if found >= 0:
                 return found
         return self._power_walker()(hole, k) if hole >= 0 else -1
+
+
+def _power_fixups(k: int) -> list[tuple[int, int]]:
+    """(i - 1, k / gcd(i, k)) for each i in 1 to k - 1 with gcd(i, k) > 1:
+    the powers x^i of an x of order k whose order is not k, by their index
+    in the walk [x, x^2, ..., x^(k-1)], with their orders.  Empty for a
+    prime k."""
+    return [(i - 1, k // g) for i in range(2, k) if (g := gcd(i, k)) > 1]
 
 
 @dataclass(frozen=True)
@@ -668,14 +680,11 @@ def _conjugators(chain: StabilizerChain, h: list[int],
         for c, u2 in enumerate(t2):
             hits[u2[first]].append(c)
     bs = list(range(n1))  # one int object for each b, shared by every list
-    if all(hits):  # every b can succeed from every y: nothing to meet
-        meet = [bs] * len(points)
-    else:
-        meet = [[] for _ in points]
-        for z in points:
-            if hits[z]:
-                for b, u1 in zip(bs, t1):
-                    meet[u1[z]].append(b)
+    meet: list[list[int]] = [[] for _ in points]
+    for z in points:
+        if hits[z]:
+            for b, u1 in zip(bs, t1):
+                meet[u1[z]].append(b)
     found: list[int] = []
     for a, p in enumerate(o0):
         u0, v0 = t0[a], i0[a]

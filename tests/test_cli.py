@@ -433,13 +433,10 @@ def test_only_nse_runs_the_power_pass(capsys, monkeypatch, argv, power_pass):
         assert calls and all(k > 0 and holes > 0 for k, holes in calls)
 
 
-@pytest.mark.parametrize("argv, patch", [
-    (("verify", "--q", "8", *_JSON), "find_cyclic_subgroup"),
-    (("nse", "--q", "8", "--source", "oracle", *_JSON), "spectrum"),
-], ids=["subgroup-not-found", "order-not-found"])
-def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, patch):
-    # No element of an order the classes need, and an element order outside
-    # the spectrum, are findings: exit 4 with one line, no traceback.
+def _patch_a_lookup_failure(monkeypatch, patch):
+    """``find_cyclic_subgroup`` finds no element of the order asked for, or
+    the closed-form spectrum lacks orders 2 and 13 (the oracle census then
+    meets elements outside it, and ``verify``'s spectrum check fails)."""
     if patch == "find_cyclic_subgroup":
         def not_found(table, k):
             raise oracle.SubgroupNotFoundError(f"no element of order {k} in the table")
@@ -448,6 +445,16 @@ def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, 
     else:
         monkeypatch.setattr(cli, "spectrum_closed_form",
                             lambda params: Spectrum.from_values((4, 5, 7)))
+
+
+@pytest.mark.parametrize("argv, patch", [
+    (("verify", "--q", "8", *_JSON), "find_cyclic_subgroup"),
+    (("nse", "--q", "8", "--source", "oracle", *_JSON), "spectrum"),
+], ids=["subgroup-not-found", "order-not-found"])
+def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, patch):
+    # No element of an order the classes need, and an element order outside
+    # the spectrum, are findings: exit 4 with one line, no traceback.
+    _patch_a_lookup_failure(monkeypatch, patch)
     rc, out, err = run_cli(capsys, *argv)
     assert (rc, out) == (4, "")
     assert err.startswith("certification failure: ") and err.count("\n") == 1
@@ -596,18 +603,25 @@ def test_gate_a_profile_nested_too_deeply_is_a_profile_error(tmp_path, capsys, t
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-def _assert_one_diagnosis(rc, out, err):
+def _assert_one_diagnosis(rc, out, err, json_output=False):
     """No traceback on stderr; exit 2 prints nothing on stdout and ends
-    stderr with its ``error:`` line, and exits 3 and 4 print exactly one
-    stderr line, the refusal or the certification failure."""
+    stderr with its ``error:`` line, and exit 3, and exit 4 with nothing on
+    stdout, print exactly one stderr line, the refusal or the certification
+    failure.  Exit 4 with a report on stdout is a failed check (``verify``'s,
+    or the diff of ``nse --source both``) and prints nothing on stderr.  With ``json_output``, stdout parses as
+    JSON on exits 0 and 1 and on exit 4 with a report."""
     lines = err.splitlines()
     assert "Traceback" not in err
     if rc == 2:
         assert out == ""
         assert lines and "error:" in lines[-1]
-    if rc in (3, 4):
+    if rc == 3 or (rc == 4 and not out):
         assert len(lines) == 1
         assert lines[0].startswith("refused:" if rc == 3 else "certification failure:")
+    elif rc == 4:
+        assert err == ""
+    if json_output and (rc in (0, 1) or (rc == 4 and out)):
+        json.loads(out)
 
 
 # Profile numbers near the real ones (orders and counts of Sz(8) and of its W,
@@ -636,7 +650,7 @@ _PROFILES = st.one_of(
     _JSON_VALUE)
 
 
-@settings(max_examples=100, deadline=1000,
+@settings(max_examples=100, deadline=1000, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_PROFILES)
 def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
@@ -644,7 +658,7 @@ def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
     path.write_text(json.dumps(data))
     rc, out, err = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
     assert rc in (0, 1, 2)
-    _assert_one_diagnosis(rc, out, err)
+    _assert_one_diagnosis(rc, out, err, json_output=True)
 
 
 # -- fuzzed argv --------------------------------------------------------------
@@ -696,19 +710,43 @@ def _argvs(draw):
     return [token for group in head + rest for token in group]
 
 
-@settings(max_examples=100, deadline=None,
+@st.composite
+def _lookup_failures(draw):
+    """(argv, patch): an oracle run on Sz(8) under a patched lookup failure
+    (``_patch_a_lookup_failure``), which ends ``verify`` and, for the
+    spectrum, ``nse``'s census with exit 4."""
+    command = draw(st.sampled_from([("verify",), ("nse", "--source", "oracle"),
+                                    ("nse", "--source", "both")]))
+    groups = [draw(st.sampled_from([("--q", "8"), ("--m", "1")]))]
+    groups += [group for group in (("--output", draw(st.sampled_from(["json", "table"]))),
+                                   ("--modulus", draw(st.sampled_from(["0xb", "0xd"]))),
+                                   ("--no-timestamp",))
+               if draw(st.integers(0, 3))]
+    argv = [*command, *(token for group in draw(st.permutations(groups)) for token in group)]
+    return argv, draw(st.sampled_from(["find_cyclic_subgroup", "spectrum_closed_form"]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_argvs())
-def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch, argv):
+@given(_argvs(), st.none() | _lookup_failures())
+def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch, argv,
+                                                   failure):
     # The census of Sz(32) (--m 2 or --q 32 with --allow-big) takes 17-42 s;
     # here any census past Sz(8) meets the memory refusal (exit 3) instead.
+    # A drawn lookup failure brings its own argv.
+    argv, failure = failure or (argv, None)
     monkeypatch.setattr(oracle, "MEMORY_LIMIT", make_params(1).group_order)
     profile = tmp_path / "profile.json"
     profile.write_text(json.dumps(SZ8_PROFILE))
     argv = [str(profile) if token == "PROFILE" else token for token in argv]
-    rc, out, err = run_cli(capsys, *argv)
+    with monkeypatch.context() as patched:
+        if failure:
+            _patch_a_lookup_failure(patched, failure)
+        rc, out, err = run_cli(capsys, *argv)
     assert rc in range(5)
-    _assert_one_diagnosis(rc, out, err)
+    # argparse answers -h with its help text, whatever else was asked for.
+    json_output = "-h" not in argv and ("--output", "json") in zip(argv, argv[1:])
+    _assert_one_diagnosis(rc, out, err, json_output)
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

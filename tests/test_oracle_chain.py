@@ -29,7 +29,8 @@ whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
 before it and filled part of it, and
 ``find_cyclic_subgroup`` runs the census only as far as it must; a full
 census is one walker call that searches its order bytes once per hole and
-walks each hole once, and the census counted by its hints is every byte's
+walks each hole once, writing k into a walk's bytes and fixing up the powers
+whose order is not k, and the census counted by its hints is every byte's
 count, refusing what the scan of every byte refuses.  The census read off a
 certified partition is the power pass's, at q = 32 the closed forms'; a
 failed certificate reads none, and ``verify`` then reports the power pass.
@@ -40,6 +41,7 @@ T = <d(lam)> is its own centralizer and has a normalizer of order 2 |T|.
 import json
 from collections import Counter
 from copy import copy
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
@@ -64,6 +66,7 @@ from szq.oracle import (
     SubgroupNotFoundError,
     _is_ti,
     _point_image,
+    _power_fixups,
     centralizer,
     cyclic_subgroup,
     empirical_order_stats,
@@ -457,12 +460,24 @@ def _count_walks(chain, monkeypatch):
     return orders, calls
 
 
+def test_power_fixups_turn_k_into_the_orders_of_the_powers():
+    # A walk writes k into the bytes of x, ..., x^(k-1) and then applies
+    # the fix-ups: that must give ord(x^i) = k / gcd(i, k) for every i.
+    for k in range(1, 256):
+        orders = [k] * (k - 1)
+        for i, o in _power_fixups(k):
+            orders[i] = o
+        assert orders == [k // gcd(i, k) for i in range(1, k)]
+    assert _power_fixups(13) == [] and _power_fixups(4) == [(1, 2)]
+
+
 def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
     # The whole census is one walker call from the first hole.  Inside it
     # the search for the next hole is the only one: with k = 0 no 0 lies
     # between the known prefix and that hole.  Each hole a search finds is
-    # walked once and nothing else is: a walk of a rank of order k sets
-    # k - 1 bytes, so the bytes set are those of one walk per hole.
+    # walked once and nothing else is: a walk of a rank of order k writes
+    # k into its k - 1 powers' bytes and rewrites the bytes of the x^i with
+    # gcd(i, k) > 1, so the bytes set are those of one walk per hole.
     chain = StabilizerChain(pair.params, pair.table.field)
     orders, calls = _count_walks(chain, monkeypatch)
     assert chain.orders() == pair.census
@@ -470,7 +485,8 @@ def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
     assert holes and calls == [(holes[0], 0)]
     assert holes == sorted(set(holes))
     assert all(args[0] == 0 for args, _ in orders.finds)
-    assert orders.writes == sum(pair.census[h] - 1 for h in holes)
+    writes = {k: k - 1 + sum(gcd(i, k) > 1 for i in range(1, k)) for k in set(pair.census)}
+    assert orders.writes == sum(writes[pair.census[h]] for h in holes)
     assert len(orders.finds) <= len(holes) + 1
 
 
