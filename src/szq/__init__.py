@@ -2,7 +2,7 @@
 brute-force verification oracle, and an (order, nse) profile gate."""
 
 from .field import Field, FieldElement, FieldMismatchError, find_modulus, is_irreducible
-from .gate import CandidateProfile, GateCheck, GateReport, ProfileError, run_gate
+from .gate import CandidateProfile, GateReport, ProfileError, run_gate
 from .group import (
     CertificationError,
     PartitionClassCounts,
@@ -23,6 +23,7 @@ from .oracle import (
     verify_partition,
 )
 from .orderstats import (
+    Check,
     OrderStats,
     PrimeGraph,
     Spectrum,
@@ -37,8 +38,8 @@ from .orderstats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CandidateProfile", "CertificationError", "ElementTable", "Field",
-    "FieldElement", "FieldMismatchError", "GateCheck", "GateReport", "Mat4",
+    "CandidateProfile", "CertificationError", "Check", "ElementTable", "Field",
+    "FieldElement", "FieldMismatchError", "GateReport", "Mat4",
     "OrderNotFoundError", "OrderStats", "PartitionClassCounts", "PrimeGraph",
     "ProfileError", "Spectrum", "StabilizerChain", "SubgroupHandle",
     "SuzukiParams", "closed_form_subgroup_counts", "divisors",

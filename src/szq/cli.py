@@ -20,6 +20,7 @@ import math
 import re
 import signal
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from functools import cache
 
@@ -42,6 +43,7 @@ from .oracle import (
     verify_partition,
 )
 from .orderstats import (
+    Check,
     OrderStats,
     factorize,
     frobenius_check,
@@ -169,6 +171,11 @@ def _kv_lines(rows: list[tuple[str, str]]) -> list[str]:
     return [f"{k:<{width}}  {v}" for k, v in rows]
 
 
+def _check_lines(checks: list[Check], width: int) -> list[str]:
+    """One PASS or FAIL line per check, its name padded to ``width``."""
+    return [f"{'PASS' if c.passed else 'FAIL'}  {c.name:<{width}} {c.detail}" for c in checks]
+
+
 def _stats_lines(stats: OrderStats, title: str) -> list[str]:
     lines = [title, f"{'order':>8}  count"]
     for i, c in sorted(stats.counts.items()):
@@ -235,11 +242,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     p = _resolve_params(args)
     _check_scale(p, args)
     field = Field(p.m, modulus=args.modulus)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[Check] = []
 
     chain = StabilizerChain(p, field)  # CertificationError -> 4
-    checks.append(("generator_certification", True,
-                   f"closure of 4 candidate generators has {chain.size} elements"))
+    checks.append(Check("generator_certification", True,
+                        f"closure of 4 candidate generators has {chain.size} elements"))
 
     # The certificate digs the four classes and their normalizers; the
     # normalizer and centralizer checks below read them off the report, and
@@ -252,59 +259,53 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if stats is None:
         stats = empirical_order_stats(chain, spectrum)
     closed = nse_closed_form(p)
-    checks.append(("census_matches_closed_form",
-                   stats.counts == closed.counts and stats.total == closed.total,
-                   f"census {len(stats.counts)} orders, total {stats.total}"))
-    checks.append(("spectrum_exact",
-                   set(stats.counts) == set(spectrum.orders),
-                   f"orders found: {sorted(stats.counts)}"))
+    checks.append(Check("census_matches_closed_form",
+                        stats.counts == closed.counts and stats.total == closed.total,
+                        f"census {len(stats.counts)} orders, total {stats.total}"))
+    checks.append(Check("spectrum_exact",
+                        set(stats.counts) == set(spectrum.orders),
+                        f"orders found: {sorted(stats.counts)}"))
 
     w = classes["w"]
     w_orders = [chain.order(r) for r in w.members]
     involutions = w_orders.count(2)
-    checks.append(("w_subgroup",
-                   w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
-                   f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
+    checks.append(Check("w_subgroup",
+                        w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,
+                        f"|W| = {w.order}, exponent {max(w_orders)}, {involutions} involutions"))
 
-    checks.append(("partition", partition.passed,
-                   f"conjugates ({partition.measured.n_w}, {partition.measured.n_u1}, "
-                   f"{partition.measured.n_u2}, {partition.measured.n_v}), "
-                   f"coverage {partition.coverage}, "
-                   f"multiply covered {partition.multiply_covered}"))
+    checks.append(Check("partition", partition.passed,
+                        f"conjugates ({partition.measured.n_w}, {partition.measured.n_u1}, "
+                        f"{partition.measured.n_u2}, {partition.measured.n_v}), "
+                        f"coverage {partition.coverage}, "
+                        f"multiply covered {partition.multiply_covered}"))
 
     for name, k, index_over in (("u1", p.u1, 4), ("u2", p.u2, 4), ("v", p.v, 2)):
         n = normalizers[name]
-        checks.append((f"normalizer_{name}", n.order == index_over * k,
-                       f"|N| = {n.order} = {index_over} * {k}"))
+        checks.append(Check(f"normalizer_{name}", n.order == index_over * k,
+                            f"|N| = {n.order} = {index_over} * {k}"))
     nw = normalizers["w"]
-    checks.append(("normalizer_w_index", nw.order * (p.q * p.q + 1) == chain.size,
-                   f"|N(W)| = {nw.order}, index {chain.size // nw.order}"))
+    checks.append(Check("normalizer_w_index", nw.order * (p.q * p.q + 1) == chain.size,
+                        f"|N(W)| = {nw.order}, index {chain.size // nw.order}"))
 
     for name, k in (("u1", p.u1), ("u2", p.u2)):
         c = centralizer(chain, classes[name].cyclic_generator)
-        checks.append((f"centralizer_{name}", c.order == k,
-                       f"|C| = {c.order} for an element of order {k}"))
+        checks.append(Check(f"centralizer_{name}", c.order == k,
+                            f"|C| = {c.order} for an element of order {k}"))
 
-    fr = frobenius_check(stats)
-    checks.append((fr.name, fr.passed, f"{len(fr.violations)} violations"))
-    td = totient_divisor_check(stats)
-    checks.append((td.name, td.passed, f"{len(td.violations)} violations"))
-    for t in sorted(factorize(p.group_order)):
-        f_t, wr = weisner_count(stats, t)
-        checks.append((wr.name, wr.passed, f"f({t}) = {f_t}"))
+    checks += [frobenius_check(stats), totient_divisor_check(stats),
+               *(weisner_count(stats, t)[1] for t in sorted(factorize(p.group_order)))]
 
-    ok = all(c[1] for c in checks)
+    ok = all(c.passed for c in checks)
     payload = {
         "m": p.m, "q": str(p.q), "modulus": hex(field.modulus),
-        "checks": [{"name": n, "passed": good, "detail": d} for n, good, d in checks],
+        "checks": [asdict(c) for c in checks],
         "census": stats.to_json_dict(),
         "partition": partition.to_json_dict(),
         "passed": ok,
     }
-    lines = [f"verification suite for Sz({p.q}), modulus {hex(field.modulus)}"]
-    for n, good, d in checks:
-        lines.append(f"{'PASS' if good else 'FAIL'}  {n:<28} {d}")
-    lines.append(f"result: {'all checks passed' if ok else 'FAILURES PRESENT'}")
+    lines = [f"verification suite for Sz({p.q}), modulus {hex(field.modulus)}",
+             *_check_lines(checks, 28),
+             f"result: {'all checks passed' if ok else 'FAILURES PRESENT'}"]
     _emit(args, payload, lines)
     return 0 if ok else 4
 
@@ -314,10 +315,9 @@ def cmd_gate(args: argparse.Namespace) -> int:
     report = run_gate(profile)
     payload = report.to_json_dict()
     lines = [f"verdict: {report.verdict}"
-             + (f" (m = {report.inferred_m})" if report.inferred_m is not None else "")]
-    for c in report.checks:
-        lines.append(f"{'PASS' if c.passed else 'FAIL'}  {c.name:<24} {c.detail}")
-    lines.append(report.note)
+             + (f" (m = {report.inferred_m})" if report.inferred_m is not None else ""),
+             *_check_lines(report.checks, 24),
+             report.note]
     _emit(args, payload, lines)
     return 0 if report.verdict == "ACCEPT" else 1
 

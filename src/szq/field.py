@@ -21,6 +21,7 @@ square-and-multiply routine over that multiply.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import attrgetter
 from typing import Callable
 
 from .orderstats import factorize
@@ -264,19 +265,20 @@ class Field:
 class FieldElement:
     """An element of a :class:`Field`, immutable and hashable."""
 
-    __slots__ = ("bits", "field")
+    __slots__ = ("_bits", "_field")
+
+    # Read-only views of the private slots, as on ``Mat4``: rebinding either
+    # raises AttributeError, while copy and pickle fill the slots themselves.
+    bits = property(attrgetter("_bits"), doc="The bit-polynomial, bit i = coefficient of x^i.")
+    field = property(attrgetter("_field"), doc="The field of the element.")
 
     def __init__(self, bits: int, field: Field) -> None:
-        object.__setattr__(self, "bits", bits)
-        object.__setattr__(self, "field", field)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FieldElement is immutable")
+        self._bits, self._field = bits, field
 
     def _check(self, other: "FieldElement") -> None:
-        if self.field is not other.field and self.field != other.field:
+        if self._field is not other._field and self._field != other._field:
             raise FieldMismatchError(
-                f"elements of {self.field!r} and {other.field!r} do not mix")
+                f"elements of {self._field!r} and {other._field!r} do not mix")
 
     def __add__(self, other: "FieldElement") -> "FieldElement":
         self._check(other)

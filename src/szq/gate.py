@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import partial
 from typing import Iterable
 
 from .group import SuzukiParams, make_params
-from .orderstats import OrderStats, _order_dividing, nse_closed_form
+from .orderstats import Check, OrderStats, _order_dividing, nse_closed_form
 
 GATE_NOTE = ("ACCEPT means the profile is consistent with Sz(q) and passes every "
              "arithmetic certificate; it is not an independent isomorphism proof.")
@@ -118,30 +118,15 @@ class CandidateProfile:
                    nse_set=frozenset(_as_int(v, "an nse_set value") for v in data["nse_set"]))
 
 
-@dataclass(frozen=True)
-class GateCheck:
-    name: str
-    passed: bool
-    detail: str
-
-    def to_json_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
-
 @dataclass
 class GateReport:
     verdict: str                      # "ACCEPT" or "REJECT"
     inferred_m: int | None
-    checks: list[GateCheck] = dc_field(default_factory=list)
+    checks: list[Check] = dc_field(default_factory=list)
     note: str = GATE_NOTE
 
     def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "inferred_m": self.inferred_m,
-            "checks": [c.to_json_dict() for c in self.checks],
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -173,14 +158,14 @@ def identify_m2(nse_set: frozenset[int] | set[int]) -> int:
     return odd[0]
 
 
-def nse_match_check(profile: CandidateProfile, closed: OrderStats) -> GateCheck:
+def nse_match_check(profile: CandidateProfile, closed: OrderStats) -> Check:
     """Set equality with the closed forms; map profiles must match key-by-key."""
     want_set = frozenset(closed.counts.values())
     if profile.nse_map is not None:
         ok = profile.nse_map == closed.counts
         detail = "full order->count map matches the closed forms" if ok else (
             "order->count map deviates from the closed forms")
-        return GateCheck("nse_match", ok, detail)
+        return Check("nse_match", ok, detail)
     ok = profile.nse_set == want_set
     if ok:
         detail = f"nse set matches all {len(want_set)} closed-form values"
@@ -188,10 +173,10 @@ def nse_match_check(profile: CandidateProfile, closed: OrderStats) -> GateCheck:
         missing = sorted(want_set - profile.nse_set)
         extra = sorted(profile.nse_set - want_set)
         detail = f"nse set mismatch: missing {missing}, unexpected {extra}"
-    return GateCheck("nse_match", ok, detail)
+    return Check("nse_match", ok, detail)
 
 
-def isolation_certificate(p: SuzukiParams, stats: OrderStats) -> GateCheck:
+def isolation_certificate(p: SuzukiParams, stats: OrderStats) -> Check:
     """2 is isolated: q^2 divides every count outside orders {1, 2, 4}, the
     odd part of the group order is (q^2+1)(q-1), and the even-order element
     count is that odd part times an odd multiplier."""
@@ -206,10 +191,10 @@ def isolation_certificate(p: SuzukiParams, stats: OrderStats) -> GateCheck:
     ok = not bad and odd_part == m_odd and rem == 0 and r % 2 == 1
     detail = (f"q^2 | m_i outside {{1,2,4}}: {'yes' if not bad else f'fails at {bad}'}; "
               f"odd part {odd_part} == (q^2+1)(q-1); f(2) = {f2} = {m_odd} * {r}, r odd")
-    return GateCheck("isolated_two", ok, detail)
+    return Check("isolated_two", ok, detail)
 
 
-def frobenius_exclusion(m: int) -> GateCheck:
+def frobenius_exclusion(m: int) -> Check:
     """Neither split of the order into kernel/complement {q^2, (q^2+1)(q-1)}
     satisfies the required divisibility |H| | |K| - 1."""
     p = make_params(m)
@@ -219,10 +204,10 @@ def frobenius_exclusion(m: int) -> GateCheck:
     case2 = (b - 1) % a == 0   # H = q^2, K = odd part
     ok = not case1 and not case2
     detail = f"{b} | {a - 1}: {case1}; {a} | {b - 1}: {case2} (both must be false)"
-    return GateCheck("frobenius_excluded", ok, detail)
+    return Check("frobenius_excluded", ok, detail)
 
 
-def two_frobenius_exclusion(m: int) -> GateCheck:
+def two_frobenius_exclusion(m: int) -> Check:
     """No 2-group of order at most q^2 has (q^2+1)(q-1) dividing 2^alpha - 1:
     the multiplicative order of 2 modulo that odd part exceeds 4m+2.
 
@@ -237,10 +222,10 @@ def two_frobenius_exclusion(m: int) -> GateCheck:
     d = _order_dividing(2, mod, multiple)
     ok = d > 4 * m + 2
     detail = f"ord(2 mod {mod}) = {d} > {4 * m + 2}: {ok}"
-    return GateCheck("two_frobenius_excluded", ok, detail)
+    return Check("two_frobenius_excluded", ok, detail)
 
 
-def simple_section_check(m: int) -> GateCheck:
+def simple_section_check(m: int) -> Check:
     """(q^2+1)(q-1) divides no smaller (q'^2+1)(q'-1), so a Suzuki section
     carrying the odd part must have the full parameter."""
     def odd_part_of(mm: int) -> int:
@@ -254,7 +239,7 @@ def simple_section_check(m: int) -> GateCheck:
         detail = "no smaller parameter exists; vacuously unique"
     else:
         detail = f"{target} divides none of the {m - 1} smaller odd parts: {ok}"
-    return GateCheck("simple_section_unique", ok, detail)
+    return Check("simple_section_unique", ok, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -267,9 +252,9 @@ def run_gate(profile: CandidateProfile) -> GateReport:
     Malformed profiles raise ProfileError before any check runs.
     """
     profile.validate()
-    checks: list[GateCheck] = []
+    checks: list[Check] = []
     m = infer_q(profile.order)
-    checks.append(GateCheck(
+    checks.append(Check(
         "order_form", m is not None,
         f"order {profile.order} " + (f"matches m={m}" if m is not None
                                      else "is not q^2 (q^2+1)(q-1) for any q = 2^(2m+1)")))
@@ -284,7 +269,7 @@ def run_gate(profile: CandidateProfile) -> GateReport:
         detail = f"involution count {m2} == (q-1)(q^2+1) = {closed.counts[2]}: {ok}"
     except InvolutionCountError as e:
         ok, detail = False, str(e)
-    checks.append(GateCheck("involution_count", ok, detail))
+    checks.append(Check("involution_count", ok, detail))
 
     checks.append(nse_match_check(profile, closed))
     checks.append(isolation_certificate(p, closed))

@@ -10,7 +10,7 @@ so it answers within seconds or raises ScaleRefusal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from itertools import chain, count, repeat
 from math import gcd, isqrt, prod
 from typing import TYPE_CHECKING
@@ -227,14 +227,24 @@ def type_function(stats: OrderStats, n: int) -> int:
 # Divisibility checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckReport:
+@dataclass(frozen=True)
+class Check:
+    """One named pass/fail certificate and the line that explains it: the
+    record of every check ``verify`` and the gate report."""
+
     name: str
     passed: bool
-    violations: list[str] = dc_field(default_factory=list)
+    detail: str
 
 
-def frobenius_check(stats: OrderStats) -> CheckReport:
+def _violations_check(name: str, violations: list[str]) -> Check:
+    """Passed when nothing is violated; the detail counts the violations
+    and, when there are any, lists them."""
+    detail = f"{len(violations)} violations" + "".join(f"; {v}" for v in violations)
+    return Check(name, not violations, detail)
+
+
+def frobenius_check(stats: OrderStats) -> Check:
     """Every divisor n of the group order must divide |{x : x^n = 1}|.  The
     group order is factored once, for its divisors; ``type_function``
     factors none of them."""
@@ -243,10 +253,10 @@ def frobenius_check(stats: OrderStats) -> CheckReport:
         g = type_function(stats, n)
         if g % n:
             violations.append(f"n={n}: {g} solutions of x^n=1, not divisible by n")
-    return CheckReport("frobenius_divisibility", not violations, violations)
+    return _violations_check("frobenius_divisibility", violations)
 
 
-def totient_divisor_check(stats: OrderStats) -> CheckReport:
+def totient_divisor_check(stats: OrderStats) -> Check:
     """phi(i) divides the count at i; i divides the divisor-sum at i; counts
     above order 2 are even."""
     violations = []
@@ -258,18 +268,18 @@ def totient_divisor_check(stats: OrderStats) -> CheckReport:
             violations.append(f"i={i}: divisor-sum {partial} not divisible by {i}")
         if i > 2 and c % 2:
             violations.append(f"i={i}: count {c} is odd")
-    return CheckReport("totient_divisor", not violations, violations)
+    return _violations_check("totient_divisor", violations)
 
 
-def weisner_count(stats: OrderStats, t: int) -> tuple[int, CheckReport]:
+def weisner_count(stats: OrderStats, t: int) -> tuple[int, Check]:
     """Number f(t) of elements whose order is a multiple of t, with the check
     that f(t) is zero or a multiple of the greatest divisor of the group
     order coprime to t."""
     f_t = sum(c for i, c in stats.counts.items() if i % t == 0)
     cp = coprime_part(stats.total, t)
     ok = f_t == 0 or f_t % cp == 0
-    violations = [] if ok else [f"t={t}: f(t)={f_t} is no multiple of coprime part {cp}"]
-    return f_t, CheckReport(f"weisner_t{t}", ok, violations)
+    detail = f"f({t}) = {f_t}" + ("" if ok else f", no multiple of coprime part {cp}")
+    return f_t, Check(f"weisner_t{t}", ok, detail)
 
 
 # ---------------------------------------------------------------------------

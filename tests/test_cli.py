@@ -10,7 +10,7 @@ from pathlib import Path
 from time import perf_counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from szq import cli, oracle
 from szq.cli import main
@@ -466,13 +466,20 @@ def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, 
     (("verify", "--q", "8", *_JSON), "verify_q8.json"),
     (("verify", "--q", "8", "--modulus", "0xd", *_TABLE), "verify_q8_0xd.txt"),
     (("nse", "--q", "8", "--source", "both", *_TABLE), "nse_q8_both.txt"),
-], ids=["verify", "nse", "verify-default-modulus", "verify-table", "nse-table"])
+    (("gate", str(GOLDEN / "profile_sz8_map.json"), *_JSON), "gate_sz8_map.json"),
+    (("gate", str(GOLDEN / "profile_sz8_map.json"), *_TABLE), "gate_sz8_map.txt"),
+    (("gate", str(GOLDEN / "profile_sz8_perturbed.json"), *_JSON), "gate_sz8_perturbed.json"),
+    (("gate", str(GOLDEN / "profile_sz8_perturbed.json"), *_TABLE), "gate_sz8_perturbed.txt"),
+], ids=["verify", "nse", "verify-default-modulus", "verify-table", "nse-table",
+        "gate-accept", "gate-accept-table", "gate-reject", "gate-reject-table"])
 def test_oracle_json_matches_the_golden_file(capsys, argv, golden):
     # The golden files hold the product-based oracle's output, byte for byte,
     # as JSON and as tables, so a refactor of the oracle cannot change a
-    # count or a detail unnoticed.
+    # count or a detail unnoticed.  The gate's hold its report on Sz(8)'s
+    # order map (ACCEPT, exit 0) and on a set with one count moved (REJECT,
+    # exit 1).
     rc, out, _ = run_cli(capsys, *argv)
-    assert rc == 0
+    assert rc == (1 if "perturbed" in golden else 0)
     assert out.encode() == (GOLDEN / golden).read_bytes()
 
 
@@ -650,15 +657,47 @@ _PROFILES = st.one_of(
     _JSON_VALUE)
 
 
-@settings(max_examples=100, deadline=1000, derandomize=True,
+def _sz8_map_file(literals):
+    """Sz(8)'s nse_map profile as a file, its order and its six counts
+    written as the seven given JSON literals."""
+    order, *counts = literals
+    pairs = b", ".join(b'"%d": %s' % (o, c) for o, c in zip((1, 2, 4, 5, 7, 13), counts))
+    return b'{"order": %s, "nse_map": {%s}}' % (order, pairs)
+
+
+_SZ8_LITERALS = (b"29120", b"1", b"455", b"3640", b"5824", b"12480", b"6720")
+_SZ8_MAP_FILE = _sz8_map_file(_SZ8_LITERALS)
+_DEEP = b"[" * 100_000 + b"]" * 100_000
+# Files that no JSON value dumps to, every one malformed: arrays nested
+# 10^5 deep, as the file or as the order; a second "order" key before
+# Sz(8)'s map; invalid UTF-8 anywhere in that map; true or 1.5 in place of
+# one of its integers.
+_MALFORMED_FILES = st.one_of(
+    st.sampled_from([b"[" * 100_000, _DEEP, b'{"order": %s, "nse_set": ["1"]}' % _DEEP]),
+    _NUMBERS.map(lambda order: b'{"order": %d, %s' % (order, _SZ8_MAP_FILE[1:])),
+    st.builds(lambda at, junk: _SZ8_MAP_FILE[:at] + junk + _SZ8_MAP_FILE[at:],
+              st.integers(0, len(_SZ8_MAP_FILE)),
+              st.sampled_from([b"\xff", b"\x80", b"\xc3(", b"\xe2\x82"])),
+    st.builds(lambda at, literal: _sz8_map_file(
+        [literal if i == at else v for i, v in enumerate(_SZ8_LITERALS)]),
+        st.integers(0, len(_SZ8_LITERALS) - 1), st.sampled_from([b"true", b"1.5"])))
+
+
+@settings(max_examples=150, deadline=1000, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(_PROFILES)
-def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, data):
+@given(st.one_of(_PROFILES.map(lambda data: (json.dumps(data).encode(), False)),
+                 _MALFORMED_FILES.map(lambda text: (text, True))))
+def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, drawn):
+    # Any JSON value exits 0, 1 or 2; a malformed file exits 2 with one
+    # error line.
+    text, malformed = drawn
     path = tmp_path / "profile.json"
-    path.write_text(json.dumps(data))
+    path.write_bytes(text)
     rc, out, err = run_cli(capsys, "gate", str(path), "--output", "json", "--no-timestamp")
-    assert rc in (0, 1, 2)
+    assert rc in ((2,) if malformed else (0, 1, 2))
     _assert_one_diagnosis(rc, out, err, json_output=True)
+    if malformed:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # -- fuzzed argv --------------------------------------------------------------
@@ -729,6 +768,13 @@ def _lookup_failures(draw):
 @settings(max_examples=100, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(_argvs(), st.none() | _lookup_failures())
+# Paths the derandomized draw misses: a passing verify, the memory refusal of
+# a census past Sz(8), an m whose order would print past the digit limit, and
+# a size in digits that int() reads but that are not ASCII.
+@example(argv=["verify", "--q", "8"], failure=None)
+@example(argv=["verify", "--q", "32", "--allow-big"], failure=None)
+@example(argv=["nse", "--m", "2000"], failure=None)
+@example(argv=["nse", "--q", "\uff18"], failure=None)
 def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch, argv,
                                                    failure):
     # The census of Sz(32) (--m 2 or --q 32 with --allow-big) takes 17-42 s;
@@ -745,8 +791,12 @@ def test_fuzzed_argv_exits_0_to_4_and_never_raises(tmp_path, capsys, monkeypatch
         rc, out, err = run_cli(capsys, *argv)
     assert rc in range(5)
     # argparse answers -h with its help text, whatever else was asked for.
-    json_output = "-h" not in argv and ("--output", "json") in zip(argv, argv[1:])
+    pairs = list(zip(argv, argv[1:]))
+    json_output = "-h" not in argv and ("--output", "json") in pairs
     _assert_one_diagnosis(rc, out, err, json_output)
+    if "-h" not in argv and any(value in _VALUES[option][1]
+                                for option, value in pairs if option in _VALUES):
+        assert rc == 2  # a malformed value is a usage error
 
 
 @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")

@@ -1,6 +1,8 @@
 """Matrix boundary type: construction, products, equality, and the kernel of a
 right factor; orders and inverses from the matrix reference."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -149,6 +151,25 @@ def test_values_are_immutable(f8):
     assert [one, one * one, Mat4(f8, one.entries)] == [one] * 3
     assert len({hash(m) for m in (one, one * one, Mat4(f8, one.entries))}) == 1
     assert w * one != one and w._as_right_factor() != one
+
+
+def _twins(value):
+    return copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))
+
+
+def test_fields_matrices_and_chains_survive_copy_and_pickle(f8, sz8):
+    # Copy and unpickle fill an element's slots directly; only assignment
+    # through the public names is refused.
+    w = make_w(f8.element(3), f8.element(5))
+    for value in (f8.one, f8, w):
+        for twin in _twins(value):
+            assert twin == value and hash(twin) == hash(value)
+    assert all(twin.field == f8 and twin.bits == 1 for twin in _twins(f8.one))
+    for twin in _twins(sz8.table):
+        assert twin.generator_ranks == sz8.table.generator_ranks
+        assert twin.orders() == sz8.table.orders()
+    with pytest.raises(AttributeError):
+        f8.one.bits = 3
 
 
 def test_entry_accessor(f8):

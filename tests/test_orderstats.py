@@ -281,7 +281,7 @@ def test_type_function_refuses_n_below_1(n):
 
 def test_frobenius_check_passes_on_closed_form():
     report = frobenius_check(nse_closed_form(make_params(1)))
-    assert report.passed and not report.violations
+    assert report.passed and report.detail == "0 violations"
 
 
 def test_frobenius_check_flags_perturbation():
@@ -289,7 +289,7 @@ def test_frobenius_check_flags_perturbation():
     counts[2] -= 2  # x^4 = 1 now has 4094 solutions, not divisible by 4
     report = frobenius_check(OrderStats(counts=counts, total=29120))
     assert not report.passed
-    assert report.violations
+    assert report.detail.startswith("47 violations; n=4: 4094 solutions of x^n=1")
 
 
 @pytest.mark.parametrize("m", [1, 2])
@@ -316,13 +316,13 @@ def test_totient_divisor_check_passes(m):
 def test_totient_divisor_check_flags_bad_stats():
     report = totient_divisor_check(OrderStats(counts={1: 1, 3: 3}, total=4))
     assert not report.passed
-    assert any("phi(3)" in v for v in report.violations)
+    assert "; i=3: phi(3)=2 does not divide 3;" in report.detail
 
 
 def test_weisner_counts_q8():
     stats = nse_closed_form(make_params(1))
     f2, rep2 = weisner_count(stats, 2)
-    assert f2 == 4095 == 9 * 455 and rep2.passed
+    assert f2 == 4095 == 9 * 455 and rep2.passed and rep2.detail == "f(2) = 4095"
     f13, rep13 = weisner_count(stats, 13)
     assert f13 == 6720 == 3 * 2240 and rep13.passed
     f11, rep11 = weisner_count(stats, 11)
@@ -332,6 +332,7 @@ def test_weisner_counts_q8():
 def test_weisner_flags_violation():
     _, rep = weisner_count(OrderStats(counts={1: 1, 2: 2, 4: 3}, total=6), 2)
     assert not rep.passed
+    assert rep.detail == "f(2) = 5, no multiple of coprime part 3"
 
 
 # -- prime graph -------------------------------------------------------------------------
