@@ -8,23 +8,19 @@ reference subgroups cover every nontrivial element exactly once.
 ``enumerate_group`` closes any set of matrices into an ``ElementTable`` of
 entry tuples, which only closes and counts.  Sz(q) itself has one carrier:
 ``StabilizerChain(params, field)`` lets it act on the q^2 + 1 points of its
-ovoid, derives its stabilizer chain and certifies it by the group order,
-so each element is "U2[c], then U1[b], then U0[a]" in exactly one way and
-is addressed by its rank (a N1 + b) N2 + c.  Three base images determine an
-element, so a product or a power walk steps three base images and sifts
-them back to a rank: the census, ``subgroup``, ``cyclic_subgroup``,
-``find_cyclic_subgroup`` and the normalizer and centralizer scans (one
-search, ``_conjugators``) all take the chain and ranks, and all run on
-Sz(32).  Every power walk records the orders it proves in the chain's order
-bytes, and the power pass (``orders``) walks every rank whose byte is still
-0, in rank order, all in one loop: one call of one power walker, which finds
-each next such rank with ``bytearray.find``.  ``empirical_order_stats``
-counts only the orders its hints allow, one ``bytearray.count`` each, and
-scans for other orders only when those counts miss elements.  The partition
-certificate (``verify_partition``) counts conjugates by normalizer indices
-and walks no conjugate; once it holds, it reads a second census off the
-partition, from the orders of the four classes' members alone.  Matrices
-stay at the boundary (``StabilizerChain.rank``).
+ovoid, derives its stabilizer chain and certifies it by the group order and
+by the fact that only the identity fixes three points, so each element is
+"U2[c], then U1[b], then U0[a]" in exactly one way, addressed by its rank
+(a N1 + b) N2 + c, and is fixed by three point images.  A product or a power
+walk sifts three base images back to a rank, and a normalizer or
+centralizer scan (``_transporter``) finds each conjugator from the image of
+one point; all run on Sz(32).  Every power walk records the orders it proves
+in the chain's order bytes, and the power pass (``orders``) walks every rank
+whose byte is still 0, in rank order, in one call of one power walker.  The
+partition certificate (``verify_partition``) counts conjugates by
+normalizer indices and walks no conjugate; once it holds, it reads a second
+census off the partition, from the orders of the four classes' members
+alone.  Matrices stay at the boundary (``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -39,7 +35,7 @@ from math import gcd
 from functools import cache, partial
 from itertools import combinations
 from operator import attrgetter, itemgetter, mul
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import AbstractSet, Callable, Hashable, Iterable, Sequence
 
 from .field import Field, FieldMismatchError, _require_int
 from .group import (
@@ -235,7 +231,9 @@ class StabilizerChain:
     (a, b, c).  Its rank is (a N1 + b) N2 + c: ``sift`` finds it from the
     element's three base images, and ``rank(mat)`` from a matrix.  Any
     other orbit or chain size raises CertificationError, and so does a
-    stabilizer generator that moves a base point its level must fix.
+    stabilizer generator that moves a base point its level must fix, or an
+    H2-orbit outside b0 and b1 of other than N2 points: then H2 = G_{b0,b1}
+    is semiregular there, and only the identity fixes three points.
     """
 
     params: SuzukiParams
@@ -253,6 +251,10 @@ class StabilizerChain:
     _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
     _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
     _level12: list[list[int]] = _derived()  # [t1][t2] -> b * N2 + c, or a large negative
+    _at0: list[int] = _derived()   # by point p: a, the index of p in orbits[0]
+    _at1: list[int] = _derived()   # by point p: b, the index of p in orbits[1] (-1 for b0)
+    _rep2: list[int] = _derived()  # by point p outside b0, b1: its H2-orbit's least point
+    _at2: list[int] = _derived()   # by point p outside b0, b1: the c with U2[c](rep2[p]) = p
     _orders: bytearray | None = _derived(default=None)  # 0: order not known yet
 
     def __post_init__(self) -> None:
@@ -292,6 +294,18 @@ class StabilizerChain:
             raise CertificationError(
                 f"the stabilizer chain has N0 N1 N2 = {n0} * {n1} * {n2} = {n0 * n1 * n2} "
                 f"elements, expected |Sz({params.q})| = {params.group_order}")
+        # Only the identity fixes three points: <d(lam)> maps each point
+        # outside b0 and b1 to N2 points that no other orbit holds.
+        rep2, at2 = [-1] * n, [0] * n
+        rep2[b0] = rep2[b1] = n  # taken: a U2 that moves b0 or b1 collides there
+        for p in range(n):
+            if rep2[p] < 0:
+                for c, u2 in enumerate(transversals[2]):
+                    if rep2[u2[p]] >= 0:
+                        raise CertificationError(
+                            f"the orbit of point {p} under <d(lam)> does not have N2 = {n2} "
+                            "points of its own")
+                    rep2[u2[p]], at2[u2[p]] = p, c
         missing = -(n0 * n1 * n2 + 1)  # makes any rank it is added to negative
         level12 = [[missing] * n for _ in range(n)]
         for b, u1 in enumerate(transversals[1]):
@@ -300,13 +314,17 @@ class StabilizerChain:
                 if row[u1[p]] != missing:
                     raise CertificationError("two elements of the chain share their base images")
                 row[u1[p]] = b * n2 + c
-        inverse_at, offset_at = [None] * n, [0] * n  # o0, the ovoid, fills both
-        for a, p in enumerate(o0):
-            inverse_at[p], offset_at[p] = inverses[0][a], a * n1 * n2
+        at0, at1 = [-1] * n, [-1] * n  # o0, the ovoid, fills at0
+        for j, at in enumerate((at0, at1)):
+            for i, p in enumerate(orbits[j]):
+                at[p] = i
+        inverse_at = [inverses[0][a] for a in at0]
+        offset_at = [a * n1 * n2 for a in at0]
         self.generators, self.points, self.base = gens, points, base
         self.orbits, self.transversals = list(orbits), list(transversals)
         self.size, self._number, self._inverses = params.group_order, number, list(inverses)
         self._inverse_at, self._offset_at, self._level12 = inverse_at, offset_at, level12
+        self._at0, self._at1, self._rep2, self._at2 = at0, at1, rep2, at2
         self.identity = self.sift(*base)
         self.generator_ranks = [self.sift(*(g[b] for b in base)) for g in perms]
 
@@ -657,87 +675,126 @@ def _generating_set(chain: StabilizerChain, members: frozenset[int]) -> list[int
     return gens
 
 
-def _conjugators(chain: StabilizerChain, h: list[int],
-                 triples: set[tuple[int, int, int]]) -> list[int]:
-    """The ranks g whose conjugate g^-1 h g ("first g, then h, then g^-1")
-    has its images of b0, b1 and b2 in ``triples``, h given by its point
-    images.
+def _transporter(chain: StabilizerChain, x: int,
+                 targets: AbstractSet[int]) -> Iterable[int]:
+    """The ranks g whose conjugate g^-1 x g ("first g, then x, then g^-1")
+    is the element of a rank in ``targets``, found from three points.
 
-    For g = (a, b, c), U1 and U2 fix b0, so the conjugate's image of b0 is
-    U2[c]^-1 z with z = U1[b]^-1 y_a and y_a = U0[a]^-1 h(o0[a]) from a
-    alone.  It is the first entry t0 of a triple exactly when z = U2[c](t0):
-    ``hits[z]`` lists those c, and ``meet[y]`` the b that take y to a z with
-    hits, so only the (a, b) that can succeed are visited (about N1 N2 of
-    the N0 N1 for one target triple).  A c survives when (x0, x1) begins a triple,
-    and is kept when the whole triple is one.
+    g^-1 x g = t makes g(t(p)) = x(g(p)): g maps t's source (p, tp, t^2 p),
+    p the first base point t^2 moves, to (P, xP, x^2 P), P = g(p), or for
+    involutions (f_t, p, tp) to (f_x, P, xP), f the fixed point.  A triple
+    (u, v, w) is k (b0, b1, r) for one k = U0[a] U1[b] U2[c] and one r, the
+    least point of an H2-orbit: a, b and c are the places of u, of
+    U0[a]^-1 v and of w's image in their orbits (``_at0``, ``_at1``,
+    ``_at2``, ``_rep2``).  Only the identity fixes three points, so
+    g = k_P k_t^-1 for the P whose r is the source's.  x's triples are
+    reduced once, all P together, and g is sifted once it also maps t(w) to
+    x(w'), w and w' the triples' third points (for involutions this always
+    holds): g t and x g then agree on three points.  CertificationError for
+    an involution x that fixes other than one point.
     """
+    one, base, x_ = chain.identity, chain.base, chain.permutation(x)
+    if x == one:
+        return range(chain.size) if one in targets else []
     (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._inverses
-    o0, o1, o2 = chain.orbits
-    n1, n2, points = len(o1), len(o2), range(len(i0[0]))
-    pairs = {t[:2] for t in triples}
-    hits: list[list[int]] = [[] for _ in points]
-    for first in {t[0] for t in triples}:
-        for c, u2 in enumerate(t2):
-            hits[u2[first]].append(c)
-    bs = list(range(n1))  # one int object for each b, shared by every list
-    meet: list[list[int]] = [[] for _ in points]
-    for z in points:
-        if hits[z]:
-            for b, u1 in zip(bs, t1):
-                meet[u1[z]].append(b)
-    found: list[int] = []
-    for a, p in enumerate(o0):
-        u0, v0 = t0[a], i0[a]
-        y = v0[h[p]]
-        for b in meet[y]:
-            u1, v1 = t1[b], i1[b]
-            z0, z1 = v1[y], v1[v0[h[u0[o1[b]]]]]  # U1[b](b1) = o1[b]
-            for c in hits[z0]:
-                v2 = i2[c]
-                x0, x1 = v2[z0], v2[z1]
-                if (x0, x1) in pairs and \
-                        (x0, x1, v2[v1[v0[h[u0[u1[o2[c]]]]]]]) in triples:
-                    found.append((a * n1 + b) * n2 + c)
+    at0, at1, rep2, at2 = chain._at0, chain._at1, chain._rep2, chain._at2
+    points, involution = range(len(x_)), all(x_[x_[p]] == p for p in base)
+    fixed = [p for p in points if x_[p] == p]
+    if involution and len(fixed) != 1:
+        raise CertificationError(f"an involution fixes {len(fixed)} points, not one")
+    wanted: dict[int, list[int]] = {}  # by r: k_t^-1 of b0, b1, b2 and t(w), per source
+    for t in targets:
+        if t == one:
+            continue
+        u0, u1, u2 = chain.element(t)
+        image = {p: u0[u1[u2[p]]] for p in base}
+        moved = [p for p in base if u0[u1[u2[image[p]]]] != p]  # by t^2
+        if involution == bool(moved):  # t has order 2 and x not, or the reverse
+            continue
+        if involution:
+            p = next(p for p in base if image[p] != p)
+            f = next((f for f in (*base, *points) if u0[u1[u2[f]]] == f), None)
+            if f is None:
+                continue
+            u, v = f, p
+        else:
+            u = moved[0]
+            v = image[u]
+        w = u0[u1[u2[v]]]
+        v0 = i0[a := at0[u]]
+        z = i1[b := at1[v0[v]]][v0[w]]
+        v2 = i2[at2[z]]
+        wanted.setdefault(rep2[z], []).extend(v2[i1[b][v0[s]]]
+                                              for s in (*base, u0[u1[u2[w]]]))
+    # x's triples (u, v, w) for every P, reduced a level at a time in C
+    if involution:
+        ps = [p for p in points if x_[p] != p]
+        us, vs = fixed * len(ps), ps
+    else:
+        ps = [p for p in points if x_[x_[p]] != p]
+        us, vs = ps, [x_[p] for p in ps]
+    ws, get = [x_[v] for v in vs], list.__getitem__
+    rows0 = [i0[at0[u]] for u in us]
+    bs = [at1[v] for v in map(get, rows0, vs)]
+    zs = list(map(get, map(i1.__getitem__, bs), map(get, rows0, ws)))
+    found = []
+    for u, b, z, w in zip(us, bs, zs, ws):
+        if rep2[z] in wanted:  # the sources' points under k_P, a level at a time
+            keys = itemgetter(*itemgetter(*wanted[rep2[z]])(t2[at2[z]]))(t1[b])
+            it = iter(itemgetter(*keys)(t0[at0[u]]))
+            found += [chain.sift(*g) for *g, s in zip(it, it, it, it) if s == x_[w]]
+    if found and min(found) < 0:
+        raise CertificationError("the chain is not closed under products")
     return found
 
 
 def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
-    """All g with g^-1 H g = H, as ranks of a certified chain.
-
-    N(H) is the intersection over a generating set of H of the g with
-    g^-1 h g in H: then g^-1 H g, which those conjugates generate, lies in
-    H and has |H| elements, so it is H.  A cyclic H brings its generator;
-    any other gets a small generating set (``_generating_set``: 3 elements
-    for W at q = 8).  Three base images determine an element, so g^-1 h g
-    lies in H exactly when its images of b0, b1 and b2 are those of some m
-    in H: one ``_conjugators`` scan with H's triples for each generator.
-    The trivial subgroup has no generator and is normalized by every g.
+    """All g with g^-1 H g = H, as ranks of a certified chain: the g with
+    g^-1 h g in H for each h of a generating set of H, one three-point
+    search (``_transporter``) each, since g^-1 H g, which those conjugates
+    generate, then lies in H and has |H| elements.  A cyclic H brings its
+    generator, any other gets ``_generating_set`` (3 elements for W at
+    q = 8), and the trivial subgroup has none and is normalized by every g.
+    When d(lam) = U2[1] normalizes H (it conjugates each generator into H),
+    each search takes one target per orbit of H under conjugation by d(lam):
+    with g, each g U2[c], its block of N2 ranks, conjugates h into H.
     ValueError for members that are no ranks of the chain or no subgroup.
     """
-    triples = {tuple(u0[u1[u2[p]]] for p in chain.base)
-               for u0, u1, u2 in map(chain.element, sub.members)}
+    for r in sub.members:
+        chain._require_rank(r)
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(range(chain.size)))
+    t2, i2, n2 = chain.transversals[2], chain._inverses[2], len(chain.orbits[2])
+
+    def conjugate(t: int) -> int:  # d(lam)^-1 t d(lam): first d(lam), then t, then its inverse
+        u0, u1, u2 = chain.element(t)
+        return chain.sift(*(i2[1][u0[u1[u2[t2[1][p]]]]] for p in chain.base))
+
+    targets, orbits = sub.members, {}
+    for first in sorted(targets) if all(conjugate(g) in targets for g in gens) else ():
+        t = first
+        while t not in orbits:
+            orbits[t], t = first, conjugate(t)
+    if orbits:
+        targets = frozenset(t for t, first in orbits.items() if t == first)
     found = None
     for g in gens:
-        scan = _conjugators(chain, chain.permutation(g), triples)
+        scan = _transporter(chain, g, targets)
+        if orbits:
+            scan = [k + c for k in {r - r % n2 for r in scan} for c in range(n2)]
         found = frozenset(scan) if found is None else found.intersection(scan)
     return SubgroupHandle(found)
 
 
 def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
     """All g commuting with the element of rank x, as ranks of a certified
-    chain; ValueError for an x that is no rank of it.
-
-    g commutes with x exactly when g^-1 x g = x, that is when the conjugate
-    has x's three base images: the normalizer's scan (``_conjugators``)
-    with that one target triple.
+    chain: the g with g^-1 x g = x, one three-point search
+    (``_transporter``) with x as its one target.  ValueError for an x that
+    is no rank of it.
     """
-    h = chain.permutation(x)
-    found = _conjugators(chain, h, {tuple(h[p] for p in chain.base)})
-    return SubgroupHandle(frozenset(found))
+    return SubgroupHandle(frozenset(_transporter(chain, x, {x})))
 
 
 # ---------------------------------------------------------------------------
@@ -870,7 +927,7 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     |G| - 1 - coverage, with coverage = sum n_i (|H_i| - 1); otherwise both
     are None and the report fails.  Nothing is conjugated element by
     element, and nothing of size |G| is built beyond the order bytes the
-    digging fills, so this runs on Sz(32) in seconds.
+    digging fills, so this runs on Sz(32) in a fraction of a second.
 
     When both are 0, every nontrivial element lies in exactly one conjugate
     of one class, and a conjugation keeps orders, so the report's

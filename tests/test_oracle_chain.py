@@ -259,9 +259,9 @@ def _shorten_n_u1(pair, monkeypatch):
 
 
 def _count_scans(monkeypatch):
-    """One entry for each ``_conjugators`` scan made from now on."""
-    scans, real = [], szq.oracle._conjugators
-    monkeypatch.setattr(szq.oracle, "_conjugators", lambda *args: scans.append(1) or real(*args))
+    """One entry for each ``_transporter`` scan made from now on."""
+    scans, real = [], szq.oracle._transporter
+    monkeypatch.setattr(szq.oracle, "_transporter", lambda *args: scans.append(1) or real(*args))
     return scans
 
 

@@ -169,9 +169,9 @@ def test_each_generator_takes_one_conjugation_scan(sz8, monkeypatch):
     # N(W) intersects one scan for each generator of W; a cyclic subgroup
     # brings its one generator, and a centralizer is a single scan.
     table, scans = sz8.table, []
-    conjugators = szq.oracle._conjugators
-    monkeypatch.setattr(szq.oracle, "_conjugators",
-                        lambda chain, h, triples: scans.append(h) or conjugators(chain, h, triples))
+    transporter = szq.oracle._transporter
+    monkeypatch.setattr(szq.oracle, "_transporter",
+                        lambda chain, x, targets: scans.append(x) or transporter(chain, x, targets))
     w = subgroup(table, map(table.rank, w_generators(table.field)), limit=64)
     gens = szq.oracle._generating_set(table, w.members)
     assert normalizer(table, w).order * 65 == table.size
