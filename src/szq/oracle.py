@@ -11,16 +11,16 @@ entry tuples, which only closes and counts.  Sz(q) itself has one carrier:
 ovoid, derives its stabilizer chain and certifies it by the group order and
 by the fact that only the identity fixes three points, so each element is
 "U2[c], then U1[b], then U0[a]" in exactly one way, addressed by its rank
-(a N1 + b) N2 + c, and is fixed by three point images.  A product or a power
-walk sifts three base images back to a rank, and a normalizer or
-centralizer scan (``_transporter``) finds each conjugator from the image of
-one point; all run on Sz(32).  Every power walk records the orders it proves
-in the chain's order bytes, and the power pass (``orders``) walks every rank
-whose byte is still 0, in rank order, in one call of one power walker.  The
-partition certificate (``verify_partition``) counts conjugates by
-normalizer indices and walks no conjugate; once it holds, it reads a second
-census off the partition, from the orders of the four classes' members
-alone.  Matrices stay at the boundary (``StabilizerChain.rank``).
+(a N1 + b) N2 + c, and is fixed by three point images.  A closure or a power
+walk steps base images through permutations and sifts them to ranks, and a
+normalizer or centralizer scan (``_transporter``) finds each conjugator from
+the image of one point; all run on Sz(32).  Every power walk records the
+orders it proves in the chain's order bytes, and the power pass (``orders``)
+walks every rank whose byte is still 0, in rank order, in one call of one
+power walker.  The partition certificate (``verify_partition``) counts
+conjugates by normalizer indices and walks no conjugate; once it holds, it
+reads a second census off the partition, from the orders of the four
+classes' members.  Matrices stay at the boundary (``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -386,19 +386,38 @@ class StabilizerChain:
 
     def mul(self, r: int, s: int) -> int:
         """The rank of "first the element of rank r, then that of rank s":
-        s's images of r's base images, sifted inline as in ``sift``, from
-        the row ``_inverse_at[p0]`` and the ``_offset_at`` and ``_level12``
-        lookups.  The images are points, so no bounds check is needed."""
+        s's images of r's base images, sifted inline as in ``sift``."""
         u0, u1, u2 = self.element(r)
         v0, v1, v2 = self.element(s)
-        b0, b1, b2 = self.base
-        p0 = v0[v1[v2[u0[u1[u2[b0]]]]]]
+        p0, p1, p2 = (v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base)
         inverse = self._inverse_at[p0]
-        product = self._offset_at[p0] + self._level12[
-            inverse[v0[v1[v2[u0[u1[u2[b1]]]]]]]][inverse[v0[v1[v2[u0[u1[u2[b2]]]]]]]]
+        product = self._offset_at[p0] + self._level12[inverse[p1]][inverse[p2]]
         if product < 0:
             raise CertificationError("the chain is not closed under products")
         return product
+
+    def _hooks(self, points: Sequence[int]) -> tuple[Callable, Callable]:
+        """``_walk``'s lift and act over ranks: a member's images of
+        ``points``, and for a move (g, i, j, k) the rank with base images g
+        of the i-th, j-th and k-th of them, sifted inline, raising
+        CertificationError as ``mul`` does.  Both read the tables when made."""
+        (t0, t1, t2), level12 = self.transversals, self._level12
+        n1, n2, inverse_at, offset_at = len(t1), len(t2), self._inverse_at, self._offset_at
+
+        def lift(r: int) -> list[int]:
+            ab = r // n2
+            u0, u1, u2 = t0[a := ab // n1], t1[ab - a * n1], t2[r - ab * n2]
+            return [u0[u1[u2[p]]] for p in points]
+
+        def act(images: list[int], move: tuple) -> int:
+            g, i, j, k = move
+            inverse = inverse_at[p0 := g[images[i]]]
+            r = offset_at[p0] + level12[inverse[g[images[j]]]][inverse[g[images[k]]]]
+            if r < 0:
+                raise CertificationError("the chain is not closed under products")
+            return r
+
+        return lift, act
 
     def cycle(self, r: int) -> list[int]:
         """The ranks of x, x^2, ..., x^(k-1) for the element x of rank r,
@@ -642,9 +661,11 @@ def cyclic_subgroup(chain: StabilizerChain, generator: int, order: int) -> Subgr
 
 def subgroup(chain: StabilizerChain, generators: Iterable[int], limit: int) -> SubgroupHandle:
     """The subgroup generated by the elements of ranks ``generators``, closed
-    with the chain's product; ClosureLimitError past ``limit`` elements."""
-    members = _walk([chain.identity], list(generators), chain.mul, limit=limit)
-    return SubgroupHandle(frozenset(members))
+    by stepping base images through their permutations (``_hooks``);
+    ClosureLimitError past ``limit`` elements, ValueError for a non-rank."""
+    lift, act = chain._hooks(chain.base)
+    moves = [(chain.permutation(g), 0, 1, 2) for g in generators]
+    return SubgroupHandle(frozenset(_walk([chain.identity], moves, act, limit=limit, lift=lift)))
 
 
 def find_cyclic_subgroup(chain: StabilizerChain, k: int) -> SubgroupHandle:
@@ -661,15 +682,15 @@ def find_cyclic_subgroup(chain: StabilizerChain, k: int) -> SubgroupHandle:
 
 def _generating_set(chain: StabilizerChain, members: frozenset[int]) -> list[int]:
     """A generating set of the subgroup with these members: walk them in
-    sorted order and keep each one the kept ones do not generate yet.
-    ValueError when the members are not a subgroup."""
-    one = chain.identity
-    gens: list[int] = []
-    span = {one}
+    sorted order and keep each one that the spans (closed as in ``subgroup``)
+    of the kept ones miss.  ValueError when the members are not a subgroup."""
+    (lift, act), one = chain._hooks(chain.base), chain.identity
+    gens, moves, span = [], [], {one}
     for x in sorted(members):
         if x not in span:
             gens.append(x)
-            span = _walk([one], gens, chain.mul)
+            moves.append((chain.permutation(x), 0, 1, 2))
+            span = _walk([one], moves, act, lift=lift)
     if len(span) != len(members):
         raise ValueError("the members do not form a subgroup")
     return gens
@@ -724,8 +745,8 @@ def _transporter(chain: StabilizerChain, x: int,
         v0 = i0[a := at0[u]]
         z = i1[b := at1[v0[v]]][v0[w]]
         v2 = i2[at2[z]]
-        wanted.setdefault(rep2[z], []).extend(v2[i1[b][v0[s]]]
-                                              for s in (*base, u0[u1[u2[w]]]))
+        wanted.setdefault(rep2[z], []).append([v2[i1[b][v0[s]]]
+                                               for s in (*base, u0[u1[u2[w]]])])
     # x's triples (u, v, w) for every P, reduced a level at a time in C
     if involution:
         ps = [p for p in points if x_[p] != p]
@@ -737,12 +758,15 @@ def _transporter(chain: StabilizerChain, x: int,
     rows0 = [i0[at0[u]] for u in us]
     bs = [at1[v] for v in map(get, rows0, vs)]
     zs = list(map(get, map(i1.__getitem__, bs), map(get, rows0, ws)))
-    found = []
+    found, inverse_at, offset_at, level12 = [], chain._inverse_at, chain._offset_at, chain._level12
     for u, b, z, w in zip(us, bs, zs, ws):
-        if rep2[z] in wanted:  # the sources' points under k_P, a level at a time
-            keys = itemgetter(*itemgetter(*wanted[rep2[z]])(t2[at2[z]]))(t1[b])
-            it = iter(itemgetter(*keys)(t0[at0[u]]))
-            found += [chain.sift(*g) for *g, s in zip(it, it, it, it) if s == x_[w]]
+        if rep2[z] in wanted:  # the sources' points under k_P
+            u0, u1, u2, xw = t0[at0[u]], t1[b], t2[at2[z]], x_[w]
+            for s0, s1, s2, s3 in wanted[rep2[z]]:
+                if u0[u1[u2[s3]]] == xw:
+                    inverse = inverse_at[p0 := u0[u1[u2[s0]]]]
+                    found.append(offset_at[p0]
+                                 + level12[inverse[u0[u1[u2[s1]]]]][inverse[u0[u1[u2[s2]]]]])
     if found and min(found) < 0:
         raise CertificationError("the chain is not closed under products")
     return found
@@ -760,23 +784,20 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     with g, each g U2[c], its block of N2 ranks, conjugates h into H.
     ValueError for members that are no ranks of the chain or no subgroup.
     """
-    for r in sub.members:
-        chain._require_rank(r)
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
+    for r in (*sub.members, *cyclic):
+        chain._require_rank(r)
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(range(chain.size)))
     t2, i2, n2 = chain.transversals[2], chain._inverses[2], len(chain.orbits[2])
-
-    def conjugate(t: int) -> int:  # d(lam)^-1 t d(lam): first d(lam), then t, then its inverse
-        u0, u1, u2 = chain.element(t)
-        return chain.sift(*(i2[1][u0[u1[u2[t2[1][p]]]]] for p in chain.base))
-
+    lift, act = chain._hooks([t2[1][p] for p in chain.base])
+    d = (i2[1], 0, 1, 2)  # d(lam)^-1 t d(lam): first d(lam), then t, then its inverse
     targets, orbits = sub.members, {}
-    for first in sorted(targets) if all(conjugate(g) in targets for g in gens) else ():
+    for first in sorted(targets) if all(act(lift(g), d) in targets for g in gens) else ():
         t = first
         while t not in orbits:
-            orbits[t], t = first, conjugate(t)
+            orbits[t], t = first, act(lift(t), d)
     if orbits:
         targets = frozenset(t for t, first in orbits.items() if t == first)
     found = None
@@ -873,6 +894,7 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     involution that no earlier orbit reached gets one centralizer scan: for
     W, d(lam) moves the q - 1 involutions in one orbit, so one scan serves
     them all, while without generators in N(H) every involution gets its own.
+    The orbits close through ``_hooks``; only the test t t = 1 takes ``mul``.
     """
     one = chain.identity
     if h.cyclic_generator is not None:
@@ -883,17 +905,15 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     index, rest = divmod(n.order, h.order)
     if h.order & (h.order - 1) or rest or index % 2 == 0 or not h.members <= n.members:
         return False
-    movers = []  # (g^-1, g): g^-1 has the base images that g maps to b0, b1, b2
-    for g in chain.generator_ranks:
-        if g in n.members:
-            image = chain.permutation(g)
-            movers.append((chain.sift(*map(image.index, chain.base)), g))
-    reached: set[int] = set()
+    images = [chain.permutation(g) for g in chain.generator_ranks if g in n.members]
+    movers = [(g, 3 * i, 3 * i + 1, 3 * i + 2) for i, g in enumerate(images)]
+    # g^-1 x g has base images g(x(g^-1 b)): x is lifted to its images of each g^-1 b
+    (lift, act), reached = chain._hooks([g.index(b) for g in images for b in chain.base]), set()
     for t in h.members:
         if t not in reached and t != one and chain.mul(t, t) == one:
             if not h.members <= centralizer(chain, t).members <= n.members:
                 return False
-            reached |= _walk([t], movers, lambda x, m: chain.mul(chain.mul(m[0], x), m[1]))
+            reached |= _walk([t], movers, act, lift=lift)
     return True
 
 

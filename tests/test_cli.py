@@ -19,7 +19,7 @@ from szq.gate import ProfileError, load_profile
 from szq.group import make_params
 from szq.mat4 import Mat4
 from szq.oracle import StabilizerChain
-from szq.orderstats import Spectrum
+from szq.orderstats import Spectrum, nse_closed_form
 
 GOLDEN = Path(__file__).parent / "data"
 
@@ -470,14 +470,15 @@ def test_a_lookup_failure_is_a_certification_failure(capsys, monkeypatch, argv, 
     (("gate", str(GOLDEN / "profile_sz8_map.json"), *_TABLE), "gate_sz8_map.txt"),
     (("gate", str(GOLDEN / "profile_sz8_perturbed.json"), *_JSON), "gate_sz8_perturbed.json"),
     (("gate", str(GOLDEN / "profile_sz8_perturbed.json"), *_TABLE), "gate_sz8_perturbed.txt"),
+    (("verify", "--q", "32", "--allow-big", *_JSON), "verify_q32_0x25.json"),
 ], ids=["verify", "nse", "verify-default-modulus", "verify-table", "nse-table",
-        "gate-accept", "gate-accept-table", "gate-reject", "gate-reject-table"])
+        "gate-accept", "gate-accept-table", "gate-reject", "gate-reject-table", "verify-q32"])
 def test_oracle_json_matches_the_golden_file(capsys, argv, golden):
     # The golden files hold the product-based oracle's output, byte for byte,
     # as JSON and as tables, so a refactor of the oracle cannot change a
-    # count or a detail unnoticed.  The gate's hold its report on Sz(8)'s
-    # order map (ACCEPT, exit 0) and on a set with one count moved (REJECT,
-    # exit 1).
+    # count or a detail unnoticed; Sz(32)'s under its default modulus too.
+    # The gate's hold its report on Sz(8)'s order map (ACCEPT, exit 0) and on
+    # a set with one count moved (REJECT, exit 1).
     rc, out, _ = run_cli(capsys, *argv)
     assert rc == (1 if "perturbed" in golden else 0)
     assert out.encode() == (GOLDEN / golden).read_bytes()
@@ -646,7 +647,36 @@ _JSON_VALUE = st.recursive(
                         max_size=8)),
     max_leaves=8)
 _ORDER = st.one_of(_NUMBERS, _NUMBERS.map(str), _JSON_VALUE)
+
+
+def _sum_preserving(m):
+    """Sz(q)'s nse map with some delta moved from one order's count to
+    another order, one of Sz(q)'s or any other, so that the counts still sum
+    to |Sz(q)|: map and set profiles, each with the order |Sz(q)|.  A delta
+    of 0 is Sz(q)'s own profile."""
+    counts = nse_closed_form(make_params(m)).counts
+    order = sum(counts.values())
+
+    @st.composite
+    def moved(draw, sinks):
+        out = dict(counts)
+        source, sink = draw(st.sampled_from(sorted(out))), draw(sinks)
+        delta = draw(st.integers(0, out[source] - 1))
+        out[source] -= delta
+        out[sink] = out.get(sink, 0) + delta
+        return {k: v for k, v in out.items() if v}
+
+    orders = st.sampled_from([order, str(order)])
+    return [st.builds(shape, moved(sinks), orders)
+            for sinks in (st.sampled_from(sorted(counts)), st.integers(1, 10 ** 6))
+            for shape in (lambda c, o: {"order": o, "nse_map": {str(k): v for k, v in c.items()}},
+                          lambda c, o: {"order": o, "nse_set": sorted(set(c.values()))})]
+
+
+# Sz(8)'s and Sz(32)'s perturbed profiles pass validation, so that most drawn
+# JSON values reach the gate's certificates.
 _PROFILES = st.one_of(
+    *_sum_preserving(1), *_sum_preserving(2),
     st.fixed_dictionaries({"order": _ORDER, "nse_set": st.one_of(
         st.lists(_NUMBERS, max_size=8), st.sets(st.sampled_from(SZ8_PROFILE["nse_set"])).map(list),
         _JSON_VALUE)}),
@@ -685,8 +715,8 @@ _MALFORMED_FILES = st.one_of(
 
 @settings(max_examples=150, deadline=1000, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(st.one_of(_PROFILES.map(lambda data: (json.dumps(data).encode(), False)),
-                 _MALFORMED_FILES.map(lambda text: (text, True))))
+@given(st.one_of(_MALFORMED_FILES.map(lambda text: (text, True)),
+                 _PROFILES.map(lambda data: (json.dumps(data).encode(), False))))
 def test_fuzzed_profiles_exit_0_1_or_2(tmp_path, capsys, drawn):
     # Any JSON value exits 0, 1 or 2; a malformed file exits 2 with one
     # error line.
