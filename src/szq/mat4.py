@@ -183,6 +183,9 @@ class Mat4:
     def __hash__(self) -> int:
         return hash(self._entries)
 
+    def __reduce__(self) -> tuple:  # copies drop the kernel, a cache of the entries
+        return Mat4._make, (self._field, self._entries)
+
     def __repr__(self) -> str:
         rows = [" ".join(f"{v:x}" for v in self._entries[4 * r:4 * r + 4]) for r in range(4)]
         return "Mat4[" + " | ".join(rows) + "]"

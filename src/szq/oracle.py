@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import gc
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field
 from math import gcd
 from functools import cache, partial
 from itertools import combinations
@@ -251,7 +251,6 @@ class StabilizerChain:
     _inverse_at: list[list[int]] = _derived()  # by point p: U_0[a]^-1, a = index of p
     _offset_at: list[int] = _derived()  # by point p: a * N1 * N2
     _level12: list[list[int]] = _derived()  # [t1][t2] -> b * N2 + c, or a large negative
-    _at0: list[int] = _derived()   # by point p: a, the index of p in orbits[0]
     _at1: list[int] = _derived()   # by point p: b, the index of p in orbits[1] (-1 for b0)
     _rep2: list[int] = _derived()  # by point p outside b0, b1: its H2-orbit's least point
     _at2: list[int] = _derived()   # by point p outside b0, b1: the c with U2[c](rep2[p]) = p
@@ -318,13 +317,12 @@ class StabilizerChain:
         for j, at in enumerate((at0, at1)):
             for i, p in enumerate(orbits[j]):
                 at[p] = i
-        inverse_at = [inverses[0][a] for a in at0]
-        offset_at = [a * n1 * n2 for a in at0]
         self.generators, self.points, self.base = gens, points, base
         self.orbits, self.transversals = list(orbits), list(transversals)
         self.size, self._number, self._inverses = params.group_order, number, list(inverses)
-        self._inverse_at, self._offset_at, self._level12 = inverse_at, offset_at, level12
-        self._at0, self._at1, self._rep2, self._at2 = at0, at1, rep2, at2
+        self._inverse_at = [inverses[0][a] for a in at0]
+        self._offset_at = [a * n1 * n2 for a in at0]
+        self._level12, self._at1, self._rep2, self._at2 = level12, at1, rep2, at2
         self.identity = self.sift(*base)
         self.generator_ranks = [self.sift(*(g[b] for b in base)) for g in perms]
 
@@ -385,13 +383,11 @@ class StabilizerChain:
         return [u0[u1[p]] for p in u2]
 
     def mul(self, r: int, s: int) -> int:
-        """The rank of "first the element of rank r, then that of rank s":
-        s's images of r's base images, sifted inline as in ``sift``."""
+        """The rank of "first r, then s": ``sift`` of s's images of r's base
+        images.  No command calls it; the tests take it as their reference."""
         u0, u1, u2 = self.element(r)
         v0, v1, v2 = self.element(s)
-        p0, p1, p2 = (v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base)
-        inverse = self._inverse_at[p0]
-        product = self._offset_at[p0] + self._level12[inverse[p1]][inverse[p2]]
+        product = self.sift(*(v0[v1[v2[u0[u1[u2[b]]]]]] for b in self.base))
         if product < 0:
             raise CertificationError("the chain is not closed under products")
         return product
@@ -682,15 +678,13 @@ def find_cyclic_subgroup(chain: StabilizerChain, k: int) -> SubgroupHandle:
 
 def _generating_set(chain: StabilizerChain, members: frozenset[int]) -> list[int]:
     """A generating set of the subgroup with these members: walk them in
-    sorted order and keep each one that the spans (closed as in ``subgroup``)
-    of the kept ones miss.  ValueError when the members are not a subgroup."""
-    (lift, act), one = chain._hooks(chain.base), chain.identity
-    gens, moves, span = [], [], {one}
+    sorted order and keep each one that the spans (``subgroup``) of the kept
+    ones miss.  ValueError when the members are not a subgroup."""
+    gens, span = [], {chain.identity}
     for x in sorted(members):
         if x not in span:
             gens.append(x)
-            moves.append((chain.permutation(x), 0, 1, 2))
-            span = _walk([one], moves, act, lift=lift)
+            span = subgroup(chain, gens, chain.size).members
     if len(span) != len(members):
         raise ValueError("the members do not form a subgroup")
     return gens
@@ -705,20 +699,21 @@ def _transporter(chain: StabilizerChain, x: int,
     p the first base point t^2 moves, to (P, xP, x^2 P), P = g(p), or for
     involutions (f_t, p, tp) to (f_x, P, xP), f the fixed point.  A triple
     (u, v, w) is k (b0, b1, r) for one k = U0[a] U1[b] U2[c] and one r, the
-    least point of an H2-orbit: a, b and c are the places of u, of
-    U0[a]^-1 v and of w's image in their orbits (``_at0``, ``_at1``,
-    ``_at2``, ``_rep2``).  Only the identity fixes three points, so
-    g = k_P k_t^-1 for the P whose r is the source's.  x's triples are
-    reduced once, all P together, and g is sifted once it also maps t(w) to
-    x(w'), w and w' the triples' third points (for involutions this always
-    holds): g t and x g then agree on three points.  CertificationError for
-    an involution x that fixes other than one point.
+    least point of an H2-orbit: U0[a]^-1 is ``_inverse_at[u]``, a is
+    ``_offset_at[u]`` / (N1 N2), b and c are the places of U0[a]^-1 v and
+    of w's image in their orbits (``_at1``, ``_at2``, ``_rep2``).  Only the
+    identity fixes three points, so g = k_P k_t^-1 for the P whose r is the
+    source's.  x's triples are reduced once, all P together, and g is sifted
+    once it also maps t(w) to x(w'), w and w' the triples' third points (for
+    involutions this always holds): g t and x g then agree on three points.
+    CertificationError for an involution x that fixes other than one point.
     """
     one, base, x_ = chain.identity, chain.base, chain.permutation(x)
     if x == one:
         return range(chain.size) if one in targets else []
-    (t0, t1, t2), (i0, i1, i2) = chain.transversals, chain._inverses
-    at0, at1, rep2, at2 = chain._at0, chain._at1, chain._rep2, chain._at2
+    (t0, t1, t2), (_, i1, i2) = chain.transversals, chain._inverses
+    inverse_at, offset_at, level12 = chain._inverse_at, chain._offset_at, chain._level12
+    at1, rep2, at2, n12 = chain._at1, chain._rep2, chain._at2, len(t1) * len(t2)
     points, involution = range(len(x_)), all(x_[x_[p]] == p for p in base)
     fixed = [p for p in points if x_[p] == p]
     if involution and len(fixed) != 1:
@@ -742,7 +737,7 @@ def _transporter(chain: StabilizerChain, x: int,
             u = moved[0]
             v = image[u]
         w = u0[u1[u2[v]]]
-        v0 = i0[a := at0[u]]
+        v0 = inverse_at[u]
         z = i1[b := at1[v0[v]]][v0[w]]
         v2 = i2[at2[z]]
         wanted.setdefault(rep2[z], []).append([v2[i1[b][v0[s]]]
@@ -754,14 +749,13 @@ def _transporter(chain: StabilizerChain, x: int,
     else:
         ps = [p for p in points if x_[x_[p]] != p]
         us, vs = ps, [x_[p] for p in ps]
-    ws, get = [x_[v] for v in vs], list.__getitem__
-    rows0 = [i0[at0[u]] for u in us]
+    ws, get, found = [x_[v] for v in vs], list.__getitem__, []
+    rows0 = [inverse_at[u] for u in us]
     bs = [at1[v] for v in map(get, rows0, vs)]
     zs = list(map(get, map(i1.__getitem__, bs), map(get, rows0, ws)))
-    found, inverse_at, offset_at, level12 = [], chain._inverse_at, chain._offset_at, chain._level12
     for u, b, z, w in zip(us, bs, zs, ws):
         if rep2[z] in wanted:  # the sources' points under k_P
-            u0, u1, u2, xw = t0[at0[u]], t1[b], t2[at2[z]], x_[w]
+            u0, u1, u2, xw = t0[offset_at[u] // n12], t1[b], t2[at2[z]], x_[w]
             for s0, s1, s2, s3 in wanted[rep2[z]]:
                 if u0[u1[u2[s3]]] == xw:
                     inverse = inverse_at[p0 := u0[u1[u2[s0]]]]
@@ -855,21 +849,23 @@ class PartitionReport:
                 and self.coverage == self.expected_coverage)
 
     def to_json_dict(self) -> dict:
+        expected = {f"expected_{name}": n for name, n in asdict(self.expected).items()}
         return {
-            "n_w": self.measured.n_w,
-            "n_u1": self.measured.n_u1,
-            "n_u2": self.measured.n_u2,
-            "n_v": self.measured.n_v,
-            "expected_n_w": self.expected.n_w,
-            "expected_n_u1": self.expected.n_u1,
-            "expected_n_u2": self.expected.n_u2,
-            "expected_n_v": self.expected.n_v,
+            **asdict(self.measured),
+            **expected,
             "coverage": self.coverage,
             "expected_coverage": self.expected_coverage,
             "multiply_covered": self.multiply_covered,
             "missing": self.missing,
             "passed": int(self.passed),
         }
+
+
+def _squares_to_one(chain: StabilizerChain, t: int) -> bool:
+    """Whether t t = 1, from t's own base images: t(t(b)) = b for the base
+    points, which by the chain's certificate only the identity fixes."""
+    u0, u1, u2 = chain.element(t)
+    return all(u0[u1[u2[u0[u1[u2[b]]]]]] == b for b in chain.base)
 
 
 def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool:
@@ -894,7 +890,7 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     involution that no earlier orbit reached gets one centralizer scan: for
     W, d(lam) moves the q - 1 involutions in one orbit, so one scan serves
     them all, while without generators in N(H) every involution gets its own.
-    The orbits close through ``_hooks``; only the test t t = 1 takes ``mul``.
+    The orbits close through ``_hooks``; t t = 1 is ``_squares_to_one``.
     """
     one = chain.identity
     if h.cyclic_generator is not None:
@@ -910,7 +906,7 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     # g^-1 x g has base images g(x(g^-1 b)): x is lifted to its images of each g^-1 b
     (lift, act), reached = chain._hooks([g.index(b) for g in images for b in chain.base]), set()
     for t in h.members:
-        if t not in reached and t != one and chain.mul(t, t) == one:
+        if t not in reached and t != one and _squares_to_one(chain, t):
             if not h.members <= centralizer(chain, t).members <= n.members:
                 return False
             reached |= _walk([t], movers, act, lift=lift)

@@ -11,14 +11,14 @@ the generators a ``mul``-based re-closing keeps, for W, N(W) and the three
 cyclic classes.  A closure one element past its limit raises
 ClosureLimitError, a chain whose table lacks a product raises
 CertificationError rather than yielding a negative rank, and a generator
-that is no rank raises ValueError.  ``verify --q 8`` calls ``mul`` only
-for ``_is_ti``'s test t t = 1, at most once per member of W.
+that is no rank raises ValueError.  ``verify`` calls ``mul`` neither at
+q = 8, under either modulus, nor at q = 32, and ``_is_ti``'s test t t = 1
+on t's base images (``_squares_to_one``) agrees with ``mul`` on every rank
+of Sz(8) under both moduli.
 """
 
 import contextlib
 import io
-import linecache
-import sys
 from copy import copy
 
 import pytest
@@ -31,6 +31,7 @@ from szq.oracle import (
     ClosureLimitError,
     StabilizerChain,
     _generating_set,
+    _squares_to_one,
     _walk,
     find_cyclic_subgroup,
     normalizer,
@@ -134,21 +135,28 @@ def test_a_generator_that_is_no_rank_is_refused(worlds, non_rank):
         subgroup(chain, [*gens, non_rank], 64)
 
 
-@pytest.mark.parametrize("modulus", ["0xb", "0xd"])
-def test_verify_calls_mul_only_for_the_involution_test(monkeypatch, modulus):
-    # Before the hooks, verify --q 8 made 615 products through mul; now the
-    # only caller is _is_ti's t t = 1 on W's members (57 calls here).
+@pytest.mark.parametrize("q, modulus", [(8, "0xb"), (8, "0xd"), (32, "0x25")])
+def test_verify_makes_no_mul_call(monkeypatch, q, modulus):
+    # _is_ti took t t = 1 through mul for each member of W that no orbit
+    # had reached (57 calls at q = 8, 993 at q = 32); it reads t's base
+    # images now, and no command multiplies two ranks.
     calls, real = [], StabilizerChain.mul
 
     def counted(self, r, s):
-        caller = sys._getframe(1)
-        calls.append((caller.f_code.co_name,
-                      linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip()))
+        calls.append((r, s))
         return real(self, r, s)
 
     monkeypatch.setattr(StabilizerChain, "mul", counted)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["verify", "--q", "8", "--modulus", modulus]) == 0
-    assert 0 < len(calls) <= 63
-    assert {name for name, _ in calls} == {"_is_ti"}
-    assert all("chain.mul(t, t) == one" in line for _, line in calls)
+        assert main(["verify", "--q", str(q), "--modulus", modulus, "--allow-big"]) == 0
+    assert calls == []
+
+
+@pytest.mark.parametrize("modulus", MODULI, ids=hex)
+def test_the_base_image_involution_test_agrees_with_mul(worlds, modulus):
+    # t(t(b)) = b on the three base points against t t = 1 by mul, on every
+    # rank of Sz(8): the identity and its 455 involutions.
+    chain = worlds[modulus][0]
+    squares = [r for r in range(chain.size) if _squares_to_one(chain, r)]
+    assert squares == [r for r in range(chain.size) if chain.mul(r, r) == chain.identity]
+    assert len(squares) == 456 and chain.identity in squares

@@ -161,7 +161,7 @@ def test_fields_matrices_and_chains_survive_copy_and_pickle(f8, sz8):
     # Copy and unpickle fill an element's slots directly; only assignment
     # through the public names is refused.
     w = make_w(f8.element(3), f8.element(5))
-    for value in (f8.one, f8, w):
+    for value in (f8.one, f8, w, w._as_right_factor()):
         for twin in _twins(value):
             assert twin == value and hash(twin) == hash(value)
     assert all(twin.field == f8 and twin.bits == 1 for twin in _twins(f8.one))

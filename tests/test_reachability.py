@@ -32,6 +32,8 @@ UNCALLED = {
                            "tests' reference product",
     "oracle._malloc_trim": "trims the heap from 2^12 keys on: B(128)'s closure in "
                            "borel-q128, not W's 64 keys",
+    "oracle.StabilizerChain.mul": "public rank product (README); the tests' reference; "
+                                  "no command multiplies two ranks",
     "orderstats.multiplicative_order": "test_gate holds the gate's reduced order "
                                        "against it",
     "orderstats.prime_graph": "the profile's own prime graph, for a gate that reads "

@@ -120,7 +120,7 @@ def test_the_chain_s_h2_orbits_are_semiregular(sz8):
     assert all(t2[chain._at2[p]][chain._rep2[p]] == p for p in outside)
     assert all(chain._rep2[p] == min(q for q in outside if chain._rep2[q] == chain._rep2[p])
                for p in outside)
-    assert all(chain.orbits[j][chain._at1[p] if j else chain._at0[p]] == p
+    assert all(chain.orbits[j][chain._at1[p] if j else chain._offset_at[p] // (64 * 7)] == p
                for j in (0, 1) for p in range(65) if j == 0 or p != b0)
 
 
