@@ -712,7 +712,7 @@ def _transporter(chain: StabilizerChain, x: int,
     if x == one:
         return range(chain.size) if one in targets else []
     (t0, t1, t2), (_, i1, i2) = chain.transversals, chain._inverses
-    inverse_at, offset_at, level12 = chain._inverse_at, chain._offset_at, chain._level12
+    inverse_at, offset_at = chain._inverse_at, chain._offset_at
     at1, rep2, at2, n12 = chain._at1, chain._rep2, chain._at2, len(t1) * len(t2)
     points, involution = range(len(x_)), all(x_[x_[p]] == p for p in base)
     fixed = [p for p in points if x_[p] == p]
@@ -758,9 +758,7 @@ def _transporter(chain: StabilizerChain, x: int,
             u0, u1, u2, xw = t0[offset_at[u] // n12], t1[b], t2[at2[z]], x_[w]
             for s0, s1, s2, s3 in wanted[rep2[z]]:
                 if u0[u1[u2[s3]]] == xw:
-                    inverse = inverse_at[p0 := u0[u1[u2[s0]]]]
-                    found.append(offset_at[p0]
-                                 + level12[inverse[u0[u1[u2[s1]]]]][inverse[u0[u1[u2[s2]]]]])
+                    found.append(chain.sift(u0[u1[u2[s0]]], u0[u1[u2[s1]]], u0[u1[u2[s2]]]))
     if found and min(found) < 0:
         raise CertificationError("the chain is not closed under products")
     return found
@@ -861,13 +859,6 @@ class PartitionReport:
         }
 
 
-def _squares_to_one(chain: StabilizerChain, t: int) -> bool:
-    """Whether t t = 1, from t's own base images: t(t(b)) = b for the base
-    points, which by the chain's certificate only the identity fixes."""
-    u0, u1, u2 = chain.element(t)
-    return all(u0[u1[u2[u0[u1[u2[b]]]]]] == b for b in chain.base)
-
-
 def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool:
     """Whether two distinct conjugates of H meet only in the identity, given
     n = N(H); a False is no proof that they meet.
@@ -877,20 +868,21 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     that order in H and in H^g, so g normalizes P, the subgroup of order p
     of H; if N(P) = N(H) for each prime p < k dividing k, then H^g = H.  P
     is generated by x^(k/p), read off the powers of H's generator x that
-    ``cycle`` steps.  Any other H must be a
-    2-group with |N(H) : H| odd whose every involution t has
-    H ⊆ C(t) ⊆ N(H): a nontrivial H ∩ H^g holds an involution t of H and
-    of H^g, central in both, so H^g ≤ C(t) ≤ N(H), and H^g = H, the one
-    Sylow 2-subgroup of N(H).
+    ``cycle`` steps.
 
-    That condition is scanned once per orbit of H's involutions under
-    conjugation by the chain's generators that lie in N(H)
-    (``generator_ranks``): for such a g, C(t^g) = C(t)^g, and g fixes H and
-    N(H), so the condition holds for t^g when it holds for t.  Each
-    involution that no earlier orbit reached gets one centralizer scan: for
-    W, d(lam) moves the q - 1 involutions in one orbit, so one scan serves
-    them all, while without generators in N(H) every involution gets its own.
-    The orbits close through ``_hooks``; t t = 1 is ``_squares_to_one``.
+    Any other H must be a 2-group with |N(H)| = N1 N2, on a chain with
+    N1 = N0 - 1 and N2 odd, and its largest rank (nontrivial unless H = 1)
+    must fix exactly one point p, which every member fixes (three lookups
+    each, by a lift from ``_hooks``).  N1 = N0 - 1 makes G 2-transitive, so every
+    two-point stabilizer is conjugate to G_{b0,b1} = <d(lam)>, of odd order
+    N2, and a nontrivial 2-element fixes at most one point.  So Fix(H) = {p};
+    N(H) permutes Fix(H), so N(H) ≤ G_p, and |G_p| = |G| / N0 = N1 N2 =
+    |N(H)| makes N(H) = G_p.  A nontrivial h in H ∩ H^g fixes p and the
+    point p g that H^g fixes, and h fixes one point only, so g fixes p: g
+    lies in N(H) and H^g = H.  The chain's certificate already implies both
+    conditions on N1 and N2 (semiregularity makes N2 divide q^2 - 1, so N2
+    is odd, and then N1 N2 = q^2 (q - 1) forces N1 = q^2), but they are the
+    proof's premises and cost two comparisons.
     """
     one = chain.identity
     if h.cyclic_generator is not None:
@@ -898,19 +890,15 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
         k = len(powers)
         return all(normalizer(chain, cyclic_subgroup(chain, powers[k // p], p)).members
                    == n.members for p in factorize(k) if p < k)
-    index, rest = divmod(n.order, h.order)
-    if h.order & (h.order - 1) or rest or index % 2 == 0 or not h.members <= n.members:
+    n0, n1, n2 = map(len, chain.orbits)
+    if h.order & (h.order - 1) or n1 != n0 - 1 or n2 % 2 == 0 or n.order != n1 * n2:
         return False
-    images = [chain.permutation(g) for g in chain.generator_ranks if g in n.members]
-    movers = [(g, 3 * i, 3 * i + 1, 3 * i + 2) for i, g in enumerate(images)]
-    # g^-1 x g has base images g(x(g^-1 b)): x is lifted to its images of each g^-1 b
-    (lift, act), reached = chain._hooks([g.index(b) for g in images for b in chain.base]), set()
-    for t in h.members:
-        if t not in reached and t != one and _squares_to_one(chain, t):
-            if not h.members <= centralizer(chain, t).members <= n.members:
-                return False
-            reached |= _walk([t], movers, act, lift=lift)
-    return True
+    x_ = chain.permutation(max(h.members))  # rank 0 is 1: nontrivial unless H = 1
+    fixed = [p for p in range(n0) if x_[p] == p]
+    if len(fixed) != 1:
+        return False
+    lift, _ = chain._hooks(fixed)
+    return all(lift(r) == fixed for r in h.members)
 
 
 def unitriangular(chain: StabilizerChain) -> SubgroupHandle:

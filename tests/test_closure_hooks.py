@@ -1,7 +1,7 @@
 """Closures over ranks against closures by ``StabilizerChain.mul``.
 
-``subgroup``, ``_generating_set``, ``normalizer``'s d(lam) orbits and
-``_is_ti``'s involution orbits close through the chain's hooks
+``subgroup``, ``_generating_set`` and ``normalizer``'s d(lam) orbits
+close through the chain's hooks
 (``StabilizerChain._hooks``): each member is decoded once to its base
 images, and each move maps them through a point permutation and sifts them,
 with no ``mul`` per product.  At q = 8, under both moduli of GF(8), the
@@ -12,9 +12,7 @@ cyclic classes.  A closure one element past its limit raises
 ClosureLimitError, a chain whose table lacks a product raises
 CertificationError rather than yielding a negative rank, and a generator
 that is no rank raises ValueError.  ``verify`` calls ``mul`` neither at
-q = 8, under either modulus, nor at q = 32, and ``_is_ti``'s test t t = 1
-on t's base images (``_squares_to_one``) agrees with ``mul`` on every rank
-of Sz(8) under both moduli.
+q = 8, under either modulus, nor at q = 32.
 """
 
 import contextlib
@@ -31,7 +29,6 @@ from szq.oracle import (
     ClosureLimitError,
     StabilizerChain,
     _generating_set,
-    _squares_to_one,
     _walk,
     find_cyclic_subgroup,
     normalizer,
@@ -137,9 +134,8 @@ def test_a_generator_that_is_no_rank_is_refused(worlds, non_rank):
 
 @pytest.mark.parametrize("q, modulus", [(8, "0xb"), (8, "0xd"), (32, "0x25")])
 def test_verify_makes_no_mul_call(monkeypatch, q, modulus):
-    # _is_ti took t t = 1 through mul for each member of W that no orbit
-    # had reached (57 calls at q = 8, 993 at q = 32); it reads t's base
-    # images now, and no command multiplies two ranks.
+    # The closures, the scans and the certificate step base images: no
+    # command multiplies two ranks.
     calls, real = [], StabilizerChain.mul
 
     def counted(self, r, s):
@@ -150,13 +146,3 @@ def test_verify_makes_no_mul_call(monkeypatch, q, modulus):
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["verify", "--q", str(q), "--modulus", modulus, "--allow-big"]) == 0
     assert calls == []
-
-
-@pytest.mark.parametrize("modulus", MODULI, ids=hex)
-def test_the_base_image_involution_test_agrees_with_mul(worlds, modulus):
-    # t(t(b)) = b on the three base points against t t = 1 by mul, on every
-    # rank of Sz(8): the identity and its 455 involutions.
-    chain = worlds[modulus][0]
-    squares = [r for r in range(chain.size) if _squares_to_one(chain, r)]
-    assert squares == [r for r in range(chain.size) if chain.mul(r, r) == chain.identity]
-    assert len(squares) == 456 and chain.identity in squares

@@ -15,12 +15,15 @@ give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
 at q = 32 it holds under three moduli; there, a class short of its
-elements leaves them missing, with no census.  It makes one centralizer
-scan for W's involutions, which d(lam) conjugates in one orbit (7 scans in
-all at q = 8, 10 at q = 32), and one for each involution when no generator
-of the chain moves them or only generators outside N(W) do;
-``unitriangular`` ranks only the 2m of W's generators that the chain does
-not keep.  Rank products and the ranks of
+elements leaves them missing, with no census.  It makes one scan per
+generator of each normalizer (6 in all at q = 8, 9 at q = 32) and none to
+prove W TI: a 2-group is TI when one point is fixed by all its members and
+only that point by one of them (``_is_ti``).  Whenever that says TI (for W,
+W^tau and Z(W)), every g that conjugates a nontrivial member into the group
+normalizes it; a normalizer of W one member short, a member that moves W's
+fixed point and a chain without the premises N1 = N0 - 1 and N2 odd fail
+it.  ``unitriangular`` ranks only the 2m of W's generators that the chain
+does not keep.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
 and a power walker's walk the cyclic subgroup, whose members' order bytes
@@ -225,8 +228,8 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
     report = verify_partition(table, w)
     walked = _walked(pair, report)
     if change == "dropped-move":
-        # The certificate reads the generators only to share the TI scans
-        # of W's involutions, and tau lies outside N(W).
+        # W's TI check reads no generator of the chain, and ``unitriangular``
+        # takes only the ranks of w(1, 0) and w(0, 1) from it.
         assert report == verify_partition(pair.table) == walked
         assert report.passed
     elif change == "none":
@@ -265,51 +268,75 @@ def _count_scans(monkeypatch):
     return scans
 
 
-def test_the_certificate_scans_one_involution_of_w(pair, monkeypatch):
-    # Three scans for N(W) (a generating set of three), one each for N(U1),
-    # N(U2) and N(V), and one centralizer for W's 7 involutions, which
-    # d(lam) conjugates in one orbit: 7 scans, not 13.
-    scans = _count_scans(monkeypatch)
+def test_the_certificate_makes_one_scan_per_normalizer_generator(pair, monkeypatch):
+    # Three scans for N(W) (a generating set of three) and one each for
+    # N(U1), N(U2) and N(V): 6 scans.  W's TI check reads the fixed points
+    # of its members and makes no scan, and no centralizer is taken.
+    scans, calls = _count_scans(monkeypatch), []
+    monkeypatch.setattr(szq.oracle, "centralizer", lambda *args: calls.append(args))
     assert verify_partition(pair.table).passed
-    assert len(scans) == 7
+    assert (len(scans), calls) == (6, [])
 
 
-@pytest.mark.parametrize("movers, scans_made", [("all", 1), ("none", 7), ("the two w's", 7)])
-def test_w_is_ti_with_or_without_normalizing_generators(pair, movers, scans_made, monkeypatch):
-    # With no generator in N(W), or only w(1, 0) and w(0, 1), which fix
-    # every involution of W, each of the 7 involutions gets its own
-    # centralizer scan; either way W is TI.
-    chain = copy(pair.table)
+def _conjugate(chain, members, g):
+    """The ranks of g^-1 h g ("first g^-1, then h, then g") for h in members."""
+    g_inverse = chain.cycle(g)[-1] if g != chain.identity else g
+    return frozenset(chain.mul(chain.mul(g_inverse, r), g) for r in members)
+
+
+def _ti_corpus(chain):
+    """By name, subgroups of Sz(8) as their members alone: W, its conjugate
+    by tau, its centre Z(W) = {w(0, b)}, a four-group of Z(W), <w(0, 1)>,
+    the trivial group, and the first conjugate N(W)^U0[a] whose largest rank
+    is a 2-element, which fixes one point only: the conjugate is its own
+    normalizer and every member fixes that point, so only its order, no
+    power of 2, refuses it."""
+    f, one = chain.field, chain.identity
+    w, tau = unitriangular(chain), chain.generator_ranks[3]
+    z = [chain.rank(make_w(f.zero, f.element(b))) for b in range(8)]
+    n_w = normalizer(chain, w).members
+    n1n2 = len(chain.orbits[1]) * len(chain.orbits[2])
+    stabilizers = (_conjugate(chain, n_w, a * n1n2) for a in range(len(chain.orbits[0])))
+    return {
+        "w": w,
+        "w^tau": SubgroupHandle(_conjugate(chain, w.members, tau)),
+        "z(w)": SubgroupHandle(frozenset(z)),
+        "four-group": SubgroupHandle(frozenset([one, z[1], z[2], chain.mul(z[1], z[2])])),
+        "<t>": SubgroupHandle(frozenset([one, z[1]])),
+        "1": SubgroupHandle(frozenset([one])),
+        "n(w)^g": SubgroupHandle(next(s for s in stabilizers
+                                      if chain.order(max(s)) in (2, 4))),
+    }
+
+
+@pytest.mark.parametrize("name", ["w", "w^tau", "z(w)", "four-group", "<t>", "1", "n(w)^g"])
+def test_a_ti_verdict_is_never_wrong(pair, name):
+    # One-sided: when _is_ti says True, every g that conjugates a nontrivial
+    # member of H into H normalizes H (``_transporter`` finds them all), so
+    # two distinct conjugates of H meet only in the identity.  W, W^tau and
+    # Z(W) are proved TI; a four-group of Z(W) meets its conjugates by
+    # d(lam), and two conjugates of N(W) meet in a conjugate of <d(lam)>.
+    chain = pair.table
+    h = _ti_corpus(chain)[name]
+    n = normalizer(chain, h)
+    ti = _is_ti(chain, h, n)
+    if ti:
+        for x in h.members - {chain.identity}:
+            assert set(szq.oracle._transporter(chain, x, h.members)) <= n.members
+    assert ti == (name in ("w", "w^tau", "z(w)"))
+
+
+def test_w_s_ti_check_makes_no_scan_and_no_walk(pair, monkeypatch):
+    chain = pair.table
     w = unitriangular(chain)
     n = normalizer(chain, w)
-    chain.generator_ranks = {"all": chain.generator_ranks, "none": [],
-                             "the two w's": chain.generator_ranks[:2]}[movers]
-    scans = _count_scans(monkeypatch)
-    assert _is_ti(chain, w, n)
-    assert len(scans) == scans_made
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the TI check of a 2-group scans or walks")
 
-def test_generators_outside_the_normalizer_share_no_scan(pair, monkeypatch):
-    # The chain's generators as w(1, 0), w(0, 1), tau and tau d(lam): the
-    # last two lie outside N(W), and conjugation by them (they generate
-    # d(lam)) carries an involution of W to all the others, but only the
-    # w's, which fix each involution, may share a scan: each of the 7 still
-    # gets its own.  (tau alone, with or without the w's, moves no
-    # involution of W to another.)
-    chain = copy(pair.table)
-    w = unitriangular(chain)
-    n = normalizer(chain, w)
-    one, (w10, w01, d, tau) = chain.identity, chain.generator_ranks
-    chain.generator_ranks = [w10, w01, tau, chain.mul(tau, d)]
-    assert not set(chain.generator_ranks[2:]) & n.members
-    involutions = {t for t in w.members if t != one and chain.mul(t, t) == one}
-    movers = [(chain.cycle(g)[-1], g) for g in chain.generator_ranks]  # (g^-1, g)
-    orbit = szq.oracle._walk([min(involutions)], movers,
-                             lambda x, m: chain.mul(chain.mul(m[0], x), m[1]))
-    assert involutions <= orbit
-    scans = _count_scans(monkeypatch)
+    for name in ("_transporter", "centralizer", "_walk"):
+        monkeypatch.setattr(szq.oracle, name, refused)
     assert _is_ti(chain, w, n)
-    assert len(scans) == 7
 
 
 def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
@@ -336,16 +363,52 @@ def test_two_classes_of_one_order_fail_the_certificate(pair, monkeypatch):
     assert not report.passed
 
 
-def test_a_centralizer_outside_the_normalizer_fails_the_certificate(pair, monkeypatch):
-    # An involution t of W whose C(t) reaches outside N(W) leaves W's TI
-    # proof without its key step, C(t) ⊆ N(W): the certificate fails.
-    chain, real = pair.table, szq.oracle.centralizer
-    outside = min(set(range(chain.size)) - normalizer(chain, unitriangular(chain)).members)
-    monkeypatch.setattr(szq.oracle, "centralizer",
-                        lambda c, x: SubgroupHandle(real(c, x).members | {outside}))
+def test_a_normalizer_of_w_short_of_a_member_fails_the_certificate(pair, monkeypatch):
+    # |N(W)| = 447 is not N1 N2 = 448, so W's TI proof has no premise
+    # N(W) = G_p; in the partition, 447 divides no |G| = 29120 either.
+    chain, real = pair.table, szq.oracle.normalizer
+    w = unitriangular(chain)
+    n = real(chain, w)
+    short = SubgroupHandle(n.members - {max(n.members - w.members)})
+    assert not _is_ti(chain, w, short)
+    monkeypatch.setattr(szq.oracle, "normalizer",
+                        lambda c, sub: short if sub.members == w.members else real(c, sub))
     report = verify_partition(chain)
     assert (report.multiply_covered, report.missing, report.census) == (None, None, None)
     assert not report.passed
+
+
+def test_a_member_that_moves_the_fixed_point_fails_the_certificate(pair):
+    # W with its largest rank swapped for tau, an involution whose one fixed
+    # point is not <e1>, W's: tau is now the largest rank, the member whose
+    # fixed point the check takes, and the members of W move that point.
+    chain = pair.table
+    w = unitriangular(chain)
+    n = normalizer(chain, w)
+    tau = chain.generator_ranks[3]
+    fixed = [p for p, image in enumerate(chain.permutation(tau)) if p == image]
+    assert len(fixed) == 1 and fixed[0] != chain.base[0]
+    swapped = SubgroupHandle(w.members - {max(w.members)} | {tau})
+    assert max(swapped.members) == tau
+    assert not _is_ti(chain, swapped, n)
+
+
+@pytest.mark.parametrize("level, change", [(1, -1), (2, 1)])
+def test_a_chain_without_the_orbit_premises_fails_the_certificate(pair, level, change):
+    # A copied chain whose orbits[1] is one point short (N1 = N0 - 2: not
+    # 2-transitive) or whose orbits[2] is one point long (N2 = 8, even):
+    # W is not proved TI, with N(W) or with a handle of N1 N2 ranks.
+    chain = copy(pair.table)
+    w = unitriangular(chain)
+    n = normalizer(chain, w)
+    orbit = chain.orbits[level]
+    chain.orbits = list(chain.orbits)
+    chain.orbits[level] = orbit[:-1] if change < 0 else [*orbit, orbit[0]]
+    n0, n1, n2 = map(len, chain.orbits)
+    assert (n0 - n1, n2 % 2) == ((2, 1) if level == 1 else (1, 0))
+    assert _is_ti(pair.table, w, n)
+    assert not _is_ti(chain, w, n)
+    assert not _is_ti(chain, w, SubgroupHandle(frozenset(range(n1 * n2))))
 
 
 def test_verify_without_the_certificate_reports_the_power_pass(pair, monkeypatch, capsys):
@@ -784,14 +847,13 @@ def test_unitriangular_ranks_only_the_generators_the_chain_lacks(pair_0xb, sz32,
 
 @pytest.mark.parametrize("modulus", [0x25, 0x29, 0x2f], ids=hex)
 def test_the_sz32_partition_is_certified(modulus, monkeypatch):
-    # Five scans for N(W) (a generating set of five), one each for N(U1),
-    # N(U2), N(V) and N(P), P the subgroup of order 5 of the class of order
-    # 25, and one centralizer for W's 31 involutions, which d(lam)
-    # conjugates in one orbit: 10 scans, not 40, and no census.
+    # Five scans for N(W) (a generating set of five) and one each for
+    # N(U1), N(U2), N(V) and N(P), P the subgroup of order 5 of the class of
+    # order 25: 9 scans, and no census.
     chain = StabilizerChain(make_params(2), Field(2, modulus=modulus))
     scans = _count_scans(monkeypatch)
     report = verify_partition(chain)
-    assert len(scans) == 10
+    assert len(scans) == 9
     m = report.measured
     assert (m.n_w, m.n_u1, m.n_u2, m.n_v) == (1025, 198400, 325376, 524800)
     assert report.coverage == 32537599
