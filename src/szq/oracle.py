@@ -14,13 +14,15 @@ by the fact that only the identity fixes three points, so each element is
 (a N1 + b) N2 + c, and is fixed by three point images.  A closure or a power
 walk steps base images through permutations and sifts them to ranks, and a
 normalizer or centralizer scan (``_transporter``) finds each conjugator from
-the image of one point; all run on Sz(32).  Every power walk records the
-orders it proves in the chain's order bytes, and the power pass (``orders``)
-walks every rank whose byte is still 0, in rank order, in one call of one
-power walker.  The partition certificate (``verify_partition``) counts
-conjugates by normalizer indices and walks no conjugate; once it holds, it
-reads a second census off the partition, from the orders of the four
-classes' members.  Matrices stay at the boundary (``StabilizerChain.rank``).
+the image of one point; all run on Sz(32).  A single power walk
+(``cycle``, ``order``) keeps nothing; only the power pass (``orders``)
+keeps one order byte per element, and it walks every rank whose byte is
+still 0, in rank order, in one call of one power walker.  The partition
+certificate (``verify_partition``) counts conjugates by normalizer indices
+and walks no conjugate; once it holds, it reads a second census off the
+partition, from the orders of the four classes' members, and allocates
+nothing of size |G|.  Matrices stay at the boundary
+(``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
 the closed forms are tested against, so it must not share their shortcuts.
@@ -254,7 +256,7 @@ class StabilizerChain:
     _at1: list[int] = _derived()   # by point p: b, the index of p in orbits[1] (-1 for b0)
     _rep2: list[int] = _derived()  # by point p outside b0, b1: its H2-orbit's least point
     _at2: list[int] = _derived()   # by point p outside b0, b1: the c with U2[c](rep2[p]) = p
-    _orders: bytearray | None = _derived(default=None)  # 0: order not known yet
+    _orders: bytearray | None = _derived(default=None)  # the power pass; 0: not walked yet
 
     def __post_init__(self) -> None:
         params, field = self.params, self.field
@@ -417,30 +419,25 @@ class StabilizerChain:
 
     def cycle(self, r: int) -> list[int]:
         """The ranks of x, x^2, ..., x^(k-1) for the element x of rank r,
-        k = ord(x) (none for x = 1), each power's byte of ``orders`` set to
-        the ord(x^i) = k / gcd(i, k) the walk proves: one call of a fresh
-        ``_power_walker``, whose docstring says how a walk runs and how the
-        census runs all its walks in one call.  ValueError for an r that
-        is no rank, before the order bytes are allocated; CertificationError
-        past 255 powers or for a power that sifts to no element."""
+        k = ord(x) (none for x = 1): one call of a fresh ``_power_walker``,
+        whose docstring says how a walk runs.  The walk keeps nothing, not
+        even an order byte.  ValueError for an r that is no rank;
+        CertificationError past 255 powers or for a power that sifts to no
+        element."""
         self._require_rank(r)
         return self._power_walker()(r)
 
-    def _power_walker(self) -> Callable[..., list[int] | int]:
-        """``cycle`` as a closure that can also run the census (``_fill``).
+    def _power_walker(self) -> Callable[..., list[int] | None]:
+        """``cycle`` as a closure that can also run the census (``orders``).
 
         ``walk(r)`` walks the powers of the element of rank r and returns
-        them.  ``walk(r, k)``, from a hole r (a rank whose order byte is 0,
-        with every byte before it filled), walks r and then every later hole
-        in rank order, the next hole found by ``bytearray.find`` at C speed.
-        With k = 0 it walks them all and returns -1.  With k in 1 to 255 it
-        searches the run that the last walk completed, from the last hole up
-        to the next, for k, and returns the first rank of order k as soon as
-        one is filled, or -1 past the last hole; since every byte before r
-        is filled, that rank is the first of order k in rank order.  The
-        whole census is one call, which binds the tables as locals once and
-        checks one rank, rather than a call, a rank check and two divmods
-        per hole.
+        them.  ``walk(r, orders)``, from a hole r of the order bytes
+        ``orders`` (a rank whose byte is 0, with every byte before it
+        filled), walks r and then every later hole in rank order, the next
+        hole found by ``bytearray.find`` at C speed, and returns None once
+        no byte is 0.  The whole census is one call, which binds the tables
+        as locals once and checks one rank, rather than a call, a rank check
+        and two divmods per hole.
 
         A walk decodes r into (a, b, c) with ``//`` and ``-`` on the
         transversal lengths and takes x = U0[a] U1[b] U2[c] from
@@ -448,33 +445,31 @@ class StabilizerChain:
         power back to its rank: ``_inverse_at[p0]`` is the row of U0[a]^-1
         for the power's image p0 of b0, ``_offset_at[p0]`` its a N1 N2, and
         ``_level12[i1][i2]`` the b N2 + c, for i1 and i2 the other two
-        images mapped by that row.  It records each power's order in the
-        chain's order bytes, ord(x^i) = k / gcd(i, k) for x of order k: it
-        writes k into the byte of every power, then rewrites only the x^i
-        with gcd(i, k) > 1 from ``_power_fixups(k)``, a list the walker keeps
-        from the first walk that meets order k.  For a prime k that list is
-        empty, and for k = 4 it holds x^2 alone.
+        images mapped by that row.  The census records each power's order,
+        ord(x^i) = k / gcd(i, k) for x of order k: it writes k into the byte
+        of every power, then rewrites only the x^i with gcd(i, k) > 1 from
+        ``_power_fixups(k)``, a list the walker keeps from the first walk
+        that meets order k.  For a prime k that list is empty, and for k = 4
+        it holds x^2 alone.
 
-        The walker reads the tables and the order bytes when it is made, not
-        when the chain is built: a chain whose tables are replaced afterwards
-        (say with ``copy`` and a changed transversal) walks the tables it
-        has now, so a power that its lookups do not know raises
-        CertificationError rather than passing for the old chain's.
+        The walker reads the tables when it is made, not when the chain is
+        built: a chain whose tables are replaced afterwards (say with
+        ``copy`` and a changed transversal) walks the tables it has now, so
+        a power that its lookups do not know raises CertificationError
+        rather than passing for the old chain's.
         """
         t0, t1, t2 = self.transversals
-        orders = self._order_bytes()
         tables = (len(t1), len(t2), self._inverse_at, self._offset_at, self._level12,
-                  t0, t1, t2, *self.base, self.identity, orders)
+                  t0, t1, t2, *self.base, self.identity)
         size = self.size
         fixups: list[list[tuple[int, int]] | None] = [None] * 256  # [k]: _power_fixups(k)
 
-        def walk(r: int, k: int | None = None) -> list[int] | int:
+        def walk(r: int, orders: bytearray | None = None) -> list[int] | None:
             if type(r) is not int or not 0 <= r < size:
                 raise ValueError(f"{r!r} is no rank of the chain")
-            n1, n2, inverse_at, offset_at, level12, t0, t1, t2, b0, b1, b2, one, orders = tables
+            n1, n2, inverse_at, offset_at, level12, t0, t1, t2, b0, b1, b2, one = tables
             if r == one:  # never a hole: its byte is 1 from the start
-                return [] if k is None else -1
-            find, start = orders.find, r
+                return []
             while True:
                 ab = r // n2
                 a = ab // n1
@@ -492,6 +487,8 @@ class StabilizerChain:
                     powers.append(s)
                 else:
                     raise CertificationError("an element has order above 255, the census's limit")
+                if orders is None:
+                    return powers
                 order = len(powers) + 1
                 for x in powers:
                     orders[x] = order
@@ -500,61 +497,33 @@ class StabilizerChain:
                     fixes = fixups[order] = _power_fixups(order)
                 for i, o in fixes:
                     orders[powers[i]] = o
-                if k is None:
-                    return powers
-                r = find(0, r + 1)  # the next hole
-                if k:  # every byte from ``start`` up to that hole is filled
-                    found = find(k, start, r if r >= 0 else size)
-                    if found >= 0:
-                        return found
-                    start = r
+                r = orders.find(0, r + 1)  # the next hole
                 if r < 0:
-                    return -1
+                    return None
 
         return walk
 
-    def _order_bytes(self) -> bytearray:
-        """The order census so far: 0 where no power walk has met the rank."""
+    def order(self, r: int) -> int:
+        """The order of the element of rank r, from one ``cycle`` through r;
+        nothing is kept.  ValueError for an r that is no rank, as ``cycle``
+        refuses it."""
+        return len(self.cycle(r)) + 1
+
+    def orders(self) -> bytearray:
+        """orders()[r] is the order of the element of rank r, one byte each:
+        the power pass, the one store of |G| bytes, kept on the chain once
+        the first call allocates it.  One call of one power walker walks from
+        each rank, in rank order, whose byte is still 0 (``_power_walker``),
+        and fills the bytes of its powers.  So each order comes from a power
+        walk through its element, never from the closed forms or from the
+        partition's counts."""
         if self._orders is None:
             self._orders = bytearray(self.size)
             self._orders[self.identity] = 1
+        hole = self._orders.find(0)
+        if hole >= 0:
+            self._power_walker()(hole, self._orders)
         return self._orders
-
-    def order(self, r: int) -> int:
-        """The order of the element of rank r: its byte of ``orders``, from
-        one ``cycle`` through r when no walk has met it yet.  ValueError for
-        an r that is no rank, as ``cycle`` refuses it."""
-        self._require_rank(r)
-        orders = self._order_bytes()
-        if not orders[r]:
-            self.cycle(r)
-        return orders[r]
-
-    def orders(self) -> bytearray:
-        """orders()[r] is the order of the element of rank r, one byte each.
-        Every ``cycle`` fills its powers' bytes, and the power pass
-        (``_fill``) walks from each rank, in rank order, whose byte is still
-        0.  So each order comes from a power walk through its element, never
-        from the closed forms or from the partition's counts."""
-        self._fill()
-        return self._orders
-
-    def _fill(self, k: int = 0) -> int:
-        """The power pass of ``orders``, run only as far as it must: it stops
-        at the first rank of order k (1 to 255) and returns it, or fills every
-        byte and returns -1 (k = 0, or no element of order k).  Each call
-        starts at rank 0: ``bytearray.find`` skips the filled prefix at C
-        speed to the first hole, and for k > 0 searches that prefix for k.
-        Then one call of a fresh power walker walks that hole and every later
-        one, searching each filled run for k as it goes (``_power_walker``),
-        so the first rank of order k is the first in rank order."""
-        orders = self._order_bytes()
-        hole = orders.find(0)
-        if k:
-            found = orders.find(k, 0, hole if hole >= 0 else len(orders))
-            if found >= 0:
-                return found
-        return self._power_walker()(hole, k) if hole >= 0 else -1
 
 
 def _power_fixups(k: int) -> list[tuple[int, int]]:
@@ -644,10 +613,9 @@ def empirical_order_stats(chain: StabilizerChain,
 
 def cyclic_subgroup(chain: StabilizerChain, generator: int, order: int) -> SubgroupHandle:
     """The subgroup generated by the element of rank ``generator``: the
-    identity and the powers that ``chain.cycle`` walks, whose order bytes
-    the walk fills.  ValueError for a generator that is no rank, or unless
-    its order is ``order``; TypeError for an order that is no int (or a
-    bool), before any walk."""
+    identity and the powers that ``chain.cycle`` walks.  ValueError for a
+    generator that is no rank, or unless its order is ``order``; TypeError
+    for an order that is no int (or a bool), before any walk."""
     _require_int("order", order)
     members = [chain.identity, *chain.cycle(generator)]
     if len(members) != order:
@@ -666,14 +634,27 @@ def subgroup(chain: StabilizerChain, generators: Iterable[int], limit: int) -> S
 
 def find_cyclic_subgroup(chain: StabilizerChain, k: int) -> SubgroupHandle:
     """Cyclic subgroup generated by the first element of order k in rank
-    order, for determinism; the census runs only until it meets that
-    element, and not at all for k outside 1 to 255.  TypeError for a k that
-    is no int (or a bool), before any walk."""
+    order, for determinism: one power walker walks the ranks in order until
+    one has order k, and keeps no order byte.  SubgroupNotFoundError before
+    any walk for a k outside 1 to 255 or one that does not divide |G|
+    (Lagrange), and after the last rank for a k that is no element's order;
+    TypeError for a k that is no int (or a bool), before any walk.
+
+    The walk starts at rank N1 N2 when k does not divide N1 N2, and at 0
+    otherwise.  U0[0] is the identity, so the ranks below N1 N2 are the
+    elements U1[b] U2[c], which fix b0.  There are N1 N2 = |G| / N0 =
+    |G_{b0}| of them, so they are all of G_{b0}, and by Lagrange their
+    orders divide N1 N2: none of them has order k, and the first element of
+    order k in rank order is the same."""
     _require_int("k", k)
-    r = chain._fill(k) if 0 < k < 256 else -1
-    if r < 0:
+    if not 0 < k < 256 or chain.size % k:
         raise SubgroupNotFoundError(f"no element of order {k} in the chain")
-    return cyclic_subgroup(chain, r, k)
+    n12 = len(chain.orbits[1]) * len(chain.orbits[2])
+    walk = chain._power_walker()
+    for r in range(n12 if n12 % k else 0, chain.size):
+        if len(walk(r)) + 1 == k:
+            return cyclic_subgroup(chain, r, k)
+    raise SubgroupNotFoundError(f"no element of order {k} in the chain")
 
 
 def _generating_set(chain: StabilizerChain, members: frozenset[int]) -> list[int]:
@@ -773,8 +754,10 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     q = 8), and the trivial subgroup has none and is normalized by every g.
     When d(lam) = U2[1] normalizes H (it conjugates each generator into H),
     each search takes one target per orbit of H under conjugation by d(lam):
-    with g, each g U2[c], its block of N2 ranks, conjugates h into H.
-    ValueError for members that are no ranks of the chain or no subgroup.
+    with g, each g U2[c], its block of N2 ranks, conjugates h into H.  The
+    searches are then intersected by their blocks' first ranks, and only the
+    blocks left are expanded.  ValueError for members that are no ranks of
+    the chain or no subgroup.
     """
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
     for r in (*sub.members, *cyclic):
@@ -796,8 +779,10 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     for g in gens:
         scan = _transporter(chain, g, targets)
         if orbits:
-            scan = [k + c for k in {r - r % n2 for r in scan} for c in range(n2)]
+            scan = {r - r % n2 for r in scan}
         found = frozenset(scan) if found is None else found.intersection(scan)
+    if orbits:
+        found = frozenset(k + c for k in found for c in range(n2))
     return SubgroupHandle(found)
 
 
@@ -930,16 +915,15 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     the identity, ``multiply_covered`` is 0 and ``missing`` is
     |G| - 1 - coverage, with coverage = sum n_i (|H_i| - 1); otherwise both
     are None and the report fails.  Nothing is conjugated element by
-    element, and nothing of size |G| is built beyond the order bytes the
-    digging fills, so this runs on Sz(32) in a fraction of a second.
+    element, and nothing of size |G| is built: no order byte is allocated,
+    so this runs on Sz(32) in a fraction of a second.
 
     When both are 0, every nontrivial element lies in exactly one conjugate
     of one class, and a conjugation keeps orders, so the report's
     ``census`` is count(d) = sum_i n_i #{h in H_i, h != 1 : ord h = d}, with
-    count(1) = 1.  The cyclic classes' orders are already in the order
-    bytes, from the ``cycle`` of each generator in ``_is_ti``, and W's come
-    from power walks of its members (``StabilizerChain.order``): measured
-    indices and power walks, no closed form.
+    count(1) = 1.  Each member's order comes from its power walk, all by one
+    power walker (``StabilizerChain._power_walker``): measured indices and
+    power walks, no closed form.
     """
     params = chain.params
     classes = {"w": unitriangular(chain) if w is None else w}
@@ -956,9 +940,10 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     census = None
     if certified and missing == 0:
         tally = Counter({1: 1})
+        walk = chain._power_walker()
         for name, h in classes.items():
             for r in h.members - {chain.identity}:
-                tally[chain.order(r)] += counts[name]
+                tally[len(walk(r)) + 1] += counts[name]
         census = OrderStats(counts=dict(tally), total=chain.size)
     return PartitionReport(
         measured=PartitionClassCounts(n_w=counts["w"], n_u1=counts["u1"],

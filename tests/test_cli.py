@@ -414,23 +414,26 @@ def test_the_json_flags_keep_their_name():
 ], ids=["verify", "verify-0xd", "nse-oracle", "nse-both"])
 def test_only_nse_runs_the_power_pass(capsys, monkeypatch, argv, power_pass):
     # verify reads its census off the certified partition, so the power pass
-    # (``_fill`` with k = 0) never runs there, only the searches for the
-    # first element of an order (k > 0).  nse runs the whole pass and leaves
+    # (``orders``) never runs there, and its chain never allocates the order
+    # bytes, one per element of G.  nse runs the whole pass once and leaves
     # no order byte at 0.
-    calls, fill = [], StabilizerChain._fill
+    chains, calls = [], []
+    build, orders = StabilizerChain.__post_init__, StabilizerChain.orders
 
-    def counted(chain, k=0):
-        found = fill(chain, k)
-        calls.append((k, chain._orders.count(0)))
+    def counted(chain):
+        found = orders(chain)
+        calls.append(found.count(0))
         return found
 
-    monkeypatch.setattr(StabilizerChain, "_fill", counted)
+    monkeypatch.setattr(StabilizerChain, "__post_init__",
+                        lambda chain: chains.append(chain) or build(chain))
+    monkeypatch.setattr(StabilizerChain, "orders", counted)
     rc, _, _ = run_cli(capsys, *argv)
-    assert rc == 0
+    assert rc == 0 and len(chains) == 1
     if power_pass:
-        assert calls == [(0, 0)]
+        assert calls == [0]
     else:
-        assert calls and all(k > 0 and holes > 0 for k, holes in calls)
+        assert calls == [] and chains[0]._orders is None
 
 
 def _patch_a_lookup_failure(monkeypatch, patch):

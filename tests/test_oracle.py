@@ -350,6 +350,13 @@ def test_find_cyclic_subgroup_takes_the_first_element_of_that_order(sz8):
     for k in (2, 4, 5, 7, 13):
         first = next(r for r in range(table.size) if order(r) == k)
         assert find_cyclic_subgroup(table, k).cyclic_generator == first
+    # Under both moduli, for every order of the census: the census's first
+    # rank of that order, on a chain that ran no census before the finds.
+    for modulus in (0xb, 0xd):
+        chain = StabilizerChain(sz8.params, Field(1, modulus=modulus))
+        found = {k: find_cyclic_subgroup(chain, k).cyclic_generator for k in SZ8_COUNTS}
+        orders = chain.orders()
+        assert found == {k: orders.index(k) for k in set(orders)}
 
 
 def test_spectrum_found_is_exact(sz8):

@@ -26,18 +26,19 @@ it.  ``unitriangular`` ranks only the 2m of W's generators that the chain
 does not keep.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
-and a power walker's walk the cyclic subgroup, whose members' order bytes
-``cyclic_subgroup`` fills.  The order census is the reference power pass
-whatever walks (``cycle``, the partition, ``find_cyclic_subgroup``) ran
-before it and filled part of it, and
-``find_cyclic_subgroup`` runs the census only as far as it must; a full
+and a power walker's walk the cyclic subgroup; neither keeps an order byte.
+The order census is the reference power pass whatever walks (``cycle``, the
+partition, ``find_cyclic_subgroup``) ran before it.  ``find_cyclic_subgroup``
+refuses an order that does not divide |G| before any walk and walks no rank
+below N1 N2 for one that does not divide N1 N2 (Lagrange); a full
 census is one walker call that searches its order bytes once per hole and
 walks each hole once, writing k into a walk's bytes and fixing up the powers
 whose order is not k, and the census counted by its hints is every byte's
 count, refusing what the scan of every byte refuses.  The census read off a
-certified partition is the power pass's, at q = 32 the closed forms'; a
-failed certificate reads none, and ``verify`` then reports the power pass.
-``order`` walks one cycle and keeps its bytes.  At q = 32 the torus
+certified partition is the power pass's, at q = 32 the closed forms', with
+no order byte allocated; a failed certificate reads none, and ``verify``
+then reports the power pass.  ``order`` walks one cycle and keeps nothing.
+At q = 32 the torus
 T = <d(lam)> is its own centralizer and has a normalizer of order 2 |T|.
 """
 
@@ -428,28 +429,27 @@ def test_verify_without_the_certificate_reports_the_power_pass(pair, monkeypatch
 
 def test_the_partition_census_is_the_power_pass(pair):
     # Read off the partition of a fresh chain from the orders of the four
-    # classes' members: the counts of a fresh chain's power pass, with most
-    # order bytes never walked.
+    # classes' members: the counts of a fresh chain's power pass, with no
+    # order byte allocated.
     chain = StabilizerChain(pair.params, pair.table.field)
     census = verify_partition(chain).census
     assert census == OrderStats(counts={o: pair.fresh.count(o) for o in set(pair.fresh)},
                                 total=29120)
-    assert chain._orders.count(0) > 20000
+    assert chain._orders is None
 
 
 @settings(max_examples=30, deadline=None)
 @given(r=st.integers(0, 29119))
-def test_order_walks_one_cycle_and_keeps_its_bytes(pair_0xb, pair_0xd, r):
-    # On a fresh chain the order of r comes from one walk of its k - 1
-    # nontrivial powers, whose bytes it fills and nothing else; a second
-    # call walks nothing.
+def test_order_walks_one_cycle_and_keeps_nothing(pair_0xb, pair_0xd, r):
+    # On a fresh chain the order of r is one more than the count of the
+    # nontrivial powers its ``cycle`` walks, and no order byte is allocated;
+    # order bytes set wrong by hand are not read.
     for pair in (pair_0xb, pair_0xd):
         chain = StabilizerChain(pair.params, pair.table.field)
-        k = chain.order(r)
-        assert k == pair.fresh[r] == chain._orders[r]
-        assert chain._orders.count(0) == chain.size - k
-        chain._orders[r] = 255
-        assert chain.order(r) == 255
+        assert chain.order(r) == len(chain.cycle(r)) + 1 == pair.fresh[r]
+        assert chain._orders is None
+        chain._orders = bytearray([255]) * chain.size
+        assert chain.order(r) == pair.fresh[r]
 
 
 def test_a_cyclic_class_of_order_4_is_not_ti(sz8):
@@ -472,9 +472,9 @@ def test_a_cyclic_class_of_order_4_is_not_ti(sz8):
        after=st.lists(st.integers(0, 29119), max_size=8))
 def test_walks_before_the_census_leave_it_unchanged(pair_0xb, pair_0xd, before, partition,
                                                      found, after):
-    # Every ``cycle`` records the orders its walk proves, and the census
-    # fills the rest: whatever ran first, the bytes are those of the
-    # reference power pass and of a fresh chain's census, none left at 0.
+    # No walk before the census keeps an order byte, and the census fills
+    # them all: whatever ran first, the bytes are those of the reference
+    # power pass and of a fresh chain's census, none left at 0.
     for pair in (pair_0xb, pair_0xd):
         chain = StabilizerChain(pair.params, pair.table.field)
         for r in before:
@@ -508,19 +508,24 @@ class _CountingBytes(bytearray):
         super().__setitem__(i, value)
 
 
-def _count_walks(chain, monkeypatch):
-    """Order bytes that log the census for a fresh chain, and the calls,
-    (r, k), of every power walker made from now on."""
-    orders = chain._orders = _CountingBytes(chain.size)
-    bytearray.__setitem__(orders, chain.identity, 1)
+def _count_walker_calls(monkeypatch):
+    """The calls, (r, orders), of every power walker made from now on."""
     calls, power_walker = [], StabilizerChain._power_walker
 
     def counted(chain):
         walk = power_walker(chain)
-        return lambda r, k=None: calls.append((r, k)) or walk(r, k)
+        return lambda r, orders=None: calls.append((r, orders)) or walk(r, orders)
 
     monkeypatch.setattr(StabilizerChain, "_power_walker", counted)
-    return orders, calls
+    return calls
+
+
+def _count_walks(chain, monkeypatch):
+    """Order bytes that log the census for a fresh chain, and the calls of
+    every power walker made from now on (``_count_walker_calls``)."""
+    orders = chain._orders = _CountingBytes(chain.size)
+    bytearray.__setitem__(orders, chain.identity, 1)
+    return orders, _count_walker_calls(monkeypatch)
 
 
 def test_power_fixups_turn_k_into_the_orders_of_the_powers():
@@ -536,16 +541,16 @@ def test_power_fixups_turn_k_into_the_orders_of_the_powers():
 
 def test_a_full_census_makes_one_find_per_hole(pair, monkeypatch):
     # The whole census is one walker call from the first hole.  Inside it
-    # the search for the next hole is the only one: with k = 0 no 0 lies
-    # between the known prefix and that hole.  Each hole a search finds is
-    # walked once and nothing else is: a walk of a rank of order k writes
-    # k into its k - 1 powers' bytes and rewrites the bytes of the x^i with
-    # gcd(i, k) > 1, so the bytes set are those of one walk per hole.
+    # the search for the next hole is the only one.  Each hole a search
+    # finds is walked once and nothing else is: a walk of a rank of order k
+    # writes k into its k - 1 powers' bytes and rewrites the bytes of the
+    # x^i with gcd(i, k) > 1, so the bytes set are those of one walk per
+    # hole.
     chain = StabilizerChain(pair.params, pair.table.field)
     orders, calls = _count_walks(chain, monkeypatch)
     assert chain.orders() == pair.census
     holes = [found for args, found in orders.finds if found >= 0]
-    assert holes and calls == [(holes[0], 0)]
+    assert holes and calls == [(holes[0], orders)]
     assert holes == sorted(set(holes))
     assert all(args[0] == 0 for args, _ in orders.finds)
     writes = {k: k - 1 + sum(gcd(i, k) > 1 for i in range(1, k)) for k in set(pair.census)}
@@ -595,23 +600,32 @@ def test_the_hinted_count_accepts_and_refuses_as_the_distinct_scan(orders, hints
     assert _hinted_order_stats(orders, hints) == _distinct_order_stats(orders, hints)
 
 
-def test_find_cyclic_subgroup_runs_the_census_only_as_far_as_it_must(sz8, monkeypatch):
+def test_find_cyclic_subgroup_walks_from_its_lagrange_start(sz8, monkeypatch):
     # On a fresh chain the first element of order k is the one a full census
-    # gives, found with holes left behind; an order no byte can hold is
-    # refused before any walk, and a missing one after the whole census.
+    # gives, found by one walk per rank from the start on, with no order
+    # byte allocated.  The ranks below N1 N2 = 448 are G_{b0}, whose orders
+    # divide 448, so for k = 13 and 5 no walk starts below 448.  An order
+    # that does not divide |G| (or that no byte can hold) is refused before
+    # any walk, and one that divides |G| but is no element's order (8) after
+    # the last rank.  The last walk of a find is the ``cycle`` of the
+    # element it found, by ``cyclic_subgroup``.
     chain, full = StabilizerChain(sz8.params, sz8.field), sz8.table.orders()
-    walked, cycle = [], StabilizerChain.cycle
-    monkeypatch.setattr(StabilizerChain, "cycle", lambda c, r: walked.append(r) or cycle(c, r))
-    for k in (0, 256):
+    n12 = len(chain.orbits[1]) * len(chain.orbits[2])
+    assert n12 == 448
+    calls = _count_walker_calls(monkeypatch)
+    for k in (0, 3, 256):
         with pytest.raises(SubgroupNotFoundError):
             find_cyclic_subgroup(chain, k)
-    assert walked == []
-    for k in (13, 5, 7, 4, 2):
-        assert find_cyclic_subgroup(chain, k).cyclic_generator == full.index(k)
-    assert chain._orders.count(0) > 0
+    assert calls == []
+    for k in (13, 5, 7, 4, 2, 1):
+        first, start = full.index(k), n12 if n12 % k else 0
+        assert find_cyclic_subgroup(chain, k).cyclic_generator == first
+        assert [r for r, _ in calls] == [*range(start, first + 1), first]
+        calls.clear()
     with pytest.raises(SubgroupNotFoundError):
-        find_cyclic_subgroup(chain, 3)
-    assert chain.orders() == full
+        find_cyclic_subgroup(chain, 8)
+    assert [r for r, _ in calls] == list(range(chain.size))
+    assert chain._orders is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -667,11 +681,9 @@ def test_rank_products_agree_with_composed_permutations(pair_0xb, pair_0xd, r, s
 @given(r=st.integers(0, 29119))
 def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
     # The walk lists x, x^2, ... in order, the members of <x> but the
-    # identity (none for the identity), and records each power's order as
-    # the reference census has it.  Given x's order k > 1, a walker on a
-    # fresh chain walks from the first hole on and stops at the first rank
-    # of order k.  (A non-rank is refused with the other rank takers, in
-    # ``test_a_non_rank_is_refused_not_wrapped``.)
+    # identity (none for the identity), one fewer than the order of x in the
+    # reference census, and keeps no order byte.  (A non-rank is refused
+    # with the other rank takers, in ``test_a_non_rank_is_refused_not_wrapped``.)
     for pair in (pair_0xb, pair_0xd):
         chain = StabilizerChain(pair.params, pair.table.field)
         walk = chain._power_walker()
@@ -682,29 +694,28 @@ def test_a_power_walker_steps_the_cyclic_subgroup(pair_0xb, pair_0xd, r):
         assert set(powers) == members - {chain.identity}
         assert len(powers) == len(set(powers))
         assert powers[1:] == [chain.mul(x, r) for x in powers[:-1]]
-        assert all(chain._orders[x] == pair.census[x] for x in powers)
+        assert k == pair.census[r]
         assert chain.cycle(r) == powers
-        fresh = StabilizerChain(pair.params, pair.table.field)
-        census = fresh._power_walker()
-        if k > 1:  # the identity is the one rank filled before the first hole
-            assert census(fresh._orders.find(0), k) == pair.census.index(k)
+        assert chain._orders is None
 
 
 @settings(max_examples=30, deadline=None)
 @given(r=st.integers(0, 29119))
-def test_cyclic_subgroup_fills_its_members_order_bytes(pair_0xb, pair_0xd, r):
-    # On a fresh chain <x> comes from the power walk of x, which sets the
-    # order byte of each member and of nothing else.  (Its refusals: a wrong
-    # order in ``test_cyclic_subgroup_refuses_a_wrong_order``, an order that
-    # is no int in ``test_a_subgroup_order_that_is_no_int_is_refused``, a
-    # non-rank in ``test_a_non_rank_is_refused_not_wrapped``.)
+def test_cyclic_subgroup_keeps_no_order_byte(pair_0xb, pair_0xd, r):
+    # On a fresh chain <x> comes from the power walk of x, whose members
+    # have the orders k / gcd(i, k) of the powers x^i in the census, and no
+    # order byte is allocated.  (Its refusals: a wrong order in
+    # ``test_cyclic_subgroup_refuses_a_wrong_order``, an order that is no
+    # int in ``test_a_subgroup_order_that_is_no_int_is_refused``, a non-rank
+    # in ``test_a_non_rank_is_refused_not_wrapped``.)
     for pair in (pair_0xb, pair_0xd):
         chain = StabilizerChain(pair.params, pair.table.field)
         k = pair.fresh[r]
         h = cyclic_subgroup(chain, r, k)
         assert h.order == k and h.cyclic_generator == r
-        assert all(chain._orders[x] == pair.fresh[x] for x in h.members)
-        assert chain._orders.count(0) == chain.size - k
+        assert sorted(pair.fresh[x] for x in h.members) == sorted(k // gcd(i, k)
+                                                                  for i in range(k))
+        assert chain._orders is None
 
 
 def test_matrix_ranks_agree_with_their_byte_keys(pair_0xb, sz8_matrices):
@@ -860,4 +871,4 @@ def test_the_sz32_partition_is_certified(modulus, monkeypatch):
     assert (report.multiply_covered, report.missing) == (0, 0)
     assert report.passed
     assert report.census == nse_closed_form(make_params(2))
-    assert chain._orders.count(0) > 0
+    assert chain._orders is None
