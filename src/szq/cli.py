@@ -266,8 +266,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                         set(stats.counts) == set(spectrum.orders),
                         f"orders found: {sorted(stats.counts)}"))
 
-    w = classes["w"]
-    w_orders = [chain.order(r) for r in w.members]
+    w, walk = classes["w"], chain._power_walker()
+    w_orders = [len(walk(r)) + 1 for r in w.members]
     involutions = w_orders.count(2)
     checks.append(Check("w_subgroup",
                         w.order == p.w_order and max(w_orders) == 4 and involutions == p.q - 1,

@@ -752,12 +752,10 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     generate, then lies in H and has |H| elements.  A cyclic H brings its
     generator, any other gets ``_generating_set`` (3 elements for W at
     q = 8), and the trivial subgroup has none and is normalized by every g.
-    When d(lam) = U2[1] normalizes H (it conjugates each generator into H),
-    each search takes one target per orbit of H under conjugation by d(lam):
-    with g, each g U2[c], its block of N2 ranks, conjugates h into H.  The
-    searches are then intersected by their blocks' first ranks, and only the
-    blocks left are expanded.  ValueError for members that are no ranks of
-    the chain or no subgroup.
+    ``verify`` scans only its cyclic classes: it proves N(W) from W's one
+    fixed point (``_normalizer_of_w``), and this scan is the tests'
+    reference for it.  ValueError for members that are no ranks of the
+    chain or no subgroup.
     """
     cyclic = [] if sub.cyclic_generator is None else [sub.cyclic_generator]
     for r in (*sub.members, *cyclic):
@@ -765,25 +763,8 @@ def normalizer(chain: StabilizerChain, sub: SubgroupHandle) -> SubgroupHandle:
     gens = cyclic or _generating_set(chain, sub.members)
     if not gens:
         return SubgroupHandle(frozenset(range(chain.size)))
-    t2, i2, n2 = chain.transversals[2], chain._inverses[2], len(chain.orbits[2])
-    lift, act = chain._hooks([t2[1][p] for p in chain.base])
-    d = (i2[1], 0, 1, 2)  # d(lam)^-1 t d(lam): first d(lam), then t, then its inverse
-    targets, orbits = sub.members, {}
-    for first in sorted(targets) if all(act(lift(g), d) in targets for g in gens) else ():
-        t = first
-        while t not in orbits:
-            orbits[t], t = first, act(lift(t), d)
-    if orbits:
-        targets = frozenset(t for t, first in orbits.items() if t == first)
-    found = None
-    for g in gens:
-        scan = _transporter(chain, g, targets)
-        if orbits:
-            scan = {r - r % n2 for r in scan}
-        found = frozenset(scan) if found is None else found.intersection(scan)
-    if orbits:
-        found = frozenset(k + c for k in found for c in range(n2))
-    return SubgroupHandle(found)
+    scans = (_transporter(chain, g, sub.members) for g in gens)
+    return SubgroupHandle(frozenset(next(scans)).intersection(*scans))
 
 
 def centralizer(chain: StabilizerChain, x: int) -> SubgroupHandle:
@@ -886,6 +867,29 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     return all(lift(r) == fixed for r in h.members)
 
 
+def _normalizer_of_w(chain: StabilizerChain, w: SubgroupHandle) -> SubgroupHandle | None:
+    """N(W) = G_{b0}, the ranks below N1 N2, proved from W's one fixed
+    point, or None when a premise fails; no scan runs.  The premises: every
+    member of W has a rank below N1 N2, so W lies in G_{b0}
+    (``find_cyclic_subgroup``); W fixes no point other than b0; and each of
+    w(1, 0), w(0, 1) and d(lam) (``generator_ranks[:3]``) conjugates every
+    member of W into W, one lift and one act of ``_hooks`` per member.  The
+    first two hold when W's largest rank fixes b0 and no other point, since
+    the ranks that fix b0 are those below N1 N2.  N(W) permutes Fix(W) =
+    {b0}, so N(W) <= G_{b0}, and the chain certifies G_{b0} = H1 =
+    <w(1, 0), w(0, 1), d(lam)>, which then normalizes W."""
+    x_ = chain.permutation(max(w.members))
+    if [p for p, x in enumerate(x_) if p == x] != [chain.base[0]]:
+        return None
+    for g_ in map(chain.permutation, chain.generator_ranks[:3]):
+        inverse = sorted(range(len(g_)), key=g_.__getitem__)  # at x, the p that g maps to x
+        lift, act = chain._hooks([g_[b] for b in chain.base])
+        move = (inverse, 0, 1, 2)  # first g, then t, then g^-1
+        if any(act(lift(t), move) not in w.members for t in w.members):
+            return None
+    return SubgroupHandle(frozenset(range(len(chain.orbits[1]) * len(chain.orbits[2]))))
+
+
 def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
     """W = {w(a, b)} as ranks, closed on the chain from the ranks of the
     2m + 2 ``w_generators``, whose docstring proves that they generate W.
@@ -907,16 +911,19 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     The classes are ranks on the chain: W = {w(a, b)} (``w``, closed by
     ``unitriangular`` when not given) and the cyclic subgroups of orders
     q+s+1, q-s+1 and q-1 that ``find_cyclic_subgroup`` digs.  Class i has
-    n_i = |G : N(H_i)| conjugates, from ``normalizer`` and the chain's
-    certified |G|.  The certificate holds when every such index is an
-    integer, the four |H_i| are pairwise coprime (so conjugates of two
-    classes meet trivially) and each class is TI (``_is_ti``: two of its
-    conjugates meet trivially).  Then the conjugates are disjoint outside
-    the identity, ``multiply_covered`` is 0 and ``missing`` is
+    n_i = |G : N(H_i)| conjugates, from the chain's certified |G| and
+    N(H_i): ``normalizer``'s scans for the cyclic classes, and for W the
+    rank prefix G_{b0} that ``_normalizer_of_w`` proves, with no scan.
+    When it proves nothing, N(W) is taken as the identity alone, which
+    normalizes any W.  The certificate holds when N(W) is proved, every
+    index is an integer, the four |H_i| are pairwise coprime (so conjugates
+    of two classes meet trivially) and each class is TI (``_is_ti``: two of
+    its conjugates meet trivially).  Then the conjugates are disjoint
+    outside the identity, ``multiply_covered`` is 0 and ``missing`` is
     |G| - 1 - coverage, with coverage = sum n_i (|H_i| - 1); otherwise both
-    are None and the report fails.  Nothing is conjugated element by
-    element, and nothing of size |G| is built: no order byte is allocated,
-    so this runs on Sz(32) in a fraction of a second.
+    are None and the report fails.  No conjugate of a class is walked, and
+    nothing of size |G| is built: no order byte is allocated, so this runs
+    on Sz(32) in a fraction of a second.
 
     When both are 0, every nontrivial element lies in exactly one conjugate
     of one class, and a conjugation keeps orders, so the report's
@@ -927,12 +934,14 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     """
     params = chain.params
     classes = {"w": unitriangular(chain) if w is None else w}
+    n_w = _normalizer_of_w(chain, classes["w"])
+    normalizers = {"w": n_w or SubgroupHandle(frozenset([chain.identity]))}
     for name in ("u1", "u2", "v"):
         classes[name] = find_cyclic_subgroup(chain, getattr(params, name))
-    normalizers = {name: normalizer(chain, h) for name, h in classes.items()}
+        normalizers[name] = normalizer(chain, classes[name])
     counts = {name: chain.size // n.order for name, n in normalizers.items()}
     coverage = sum(counts[name] * (h.order - 1) for name, h in classes.items())
-    certified = (all(chain.size % n.order == 0 for n in normalizers.values())
+    certified = (n_w is not None and all(chain.size % n.order == 0 for n in normalizers.values())
                  and all(gcd(a.order, b.order) == 1
                          for a, b in combinations(classes.values(), 2))
                  and all(_is_ti(chain, h, normalizers[name]) for name, h in classes.items()))

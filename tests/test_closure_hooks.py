@@ -1,8 +1,8 @@
 """Closures over ranks against closures by ``StabilizerChain.mul``.
 
-``subgroup``, ``_generating_set`` and ``normalizer``'s d(lam) orbits
-close through the chain's hooks
-(``StabilizerChain._hooks``): each member is decoded once to its base
+``subgroup`` and ``_generating_set`` close through the chain's hooks
+(``StabilizerChain._hooks``), as the fixed-point proof of N(W) conjugates
+through them: each member is decoded once to its base
 images, and each move maps them through a point permutation and sifts them,
 with no ``mul`` per product.  At q = 8, under both moduli of GF(8), the
 subgroup of 1 to 4 drawn ranks must be the reference closure

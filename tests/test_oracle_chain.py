@@ -15,8 +15,13 @@ give the frozenset walk's report while the partition holds, and its counts
 and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
 at q = 32 it holds under three moduli; there, a class short of its
-elements leaves them missing, with no census.  It makes one scan per
-generator of each normalizer (6 in all at q = 8, 9 at q = 32) and none to
+elements leaves them missing, with no census.  It proves N(W) = G_{b0}
+from W's one fixed point (``_normalizer_of_w``), which must equal the
+normalizer scan member for member at q = 8 under both moduli and at q = 32,
+and a W that breaks a premise of that proof (a rank past N1 N2, a second
+fixed point, a member that H1 conjugates out of it) fails the certificate
+and ``verify``.  It makes one scan per generator of each cyclic class's
+normalizer (3 in all at q = 8, 4 at q = 32), none for N(W) and none to
 prove W TI: a 2-group is TI when one point is fixed by all its members and
 only that point by one of them (``_is_ti``).  Whenever that says TI (for W,
 W^tau and Z(W)), every g that conjugates a nontrivial member into the group
@@ -69,6 +74,7 @@ from szq.oracle import (
     SubgroupHandle,
     SubgroupNotFoundError,
     _is_ti,
+    _normalizer_of_w,
     _point_image,
     _power_fixups,
     centralizer,
@@ -237,12 +243,19 @@ def test_the_generator_walk_matches_the_frozenset_walk(pair, change, monkeypatch
         assert report == walked
         assert report.passed
     else:
-        assert (report.measured, report.coverage) == (walked.measured, walked.coverage)
         assert (report.multiply_covered, report.missing) == (None, None)
         assert walked.multiply_covered > 0
         assert not report.passed
+    if change == "v-of-order-4":
+        assert (report.measured, report.coverage) == (walked.measured, walked.coverage)
+    elif change == "w-as-a-four-group":
+        # d(lam) conjugates the four-group off itself, so N(W) is not proved
+        # and is taken as the identity alone: n_w is |G| where the walk
+        # counts 455 conjugates.  The cyclic classes' counts are the walk's.
+        r, w = report.measured, walked.measured
+        assert (w.n_w, w.n_u1, w.n_u2, w.n_v) == (455, r.n_u1, r.n_u2, r.n_v)
     want = {"v-of-order-4": ((65, 560, 1456, 1820), 22099),
-            "w-as-a-four-group": ((455, 560, 1456, 2080), 26389)}
+            "w-as-a-four-group": ((29120, 560, 1456, 2080), 112384)}
     m = report.measured
     assert ((m.n_w, m.n_u1, m.n_u2, m.n_v), report.coverage) == \
         want.get(change, ((65, 560, 1456, 2080), 29119))
@@ -270,13 +283,13 @@ def _count_scans(monkeypatch):
 
 
 def test_the_certificate_makes_one_scan_per_normalizer_generator(pair, monkeypatch):
-    # Three scans for N(W) (a generating set of three) and one each for
-    # N(U1), N(U2) and N(V): 6 scans.  W's TI check reads the fixed points
-    # of its members and makes no scan, and no centralizer is taken.
+    # One scan each for N(U1), N(U2) and N(V): 3 scans.  N(W) is proved
+    # from W's one fixed point, and W's TI check reads the fixed points of
+    # its members: neither scans, and no centralizer is taken.
     scans, calls = _count_scans(monkeypatch), []
     monkeypatch.setattr(szq.oracle, "centralizer", lambda *args: calls.append(args))
     assert verify_partition(pair.table).passed
-    assert (len(scans), calls) == (6, [])
+    assert (len(scans), calls) == (3, [])
 
 
 def _conjugate(chain, members, g):
@@ -365,18 +378,92 @@ def test_two_classes_of_one_order_fail_the_certificate(pair, monkeypatch):
 
 
 def test_a_normalizer_of_w_short_of_a_member_fails_the_certificate(pair, monkeypatch):
-    # |N(W)| = 447 is not N1 N2 = 448, so W's TI proof has no premise
-    # N(W) = G_p; in the partition, 447 divides no |G| = 29120 either.
-    chain, real = pair.table, szq.oracle.normalizer
+    # The proved N(W) one member short: |N(W)| = 447 is not N1 N2 = 448, so
+    # W's TI proof has no premise N(W) = G_p; in the partition, 447 divides
+    # no |G| = 29120 either.
+    chain = pair.table
     w = unitriangular(chain)
-    n = real(chain, w)
+    n = _normalizer_of_w(chain, w)
     short = SubgroupHandle(n.members - {max(n.members - w.members)})
     assert not _is_ti(chain, w, short)
-    monkeypatch.setattr(szq.oracle, "normalizer",
-                        lambda c, sub: short if sub.members == w.members else real(c, sub))
+    monkeypatch.setattr(szq.oracle, "_normalizer_of_w", lambda c, sub: short)
     report = verify_partition(chain)
+    assert report.normalizers["w"] == short
     assert (report.multiply_covered, report.missing, report.census) == (None, None, None)
     assert not report.passed
+
+
+def _conjugacy_class(chain, r, gens):
+    """The ranks conjugate to r in the group that the ranks gens generate."""
+    rs, grown = set(), {r}
+    while grown != rs:
+        rs = grown
+        grown = rs.union(*(_conjugate(chain, rs, g) for g in gens))
+    return rs
+
+
+def _w_mutant(chain, premise):
+    """W with a premise of the fixed-point proof of N(W) broken: W^tau,
+    whose nontrivial ranks lie past N1 N2 ("in G_b0"); W and the class in
+    H1 of a rank of G_{b0} past W's that fixes a second point, a set that
+    H1 normalizes ("one fixed point"); W short of its largest member, which
+    H1 conjugates another member onto ("normalized by H1"); the cyclic
+    <w(0, 1)>, which d(lam) conjugates off itself ("<t>", a class of prime
+    order that is TI by Lagrange); Z(W) and the class of w(x, 0) under
+    <d(lam)>, which only w(1, 0) conjugates off it ("w(1, 0)")."""
+    w, n12, f = unitriangular(chain), len(chain.orbits[1]) * len(chain.orbits[2]), chain.field
+    top, (w10, w01, d) = max(w.members), chain.generator_ranks[:3]
+    if premise == "in G_b0":
+        return SubgroupHandle(_conjugate(chain, w.members, chain.generator_ranks[3]))
+    if premise == "normalized by H1":
+        return SubgroupHandle(w.members - {top})
+    if premise == "<t>":
+        return SubgroupHandle(frozenset([chain.identity, w01]), cyclic_generator=w01)
+    if premise == "w(1, 0)":
+        z = {chain.rank(make_w(f.zero, f.element(b))) for b in range(f.q)}
+        return SubgroupHandle(frozenset(z | _conjugacy_class(
+            chain, chain.rank(make_w(f.element(2), f.zero)), [d])))
+    r = next(r for r in range(n12 - 1, top, -1)
+             if sum(p == x for p, x in enumerate(chain.permutation(r))) > 1)
+    return SubgroupHandle(w.members | _conjugacy_class(chain, r, [w10, w01, d]))
+
+
+@pytest.mark.parametrize("premise", ["in G_b0", "one fixed point", "normalized by H1", "<t>",
+                                     "w(1, 0)"])
+def test_a_w_that_breaks_a_premise_of_the_n_w_proof_fails_the_certificate(
+        pair, premise, monkeypatch, capsys):
+    # The proof refuses each mutant, and N(W), unproved, is taken as the
+    # identity alone; no scan runs in its place.  The table pins which
+    # premises each mutant breaks: whether its largest rank lies below
+    # N1 N2 and fixes one point, and whether w(1, 0), w(0, 1) and d(lam)
+    # each conjugate it into itself.  "<t>" passes every other check of the
+    # certificate.  ``verify`` on a mutant fails its partition and N(W)
+    # index checks and exits 4.
+    chain = pair.table
+    w, n12 = _w_mutant(chain, premise), len(chain.orbits[1]) * len(chain.orbits[2])
+    top = max(w.members)
+    fixed = sum(p == x for p, x in enumerate(chain.permutation(top)))
+    normalized = tuple(_conjugate(chain, w.members, g) == w.members
+                       for g in chain.generator_ranks[:3])
+    assert (top < n12, fixed == 1, normalized) == {
+        "in G_b0": (False, True, (False, False, True)),
+        "one fixed point": (True, False, (True, True, True)),
+        "normalized by H1": (True, True, (False, True, False)),
+        "<t>": (True, True, (True, True, False)),
+        "w(1, 0)": (True, True, (False, True, True))}[premise]
+    assert _normalizer_of_w(chain, w) is None
+    scans = _count_scans(monkeypatch)
+    report = verify_partition(chain, w)
+    assert len(scans) == 3
+    assert report.normalizers["w"].members == {chain.identity}
+    assert (report.multiply_covered, report.missing, report.census) == (None, None, None)
+    assert not report.passed
+    monkeypatch.setattr(szq.oracle, "unitriangular", lambda c: w)
+    rc = main(["verify", "--q", "8", "--modulus", hex(chain.field.modulus), "--output", "json",
+               "--no-timestamp"])
+    checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert rc == 4
+    assert not checks["partition"] and not checks["normalizer_w_index"]
 
 
 def test_a_member_that_moves_the_fixed_point_fails_the_certificate(pair):
@@ -856,15 +943,29 @@ def test_unitriangular_ranks_only_the_generators_the_chain_lacks(pair_0xb, sz32,
     assert len(ranked) <= 2 * chain.params.m
 
 
+@pytest.mark.parametrize("world", ["pair_0xb", "pair_0xd", "sz32"])
+def test_the_proved_normalizer_of_w_is_the_scanned_one(request, world):
+    # N(W) = G_{b0} from W's one fixed point is, member for member, the
+    # normalizer scan of a generating set of W, at q = 8 under both moduli
+    # and at q = 32 under 0x25; the certificate reports it.
+    chain = request.getfixturevalue(world)
+    chain = getattr(chain, "table", chain)
+    assert chain.field.modulus in (0xb, 0xd, 0x25)
+    w, n12 = unitriangular(chain), len(chain.orbits[1]) * len(chain.orbits[2])
+    proved = _normalizer_of_w(chain, w)
+    assert proved.members == normalizer(chain, w).members == frozenset(range(n12))
+    assert verify_partition(chain).normalizers["w"] == proved
+
+
 @pytest.mark.parametrize("modulus", [0x25, 0x29, 0x2f], ids=hex)
 def test_the_sz32_partition_is_certified(modulus, monkeypatch):
-    # Five scans for N(W) (a generating set of five) and one each for
-    # N(U1), N(U2), N(V) and N(P), P the subgroup of order 5 of the class of
-    # order 25: 9 scans, and no census.
+    # One scan each for N(U1), N(U2), N(V) and N(P), P the subgroup of
+    # order 5 of the class of order 25: 4 scans, none for N(W), which is
+    # proved from W's one fixed point, and no census.
     chain = StabilizerChain(make_params(2), Field(2, modulus=modulus))
     scans = _count_scans(monkeypatch)
     report = verify_partition(chain)
-    assert len(scans) == 9
+    assert len(scans) == 4
     m = report.measured
     assert (m.n_w, m.n_u1, m.n_u2, m.n_v) == (1025, 198400, 325376, 524800)
     assert report.coverage == 32537599

@@ -30,8 +30,12 @@ UNCALLED = {
     "cli.main_entry": "the console script, which test_cli runs in a child process",
     "mat4._mul_fn_kernel": "the product over a field with no table (q > 512), and the "
                            "tests' reference product",
+    "oracle._generating_set": "the scan-based normalizer of a subgroup given by its "
+                              "members: the tests' reference for N(W)",
     "oracle._malloc_trim": "trims the heap from 2^12 keys on: B(128)'s closure in "
                            "borel-q128, not W's 64 keys",
+    "oracle.StabilizerChain.order": "public element order (README); the tests' reference; "
+                                    "verify reads W's orders from one power walker",
     "oracle.StabilizerChain.mul": "public rank product (README); the tests' reference; "
                                   "no command multiplies two ranks",
     "orderstats.multiplicative_order": "test_gate holds the gate's reduced order "
