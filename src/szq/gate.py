@@ -42,6 +42,10 @@ class InvolutionCountError(ValueError):
 
 _TOO_MANY_DIGITS = "more digits than the interpreter's integer conversion limit"
 
+# A profile longer than this is refused unread past the limit; the largest
+# closed-form map the gate answers (m = 37) is 38,863 bytes of JSON.
+PROFILE_BYTE_LIMIT = 1 << 20
+
 
 def _distinct(pairs: Iterable[tuple], what: str) -> dict:
     """The pairs as a dict; ProfileError for a key met twice (such as
@@ -281,11 +285,16 @@ def run_gate(profile: CandidateProfile) -> GateReport:
 
 
 def load_profile(path: str) -> CandidateProfile:
-    """Read a profile from a JSON file; raises ProfileError on any defect."""
+    """Read a profile from a JSON file of at most PROFILE_BYTE_LIMIT bytes;
+    raises ProfileError on any defect, reading no more than one byte past
+    the limit."""
     try:
         with open(path, "rb") as fh:
-            data = json.load(fh, object_pairs_hook=partial(_distinct, what="profile key"))
-    except ProfileError:  # a repeated key, and no digit-limit ValueError
+            raw = fh.read(PROFILE_BYTE_LIMIT + 1)
+        if len(raw) > PROFILE_BYTE_LIMIT:
+            raise ProfileError(f"profile {path!r} is longer than {PROFILE_BYTE_LIMIT} bytes")
+        data = json.loads(raw, object_pairs_hook=partial(_distinct, what="profile key"))
+    except ProfileError:  # too long, a repeated key, and no digit-limit ValueError
         raise
     # RecursionError: arrays or objects nested deeper than the decoder recurses.
     except (OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError) as e:

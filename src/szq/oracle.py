@@ -19,9 +19,11 @@ the image of one point; all run on Sz(32).  A single power walk
 keeps one order byte per element, and it walks every rank whose byte is
 still 0, in rank order, in one call of one power walker.  The partition
 certificate (``verify_partition``) counts conjugates by normalizer indices
-and walks no conjugate; once it holds, it reads a second census off the
-partition, from the orders of the four classes' members, and allocates
-nothing of size |G|.  Matrices stay at the boundary
+and walks no conjugate: it proves N(W) = G_{b0}, kept as a rank range, and
+W's TI from W's one fixed point, and scans only the cyclic classes'
+normalizers.  Once it holds, it reads a second census off the partition,
+from the orders of the four classes' members, and allocates nothing of
+size |G|.  Matrices stay at the boundary
 (``StabilizerChain.rank``).
 
 Everything here is deliberately dumb and exact: this module is the oracle
@@ -536,10 +538,11 @@ def _power_fixups(k: int) -> list[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class SubgroupHandle:
-    """A subgroup given by its members' ranks on a StabilizerChain; its
+    """A subgroup given by its members' ranks on a StabilizerChain, as a
+    frozenset, or as a ``range`` for a rank prefix such as G_{b0}; its
     ``order`` is their count."""
 
-    members: frozenset[int]
+    members: frozenset[int] | range
     cyclic_generator: int | None = dc_field(default=None, kw_only=True)
 
     @property
@@ -789,9 +792,10 @@ class PartitionReport:
     holds and None when it does not.  ``classes`` and ``normalizers`` hold
     the subgroups the certificate dug, by class name ("w", "u1", "u2", "v"),
     for the caller's own checks; they take no part in ``==``, ``repr`` or
-    the JSON.  ``census`` is the order census read off the partition when
-    both ``multiply_covered`` and ``missing`` are 0, and None otherwise; it
-    takes no part in ``==`` or the JSON."""
+    the JSON.  ``normalizers["w"]`` is ``range(N1 N2)`` when N(W) is proved
+    and the identity alone when it is not.  ``census`` is the order census
+    read off the partition when both ``multiply_covered`` and ``missing``
+    are 0, and None otherwise; it takes no part in ``==`` or the JSON."""
 
     measured: PartitionClassCounts
     expected: PartitionClassCounts
@@ -826,8 +830,9 @@ class PartitionReport:
 
 
 def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool:
-    """Whether two distinct conjugates of H meet only in the identity, given
-    n = N(H); a False is no proof that they meet.
+    """Whether two distinct conjugates of the cyclic H meet only in the
+    identity, given n = N(H); a False is no proof that they meet.  W's TI is
+    proved with N(W) (``_normalizer_of_w``).
 
     A cyclic H of prime order is TI by Lagrange.  In a cyclic H of order k,
     a nontrivial H ∩ H^g holds a subgroup of prime order p, the only one of
@@ -835,49 +840,38 @@ def _is_ti(chain: StabilizerChain, h: SubgroupHandle, n: SubgroupHandle) -> bool
     of H; if N(P) = N(H) for each prime p < k dividing k, then H^g = H.  P
     is generated by x^(k/p), read off the powers of H's generator x that
     ``cycle`` steps.
-
-    Any other H must be a 2-group with |N(H)| = N1 N2, on a chain with
-    N1 = N0 - 1 and N2 odd, and its largest rank (nontrivial unless H = 1)
-    must fix exactly one point p, which every member fixes (three lookups
-    each, by a lift from ``_hooks``).  N1 = N0 - 1 makes G 2-transitive, so every
-    two-point stabilizer is conjugate to G_{b0,b1} = <d(lam)>, of odd order
-    N2, and a nontrivial 2-element fixes at most one point.  So Fix(H) = {p};
-    N(H) permutes Fix(H), so N(H) ≤ G_p, and |G_p| = |G| / N0 = N1 N2 =
-    |N(H)| makes N(H) = G_p.  A nontrivial h in H ∩ H^g fixes p and the
-    point p g that H^g fixes, and h fixes one point only, so g fixes p: g
-    lies in N(H) and H^g = H.  The chain's certificate already implies both
-    conditions on N1 and N2 (semiregularity makes N2 divide q^2 - 1, so N2
-    is odd, and then N1 N2 = q^2 (q - 1) forces N1 = q^2), but they are the
-    proof's premises and cost two comparisons.
     """
-    one = chain.identity
-    if h.cyclic_generator is not None:
-        powers = [one, *chain.cycle(h.cyclic_generator)]  # x^i at index i
-        k = len(powers)
-        return all(normalizer(chain, cyclic_subgroup(chain, powers[k // p], p)).members
-                   == n.members for p in factorize(k) if p < k)
-    n0, n1, n2 = map(len, chain.orbits)
-    if h.order & (h.order - 1) or n1 != n0 - 1 or n2 % 2 == 0 or n.order != n1 * n2:
-        return False
-    x_ = chain.permutation(max(h.members))  # rank 0 is 1: nontrivial unless H = 1
-    fixed = [p for p in range(n0) if x_[p] == p]
-    if len(fixed) != 1:
-        return False
-    lift, _ = chain._hooks(fixed)
-    return all(lift(r) == fixed for r in h.members)
+    powers = [chain.identity, *chain.cycle(h.cyclic_generator)]  # x^i at index i
+    k = len(powers)
+    return all(normalizer(chain, cyclic_subgroup(chain, powers[k // p], p)).members
+               == n.members for p in factorize(k) if p < k)
 
 
 def _normalizer_of_w(chain: StabilizerChain, w: SubgroupHandle) -> SubgroupHandle | None:
-    """N(W) = G_{b0}, the ranks below N1 N2, proved from W's one fixed
-    point, or None when a premise fails; no scan runs.  The premises: every
-    member of W has a rank below N1 N2, so W lies in G_{b0}
-    (``find_cyclic_subgroup``); W fixes no point other than b0; and each of
-    w(1, 0), w(0, 1) and d(lam) (``generator_ranks[:3]``) conjugates every
-    member of W into W, one lift and one act of ``_hooks`` per member.  The
-    first two hold when W's largest rank fixes b0 and no other point, since
-    the ranks that fix b0 are those below N1 N2.  N(W) permutes Fix(W) =
-    {b0}, so N(W) <= G_{b0}, and the chain certifies G_{b0} = H1 =
-    <w(1, 0), w(0, 1), d(lam)>, which then normalizes W."""
+    """N(W) = G_{b0}, the ranks below N1 N2, and W TI, both proved from W's
+    one fixed point, or None when a premise fails; no scan runs.
+
+    The premises: |W| is a power of 2; N1 = N0 - 1 and N2 is odd; W's
+    largest rank fixes b0 and no other point; and each of w(1, 0), w(0, 1)
+    and d(lam) (``generator_ranks[:3]``) conjugates every member of W into
+    W, one lift and one act of ``_hooks`` per member.  The ranks that fix
+    b0 are those below N1 N2, so every member of W lies in G_{b0}
+    (``find_cyclic_subgroup``), and Fix(W) = {b0}.  N(W) permutes Fix(W),
+    so N(W) <= G_{b0}, and the chain certifies G_{b0} = H1 = <w(1, 0),
+    w(0, 1), d(lam)>, which then normalizes W: N(W) = G_{b0}.
+
+    N1 = N0 - 1 makes G 2-transitive, so every two-point stabilizer is
+    conjugate to G_{b0,b1} = <d(lam)>, of odd order N2, and a nontrivial
+    2-element, such as each nontrivial member of W, fixes at most one
+    point.  A nontrivial h in W ∩ W^g fixes b0 and the point b0 g that
+    W^g fixes, so b0 g = b0: g lies in G_{b0} = N(W), and W^g = W.  The
+    chain's certificate already implies both conditions on N1 and N2
+    (semiregularity makes N2 divide q^2 - 1, so N2 is odd, and then
+    N1 N2 = q^2 (q - 1) forces N1 = q^2), but they are the proof's premises
+    and cost two comparisons."""
+    n0, n1, n2 = map(len, chain.orbits)
+    if w.order & (w.order - 1) or n1 != n0 - 1 or n2 % 2 == 0:
+        return None
     x_ = chain.permutation(max(w.members))
     if [p for p, x in enumerate(x_) if p == x] != [chain.base[0]]:
         return None
@@ -887,7 +881,7 @@ def _normalizer_of_w(chain: StabilizerChain, w: SubgroupHandle) -> SubgroupHandl
         move = (inverse, 0, 1, 2)  # first g, then t, then g^-1
         if any(act(lift(t), move) not in w.members for t in w.members):
             return None
-    return SubgroupHandle(frozenset(range(len(chain.orbits[1]) * len(chain.orbits[2]))))
+    return SubgroupHandle(range(n1 * n2))
 
 
 def unitriangular(chain: StabilizerChain) -> SubgroupHandle:
@@ -913,17 +907,19 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     q+s+1, q-s+1 and q-1 that ``find_cyclic_subgroup`` digs.  Class i has
     n_i = |G : N(H_i)| conjugates, from the chain's certified |G| and
     N(H_i): ``normalizer``'s scans for the cyclic classes, and for W the
-    rank prefix G_{b0} that ``_normalizer_of_w`` proves, with no scan.
-    When it proves nothing, N(W) is taken as the identity alone, which
-    normalizes any W.  The certificate holds when N(W) is proved, every
-    index is an integer, the four |H_i| are pairwise coprime (so conjugates
-    of two classes meet trivially) and each class is TI (``_is_ti``: two of
-    its conjugates meet trivially).  Then the conjugates are disjoint
-    outside the identity, ``multiply_covered`` is 0 and ``missing`` is
-    |G| - 1 - coverage, with coverage = sum n_i (|H_i| - 1); otherwise both
-    are None and the report fails.  No conjugate of a class is walked, and
-    nothing of size |G| is built: no order byte is allocated, so this runs
-    on Sz(32) in a fraction of a second.
+    rank prefix G_{b0}, ``range(N1 N2)``, that ``_normalizer_of_w`` proves
+    from W's one fixed point, with no scan and no set of its ranks; that
+    proof also shows W TI.  When it proves nothing, N(W) is taken as the
+    identity alone, which normalizes any W.  The certificate holds when
+    N(W) is proved, every index is an integer, the four |H_i| are pairwise
+    coprime (so conjugates of two classes meet trivially) and each cyclic
+    class is TI (``_is_ti``: two of its conjugates meet trivially).  Then
+    the conjugates are disjoint outside the identity, ``multiply_covered``
+    is 0 and ``missing`` is |G| - 1 - coverage, with coverage =
+    sum n_i (|H_i| - 1); otherwise both are None and the report fails.  No
+    conjugate of a class is walked, and nothing of size |G| is built: no
+    order byte is allocated, so this runs on Sz(32) in a fraction of a
+    second.
 
     When both are 0, every nontrivial element lies in exactly one conjugate
     of one class, and a conjugation keeps orders, so the report's
@@ -944,7 +940,8 @@ def verify_partition(chain: StabilizerChain, w: SubgroupHandle | None = None) ->
     certified = (n_w is not None and all(chain.size % n.order == 0 for n in normalizers.values())
                  and all(gcd(a.order, b.order) == 1
                          for a, b in combinations(classes.values(), 2))
-                 and all(_is_ti(chain, h, normalizers[name]) for name, h in classes.items()))
+                 and all(_is_ti(chain, classes[name], normalizers[name])
+                         for name in ("u1", "u2", "v")))
     missing = chain.size - 1 - coverage if certified else None
     census = None
     if certified and missing == 0:

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from szq import cli, oracle
 from szq.cli import main
 from szq.field import Field
-from szq.gate import ProfileError, load_profile
+from szq.gate import PROFILE_BYTE_LIMIT, ProfileError, load_profile
 from szq.group import make_params
 from szq.mat4 import Mat4
 from szq.oracle import StabilizerChain
@@ -612,6 +612,38 @@ def test_gate_a_profile_nested_too_deeply_is_a_profile_error(tmp_path, capsys, t
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("source", ["/dev/zero", "one-byte-over"])
+def test_gate_a_profile_past_the_byte_limit_is_a_profile_error(tmp_path, capsys, source):
+    # An endless file and Sz(8)'s profile padded one byte past the limit are
+    # refused with at most one byte past the limit read: exit 2 and one line
+    # that names the limit.
+    if source == "/dev/zero":
+        if not os.path.exists(source):
+            pytest.skip("no /dev/zero on this platform")
+        path = source
+    else:
+        text = json.dumps(SZ8_PROFILE)
+        (tmp_path / "profile.json").write_text(text.ljust(PROFILE_BYTE_LIMIT + 1))
+        path = str(tmp_path / "profile.json")
+    with pytest.raises(ProfileError, match=f"longer than {PROFILE_BYTE_LIMIT} bytes"):
+        load_profile(path)
+    rc, out, err = run_cli(capsys, "gate", path)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(PROFILE_BYTE_LIMIT) in err
+
+
+def test_gate_a_profile_at_the_byte_limit_is_gated(tmp_path, capsys):
+    # Sz(8)'s profile padded with spaces to exactly the limit: ACCEPT.
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(SZ8_PROFILE).ljust(PROFILE_BYTE_LIMIT))
+    assert path.stat().st_size == PROFILE_BYTE_LIMIT
+    rc, out, _ = run_cli(capsys, "gate", str(path))
+    assert rc == 0
+    assert out.startswith("verdict: ACCEPT")
 
 
 def _assert_one_diagnosis(rc, out, err, json_output=False):

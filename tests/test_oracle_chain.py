@@ -16,19 +16,20 @@ and coverage, with no claim on the cover, on classes that break it; a
 normalizer short of a member and a cyclic class that is not TI fail it, and
 at q = 32 it holds under three moduli; there, a class short of its
 elements leaves them missing, with no census.  It proves N(W) = G_{b0}
-from W's one fixed point (``_normalizer_of_w``), which must equal the
+and W's TI from W's one fixed point (``_normalizer_of_w``), permuting W's
+largest rank once; N(W) is the rank range range(N1 N2), which must equal the
 normalizer scan member for member at q = 8 under both moduli and at q = 32,
-and a W that breaks a premise of that proof (a rank past N1 N2, a second
-fixed point, a member that H1 conjugates out of it) fails the certificate
-and ``verify``.  It makes one scan per generator of each cyclic class's
-normalizer (3 in all at q = 8, 4 at q = 32), none for N(W) and none to
-prove W TI: a 2-group is TI when one point is fixed by all its members and
-only that point by one of them (``_is_ti``).  Whenever that says TI (for W,
-W^tau and Z(W)), every g that conjugates a nontrivial member into the group
-normalizes it; a normalizer of W one member short, a member that moves W's
-fixed point and a chain without the premises N1 = N0 - 1 and N2 odd fail
-it.  ``unitriangular`` ranks only the 2m of W's generators that the chain
-does not keep.  Rank products and the ranks of
+and the report keeps it as that range.  A W that breaks a premise of that
+proof (an order that is no power of 2, a rank past N1 N2, a second fixed
+point, a member that H1 conjugates out of it) fails the certificate and
+``verify``, and so does a member that moves W's fixed point; a chain
+without the premises N1 = N0 - 1 and N2 odd refuses the proof.  It makes
+one scan per generator of each cyclic class's normalizer (3 in all at
+q = 8, 4 at q = 32), none for N(W) and none to prove W TI.  Whenever the
+proof holds (for W and Z(W)), every g that conjugates a nontrivial member
+into the group normalizes it; a normalizer of W one member short fails the
+certificate.  ``unitriangular`` ranks only the 2m of W's generators that
+the chain does not keep.  Rank products and the ranks of
 matrices must agree with the byte keys.  Point images by table lookups must
 equal those by field arithmetic, rank products the composed permutations,
 and a power walker's walk the cyclic subgroup; neither keeps an order byte.
@@ -283,9 +284,9 @@ def _count_scans(monkeypatch):
 
 
 def test_the_certificate_makes_one_scan_per_normalizer_generator(pair, monkeypatch):
-    # One scan each for N(U1), N(U2) and N(V): 3 scans.  N(W) is proved
-    # from W's one fixed point, and W's TI check reads the fixed points of
-    # its members: neither scans, and no centralizer is taken.
+    # One scan each for N(U1), N(U2) and N(V): 3 scans.  N(W) and W's TI
+    # are proved from W's one fixed point, with no scan, and no centralizer
+    # is taken.
     scans, calls = _count_scans(monkeypatch), []
     monkeypatch.setattr(szq.oracle, "centralizer", lambda *args: calls.append(args))
     assert verify_partition(pair.table).passed
@@ -302,9 +303,9 @@ def _ti_corpus(chain):
     """By name, subgroups of Sz(8) as their members alone: W, its conjugate
     by tau, its centre Z(W) = {w(0, b)}, a four-group of Z(W), <w(0, 1)>,
     the trivial group, and the first conjugate N(W)^U0[a] whose largest rank
-    is a 2-element, which fixes one point only: the conjugate is its own
-    normalizer and every member fixes that point, so only its order, no
-    power of 2, refuses it."""
+    is a 2-element, which fixes one point only, not b0: the conjugate is its
+    own normalizer and every member fixes that point, and its order is no
+    power of 2."""
     f, one = chain.field, chain.identity
     w, tau = unitriangular(chain), chain.generator_ranks[3]
     z = [chain.rank(make_w(f.zero, f.element(b))) for b in range(8)]
@@ -325,32 +326,35 @@ def _ti_corpus(chain):
 
 @pytest.mark.parametrize("name", ["w", "w^tau", "z(w)", "four-group", "<t>", "1", "n(w)^g"])
 def test_a_ti_verdict_is_never_wrong(pair, name):
-    # One-sided: when _is_ti says True, every g that conjugates a nontrivial
-    # member of H into H normalizes H (``_transporter`` finds them all), so
-    # two distinct conjugates of H meet only in the identity.  W, W^tau and
-    # Z(W) are proved TI; a four-group of Z(W) meets its conjugates by
-    # d(lam), and two conjugates of N(W) meet in a conjugate of <d(lam)>.
+    # One-sided: when the fixed-point proof (``_normalizer_of_w``) proves
+    # N(H) = G_{b0}, the normalizer scan agrees and every g that conjugates a
+    # nontrivial member of H into H normalizes H (``_transporter`` finds
+    # them all), so two distinct conjugates of H meet only in the identity.
+    # W and Z(W) are proved TI; W^tau is TI, but it fixes a point other than
+    # b0, so the proof refuses it; a four-group of Z(W) meets its conjugates
+    # by d(lam), and two conjugates of N(W) meet in a conjugate of <d(lam)>.
     chain = pair.table
     h = _ti_corpus(chain)[name]
-    n = normalizer(chain, h)
-    ti = _is_ti(chain, h, n)
-    if ti:
+    proved = _normalizer_of_w(chain, h)
+    if proved is not None:
+        n = normalizer(chain, h).members
+        assert n == frozenset(proved.members)
         for x in h.members - {chain.identity}:
-            assert set(szq.oracle._transporter(chain, x, h.members)) <= n.members
-    assert ti == (name in ("w", "w^tau", "z(w)"))
+            assert set(szq.oracle._transporter(chain, x, h.members)) <= n
+    assert (proved is not None) == (name in ("w", "z(w)"))
 
 
 def test_w_s_ti_check_makes_no_scan_and_no_walk(pair, monkeypatch):
+    # W's TI is proved with N(W), from W's one fixed point.
     chain = pair.table
-    w = unitriangular(chain)
-    n = normalizer(chain, w)
+    w, n12 = unitriangular(chain), len(chain.orbits[1]) * len(chain.orbits[2])
 
     def refused(*args, **kwargs):
         raise AssertionError("the TI check of a 2-group scans or walks")
 
     for name in ("_transporter", "centralizer", "_walk"):
         monkeypatch.setattr(szq.oracle, name, refused)
-    assert _is_ti(chain, w, n)
+    assert _normalizer_of_w(chain, w) == SubgroupHandle(range(n12))
 
 
 def test_a_normalizer_short_of_a_member_fails_the_certificate(pair, monkeypatch):
@@ -378,14 +382,14 @@ def test_two_classes_of_one_order_fail_the_certificate(pair, monkeypatch):
 
 
 def test_a_normalizer_of_w_short_of_a_member_fails_the_certificate(pair, monkeypatch):
-    # The proved N(W) one member short: |N(W)| = 447 is not N1 N2 = 448, so
-    # W's TI proof has no premise N(W) = G_p; in the partition, 447 divides
-    # no |G| = 29120 either.
+    # The proved N(W) one member short, its largest rank, which is not in W:
+    # |N(W)| = 447 divides no |G| = 29120, so the index is no count of
+    # conjugates and the certificate claims nothing.
     chain = pair.table
     w = unitriangular(chain)
     n = _normalizer_of_w(chain, w)
-    short = SubgroupHandle(n.members - {max(n.members - w.members)})
-    assert not _is_ti(chain, w, short)
+    short = SubgroupHandle(range(len(n.members) - 1))
+    assert n.members[-1] not in w.members and short.order == 447
     monkeypatch.setattr(szq.oracle, "_normalizer_of_w", lambda c, sub: short)
     report = verify_partition(chain)
     assert report.normalizers["w"] == short
@@ -403,16 +407,23 @@ def _conjugacy_class(chain, r, gens):
 
 
 def _w_mutant(chain, premise):
-    """W with a premise of the fixed-point proof of N(W) broken: W^tau,
+    """W with a premise of the fixed-point proof of N(W) broken: W and the
+    classes in H1 of the first two powers of d(lam) whose ranks all lie
+    below W's largest, 192 ranks that H1 normalizes ("power of 2"); W^tau,
     whose nontrivial ranks lie past N1 N2 ("in G_b0"); W and the class in
-    H1 of a rank of G_{b0} past W's that fixes a second point, a set that
-    H1 normalizes ("one fixed point"); W short of its largest member, which
-    H1 conjugates another member onto ("normalized by H1"); the cyclic
-    <w(0, 1)>, which d(lam) conjugates off itself ("<t>", a class of prime
-    order that is TI by Lagrange); Z(W) and the class of w(x, 0) under
-    <d(lam)>, which only w(1, 0) conjugates off it ("w(1, 0)")."""
+    H1 of a rank of G_{b0} past W's that fixes a second point, 128 ranks
+    that H1 normalizes ("one fixed point"); W short of its largest member,
+    which H1 conjugates another member onto ("normalized by H1"); the
+    cyclic <w(0, 1)>, which d(lam) conjugates off itself ("<t>", a class of
+    prime order that is TI by Lagrange); the identity and the class of
+    w(x, 0) under <d(lam)>, which only w(1, 0) conjugates off it
+    ("w(1, 0)")."""
     w, n12, f = unitriangular(chain), len(chain.orbits[1]) * len(chain.orbits[2]), chain.field
     top, (w10, w01, d) = max(w.members), chain.generator_ranks[:3]
+    if premise == "power of 2":
+        classes = (_conjugacy_class(chain, x, [w10, w01, d]) for x in chain.cycle(d))
+        below = [k for k in classes if max(k) < top]
+        return SubgroupHandle(w.members.union(*below[:2]))
     if premise == "in G_b0":
         return SubgroupHandle(_conjugate(chain, w.members, chain.generator_ranks[3]))
     if premise == "normalized by H1":
@@ -420,37 +431,37 @@ def _w_mutant(chain, premise):
     if premise == "<t>":
         return SubgroupHandle(frozenset([chain.identity, w01]), cyclic_generator=w01)
     if premise == "w(1, 0)":
-        z = {chain.rank(make_w(f.zero, f.element(b))) for b in range(f.q)}
-        return SubgroupHandle(frozenset(z | _conjugacy_class(
+        return SubgroupHandle(frozenset({chain.identity} | _conjugacy_class(
             chain, chain.rank(make_w(f.element(2), f.zero)), [d])))
     r = next(r for r in range(n12 - 1, top, -1)
              if sum(p == x for p, x in enumerate(chain.permutation(r))) > 1)
     return SubgroupHandle(w.members | _conjugacy_class(chain, r, [w10, w01, d]))
 
 
-@pytest.mark.parametrize("premise", ["in G_b0", "one fixed point", "normalized by H1", "<t>",
-                                     "w(1, 0)"])
+@pytest.mark.parametrize("premise", ["power of 2", "in G_b0", "one fixed point",
+                                     "normalized by H1", "<t>", "w(1, 0)"])
 def test_a_w_that_breaks_a_premise_of_the_n_w_proof_fails_the_certificate(
         pair, premise, monkeypatch, capsys):
     # The proof refuses each mutant, and N(W), unproved, is taken as the
     # identity alone; no scan runs in its place.  The table pins which
-    # premises each mutant breaks: whether its largest rank lies below
-    # N1 N2 and fixes one point, and whether w(1, 0), w(0, 1) and d(lam)
-    # each conjugate it into itself.  "<t>" passes every other check of the
-    # certificate.  ``verify`` on a mutant fails its partition and N(W)
-    # index checks and exits 4.
+    # premises each mutant breaks: whether its order is a power of 2,
+    # whether its largest rank lies below N1 N2 and fixes one point, and
+    # whether w(1, 0), w(0, 1) and d(lam) each conjugate it into itself.
+    # "<t>" passes every other check of the certificate.  ``verify`` on a
+    # mutant fails its partition and N(W) index checks and exits 4.
     chain = pair.table
     w, n12 = _w_mutant(chain, premise), len(chain.orbits[1]) * len(chain.orbits[2])
     top = max(w.members)
     fixed = sum(p == x for p, x in enumerate(chain.permutation(top)))
     normalized = tuple(_conjugate(chain, w.members, g) == w.members
                        for g in chain.generator_ranks[:3])
-    assert (top < n12, fixed == 1, normalized) == {
-        "in G_b0": (False, True, (False, False, True)),
-        "one fixed point": (True, False, (True, True, True)),
-        "normalized by H1": (True, True, (False, True, False)),
-        "<t>": (True, True, (True, True, False)),
-        "w(1, 0)": (True, True, (False, True, True))}[premise]
+    assert (w.order, top < n12, fixed == 1, normalized) == {
+        "power of 2": (192, True, True, (True, True, True)),
+        "in G_b0": (64, False, True, (False, False, True)),
+        "one fixed point": (128, True, False, (True, True, True)),
+        "normalized by H1": (63, True, True, (False, True, False)),
+        "<t>": (2, True, True, (True, True, False)),
+        "w(1, 0)": (8, True, True, (False, True, True))}[premise]
     assert _normalizer_of_w(chain, w) is None
     scans = _count_scans(monkeypatch)
     report = verify_partition(chain, w)
@@ -468,35 +479,34 @@ def test_a_w_that_breaks_a_premise_of_the_n_w_proof_fails_the_certificate(
 
 def test_a_member_that_moves_the_fixed_point_fails_the_certificate(pair):
     # W with its largest rank swapped for tau, an involution whose one fixed
-    # point is not <e1>, W's: tau is now the largest rank, the member whose
-    # fixed point the check takes, and the members of W move that point.
+    # point is not <e1> = b0, W's: tau is now the largest rank, the member
+    # whose fixed point the proof takes, and the members of W move that
+    # point.  The proof refuses it, and the certificate fails.
     chain = pair.table
     w = unitriangular(chain)
-    n = normalizer(chain, w)
     tau = chain.generator_ranks[3]
     fixed = [p for p, image in enumerate(chain.permutation(tau)) if p == image]
     assert len(fixed) == 1 and fixed[0] != chain.base[0]
     swapped = SubgroupHandle(w.members - {max(w.members)} | {tau})
     assert max(swapped.members) == tau
-    assert not _is_ti(chain, swapped, n)
+    assert _normalizer_of_w(chain, swapped) is None
+    assert not verify_partition(chain, swapped).passed
 
 
 @pytest.mark.parametrize("level, change", [(1, -1), (2, 1)])
 def test_a_chain_without_the_orbit_premises_fails_the_certificate(pair, level, change):
     # A copied chain whose orbits[1] is one point short (N1 = N0 - 2: not
     # 2-transitive) or whose orbits[2] is one point long (N2 = 8, even):
-    # W is not proved TI, with N(W) or with a handle of N1 N2 ranks.
+    # the fixed-point proof of N(W) and of W's TI refuses W on it.
     chain = copy(pair.table)
     w = unitriangular(chain)
-    n = normalizer(chain, w)
     orbit = chain.orbits[level]
     chain.orbits = list(chain.orbits)
     chain.orbits[level] = orbit[:-1] if change < 0 else [*orbit, orbit[0]]
     n0, n1, n2 = map(len, chain.orbits)
     assert (n0 - n1, n2 % 2) == ((2, 1) if level == 1 else (1, 0))
-    assert _is_ti(pair.table, w, n)
-    assert not _is_ti(chain, w, n)
-    assert not _is_ti(chain, w, SubgroupHandle(frozenset(range(n1 * n2))))
+    assert _normalizer_of_w(pair.table, w) is not None
+    assert _normalizer_of_w(chain, w) is None
 
 
 def test_verify_without_the_certificate_reports_the_power_pass(pair, monkeypatch, capsys):
@@ -945,16 +955,38 @@ def test_unitriangular_ranks_only_the_generators_the_chain_lacks(pair_0xb, sz32,
 
 @pytest.mark.parametrize("world", ["pair_0xb", "pair_0xd", "sz32"])
 def test_the_proved_normalizer_of_w_is_the_scanned_one(request, world):
-    # N(W) = G_{b0} from W's one fixed point is, member for member, the
-    # normalizer scan of a generating set of W, at q = 8 under both moduli
-    # and at q = 32 under 0x25; the certificate reports it.
+    # N(W) = G_{b0} from W's one fixed point, the rank range, is, member for
+    # member, the normalizer scan of a generating set of W, at q = 8 under
+    # both moduli and at q = 32 under 0x25.
     chain = request.getfixturevalue(world)
     chain = getattr(chain, "table", chain)
     assert chain.field.modulus in (0xb, 0xd, 0x25)
     w, n12 = unitriangular(chain), len(chain.orbits[1]) * len(chain.orbits[2])
     proved = _normalizer_of_w(chain, w)
-    assert proved.members == normalizer(chain, w).members == frozenset(range(n12))
-    assert verify_partition(chain).normalizers["w"] == proved
+    assert proved.members == range(n12)
+    assert normalizer(chain, w).members == frozenset(proved.members)
+
+
+@pytest.mark.parametrize("world", ["pair_0xb", "pair_0xd", "sz32"])
+def test_the_certificate_keeps_n_w_as_its_rank_range(request, world):
+    # The certificate reports N(W) as range(N1 N2), no set of its ranks.
+    chain = request.getfixturevalue(world)
+    chain = getattr(chain, "table", chain)
+    assert chain.field.modulus in (0xb, 0xd, 0x25)
+    n12 = len(chain.orbits[1]) * len(chain.orbits[2])
+    assert verify_partition(chain).normalizers["w"].members == range(n12)
+
+
+def test_one_certificate_permutes_w_s_largest_rank_once(pair, monkeypatch):
+    # W's one fixed point is derived once, by the proof of N(W) and of W's
+    # TI: the certificate permutes W's largest rank once.
+    chain = pair.table
+    w = unitriangular(chain)
+    top, calls, permutation = max(w.members), [], StabilizerChain.permutation
+    monkeypatch.setattr(StabilizerChain, "permutation",
+                        lambda c, r: calls.append(r) or permutation(c, r))
+    assert verify_partition(chain, w).passed
+    assert calls.count(top) == 1
 
 
 @pytest.mark.parametrize("modulus", [0x25, 0x29, 0x2f], ids=hex)
